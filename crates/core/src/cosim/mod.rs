@@ -144,6 +144,15 @@ pub enum CosimError {
         /// First cycle of the flow that could not be assigned a register.
         cycle: u64,
     },
+    /// A transfer's SRAM region (its source or destination range, or the
+    /// forwarding scratch it needs on a chip) runs past the 16-bit offset
+    /// space of a slice. Offsets used to wrap here and alias other data.
+    AddressOverflow {
+        /// The chip whose SRAM the region would overflow.
+        tsp: TspId,
+        /// The offending transfer (index into the plan's shapes).
+        transfer: usize,
+    },
     /// The number of payload sets bound at execution time does not match
     /// the number of transfers the plan was compiled for.
     PayloadCount {
@@ -220,6 +229,12 @@ impl std::fmt::Display for CosimError {
                     f,
                     "{tsp} needs a {}rd live stream register at cycle {cycle}",
                     MAX_STREAMS + 1
+                )
+            }
+            CosimError::AddressOverflow { tsp, transfer } => {
+                write!(
+                    f,
+                    "transfer {transfer} runs past the SRAM offset space on {tsp}"
                 )
             }
             CosimError::PayloadCount { expected, got } => {
@@ -483,6 +498,39 @@ mod tests {
         );
     }
 
+    /// An SRAM region running past offset `u16::MAX` is a typed error, not
+    /// a wrap onto offset 0 that aliases other data in release builds.
+    #[test]
+    fn sram_offset_overflow_is_a_typed_error() {
+        let topo = Topology::single_node();
+        let shape = |src_offset, dst_offset| TransferShape {
+            from: TspId(0),
+            to: TspId(1),
+            src_slice: 0,
+            src_offset,
+            dst_slice: 1,
+            dst_offset,
+            vectors: 2,
+        };
+        assert_eq!(
+            compile_plan(&topo, &[shape(u16::MAX, 0)]),
+            Err(CosimError::AddressOverflow {
+                tsp: TspId(0),
+                transfer: 0
+            })
+        );
+        assert_eq!(
+            compile_plan(&topo, &[shape(0, 0), shape(0, u16::MAX)]),
+            Err(CosimError::AddressOverflow {
+                tsp: TspId(1),
+                transfer: 1
+            })
+        );
+        // A region may end exactly on the last offset.
+        let last = u16::MAX - 1;
+        assert!(compile_plan(&topo, &[shape(last, last)]).is_ok());
+    }
+
     /// Boundary regression: on an idle fabric the first transfer injects at
     /// exactly `READ_LATENCY`, so the first SRAM read lands on cycle 0.
     /// The subtraction must not underflow (debug builds would panic).
@@ -588,7 +636,7 @@ mod tests {
 
     #[test]
     fn stream_exhaustion_is_reported_not_wrapped() {
-        let mut a = StreamAlloc::new();
+        let mut a = StreamAlloc::default();
         for _ in 0..MAX_STREAMS {
             assert!(a.alloc(0, 100).is_some());
         }

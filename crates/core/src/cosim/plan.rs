@@ -17,7 +17,7 @@ use tsm_isa::vector::MAX_STREAMS;
 use tsm_isa::{Direction, StreamId};
 use tsm_net::ssn::{scheduled_link_latency, vector_slot_cycles, LinkOccupancy};
 use tsm_topology::route::{shortest_path, Path};
-use tsm_topology::{LinkId, Topology, TspId};
+use tsm_topology::{LinkId, Topology, TspId, PORTS_PER_TSP};
 
 use super::{CosimError, CosimTransfer, READ_LATENCY, SCRATCH_SLICE};
 
@@ -243,14 +243,6 @@ impl CompiledPlan {
     }
 }
 
-/// Allocates `vectors` scratch offsets on `tsp`.
-fn scratch_base(next: &mut HashMap<TspId, u16>, tsp: TspId, vectors: u16) -> u16 {
-    let e = next.entry(tsp).or_insert(0);
-    let base = *e;
-    *e += vectors;
-    base
-}
-
 /// Per-chip stream-register allocator with liveness tracking.
 ///
 /// A flow reserves the lowest-numbered register that is dead over its
@@ -259,7 +251,7 @@ fn scratch_base(next: &mut HashMap<TspId, u16>, tsp: TspId, vectors: u16) -> u16
 /// live flows through one chip) is reported to the caller instead of
 /// silently aliasing a live register, which is what the old modulo-32
 /// round-robin did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct StreamAlloc {
     /// `live_until[s]` = last cycle on which stream `s` still carries a
     /// live value, or `None` if it was never used.
@@ -267,12 +259,6 @@ pub(super) struct StreamAlloc {
 }
 
 impl StreamAlloc {
-    pub(super) fn new() -> Self {
-        StreamAlloc {
-            live_until: [None; MAX_STREAMS],
-        }
-    }
-
     /// Reserves the lowest-numbered stream free over `[start, end]`. A
     /// stream is free only if its previous live range ended *strictly*
     /// before `start` (a same-cycle read/write handoff would be
@@ -292,19 +278,6 @@ impl StreamAlloc {
     }
 }
 
-fn alloc_stream(
-    allocs: &mut HashMap<TspId, StreamAlloc>,
-    tsp: TspId,
-    start: u64,
-    end: u64,
-) -> Result<StreamId, CosimError> {
-    allocs
-        .entry(tsp)
-        .or_insert_with(StreamAlloc::new)
-        .alloc(start, end)
-        .ok_or(CosimError::StreamExhausted { tsp, cycle: start })
-}
-
 /// Chip execution-unit occupancy — the compile-time mirror of the busy
 /// model `ChipSim` enforces at run time: each instruction holds resource
 /// `(unit, port)` for `[cycle, cycle + min_latency)`, where C2C
@@ -314,30 +287,40 @@ fn alloc_stream(
 /// forwarder's Mem unit), so [`compile_plan`] trial-schedules every
 /// transfer against this table and delays its injection until the whole
 /// chip-side window is free.
-#[derive(Debug, Default)]
+///
+/// The lowering occupies only the Mem unit and the C2C port engines, so
+/// each chip has [`UNIT_SLOTS`] resources: slot 0 is Mem, slot `1 + p`
+/// is C2C port `p`.
+#[derive(Debug)]
 struct UnitOccupancy {
-    /// Sorted, disjoint busy windows `[start, end)` per chip resource.
-    busy: HashMap<(TspId, u16), Vec<(u64, u64)>>,
+    /// Sorted, disjoint busy windows `[start, end)`, indexed
+    /// `tsp * UNIT_SLOTS + slot`.
+    busy: Vec<Vec<(u64, u64)>>,
+}
+
+/// Resources per chip in [`UnitOccupancy`]: Mem plus one per C2C port.
+const UNIT_SLOTS: usize = 1 + PORTS_PER_TSP;
+
+/// [`UnitOccupancy`] slot of the Mem unit.
+const MEM_SLOT: usize = 0;
+
+/// [`UnitOccupancy`] slot of C2C port `port`'s engine.
+fn c2c_slot(port: u8) -> usize {
+    1 + usize::from(port)
 }
 
 impl UnitOccupancy {
-    /// Resource key for an instruction, matching the executor: C2C
-    /// engines are per-port, every other unit is one resource.
-    fn key(instr: &Instruction) -> u16 {
-        let port = match instr {
-            Instruction::Transmit { port }
-            | Instruction::Receive { port, .. }
-            | Instruction::Send { port, .. } => *port,
-            _ => 0,
-        };
-        ((instr.unit().index() as u16) << 8) | u16::from(port)
+    fn new(num_tsps: usize) -> Self {
+        UnitOccupancy {
+            busy: vec![Vec::new(); num_tsps * UNIT_SLOTS],
+        }
     }
 
     /// If `[start, end)` overlaps a booked window on `tsp`'s resource,
     /// returns the end of the latest overlapping window (the cycle the
     /// caller must delay past).
-    fn conflict(&self, tsp: TspId, key: u16, start: u64, end: u64) -> Option<u64> {
-        let windows = self.busy.get(&(tsp, key))?;
+    fn conflict(&self, tsp: TspId, slot: usize, start: u64, end: u64) -> Option<u64> {
+        let windows = &self.busy[tsp.index() * UNIT_SLOTS + slot];
         // Windows are sorted and disjoint, so both starts and ends are
         // ascending: skip every window ending at or before `start`, then
         // scan while windows begin before `end`.
@@ -352,17 +335,27 @@ impl UnitOccupancy {
         busy_until
     }
 
-    /// Books `[start, end)` on `tsp`'s resource.
-    fn reserve(&mut self, tsp: TspId, key: u16, start: u64, end: u64) {
-        let windows = self.busy.entry((tsp, key)).or_default();
+    /// Books `[start, end)` on `tsp`'s resource. The window must be free:
+    /// [`conflict`](Self::conflict) relies on the windows staying
+    /// disjoint.
+    fn reserve(&mut self, tsp: TspId, slot: usize, start: u64, end: u64) {
+        let windows = &mut self.busy[tsp.index() * UNIT_SLOTS + slot];
         let i = windows.partition_point(|&(s, _)| s < start);
+        debug_assert!(
+            i == 0 || windows[i - 1].1 <= start,
+            "{tsp} slot {slot}: [{start}, {end}) overlaps its predecessor"
+        );
+        debug_assert!(
+            windows.get(i).is_none_or(|&(s, _)| end <= s),
+            "{tsp} slot {slot}: [{start}, {end}) overlaps its successor"
+        );
         windows.insert(i, (start, end));
     }
 }
 
 /// Enumerates every chip-unit busy window the lowering in [`compile_plan`]
 /// will create for a transfer whose hops start at `hop_starts`, calling
-/// `f(tsp, resource, start, end)` once per planned instruction. Kept in
+/// `f(tsp, slot, start, end)` once per planned instruction. Kept in
 /// lockstep with the program-construction loops below — both walk the
 /// same source Read→Send, forwarder Receive→Write→Read→Send, and
 /// destination Receive→Write timing.
@@ -371,18 +364,17 @@ fn for_each_unit_window(
     path: &Path,
     hop_starts: &[u64],
     n: u64,
-    f: &mut impl FnMut(TspId, u16, u64, u64),
+    f: &mut impl FnMut(TspId, usize, u64, u64),
 ) {
     let slot = vector_slot_cycles();
     let dummy = StreamId::new(0).expect("stream 0 exists");
-    let read = Instruction::Read {
+    let read_lat = Instruction::Read {
         slice: 0,
         offset: 0,
         stream: dummy,
         dir: Direction::East,
-    };
-    let mem_key = UnitOccupancy::key(&read);
-    let read_lat = read.min_latency();
+    }
+    .min_latency();
     let write_lat = Instruction::Write {
         slice: 0,
         offset: 0,
@@ -394,28 +386,22 @@ fn for_each_unit_window(
         stream: dummy,
     }
     .min_latency();
-    let c2c_key = |port: u8| {
-        UnitOccupancy::key(&Instruction::Send {
-            port,
-            stream: dummy,
-        })
-    };
 
     // Source: Read -> Send per vector.
     let src = path.tsps[0];
     let send0 = hop_starts[0];
     let read0 = send0.saturating_sub(READ_LATENCY);
-    let src_key = c2c_key(port_of(topo, path, 0, src));
+    let src_key = c2c_slot(port_of(topo, path, 0, src));
     for v in 0..n {
-        f(src, mem_key, read0 + v * slot, read0 + v * slot + read_lat);
+        f(src, MEM_SLOT, read0 + v * slot, read0 + v * slot + read_lat);
         f(src, src_key, send0 + v * slot, send0 + v * slot + c2c_lat);
     }
 
     // Intermediate hops: Receive -> Write -> Read -> Send per vector.
     for h in 1..path.links.len() {
         let tsp = path.tsps[h];
-        let in_key = c2c_key(port_of(topo, path, h - 1, tsp));
-        let out_key = c2c_key(port_of(topo, path, h, tsp));
+        let in_key = c2c_slot(port_of(topo, path, h - 1, tsp));
+        let out_key = c2c_slot(port_of(topo, path, h, tsp));
         let in_latency = scheduled_link_latency(topo, path.links[h - 1]);
         let arrive0 = hop_starts[h - 1] + slot + in_latency;
         let forward0 = hop_starts[h];
@@ -424,10 +410,10 @@ fn for_each_unit_window(
             let arrive = arrive0 + v * slot;
             let forward = forward0 + v * slot;
             f(tsp, in_key, arrive, arrive + c2c_lat);
-            f(tsp, mem_key, arrive + 1, arrive + 1 + write_lat);
+            f(tsp, MEM_SLOT, arrive + 1, arrive + 1 + write_lat);
             f(
                 tsp,
-                mem_key,
+                MEM_SLOT,
                 fread0 + v * slot,
                 fread0 + v * slot + read_lat,
             );
@@ -438,13 +424,95 @@ fn for_each_unit_window(
     // Destination: Receive -> Write per vector.
     let last = path.links.len() - 1;
     let dst = path.tsps[last + 1];
-    let dst_key = c2c_key(port_of(topo, path, last, dst));
+    let dst_key = c2c_slot(port_of(topo, path, last, dst));
     let out_latency = scheduled_link_latency(topo, path.links[last]);
     let dst_arrive0 = hop_starts[last] + slot + out_latency;
     for v in 0..n {
         let arrive = dst_arrive0 + v * slot;
         f(dst, dst_key, arrive, arrive + c2c_lat);
-        f(dst, mem_key, arrive + 1, arrive + 1 + write_lat);
+        f(dst, MEM_SLOT, arrive + 1, arrive + 1 + write_lat);
+    }
+}
+
+/// SRAM offsets per slice: offsets are `u16`, so a region may end at
+/// offset `u16::MAX` and no further.
+const SRAM_OFFSETS: u64 = 1 << 16;
+
+/// Checks that `vectors` contiguous offsets from `base` fit in a slice.
+fn check_region(tsp: TspId, transfer: usize, base: u64, vectors: u64) -> Result<(), CosimError> {
+    if base + vectors > SRAM_OFFSETS {
+        return Err(CosimError::AddressOverflow { tsp, transfer });
+    }
+    Ok(())
+}
+
+/// Everything the lowering accumulates for one participating chip.
+#[derive(Debug)]
+struct ChipBuild {
+    tsp: TspId,
+    program: ChipProgram,
+    preloads: Vec<PlannedPreload>,
+    deliveries: Vec<PlannedDelivery>,
+    /// What the schedule promises the chip will emit.
+    emissions: Vec<PlannedEmission>,
+    /// Hop depth: the max position of the chip over its paths.
+    depth: usize,
+    streams: StreamAlloc,
+    /// Next free forwarding-scratch offset, bump-allocated.
+    scratch_next: u64,
+}
+
+impl ChipBuild {
+    fn stream(&mut self, start: u64, end: u64) -> Result<StreamId, CosimError> {
+        self.streams
+            .alloc(start, end)
+            .ok_or(CosimError::StreamExhausted {
+                tsp: self.tsp,
+                cycle: start,
+            })
+    }
+
+    /// Allocates `vectors` forwarding-scratch offsets for `transfer`.
+    fn scratch(&mut self, transfer: usize, vectors: u64) -> Result<u16, CosimError> {
+        let base = self.scratch_next;
+        check_region(self.tsp, transfer, base, vectors)?;
+        self.scratch_next += vectors;
+        Ok(base as u16)
+    }
+}
+
+/// The builders of the chips a plan touches, in first-touch order, with a
+/// dense per-TSP index into them.
+struct ChipBuilds {
+    /// Per TSP: position in `chips`, or `u32::MAX` if untouched.
+    index: Vec<u32>,
+    chips: Vec<ChipBuild>,
+}
+
+impl ChipBuilds {
+    fn new(num_tsps: usize) -> Self {
+        ChipBuilds {
+            index: vec![u32::MAX; num_tsps],
+            chips: Vec::new(),
+        }
+    }
+
+    fn get(&mut self, tsp: TspId) -> &mut ChipBuild {
+        let i = &mut self.index[tsp.index()];
+        if *i == u32::MAX {
+            *i = self.chips.len() as u32;
+            self.chips.push(ChipBuild {
+                tsp,
+                program: ChipProgram::default(),
+                preloads: Vec::new(),
+                deliveries: Vec::new(),
+                emissions: Vec::new(),
+                depth: 0,
+                streams: StreamAlloc::default(),
+                scratch_next: 0,
+            });
+        }
+        &mut self.chips[*i as usize]
     }
 }
 
@@ -456,19 +524,10 @@ fn for_each_unit_window(
 pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<CompiledPlan, CosimError> {
     let slot = vector_slot_cycles();
     let mut occupancy = LinkOccupancy::new();
-    let mut units = UnitOccupancy::default();
-    let mut programs: HashMap<TspId, ChipProgram> = HashMap::new();
-    let mut preloads: HashMap<TspId, Vec<PlannedPreload>> = HashMap::new();
-    let mut deliveries: HashMap<TspId, Vec<PlannedDelivery>> = HashMap::new();
-    // What the schedule promises each chip will emit.
-    let mut emissions: HashMap<TspId, Vec<PlannedEmission>> = HashMap::new();
-    // Hop depth of each participating chip (max position over its paths).
-    let mut depth: HashMap<TspId, usize> = HashMap::new();
+    let mut units = UnitOccupancy::new(topo.num_tsps());
+    let mut builds = ChipBuilds::new(topo.num_tsps());
     // Each (from, to) route is computed once and reused across transfers.
     let mut routes: HashMap<(TspId, TspId), Path> = HashMap::new();
-    let mut streams: HashMap<TspId, StreamAlloc> = HashMap::new();
-    // Forwarding scratch space, bump-allocated per chip.
-    let mut scratch_next: HashMap<TspId, u16> = HashMap::new();
     let mut arrivals = Vec::with_capacity(shapes.len());
 
     for (idx, tr) in shapes.iter().enumerate() {
@@ -483,7 +542,11 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
             // a debug assertion here; it is a caller error, reported as one.
             return Err(CosimError::LocalTransfer { transfer: idx });
         }
-        let n = tr.vectors as u64;
+        let n = u64::from(tr.vectors);
+        if n > 0 {
+            check_region(tr.from, idx, tr.src_offset.into(), n)?;
+            check_region(tr.to, idx, tr.dst_offset.into(), n)?;
+        }
         // Injection starts after the source's SRAM read pipeline has had
         // time to stage the first vector, and is delayed further until
         // every chip execution unit the transfer touches is free for its
@@ -492,26 +555,27 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
         // against the unit occupancy and retried later until its plan is
         // conflict-free at the chips as well as on the wires.
         let mut earliest = READ_LATENCY;
-        let sched = loop {
-            let trial = occupancy
-                .plan_transfer(topo, path, n, earliest)
-                .map_err(CosimError::Schedule)?;
+        let mut sched = occupancy
+            .plan_transfer(topo, path, n, earliest)
+            .map_err(CosimError::Schedule)?;
+        loop {
             let mut bump = 0u64;
-            if n > 0 {
-                for_each_unit_window(topo, path, &trial.hop_starts, n, &mut |tsp, key, s, e| {
-                    if let Some(busy_until) = units.conflict(tsp, key, s, e) {
-                        bump = bump.max(busy_until - s);
-                    }
-                });
-            }
+            for_each_unit_window(topo, path, &sched.hop_starts, n, &mut |tsp, key, s, e| {
+                if let Some(busy_until) = units.conflict(tsp, key, s, e) {
+                    bump = bump.max(busy_until - s);
+                }
+            });
             if bump == 0 {
-                break trial;
+                break;
             }
             // Monotone progress: each retry pushes the injection at least
             // one cycle past the latest conflicting window, and every
             // booked window ends at a finite cycle, so the loop terminates.
             earliest += bump;
-        };
+            occupancy
+                .plan_transfer_into(topo, path, n, earliest, &mut sched)
+                .map_err(CosimError::Schedule)?;
+        }
         occupancy.commit(path, &sched);
         arrivals.push(sched.last_arrival);
         if n == 0 {
@@ -530,35 +594,31 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
         };
 
         for (h, &tsp) in path.tsps.iter().enumerate() {
-            let d = depth.entry(tsp).or_insert(0);
-            *d = (*d).max(h);
+            let chip = builds.get(tsp);
+            chip.depth = chip.depth.max(h);
         }
 
-        // Preload the source SRAM with the payload.
-        let src_pre = preloads.entry(tr.from).or_default();
-        for v in 0..n {
-            src_pre.push(PlannedPreload {
-                slice: tr.src_slice,
-                offset: tr.src_offset + v as u16,
-                vec: vref(v),
-            });
-        }
-
-        // Source program: Read -> Send per vector. The schedule is asked
-        // for an injection no earlier than READ_LATENCY, so the first read
-        // lands at cycle >= 0; `saturating_sub` makes the subtraction
-        // well-defined even at the boundary where send0 == READ_LATENCY.
+        // Source program: Read -> Send per vector, from the preloaded
+        // payload. The schedule is asked for an injection no earlier than
+        // READ_LATENCY, so the first read lands at cycle >= 0;
+        // `saturating_sub` makes the subtraction well-defined even at the
+        // boundary where send0 == READ_LATENCY.
         let send0 = hop_starts[0];
         debug_assert!(
             send0 >= READ_LATENCY,
             "schedule injected before the SRAM read pipeline could stage a vector"
         );
         let read0 = send0.saturating_sub(READ_LATENCY);
-        let src_stream = alloc_stream(&mut streams, tr.from, read0, send0 + (n - 1) * slot)?;
         let src_port = port_of(topo, path, 0, tr.from);
-        let prog = programs.entry(tr.from).or_default();
+        let src = builds.get(tr.from);
+        src.preloads.extend((0..n).map(|v| PlannedPreload {
+            slice: tr.src_slice,
+            offset: tr.src_offset + v as u16,
+            vec: vref(v),
+        }));
+        let src_stream = src.stream(read0, send0 + (n - 1) * slot)?;
         for v in 0..n {
-            prog.push(
+            src.program.push(
                 read0 + v * slot,
                 Instruction::Read {
                     slice: tr.src_slice,
@@ -567,7 +627,7 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
                     dir: Direction::East,
                 },
             );
-            prog.push(
+            src.program.push(
                 send0 + v * slot,
                 Instruction::Send {
                     port: src_port,
@@ -595,22 +655,22 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
                 "forwarding hop scheduled before the SRAM read pipeline"
             );
             let fread0 = forward0.saturating_sub(READ_LATENCY);
-            let in_stream = alloc_stream(&mut streams, tsp, arrive0, arrive0 + (n - 1) * slot + 1)?;
-            let out_stream = alloc_stream(&mut streams, tsp, fread0, forward0 + (n - 1) * slot)?;
-            let scratch = scratch_base(&mut scratch_next, tsp, n as u16);
-            let prog = programs.entry(tsp).or_default();
+            let chip = builds.get(tsp);
+            let in_stream = chip.stream(arrive0, arrive0 + (n - 1) * slot + 1)?;
+            let out_stream = chip.stream(fread0, forward0 + (n - 1) * slot)?;
+            let scratch = chip.scratch(idx, n)?;
             for v in 0..n {
                 let arrive = arrive0 + v * slot;
                 let forward = forward0 + v * slot;
                 debug_assert!(forward > arrive + 1 + READ_LATENCY);
-                prog.push(
+                chip.program.push(
                     arrive,
                     Instruction::Receive {
                         port: in_port,
                         stream: in_stream,
                     },
                 );
-                prog.push(
+                chip.program.push(
                     arrive + 1,
                     Instruction::Write {
                         slice: SCRATCH_SLICE,
@@ -618,7 +678,7 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
                         stream: in_stream,
                     },
                 );
-                prog.push(
+                chip.program.push(
                     fread0 + v * slot,
                     Instruction::Read {
                         slice: SCRATCH_SLICE,
@@ -627,7 +687,7 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
                         dir: Direction::East,
                     },
                 );
-                prog.push(
+                chip.program.push(
                     forward,
                     Instruction::Send {
                         port: out_port,
@@ -642,23 +702,18 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
         let dst_port = port_of(topo, path, last, tr.to);
         let out_latency = scheduled_link_latency(topo, path.links[last]);
         let dst_arrive0 = hop_starts[last] + slot + out_latency;
-        let dst_stream = alloc_stream(
-            &mut streams,
-            tr.to,
-            dst_arrive0,
-            dst_arrive0 + (n - 1) * slot + 1,
-        )?;
-        let prog = programs.entry(tr.to).or_default();
+        let dst = builds.get(tr.to);
+        let dst_stream = dst.stream(dst_arrive0, dst_arrive0 + (n - 1) * slot + 1)?;
         for v in 0..n {
             let arrive = dst_arrive0 + v * slot;
-            prog.push(
+            dst.program.push(
                 arrive,
                 Instruction::Receive {
                     port: dst_port,
                     stream: dst_stream,
                 },
             );
-            prog.push(
+            dst.program.push(
                 arrive + 1,
                 Instruction::Write {
                     slice: tr.dst_slice,
@@ -680,23 +735,23 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
             debug_assert_eq!(link, path.links[h]);
             debug_assert_eq!(peer, path.tsps[h + 1]);
             let latency = scheduled_link_latency(topo, path.links[h]);
-            let promised = emissions.entry(sender).or_default();
-            for v in 0..n {
-                promised.push(PlannedEmission {
+            builds
+                .get(sender)
+                .emissions
+                .extend((0..n).map(|v| PlannedEmission {
                     cycle: hop_start + v * slot,
                     port: out_port,
                     vec: vref(v),
-                });
-            }
-            let inbox = deliveries.entry(peer).or_default();
-            for v in 0..n {
-                inbox.push(PlannedDelivery {
+                }));
+            builds
+                .get(peer)
+                .deliveries
+                .extend((0..n).map(|v| PlannedDelivery {
                     port: peer_port,
                     cycle: hop_start + (v + 1) * slot + latency,
                     vec: vref(v),
                     link,
-                });
-            }
+                }));
         }
     }
 
@@ -704,45 +759,39 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
     // hop-depth levels: a chip at depth d receives only from chips at
     // depth < d, so levels execute in topological order and chips within a
     // level are mutually independent.
-    let mut tsps: Vec<TspId> = programs.keys().copied().collect();
-    tsps.sort();
-    let mut chips = Vec::with_capacity(tsps.len());
+    let mut built = builds.chips;
+    built.sort_unstable_by_key(|c| c.tsp);
+    let mut chips = Vec::with_capacity(built.len());
     let mut levels: Vec<Vec<u32>> = Vec::new();
     let mut slab: Vec<TimedInstruction> = Vec::new();
     let mut instructions = 0usize;
-    for (i, &tsp) in tsps.iter().enumerate() {
-        let d = depth[&tsp];
-        if levels.len() <= d {
-            levels.resize(d + 1, Vec::new());
+    for (i, mut c) in built.into_iter().enumerate() {
+        if levels.len() <= c.depth {
+            levels.resize(c.depth + 1, Vec::new());
         }
-        levels[d].push(i as u32);
-        let mut program = programs
-            .remove(&tsp)
-            .expect("program exists for listed chip");
+        levels[c.depth].push(i as u32);
         // Issue-sort once at compile time, then flatten into the shared
         // slab; every execution runs the window without cloning or
         // re-sorting it.
-        program.sort_in_place();
-        instructions += program.len();
+        c.program.sort_in_place();
+        instructions += c.program.len();
         let prog_start = slab.len() as u32;
-        slab.extend_from_slice(program.instrs());
+        slab.extend_from_slice(c.program.instrs());
         let prog_end = slab.len() as u32;
-        let mut dels = deliveries.remove(&tsp).unwrap_or_default();
         // Stable (port, cycle) order: each port's queue is fed
         // nondecreasing, and equal keys keep transfer order — consumption
         // order is identical to the legacy per-delivery re-sort.
-        dels.sort_by_key(|d| (d.port, d.cycle));
-        let mut emis = emissions.remove(&tsp).unwrap_or_default();
-        emis.sort_by_key(|e| (e.cycle, e.port));
+        c.deliveries.sort_by_key(|d| (d.port, d.cycle));
+        c.emissions.sort_by_key(|e| (e.cycle, e.port));
         chips.push(ChipPlan {
-            tsp,
-            depth: d as u32,
-            shard: shard_key(tsp),
+            tsp: c.tsp,
+            depth: c.depth as u32,
+            shard: shard_key(c.tsp),
             prog_start,
             prog_end,
-            preloads: preloads.remove(&tsp).unwrap_or_default(),
-            deliveries: dels,
-            emissions: emis,
+            preloads: c.preloads,
+            deliveries: c.deliveries,
+            emissions: c.emissions,
         });
     }
 

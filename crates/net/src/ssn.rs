@@ -114,10 +114,17 @@ impl std::error::Error for SsnError {}
 /// through the same occupancy are conflict-free *by construction*.
 #[derive(Debug, Clone, Default)]
 pub struct LinkOccupancy {
-    next_free: HashMap<(LinkId, TspId), u64>,
+    /// Per link, one `(sender, next free cycle)` slot per direction, in the
+    /// order the directions were first booked; [`NO_SENDER`] marks a
+    /// direction never booked. Dense so the compiler's retry loop costs an
+    /// index, not a hash, per hop.
+    next_free: Vec<[(TspId, u64); 2]>,
     reservations: Vec<Reservation>,
     next_transfer: u32,
 }
+
+/// Sender of a link direction that has no reservation yet.
+const NO_SENDER: TspId = TspId(u32::MAX);
 
 impl LinkOccupancy {
     /// An empty occupancy table.
@@ -128,7 +135,12 @@ impl LinkOccupancy {
     /// First cycle at or after `at` when `link` is free in the direction
     /// transmitted by `from`.
     pub fn free_at(&self, link: LinkId, from: TspId, at: u64) -> u64 {
-        at.max(*self.next_free.get(&(link, from)).unwrap_or(&0))
+        let booked = self.next_free.get(link.index()).and_then(|dirs| {
+            dirs.iter()
+                .find(|&&(sender, _)| sender == from)
+                .map(|&(_, free)| free)
+        });
+        at.max(booked.unwrap_or(0))
     }
 
     /// All reservations made so far.
@@ -167,24 +179,47 @@ impl LinkOccupancy {
         vectors: u64,
         earliest: u64,
     ) -> Result<TransferSchedule, SsnError> {
-        let transfer = self.next_transfer;
+        let mut sched = TransferSchedule {
+            transfer: 0,
+            source: path.source(),
+            dest: path.dest(),
+            vectors: 0,
+            first_inject: 0,
+            last_arrival: 0,
+            hops: 0,
+            hop_starts: Vec::with_capacity(path.links.len()),
+        };
+        self.plan_transfer_into(topo, path, vectors, earliest, &mut sched)?;
+        Ok(sched)
+    }
+
+    /// [`plan_transfer`](Self::plan_transfer) into an existing schedule,
+    /// reusing its `hop_starts` buffer: a caller retrying many start
+    /// cycles allocates nothing per trial.
+    pub fn plan_transfer_into(
+        &self,
+        topo: &Topology,
+        path: &Path,
+        vectors: u64,
+        earliest: u64,
+        sched: &mut TransferSchedule,
+    ) -> Result<(), SsnError> {
         let slot = vector_slot_cycles();
+        sched.transfer = self.next_transfer;
+        sched.source = path.source();
+        sched.dest = path.dest();
+        sched.vectors = vectors;
+        sched.hops = path.hops();
+        sched.hop_starts.clear();
 
         if path.links.is_empty() {
             if path.source() != path.dest() {
                 return Err(SsnError::EmptyPath);
             }
             // Local transfer: no network time.
-            return Ok(TransferSchedule {
-                transfer,
-                source: path.source(),
-                dest: path.dest(),
-                vectors,
-                first_inject: earliest,
-                last_arrival: earliest,
-                hops: 0,
-                hop_starts: Vec::new(),
-            });
+            sched.first_inject = earliest;
+            sched.last_arrival = earliest;
+            return Ok(());
         }
 
         // Virtual cut-through at flit-train granularity: vector i starts
@@ -194,28 +229,20 @@ impl LinkOccupancy {
         // offset for every vector in the train, so one block reservation
         // per hop is timing-exact for a chained transfer.
         let mut t = earliest;
-        let mut hop_starts = Vec::with_capacity(path.links.len());
         let mut last_link_latency = 0;
         for (h, &link) in path.links.iter().enumerate() {
             if h > 0 {
                 t += FORWARD_OVERHEAD_CYCLES;
             }
             t = self.free_at(link, path.tsps[h], t);
-            hop_starts.push(t);
+            sched.hop_starts.push(t);
             last_link_latency = scheduled_link_latency(topo, link);
             t = t + slot + last_link_latency;
         }
-        let last_hop_start = *hop_starts.last().expect("non-empty path");
-        Ok(TransferSchedule {
-            transfer,
-            source: path.source(),
-            dest: path.dest(),
-            vectors,
-            first_inject: hop_starts[0],
-            last_arrival: last_hop_start + vectors * slot + last_link_latency,
-            hops: path.hops(),
-            hop_starts,
-        })
+        let last_hop_start = *sched.hop_starts.last().expect("non-empty path");
+        sched.first_inject = sched.hop_starts[0];
+        sched.last_arrival = last_hop_start + vectors * slot + last_link_latency;
+        Ok(())
     }
 
     /// Books a schedule produced by [`plan_transfer`](Self::plan_transfer)
@@ -230,8 +257,15 @@ impl LinkOccupancy {
         let slot = vector_slot_cycles();
         for (h, (&link, &start)) in path.links.iter().zip(sched.hop_starts.iter()).enumerate() {
             let from = path.tsps[h];
-            self.next_free
-                .insert((link, from), start + sched.vectors * slot);
+            if self.next_free.len() <= link.index() {
+                self.next_free.resize(link.index() + 1, [(NO_SENDER, 0); 2]);
+            }
+            let dirs = &mut self.next_free[link.index()];
+            let dir = dirs
+                .iter_mut()
+                .find(|(sender, _)| *sender == from || *sender == NO_SENDER)
+                .expect("a link has two directions");
+            *dir = (from, start + sched.vectors * slot);
             self.reservations.push(Reservation {
                 link,
                 from,

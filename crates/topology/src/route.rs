@@ -7,16 +7,22 @@
 //!
 //! Two families of routes are provided:
 //!
-//! * **minimal** paths ([`shortest_path`]): BFS over the wiring, giving the
-//!   ≤3-hop routes of the fully-connected-node regime and ≤5-hop routes of
-//!   the rack Dragonfly (paper §2.2),
+//! * **minimal** paths ([`shortest_path`]): the ≤3-hop routes of the
+//!   fully-connected-node regime and ≤5-hop routes of the rack Dragonfly
+//!   (paper §2.2). The contract is the lexicographically smallest minimal
+//!   path, ordering hops by their position in [`Topology::neighbors`] —
+//!   what a forward BFS in adjacency order returns — computed by a
+//!   bidirectional search whose per-call cost is the chips it visits, not
+//!   the system size,
 //! * **non-minimal** paths ([`edge_disjoint_paths`]): the path diversity
 //!   unlocked by deterministic load-balancing (paper §4.3), computed as
 //!   edge-disjoint alternatives so that spreading a tensor across them
 //!   never double-books a cable.
 
 use crate::{LinkId, Topology, TopologyError, TspId};
+use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 
 /// A hop-by-hop path through the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +62,30 @@ impl Path {
 
 /// Computes a minimal path from `from` to `to`, avoiding failed nodes.
 ///
-/// BFS with deterministic neighbor order, so the same topology always yields
-/// the same path. A zero-hop path is returned when `from == to`.
+/// Of all minimal paths it returns the lexicographically smallest one,
+/// ordering each hop by its position in [`Topology::neighbors`] — exactly
+/// the path a forward BFS with that neighbour order finds, so the same
+/// topology always yields the same path. It is computed bidirectionally
+/// (see [`shortest_path_avoiding`]). A zero-hop path is returned when
+/// `from == to`.
 pub fn shortest_path(topo: &Topology, from: TspId, to: TspId) -> Result<Path, TopologyError> {
     shortest_path_avoiding(topo, from, to, &HashSet::new())
 }
 
 /// Like [`shortest_path`] but treating the links in `excluded` as absent.
+///
+/// Failed chips other than the two endpoints are never traversed. The
+/// search runs in three steps:
+///
+/// 1. BFS from both ends, expanding whichever frontier is smaller one full
+///    layer at a time, until the layers meet at distance `d = a + b`;
+/// 2. mark every chip on some minimal path by sweeping back from the
+///    meeting layer on both sides, touching only marked chips' neighbours;
+/// 3. walk greedily from `from`, taking at each step the first allowed
+///    adjacency entry whose chip is marked at the next distance.
+///
+/// Scratch space is thread-local and epoch-stamped, so a call costs the
+/// chips it visits, not `num_tsps`.
 pub fn shortest_path_avoiding(
     topo: &Topology,
     from: TspId,
@@ -75,45 +98,238 @@ pub fn shortest_path_avoiding(
             tsps: vec![from],
         });
     }
-    let n = topo.num_tsps();
-    // prev[t] = (link, predecessor) on the BFS tree.
-    let mut prev: Vec<Option<(LinkId, TspId)>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[from.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(t) = queue.pop_front() {
-        for &(lid, peer) in topo.neighbors(t) {
-            if seen[peer.index()] || excluded.contains(&lid) {
-                continue;
-            }
-            if topo.is_failed(peer) && peer != to {
-                continue;
-            }
-            seen[peer.index()] = true;
-            prev[peer.index()] = Some((lid, t));
-            if peer == to {
-                return Ok(reconstruct(from, to, &prev));
-            }
-            queue.push_back(peer);
-        }
-    }
-    Err(TopologyError::NoRoute { from, to })
+    SEARCH.with(|s| s.borrow_mut().path(topo, from, to, excluded))
 }
 
-fn reconstruct(from: TspId, to: TspId, prev: &[Option<(LinkId, TspId)>]) -> Path {
-    let mut links = Vec::new();
-    let mut tsps = vec![to];
-    let mut cur = to;
-    while cur != from {
-        let (lid, p) = prev[cur.index()].expect("BFS reached this TSP");
-        links.push(lid);
-        tsps.push(p);
-        cur = p;
+thread_local! {
+    static SEARCH: RefCell<Search> = RefCell::new(Search::default());
+}
+
+/// One BFS side of the bidirectional search.
+#[derive(Debug, Default)]
+struct Side {
+    /// Per chip: `(epoch, distance from this side's root)`; a slot counts
+    /// only when its epoch is the current one.
+    dist: Vec<(u32, u32)>,
+    /// Visited chips in BFS order.
+    order: Vec<TspId>,
+    /// `levels[k]` is the index in `order` where distance `k` starts.
+    levels: Vec<usize>,
+}
+
+impl Side {
+    fn reset(&mut self, n: usize, root: TspId, epoch: u32) {
+        if self.dist.len() < n {
+            self.dist.resize(n, (0, 0));
+        }
+        self.dist[root.index()] = (epoch, 0);
+        self.order.clear();
+        self.order.push(root);
+        self.levels.clear();
+        self.levels.push(0);
     }
-    links.reverse();
-    tsps.reverse();
-    Path { links, tsps }
+
+    fn dist(&self, t: TspId, epoch: u32) -> Option<u32> {
+        let (e, d) = self.dist[t.index()];
+        (e == epoch).then_some(d)
+    }
+
+    /// Distance of the frontier.
+    fn depth(&self) -> u32 {
+        self.levels.len() as u32 - 1
+    }
+
+    fn frontier(&self) -> &[TspId] {
+        &self.order[self.levels[self.levels.len() - 1]..]
+    }
+
+    /// Adds the next full layer. Returns whether it reached a chip `other`
+    /// has already visited.
+    fn expand(&mut self, g: &Graph, other: &Side, epoch: u32) -> bool {
+        let (start, end) = (self.levels[self.levels.len() - 1], self.order.len());
+        let next = self.depth() + 1;
+        self.levels.push(end);
+        let mut met = false;
+        for i in start..end {
+            for &(lid, peer) in g.topo.neighbors(self.order[i]) {
+                if self.dist(peer, epoch).is_some() || !g.allowed(lid) || !g.passable(peer) {
+                    continue;
+                }
+                self.dist[peer.index()] = (epoch, next);
+                self.order.push(peer);
+                met |= other.dist(peer, epoch).is_some();
+            }
+        }
+        met
+    }
+}
+
+/// The graph a search runs over: the topology minus excluded links and
+/// failed chips other than the endpoints.
+struct Graph<'a> {
+    topo: &'a Topology,
+    excluded: &'a HashSet<LinkId>,
+    from: TspId,
+    to: TspId,
+}
+
+impl Graph<'_> {
+    fn allowed(&self, lid: LinkId) -> bool {
+        self.excluded.is_empty() || !self.excluded.contains(&lid)
+    }
+
+    fn passable(&self, t: TspId) -> bool {
+        !self.topo.is_failed(t) || t == self.from || t == self.to
+    }
+}
+
+/// Chips on some minimal path, each with its position along it.
+#[derive(Debug, Default)]
+struct Marks {
+    /// Per chip: `(epoch, position)`.
+    pos: Vec<(u32, u32)>,
+    /// Marked chips, one position's worth after another.
+    order: Vec<TspId>,
+}
+
+impl Marks {
+    fn at(&self, t: TspId, epoch: u32) -> Option<u32> {
+        let (e, p) = self.pos[t.index()];
+        (e == epoch).then_some(p)
+    }
+
+    fn mark(&mut self, t: TspId, pos: u32, epoch: u32) {
+        if self.at(t, epoch).is_none() {
+            self.pos[t.index()] = (epoch, pos);
+            self.order.push(t);
+        }
+    }
+
+    /// Marks, at position `pos`, every chip `side` reached at distance
+    /// `dist` that is linked to a chip of `level` (the marks one position
+    /// nearer the meeting layer). Returns the new marks' range.
+    fn sweep(
+        &mut self,
+        g: &Graph,
+        side: &Side,
+        level: Range<usize>,
+        pos: u32,
+        dist: u32,
+        epoch: u32,
+    ) -> Range<usize> {
+        let start = self.order.len();
+        for i in level {
+            for &(lid, peer) in g.topo.neighbors(self.order[i]) {
+                if g.allowed(lid) && side.dist(peer, epoch) == Some(dist) {
+                    self.mark(peer, pos, epoch);
+                }
+            }
+        }
+        start..self.order.len()
+    }
+}
+
+/// Reusable scratch of [`shortest_path_avoiding`].
+#[derive(Debug, Default)]
+struct Search {
+    epoch: u32,
+    fwd: Side,
+    bwd: Side,
+    marks: Marks,
+}
+
+impl Search {
+    fn path(
+        &mut self,
+        topo: &Topology,
+        from: TspId,
+        to: TspId,
+        excluded: &HashSet<LinkId>,
+    ) -> Result<Path, TopologyError> {
+        let g = Graph {
+            topo,
+            excluded,
+            from,
+            to,
+        };
+        if self.epoch == u32::MAX {
+            // Stamps would alias after the wrap: forget them all, once
+            // every four billion calls.
+            *self = Search::default();
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let n = topo.num_tsps();
+        let Search {
+            fwd, bwd, marks, ..
+        } = self;
+        fwd.reset(n, from, epoch);
+        bwd.reset(n, to, epoch);
+        if marks.pos.len() < n {
+            marks.pos.resize(n, (0, 0));
+        }
+        marks.order.clear();
+
+        // 1. Meet in the middle, one full layer at a time.
+        let fwd_met = loop {
+            let grow_fwd = fwd.frontier().len() <= bwd.frontier().len();
+            let (side, other) = if grow_fwd {
+                (&mut *fwd, &*bwd)
+            } else {
+                (&mut *bwd, &*fwd)
+            };
+            if side.expand(&g, other, epoch) {
+                break grow_fwd;
+            }
+            if side.frontier().is_empty() {
+                return Err(TopologyError::NoRoute { from, to });
+            }
+        };
+        let (a, b) = (fwd.depth(), bwd.depth());
+        let d = a + b;
+
+        // 2. Mark the minimal-path chips. The meeting layer sits at
+        //    position `a`; sweep back to `from` over forward distances and
+        //    on to `to` over backward distances.
+        let (met, other, other_depth) = if fwd_met {
+            (&*fwd, &*bwd, b)
+        } else {
+            (&*bwd, &*fwd, a)
+        };
+        for &t in met.frontier() {
+            if other.dist(t, epoch) == Some(other_depth) {
+                marks.mark(t, a, epoch);
+            }
+        }
+        let meet = 0..marks.order.len();
+        let mut level = meet.clone();
+        for pos in (0..a).rev() {
+            level = marks.sweep(&g, fwd, level, pos, pos, epoch);
+        }
+        let mut level = meet;
+        for pos in a + 1..=d {
+            level = marks.sweep(&g, bwd, level, pos, d - pos, epoch);
+        }
+
+        // 3. Greedy walk: the first allowed adjacency entry that stays on
+        //    a minimal path is the lexicographically smallest next hop.
+        let mut links = Vec::with_capacity(d as usize);
+        let mut tsps = Vec::with_capacity(d as usize + 1);
+        tsps.push(from);
+        let mut cur = from;
+        for pos in 1..=d {
+            let &(lid, next) = topo
+                .neighbors(cur)
+                .iter()
+                .find(|&&(lid, peer)| g.allowed(lid) && marks.at(peer, epoch) == Some(pos))
+                .expect("every marked chip continues a minimal path");
+            links.push(lid);
+            tsps.push(next);
+            cur = next;
+        }
+        debug_assert_eq!(cur, to);
+        Ok(Path { links, tsps })
+    }
 }
 
 /// Computes up to `k` pairwise edge-disjoint paths from `from` to `to`,
@@ -206,6 +422,203 @@ pub fn inter_node_hops(topo: &Topology, path: &Path) -> usize {
 mod tests {
     use super::*;
     use crate::{NodeId, Topology};
+
+    /// The forward BFS the bidirectional search replaced, kept as its
+    /// oracle: neighbours in adjacency order, `to` claimed by its
+    /// earliest-queued neighbour.
+    fn reference_path(
+        topo: &Topology,
+        from: TspId,
+        to: TspId,
+        excluded: &HashSet<LinkId>,
+    ) -> Result<Path, TopologyError> {
+        if from == to {
+            return Ok(Path {
+                links: Vec::new(),
+                tsps: vec![from],
+            });
+        }
+        let n = topo.num_tsps();
+        let mut prev: Vec<Option<(LinkId, TspId)>> = vec![None; n];
+        let mut seen = vec![false; n];
+        seen[from.index()] = true;
+        let mut queue = VecDeque::new();
+        queue.push_back(from);
+        while let Some(t) = queue.pop_front() {
+            for &(lid, peer) in topo.neighbors(t) {
+                if seen[peer.index()] || excluded.contains(&lid) {
+                    continue;
+                }
+                if topo.is_failed(peer) && peer != to {
+                    continue;
+                }
+                seen[peer.index()] = true;
+                prev[peer.index()] = Some((lid, t));
+                if peer == to {
+                    let mut links = Vec::new();
+                    let mut tsps = vec![to];
+                    let mut cur = to;
+                    while cur != from {
+                        let (lid, p) = prev[cur.index()].expect("BFS reached this TSP");
+                        links.push(lid);
+                        tsps.push(p);
+                        cur = p;
+                    }
+                    links.reverse();
+                    tsps.reverse();
+                    return Ok(Path { links, tsps });
+                }
+                queue.push_back(peer);
+            }
+        }
+        Err(TopologyError::NoRoute { from, to })
+    }
+
+    fn reference_disjoint(topo: &Topology, from: TspId, to: TspId, k: usize) -> Vec<Path> {
+        let mut used = HashSet::new();
+        let mut out = Vec::new();
+        for _ in 0..k {
+            let Ok(p) = reference_path(topo, from, to, &used) else {
+                break;
+            };
+            used.extend(p.links.iter().copied());
+            out.push(p);
+        }
+        out
+    }
+
+    /// splitmix64: a seeded stream for sampling pairs and fault sets.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn tsp(&mut self, topo: &Topology) -> TspId {
+            TspId(self.below(topo.num_tsps()) as u32)
+        }
+    }
+
+    /// Asserts the search matches the oracle on `pairs` random pairs plus
+    /// the `from == to` case; returns how many pairs had no route.
+    fn check_pairs(
+        topo: &Topology,
+        excluded: &HashSet<LinkId>,
+        rng: &mut Rng,
+        pairs: usize,
+    ) -> usize {
+        let mut no_route = 0;
+        let same = rng.tsp(topo);
+        for i in 0..=pairs {
+            let (from, to) = if i == 0 {
+                (same, same)
+            } else {
+                (rng.tsp(topo), rng.tsp(topo))
+            };
+            let want = reference_path(topo, from, to, excluded);
+            no_route += usize::from(want.is_err());
+            assert_eq!(
+                shortest_path_avoiding(topo, from, to, excluded),
+                want,
+                "{from}->{to} on {:?}",
+                topo.regime()
+            );
+        }
+        no_route
+    }
+
+    fn every_builder() -> Vec<Topology> {
+        let mut topos = vec![Topology::single_node(), Topology::torus_node()];
+        topos.extend((2..=33).map(|n| Topology::fully_connected_nodes(n).unwrap()));
+        topos.extend((2..=8).map(|r| Topology::rack_dragonfly(r).unwrap()));
+        topos
+    }
+
+    #[test]
+    fn matches_forward_bfs_on_every_builder() {
+        let none = HashSet::new();
+        for topo in [Topology::single_node(), Topology::torus_node()] {
+            for from in topo.tsps() {
+                for to in topo.tsps() {
+                    assert_eq!(
+                        shortest_path(&topo, from, to),
+                        reference_path(&topo, from, to, &none)
+                    );
+                }
+            }
+        }
+        let mut rng = Rng(1);
+        for topo in every_builder() {
+            assert_eq!(check_pairs(&topo, &none, &mut rng, 150), 0);
+        }
+    }
+
+    #[test]
+    fn matches_forward_bfs_around_failures_and_exclusions() {
+        let mut rng = Rng(2);
+        let mut no_route = 0;
+        for (i, mut topo) in every_builder().into_iter().enumerate() {
+            for round in 0..4 {
+                for node in 0..topo.num_nodes() {
+                    if rng.below(4) == 0 {
+                        topo.fail_node(NodeId(node as u32));
+                    }
+                }
+                // Sparser exclusions on the big fabrics, denser on the
+                // small ones so that some pairs lose every route.
+                let density = if i < 6 { 2 + round } else { 8 };
+                let excluded: HashSet<LinkId> = (0..topo.links().len())
+                    .filter(|_| rng.below(density) == 0)
+                    .map(|l| LinkId(l as u32))
+                    .collect();
+                no_route += check_pairs(&topo, &excluded, &mut rng, 40);
+                for node in 0..topo.num_nodes() {
+                    topo.restore_node(NodeId(node as u32));
+                }
+            }
+        }
+        assert!(no_route > 0, "the sweep never exercised NoRoute");
+    }
+
+    #[test]
+    fn matches_forward_bfs_at_max_scale() {
+        let topo = Topology::rack_dragonfly(crate::MAX_RACKS).unwrap();
+        let mut rng = Rng(3);
+        assert_eq!(check_pairs(&topo, &HashSet::new(), &mut rng, 60), 0);
+        // The half-stride pairs the co-simulation benchmark routes.
+        let half = topo.num_tsps() as u32 / 2;
+        for i in (0..half).step_by(173) {
+            let (from, to) = (TspId(i), TspId(i + half));
+            assert_eq!(
+                shortest_path(&topo, from, to),
+                reference_path(&topo, from, to, &HashSet::new())
+            );
+        }
+    }
+
+    #[test]
+    fn edge_disjoint_paths_match_the_reference() {
+        let mut rng = Rng(4);
+        for topo in every_builder() {
+            for _ in 0..6 {
+                let (from, to) = (rng.tsp(&topo), rng.tsp(&topo));
+                let k = 1 + rng.below(12);
+                assert_eq!(
+                    edge_disjoint_paths(&topo, from, to, k),
+                    reference_disjoint(&topo, from, to, k)
+                );
+            }
+        }
+    }
 
     #[test]
     fn zero_hop_path_to_self() {

@@ -77,6 +77,15 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 # must sum exactly to its latency, with byte-reproducible incident
 # capture and the off-is-off identity for both features. Writes no files.
 cargo run --release -p tsm-bench --bin repro attribution-smoke
+# Plan compile is pinned byte for byte: golden digests of two compiled
+# plans, then the outside-in benchmark's own tests and one pass of each
+# co-simulation workload. Each run exits 1 if its seed-1 result digest
+# differs from the pinned one, so a routing or reservation change fails
+# the gate, not only the benchmark pipeline.
+cargo test -p tsm-core --test plan_golden -q
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-16 --seconds 0
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-10440 --seconds 0
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Rustdoc is part of the contract: broken intra-doc links and bad doc
