@@ -8,10 +8,10 @@
 //! run executes it shadows the serving-lane event stream in a bounded
 //! ring, and when an incident fires — Deviant conformance, an
 //! uncorrectable/failover launch, a shed, an expiry, or an SLO miss — it
-//! snapshots
+//! snapshots, as of the incident's own cycle,
 //!
 //! - the **trace tail**: the last K serving-lane events on the stitched
-//!   timeline,
+//!   timeline, in cycle order (the server emits them that way),
 //! - the **residency state**: lifetime stats plus every resident plan,
 //! - the **queue state**: depth, capacity, tracked tenants, quota,
 //! - and, at finish, the **telemetry windows bracketing** the incident

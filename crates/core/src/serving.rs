@@ -15,11 +15,13 @@
 //!   window; each batch dispatches through [`Runtime::launch_at`] at its
 //!   dispatch cycle and its service time is the launch's
 //!   [`LaunchOutcome::timeline_cycles`](crate::runtime::LaunchOutcome::timeline_cycles).
-//! - Per-request enqueue→complete latency lands in
-//!   [`CycleHistogram`]s (global and per-tenant) and as
-//!   `Request*`/`Batch*` events on [`SERVING_LANE`], kept off the chip
-//!   and runtime lanes so launch traces stay comparable with or without
-//!   a frontend.
+//! - One cycle-ordered stream of `Request*`/`Batch*` events on
+//!   [`SERVING_LANE`], kept off the chip and runtime lanes so launch
+//!   traces stay comparable with or without a frontend. Each event is
+//!   built once and every observer — the trace, the flight recorder's
+//!   tail and triggers, per-tenant accounting, the telemetry sampler —
+//!   sees it at its own cycle. The report's totals and `serve.*`
+//!   metrics are folds over the per-tenant stats and the batch log.
 //!
 //! # Batch-window semantics
 //!
@@ -31,13 +33,12 @@
 
 use crate::flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger};
 use crate::runtime::{mix64, ExecMode, Runtime, RuntimeError, EPOCH_GAP_CYCLES};
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tsm_compiler::graph::Graph;
 use tsm_trace::profile::profile;
-use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{
     names, AttributionReport, CycleHistogram, EventKind, LatencyBreakdown, Metrics, RingSink,
     RunMetrics, ShedReason, Tracer, SERVING_LANE,
@@ -52,40 +53,6 @@ pub enum AdmitError {
     TenantOverQuota,
 }
 
-/// One queue entry; ordered by `(priority, deadline, seq)`. `seq` is
-/// unique, so the order is total.
-#[derive(Debug, Clone)]
-struct Queued<T> {
-    priority: u8,
-    deadline: u64,
-    seq: u64,
-    tenant: u32,
-    item: T,
-}
-
-impl<T> Queued<T> {
-    fn key(&self) -> (u8, u64, u64) {
-        (self.priority, self.deadline, self.seq)
-    }
-}
-
-impl<T> PartialEq for Queued<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<T> Eq for Queued<T> {}
-impl<T> PartialOrd for Queued<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Queued<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 /// A bounded priority queue totally ordered by
 /// `(priority, deadline, insertion_seq)` — lower priority value first,
 /// earlier deadline first, FIFO within ties. Admission control is
@@ -94,7 +61,9 @@ impl<T> Ord for Queued<T> {
 /// tenant from squeezing everyone else out of the queue.
 #[derive(Debug, Clone)]
 pub struct WorkQueue<T> {
-    heap: BinaryHeap<Reverse<Queued<T>>>,
+    /// `(priority, deadline, seq) → (tenant, item)`; `seq` is unique, so
+    /// the key order is total.
+    entries: BTreeMap<(u8, u64, u64), (u32, T)>,
     capacity: usize,
     tenant_quota: usize,
     per_tenant: HashMap<u32, usize>,
@@ -105,7 +74,7 @@ impl<T> WorkQueue<T> {
     /// An empty queue admitting at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         WorkQueue {
-            heap: BinaryHeap::new(),
+            entries: BTreeMap::new(),
             capacity,
             tenant_quota: usize::MAX,
             per_tenant: HashMap::new(),
@@ -128,7 +97,7 @@ impl<T> WorkQueue<T> {
         tenant: u32,
         item: T,
     ) -> Result<(), AdmitError> {
-        if self.heap.len() >= self.capacity {
+        if self.entries.len() >= self.capacity {
             return Err(AdmitError::QueueFull);
         }
         let count = self.per_tenant.entry(tenant).or_insert(0);
@@ -138,20 +107,15 @@ impl<T> WorkQueue<T> {
         *count += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Queued {
-            priority,
-            deadline,
-            seq,
-            tenant,
-            item,
-        }));
+        self.entries
+            .insert((priority, deadline, seq), (tenant, item));
         Ok(())
     }
 
     /// Removes and returns the least entry in the total order.
     pub fn pop(&mut self) -> Option<T> {
-        let q = self.heap.pop()?.0;
-        match self.per_tenant.entry(q.tenant) {
+        let (_, (tenant, item)) = self.entries.pop_first()?;
+        match self.per_tenant.entry(tenant) {
             Entry::Occupied(mut e) => {
                 *e.get_mut() -= 1;
                 // Remove exhausted tenants outright: a long-running server
@@ -163,22 +127,22 @@ impl<T> WorkQueue<T> {
             }
             Entry::Vacant(_) => unreachable!("tenant counted on push"),
         }
-        Some(q.item)
+        Some(item)
     }
 
     /// The least entry, without removing it.
     pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|r| &r.0.item)
+        self.entries.first_key_value().map(|(_, (_, item))| item)
     }
 
     /// Queued entries.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 
     /// The admission capacity.
@@ -480,13 +444,25 @@ impl Server {
     }
 
     /// Serves an offered request timeline to completion and returns the
-    /// full run record. Requests are processed in arrival order (stable
-    /// for equal cycles); arrivals strictly before a pending dispatch
-    /// point are enqueued first, so a request can join a batch window
-    /// that is still open.
+    /// full run record.
+    ///
+    /// The loop always takes the earliest of three sources, ordered by
+    /// `(cycle, rank)`: the completion of the one batch in flight, the
+    /// next dispatch, and the next arrival (arrivals at equal cycles keep
+    /// their offered order). At equal cycles a completion goes first, then
+    /// a dispatch, then an arrival — so an arrival at the dispatch cycle
+    /// waits for the next window. Every serving event is emitted at its
+    /// own cycle, so the trace and the flight recorder see one
+    /// cycle-ordered stream, and incidents snapshot the queue and
+    /// residency state as of the incident.
     ///
     /// Pure virtual time: the same `(config, offered, runtime)` always
     /// produces the same report, bit for bit.
+    ///
+    /// # Errors
+    /// [`RuntimeError::Execution`] when `certify` is set outside
+    /// [`ExecMode::Datapath`] or a request names an unregistered model,
+    /// and any error of a batch's launch.
     pub fn serve(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
         if self.cfg.certify && self.rt.exec_mode() != ExecMode::Datapath {
             return Err(RuntimeError::Execution(
@@ -494,52 +470,40 @@ impl Server {
                     .into(),
             ));
         }
+        if let Some((i, r)) = offered
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.model as usize >= self.models.len())
+        {
+            return Err(RuntimeError::Execution(format!(
+                "request {i} names model {}, but {} model(s) are registered",
+                r.model,
+                self.models.len()
+            )));
+        }
+        let deadline_of = |id: usize| offered[id].at.saturating_add(offered[id].deadline_slack);
         // Arrival order, stable across equal cycles.
-        let mut order: Vec<usize> = (0..offered.len()).collect();
-        order.sort_by_key(|&i| offered[i].at);
+        let mut arrivals: Vec<usize> = (0..offered.len()).collect();
+        arrivals.sort_by_key(|&i| offered[i].at);
+        let mut arrivals = arrivals.into_iter().peekable();
 
-        let metrics = Metrics::default();
         let user_sink = self.rt.sink.clone();
         let mut stracer = Tracer::new(user_sink.as_deref());
-
-        // Telemetry is observation-only: every branch below that touches
-        // the sampler does nothing else, so a `telemetry: None` run is
-        // bit-identical to a pre-feature build (pinned by the
-        // `telemetry` integration suite). Enabling it also arms the
-        // runtime's executor, so each batch's launch carries link/chip
-        // heatmaps for the serving sampler to merge.
+        // Telemetry, attribution and the flight recorder only observe:
+        // each collects into its own report field, never into the serve
+        // metrics or the trace, so turning one off changes nothing else
+        // (pinned by the telemetry/attribution/flight suites). Telemetry
+        // also arms the runtime's executor, so each batch's launch
+        // carries link/chip heatmaps for the serving sampler to merge.
         let mut sampler = self.cfg.telemetry.map(Sampler::new);
         if let Some(tc) = self.cfg.telemetry {
             self.rt.set_telemetry(tc);
         }
-        // Attribution and the flight recorder are observation-only too:
-        // both collect into their own side structures (`ServeReport::
-        // attribution` / `ServeReport::incidents`), never into the serve
-        // metrics or the trace, so disabling either is bit-identical to a
-        // pre-feature build (pinned by the attribution/flight suites).
         let mut breakdowns: Option<Vec<LatencyBreakdown>> = self.cfg.attribution.then(Vec::new);
         let mut flight = self.cfg.flight.map(FlightRecorder::new);
-        let queue_capacity = self.cfg.queue_capacity as u64;
-        let tenant_quota = self.cfg.tenant_quota as u64;
-        let tenant_names = self.tenant_names.clone();
-        let label_of = |t: u32| -> String {
-            tenant_names
-                .get(&t)
-                .cloned()
-                .unwrap_or_else(|| format!("tenant{t}"))
-        };
 
-        #[derive(Debug, Clone, Copy)]
-        struct Pending {
-            id: u32,
-            model: u32,
-            tenant: u32,
-            arrival: u64,
-            deadline: u64,
-        }
-        let mut queue: WorkQueue<Pending> =
+        let mut queue: WorkQueue<usize> =
             WorkQueue::new(self.cfg.queue_capacity).with_tenant_quota(self.cfg.tenant_quota);
-
         let mut outcomes = vec![RequestOutcome::Shed; offered.len()];
         let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
         fn tenant_entry(tenants: &mut BTreeMap<u32, TenantStats>, t: u32) -> &mut TenantStats {
@@ -554,495 +518,364 @@ impl Server {
                 latency: CycleHistogram::default(),
             })
         }
-
         let res_before = self.rt.residency.stats();
-        let mut latency = CycleHistogram::default();
         let mut batches: Vec<BatchRecord> = Vec::new();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut expired = 0u64;
-        let mut makespan = 0u64;
         let mut max_depth = 0u64;
-        let mut server_free_at = 0u64;
         // Opens when a request enters an empty queue; dispatch happens at
         // `max(server_free_at, window_deadline)`.
         let mut window_deadline = 0u64;
-        let mut next = 0usize; // cursor into `order`
+        // The requests of the batch in flight (always `batches.last()`)
+        // and the window deadline in force when it dispatched. Attribution
+        // needs the latter: by the completion, a later arrival into the
+        // emptied queue may have opened a new window.
+        let mut in_flight: Option<(Vec<usize>, u64)> = None;
 
-        loop {
-            let dispatch_at = if queue.is_empty() {
-                None
-            } else {
-                Some(server_free_at.max(window_deadline))
-            };
-            let arrival_now = match (next < order.len(), dispatch_at) {
-                (false, None) => break,
-                (true, None) => true,
-                (false, Some(_)) => false,
-                // A request arriving strictly before the dispatch point
-                // still joins the open window; at a tie the window closes
-                // first.
-                (true, Some(d)) => offered[order[next]].at < d,
-            };
-
-            if arrival_now {
-                let id = order[next];
-                next += 1;
-                let r = offered[id];
-                let stats = tenant_entry(&mut tenants, r.tenant);
-                stats.offered += 1;
-                let was_empty = queue.is_empty();
-                let deadline = r.at.saturating_add(r.deadline_slack);
-                let pending = Pending {
-                    id: id as u32,
-                    model: r.model,
-                    tenant: r.tenant,
-                    arrival: r.at,
-                    deadline,
-                };
-                match queue.try_push(r.priority, deadline, r.tenant, pending) {
-                    Ok(()) => {
-                        if was_empty {
-                            window_deadline = r.at + self.cfg.batch_window;
-                        }
-                        metrics.inc(names::SERVE_ENQUEUED, 1);
+        // The one place serving events go: the trace instant, the flight
+        // tail, tenant accounting, the sampler, and any incident the event
+        // fires, which snapshots the queue and residency as of `$cycle`. A
+        // macro rather than a closure, so it can read the queue, the batch
+        // log and the runtime in place between the loop's mutations.
+        macro_rules! emit {
+            ($cycle:expr, $kind:expr) => {{
+                let (cycle, kind): (u64, EventKind) = ($cycle, $kind);
+                stracer.instant(cycle, SERVING_LANE, kind);
+                if let Some(f) = flight.as_mut() {
+                    f.observe(cycle, kind);
+                }
+                let mut fired = [None, None];
+                match kind {
+                    EventKind::RequestEnqueue { tenant, .. } => {
+                        tenant_entry(&mut tenants, tenant).offered += 1;
                         max_depth = max_depth.max(queue.len() as u64);
                         if let Some(s) = sampler.as_mut() {
-                            s.count(
-                                telemetry::series::SERVE_ENQUEUED,
-                                &label_of(r.tenant),
-                                r.at,
-                                1,
-                            );
-                            s.level(
-                                telemetry::series::SERVE_QUEUE_DEPTH,
-                                "",
-                                r.at,
-                                queue.len() as u64,
-                            );
-                        }
-                        stracer.instant(
-                            r.at,
-                            SERVING_LANE,
-                            EventKind::RequestEnqueue {
-                                tenant: r.tenant,
-                                request: id as u32,
-                            },
-                        );
-                        if let Some(f) = flight.as_mut() {
-                            f.observe(
-                                r.at,
-                                EventKind::RequestEnqueue {
-                                    tenant: r.tenant,
-                                    request: id as u32,
-                                },
-                            );
+                            let label = self.tenant_label(tenant);
+                            s.count(series::SERVE_ENQUEUED, &label, cycle, 1);
+                            s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.len() as u64);
                         }
                     }
-                    Err(why) => {
-                        shed += 1;
+                    EventKind::RequestShed {
+                        tenant,
+                        request,
+                        reason,
+                    } => {
+                        let stats = tenant_entry(&mut tenants, tenant);
+                        stats.offered += 1;
                         stats.shed += 1;
-                        outcomes[id] = RequestOutcome::Shed;
-                        metrics.inc(names::SERVE_SHED, 1);
-                        if let Some(s) = sampler.as_mut() {
-                            s.count(telemetry::series::SERVE_SHED, &label_of(r.tenant), r.at, 1);
-                        }
                         // Record *which* limit fired — backpressure and
                         // quota enforcement are different operator
                         // problems (grow the queue vs re-tier a tenant).
-                        let reason = match why {
-                            AdmitError::QueueFull => {
-                                stats.shed_queue_full += 1;
-                                metrics.inc(names::SERVE_SHED_QUEUE_FULL, 1);
-                                ShedReason::QueueFull
-                            }
-                            AdmitError::TenantOverQuota => {
-                                stats.shed_over_quota += 1;
-                                metrics.inc(names::SERVE_SHED_QUOTA, 1);
-                                ShedReason::TenantOverQuota
-                            }
-                        };
-                        stracer.instant(
-                            r.at,
-                            SERVING_LANE,
-                            EventKind::RequestShed {
-                                tenant: r.tenant,
-                                request: id as u32,
-                                reason,
-                            },
-                        );
-                        if let Some(f) = flight.as_mut() {
-                            f.observe(
-                                r.at,
-                                EventKind::RequestShed {
-                                    tenant: r.tenant,
-                                    request: id as u32,
-                                    reason,
-                                },
-                            );
-                            f.trigger(
-                                IncidentTrigger::Shed {
-                                    request: id as u32,
-                                    tenant: r.tenant,
-                                    reason,
-                                },
-                                r.at,
-                                &self.rt.residency,
-                                queue.len() as u64,
-                                queue_capacity,
-                                queue.tracked_tenants() as u64,
-                                tenant_quota,
-                            );
+                        match reason {
+                            ShedReason::QueueFull => stats.shed_queue_full += 1,
+                            ShedReason::TenantOverQuota => stats.shed_over_quota += 1,
+                        }
+                        if let Some(s) = sampler.as_mut() {
+                            s.count(series::SERVE_SHED, &self.tenant_label(tenant), cycle, 1);
+                        }
+                        fired[0] = Some(IncidentTrigger::Shed {
+                            request,
+                            tenant,
+                            reason,
+                        });
+                    }
+                    EventKind::RequestExpired {
+                        tenant,
+                        request,
+                        late,
+                    } => {
+                        tenant_entry(&mut tenants, tenant).expired += 1;
+                        // An expired request is by definition an SLO miss:
+                        // it was never answered at all.
+                        if let Some(s) = sampler.as_mut() {
+                            let label = self.tenant_label(tenant);
+                            s.count(series::SERVE_EXPIRED, &label, cycle, 1);
+                            s.count(series::SLO_MISSED, &label, cycle, 1);
+                        }
+                        fired[0] = Some(IncidentTrigger::Expired {
+                            request,
+                            tenant,
+                            late,
+                        });
+                    }
+                    EventKind::RequestComplete {
+                        tenant,
+                        request,
+                        latency,
+                    } => {
+                        let stats = tenant_entry(&mut tenants, tenant);
+                        stats.served += 1;
+                        stats.latency.observe(latency);
+                        // A served request meets its SLO when its answer
+                        // arrives by its deadline (virtual time, so exact).
+                        let deadline = deadline_of(request as usize);
+                        if let Some(s) = sampler.as_mut() {
+                            let label = self.tenant_label(tenant);
+                            s.count(series::SERVE_THROUGHPUT, &label, cycle, 1);
+                            let slo = if cycle <= deadline {
+                                series::SLO_MET
+                            } else {
+                                series::SLO_MISSED
+                            };
+                            s.count(slo, &label, cycle, 1);
+                        }
+                        if cycle > deadline {
+                            fired[0] = Some(IncidentTrigger::SloMiss {
+                                request,
+                                tenant,
+                                late: cycle - deadline,
+                            });
                         }
                     }
-                }
-                continue;
-            }
-
-            // Dispatch: head plus successive same-model followers, in
-            // strict queue order, up to max_batch. Deadlines are enforced
-            // here, in virtual time: a popped request whose deadline has
-            // already passed is dropped as Expired instead of launched —
-            // its answer could only arrive uselessly late, and launching
-            // it would delay every live request behind it.
-            let t = dispatch_at.expect("queue nonempty");
-            #[allow(clippy::too_many_arguments)]
-            fn expire_one(
-                p: Pending,
-                t: u64,
-                outcomes: &mut [RequestOutcome],
-                tenants: &mut BTreeMap<u32, TenantStats>,
-                metrics: &Metrics,
-                stracer: &mut Tracer<'_>,
-                expired: &mut u64,
-                sampler: &mut Option<Sampler>,
-                label: &str,
-            ) {
-                *expired += 1;
-                outcomes[p.id as usize] = RequestOutcome::Expired {
-                    deadline: p.deadline,
-                    at: t,
-                };
-                metrics.inc(names::SERVE_EXPIRED, 1);
-                tenant_entry(tenants, p.tenant).expired += 1;
-                // An expired request is by definition an SLO miss: it was
-                // never answered at all.
-                if let Some(s) = sampler.as_mut() {
-                    s.count(telemetry::series::SERVE_EXPIRED, label, t, 1);
-                    s.count(telemetry::series::SLO_MISSED, label, t, 1);
-                }
-                stracer.instant(
-                    t,
-                    SERVING_LANE,
-                    EventKind::RequestExpired {
-                        tenant: p.tenant,
-                        request: p.id,
-                        late: t - p.deadline,
-                    },
-                );
-            }
-            let mut head = None;
-            while let Some(p) = queue.pop() {
-                if p.deadline < t {
-                    expire_one(
-                        p,
-                        t,
-                        &mut outcomes,
-                        &mut tenants,
-                        &metrics,
-                        &mut stracer,
-                        &mut expired,
-                        &mut sampler,
-                        &label_of(p.tenant),
-                    );
-                    if let Some(f) = flight.as_mut() {
-                        f.observe(
-                            t,
-                            EventKind::RequestExpired {
-                                tenant: p.tenant,
-                                request: p.id,
-                                late: t - p.deadline,
-                            },
-                        );
-                        f.trigger(
-                            IncidentTrigger::Expired {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: t - p.deadline,
-                            },
-                            t,
-                            &self.rt.residency,
-                            queue.len() as u64,
-                            queue_capacity,
-                            queue.tracked_tenants() as u64,
-                            tenant_quota,
-                        );
+                    EventKind::BatchBegin { .. } => {
+                        // Post-dispatch depth: how much work the batch
+                        // left behind.
+                        if let Some(s) = sampler.as_mut() {
+                            s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.len() as u64);
+                        }
                     }
-                } else {
-                    head = Some(p);
-                    break;
-                }
-            }
-            let Some(head) = head else {
-                // Every queued request had expired; the next arrival (if
-                // any) reopens the batch window on an empty queue.
-                continue;
-            };
-            let mut batch = vec![head];
-            while batch.len() < self.cfg.max_batch.max(1)
-                && queue.peek().is_some_and(|p| p.model == head.model)
-            {
-                let p = queue.pop().expect("peeked");
-                if p.deadline < t {
-                    // An expired follower is dropped without consuming a
-                    // batch slot.
-                    expire_one(
-                        p,
-                        t,
-                        &mut outcomes,
-                        &mut tenants,
-                        &metrics,
-                        &mut stracer,
-                        &mut expired,
-                        &mut sampler,
-                        &label_of(p.tenant),
-                    );
-                    if let Some(f) = flight.as_mut() {
-                        f.observe(
-                            t,
-                            EventKind::RequestExpired {
-                                tenant: p.tenant,
-                                request: p.id,
-                                late: t - p.deadline,
-                            },
-                        );
-                        f.trigger(
-                            IncidentTrigger::Expired {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: t - p.deadline,
-                            },
-                            t,
-                            &self.rt.residency,
-                            queue.len() as u64,
-                            queue_capacity,
-                            queue.tracked_tenants() as u64,
-                            tenant_quota,
-                        );
+                    EventKind::BatchEnd { batch, .. } => {
+                        let b = &batches[batch as usize];
+                        if b.certified == Some(false) {
+                            fired[0] = Some(IncidentTrigger::Deviant { batch });
+                        }
+                        let out = &b.outcome;
+                        if !out.failovers.is_empty() || out.fec_total().uncorrectable > 0 {
+                            fired[1] = Some(IncidentTrigger::Fault {
+                                batch,
+                                replays: u64::from(out.replays()),
+                                failovers: out.failovers.len() as u64,
+                            });
+                        }
                     }
-                } else {
-                    batch.push(p);
+                    _ => unreachable!("only serving events are emitted"),
                 }
-            }
-            let batch_idx = batches.len() as u32;
-            let size = batch.len() as u32;
-            let launch_seed = mix64(self.cfg.seed, batch_idx as u64);
-            if let Some(s) = sampler.as_mut() {
-                // Post-dispatch depth: how much work the batch left behind.
-                s.level(
-                    telemetry::series::SERVE_QUEUE_DEPTH,
-                    "",
-                    t,
-                    queue.len() as u64,
-                );
-            }
-            stracer.instant(
-                t,
-                SERVING_LANE,
-                EventKind::BatchBegin {
-                    batch: batch_idx,
-                    size,
-                },
-            );
-            if let Some(f) = flight.as_mut() {
-                f.observe(
-                    t,
-                    EventKind::BatchBegin {
-                        batch: batch_idx,
-                        size,
-                    },
-                );
-            }
-            let graph = (self.models[head.model as usize])(size);
-            let (out, certified) = if self.cfg.certify {
-                // Certified launches run base-0 into a private scratch
-                // ring so the profiler's plan-vs-actual join sees exactly
-                // one launch at its planned coordinates.
-                let scratch = Arc::new(RingSink::new(1 << 18));
-                self.rt
-                    .set_trace_sink(Arc::clone(&scratch) as Arc<dyn tsm_trace::TraceSink>);
-                let out = self.rt.launch_at(&graph, launch_seed, 0);
-                match &user_sink {
-                    Some(s) => self.rt.set_trace_sink(Arc::clone(s)),
-                    None => self.rt.clear_trace_sink(),
-                }
-                let out = out?;
-                let planned = self
-                    .rt
-                    .planned_timeline()
-                    .expect("datapath launch has a planned timeline");
-                let certified = profile(&planned, &scratch.sorted_events(), scratch.dropped())
-                    .map(|p| p.conformance.certified())
-                    .unwrap_or(false);
-                (out, Some(certified))
-            } else {
-                (self.rt.launch_at(&graph, launch_seed, t)?, None)
-            };
-            let completion = t + out.timeline_cycles;
-            server_free_at = completion;
-            makespan = makespan.max(completion);
-            // Merge the launch's link/chip heatmaps onto the serving
-            // timeline. Certified launches run base-0 into a scratch sink,
-            // so their window coordinates are not on this timeline — their
-            // heatmaps stay on the batch's own outcome record instead.
-            if !self.cfg.certify {
-                if let (Some(s), Some(lt)) = (sampler.as_mut(), out.telemetry.as_ref()) {
-                    s.absorb(lt);
-                }
-            }
-            metrics.inc(names::SERVE_BATCHES, 1);
-            metrics.observe_cycles(names::SERVE_BATCH_SIZE, size as u64);
-            for p in &batch {
-                let lat = completion - p.arrival;
-                outcomes[p.id as usize] = RequestOutcome::Served {
-                    batch: batch_idx,
-                    completion,
-                    latency: lat,
-                };
-                served += 1;
-                latency.observe(lat);
-                metrics.inc(names::SERVE_SERVED, 1);
-                metrics.observe_cycles(names::SERVE_LATENCY, lat);
-                let stats = tenant_entry(&mut tenants, p.tenant);
-                stats.served += 1;
-                stats.latency.observe(lat);
-                if let Some(s) = sampler.as_mut() {
-                    let lbl = label_of(p.tenant);
-                    s.count(telemetry::series::SERVE_THROUGHPUT, &lbl, completion, 1);
-                    // A served request meets its SLO when its answer
-                    // arrives by its deadline (virtual time, so exact).
-                    let slo = if completion <= p.deadline {
-                        telemetry::series::SLO_MET
-                    } else {
-                        telemetry::series::SLO_MISSED
-                    };
-                    s.count(slo, &lbl, completion, 1);
-                }
-                stracer.instant(
-                    completion,
-                    SERVING_LANE,
-                    EventKind::RequestComplete {
-                        tenant: p.tenant,
-                        request: p.id,
-                        latency: lat,
-                    },
-                );
                 if let Some(f) = flight.as_mut() {
-                    f.observe(
-                        completion,
-                        EventKind::RequestComplete {
-                            tenant: p.tenant,
-                            request: p.id,
-                            latency: lat,
-                        },
-                    );
-                    if completion > p.deadline {
+                    for trigger in fired.into_iter().flatten() {
                         f.trigger(
-                            IncidentTrigger::SloMiss {
-                                request: p.id,
-                                tenant: p.tenant,
-                                late: completion - p.deadline,
-                            },
-                            completion,
+                            trigger,
+                            cycle,
                             &self.rt.residency,
                             queue.len() as u64,
-                            queue_capacity,
+                            self.cfg.queue_capacity as u64,
                             queue.tracked_tenants() as u64,
-                            tenant_quota,
+                            self.cfg.tenant_quota as u64,
                         );
                     }
                 }
-                if let Some(bd) = breakdowns.as_mut() {
-                    // The causal join: the dispatch point, the window the
-                    // batch waited on, and the launch's own timeline
-                    // decomposition. `from_dispatch` verifies the sum
-                    // identity, so every served request either carries an
-                    // exact breakdown or the serve run fails loudly.
-                    let b = LatencyBreakdown::from_dispatch(
-                        p.id,
-                        p.tenant,
-                        batch_idx,
-                        p.arrival,
-                        t,
-                        window_deadline,
-                        completion,
-                        out.alignment_cycles,
-                        out.span_cycles,
-                        out.attempts(),
-                        EPOCH_GAP_CYCLES,
-                        out.compiles(),
-                        out.reuses(),
-                    )
-                    .map_err(|e| RuntimeError::Execution(format!("attribution: {e}")))?;
-                    bd.push(b);
-                }
-            }
-            stracer.instant(
-                completion,
-                SERVING_LANE,
-                EventKind::BatchEnd {
-                    batch: batch_idx,
-                    attempts: out.attempts(),
-                },
-            );
-            if let Some(f) = flight.as_mut() {
-                f.observe(
-                    completion,
-                    EventKind::BatchEnd {
-                        batch: batch_idx,
-                        attempts: out.attempts(),
-                    },
-                );
-                if certified == Some(false) {
-                    f.trigger(
-                        IncidentTrigger::Deviant { batch: batch_idx },
-                        completion,
-                        &self.rt.residency,
-                        queue.len() as u64,
-                        queue_capacity,
-                        queue.tracked_tenants() as u64,
-                        tenant_quota,
-                    );
-                }
-                if !out.failovers.is_empty() || out.fec_total().uncorrectable > 0 {
-                    f.trigger(
-                        IncidentTrigger::Fault {
-                            batch: batch_idx,
-                            replays: u64::from(out.replays()),
-                            failovers: out.failovers.len() as u64,
-                        },
-                        completion,
-                        &self.rt.residency,
-                        queue.len() as u64,
-                        queue_capacity,
-                        queue.tracked_tenants() as u64,
-                        tenant_quota,
-                    );
-                }
-            }
-            batches.push(BatchRecord {
-                batch: batch_idx,
-                model: head.model,
-                size,
-                dispatch: t,
-                completion,
-                seed: launch_seed,
-                attempts: out.attempts(),
-                certified,
-                outcome: out,
-            });
+            }};
         }
 
+        loop {
+            let free_at = batches.last().map_or(0, |b| b.completion);
+            // The earliest source by `(cycle, rank)`. A dispatch is due no
+            // earlier than `free_at`, so it never overtakes the completion
+            // it waits on.
+            let next = [
+                in_flight.as_ref().map(|_| (free_at, 0)),
+                (!queue.is_empty()).then(|| (free_at.max(window_deadline), 1)),
+                arrivals.peek().map(|&id| (offered[id].at, 2)),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+            let Some((now, rank)) = next else { break };
+            match rank {
+                // The batch in flight completes.
+                0 => {
+                    let (requests, window) = in_flight.take().expect("a batch is in flight");
+                    let b = batches.last().expect("the batch in flight is logged");
+                    for id in requests {
+                        let r = offered[id];
+                        let latency = now - r.at;
+                        outcomes[id] = RequestOutcome::Served {
+                            batch: b.batch,
+                            completion: now,
+                            latency,
+                        };
+                        emit!(
+                            now,
+                            EventKind::RequestComplete {
+                                tenant: r.tenant,
+                                request: id as u32,
+                                latency,
+                            }
+                        );
+                        if let Some(bd) = breakdowns.as_mut() {
+                            // The causal join: the dispatch point, the
+                            // window the batch waited on, and the launch's
+                            // own timeline decomposition. `from_dispatch`
+                            // verifies the sum identity, so every served
+                            // request either carries an exact breakdown or
+                            // the serve run fails loudly.
+                            let out = &b.outcome;
+                            let breakdown = LatencyBreakdown::from_dispatch(
+                                id as u32,
+                                r.tenant,
+                                b.batch,
+                                r.at,
+                                b.dispatch,
+                                window,
+                                now,
+                                out.alignment_cycles,
+                                out.span_cycles,
+                                out.attempts(),
+                                EPOCH_GAP_CYCLES,
+                                out.compiles(),
+                                out.reuses(),
+                            )
+                            .map_err(|e| RuntimeError::Execution(format!("attribution: {e}")))?;
+                            bd.push(breakdown);
+                        }
+                    }
+                    emit!(
+                        now,
+                        EventKind::BatchEnd {
+                            batch: b.batch,
+                            attempts: b.attempts,
+                        }
+                    );
+                }
+                1 => {
+                    // A dispatch: the head plus successive same-model
+                    // followers, in strict queue order, up to max_batch.
+                    // Deadlines are enforced here, in virtual time: a
+                    // popped request whose deadline has already passed is
+                    // dropped as Expired without taking a batch slot — its
+                    // answer could only arrive uselessly late, and
+                    // launching it would delay every live request behind
+                    // it.
+                    let mut requests: Vec<usize> = Vec::new();
+                    while requests.len() < self.cfg.max_batch.max(1)
+                        && queue.peek().is_some_and(|&id| {
+                            requests
+                                .first()
+                                .is_none_or(|&head| offered[head].model == offered[id].model)
+                        })
+                    {
+                        let id = queue.pop().expect("peeked");
+                        let deadline = deadline_of(id);
+                        if deadline < now {
+                            outcomes[id] = RequestOutcome::Expired { deadline, at: now };
+                            emit!(
+                                now,
+                                EventKind::RequestExpired {
+                                    tenant: offered[id].tenant,
+                                    request: id as u32,
+                                    late: now - deadline,
+                                }
+                            );
+                        } else {
+                            requests.push(id);
+                        }
+                    }
+                    // Every queued request had expired; the next arrival
+                    // (if any) reopens the batch window on an empty queue.
+                    let Some(&head) = requests.first() else {
+                        continue;
+                    };
+                    let batch = batches.len() as u32;
+                    let size = requests.len() as u32;
+                    emit!(now, EventKind::BatchBegin { batch, size });
+                    let model = offered[head].model;
+                    let seed = mix64(self.cfg.seed, u64::from(batch));
+                    let graph = (self.models[model as usize])(size);
+                    let (outcome, certified) = if self.cfg.certify {
+                        // Certified launches run base-0 into a private
+                        // scratch ring so the profiler's plan-vs-actual
+                        // join sees exactly one launch at its planned
+                        // coordinates.
+                        let scratch = Arc::new(RingSink::new(1 << 18));
+                        self.rt
+                            .set_trace_sink(Arc::clone(&scratch) as Arc<dyn tsm_trace::TraceSink>);
+                        let out = self.rt.launch_at(&graph, seed, 0);
+                        match &user_sink {
+                            Some(s) => self.rt.set_trace_sink(Arc::clone(s)),
+                            None => self.rt.clear_trace_sink(),
+                        }
+                        let out = out?;
+                        let planned = self
+                            .rt
+                            .planned_timeline()
+                            .expect("datapath launch has a planned timeline");
+                        let certified =
+                            profile(&planned, &scratch.sorted_events(), scratch.dropped())
+                                .map(|p| p.conformance.certified())
+                                .unwrap_or(false);
+                        (out, Some(certified))
+                    } else {
+                        let out = self.rt.launch_at(&graph, seed, now)?;
+                        // Merge the launch's link/chip heatmaps onto the
+                        // serving timeline. Certified launches run base-0,
+                        // off this timeline, so their heatmaps stay on the
+                        // batch's own outcome record instead.
+                        if let (Some(s), Some(lt)) = (sampler.as_mut(), out.telemetry.as_ref()) {
+                            s.absorb(lt);
+                        }
+                        (out, None)
+                    };
+                    batches.push(BatchRecord {
+                        batch,
+                        model,
+                        size,
+                        dispatch: now,
+                        completion: now + outcome.timeline_cycles,
+                        seed,
+                        attempts: outcome.attempts(),
+                        certified,
+                        outcome,
+                    });
+                    in_flight = Some((requests, window_deadline));
+                }
+                // The next request arrives.
+                _ => {
+                    let id = arrivals.next().expect("peeked");
+                    let r = offered[id];
+                    let (tenant, request) = (r.tenant, id as u32);
+                    let was_empty = queue.is_empty();
+                    let kind = match queue.try_push(r.priority, deadline_of(id), tenant, id) {
+                        Ok(()) => {
+                            if was_empty {
+                                window_deadline = now + self.cfg.batch_window;
+                            }
+                            EventKind::RequestEnqueue { tenant, request }
+                        }
+                        Err(why) => EventKind::RequestShed {
+                            tenant,
+                            request,
+                            reason: match why {
+                                AdmitError::QueueFull => ShedReason::QueueFull,
+                                AdmitError::TenantOverQuota => ShedReason::TenantOverQuota,
+                            },
+                        },
+                    };
+                    emit!(now, kind);
+                }
+            }
+        }
+
+        // The totals and `serve.*` metrics fold the per-tenant stats and
+        // the batch log; every admitted request ended served or expired.
+        let tenants: Vec<TenantStats> = tenants.into_values().collect();
+        let total = |f: fn(&TenantStats) -> u64| tenants.iter().map(f).sum::<u64>();
+        let (served, shed, expired) =
+            (total(|t| t.served), total(|t| t.shed), total(|t| t.expired));
+        let mut latency = CycleHistogram::default();
+        for t in &tenants {
+            latency.merge(&t.latency);
+        }
+        let mut sizes = CycleHistogram::default();
+        for b in &batches {
+            sizes.observe(u64::from(b.size));
+        }
+        let metrics = Metrics::default();
+        metrics.inc(names::SERVE_ENQUEUED, served + expired);
+        metrics.inc(names::SERVE_SERVED, served);
+        metrics.inc(names::SERVE_SHED, shed);
+        metrics.inc(names::SERVE_SHED_QUEUE_FULL, total(|t| t.shed_queue_full));
+        metrics.inc(names::SERVE_SHED_QUOTA, total(|t| t.shed_over_quota));
+        metrics.inc(names::SERVE_EXPIRED, expired);
+        metrics.inc(names::SERVE_BATCHES, batches.len() as u64);
+        metrics.merge_histogram(names::SERVE_BATCH_SIZE, &sizes);
+        metrics.merge_histogram(names::SERVE_LATENCY, &latency);
         metrics.set_gauge(names::SERVE_QUEUE_DEPTH, max_depth);
         // The run's residency behavior, as a delta over the manager's
         // lifetime counters — per-launch metrics stay untouched, so
@@ -1065,11 +898,11 @@ impl Server {
             served,
             shed,
             expired,
+            makespan: batches.last().map_or(0, |b| b.completion),
             batches,
             outcomes,
             latency,
-            tenants: tenants.into_values().collect(),
-            makespan,
+            tenants,
             metrics: metrics.snapshot(),
             telemetry,
             attribution,
@@ -1368,6 +1201,20 @@ mod tests {
         });
         let err = s.serve(&[req(0, 0)]).unwrap_err();
         assert!(matches!(err, RuntimeError::Execution(ref m) if m.contains("certify")));
+    }
+
+    #[test]
+    fn unregistered_model_is_an_error_not_a_panic() {
+        let mut s = server(ServeConfig::default());
+        let stray = Request {
+            model: 3,
+            ..req(10, 0)
+        };
+        let err = s.serve(&[req(0, 0), stray]).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Execution(ref m) if m.contains("request 1") && m.contains("model 3")),
+            "{err:?}"
+        );
     }
 
     #[test]

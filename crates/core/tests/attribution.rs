@@ -20,7 +20,7 @@ use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
-use tsm_trace::{LatencyBreakdown, RingSink, Stage, TraceEvent};
+use tsm_trace::{LatencyBreakdown, RingSink, Stage, TraceEvent, SERVING_LANE};
 
 /// The multi-hop pipeline from the identity suite: compute, a cross-node
 /// transfer, dependent compute.
@@ -97,6 +97,18 @@ fn serve_with(
     marginal: bool,
     seed: u64,
 ) -> (ServeReport, Vec<TraceEvent>) {
+    let (report, sink) = serve_traced(attribution, certify, marginal, seed);
+    (report, sink.sorted_events())
+}
+
+/// [`serve_with`], handing back the sink so callers can read events in
+/// emission order.
+fn serve_traced(
+    attribution: bool,
+    certify: bool,
+    marginal: bool,
+    seed: u64,
+) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
     let mut rt = runtime().with_trace_sink(sink.clone());
     if marginal {
@@ -125,7 +137,7 @@ fn serve_with(
     });
     let report = server.serve(&offered_mixed()).unwrap();
     assert_eq!(sink.dropped(), 0);
-    (report, sink.sorted_events())
+    (report, sink)
 }
 
 /// Every breakdown must agree with its request's `Served` outcome and
@@ -299,5 +311,26 @@ fn attribution_is_bit_reproducible_through_json() {
         assert_eq!(x.to_json(), y.to_json(), "byte-identical breakdown JSON");
         let round = LatencyBreakdown::from_json(&x.to_json()).unwrap();
         assert_eq!(round, *x, "JSON round trip is lossless");
+    }
+}
+
+#[test]
+fn serving_events_are_emitted_in_cycle_order() {
+    for (certify, marginal) in [(false, false), (false, true), (true, true)] {
+        for seed in [0, 3, 11] {
+            let (_, sink) = serve_traced(true, certify, marginal, seed);
+            let serving: Vec<u64> = sink
+                .events()
+                .iter()
+                .filter(|e| e.lane == SERVING_LANE)
+                .map(|e| e.cycle)
+                .collect();
+            assert!(!serving.is_empty());
+            assert!(
+                serving.windows(2).all(|w| w[0] <= w[1]),
+                "serving lane goes back in time (certify={certify}, marginal={marginal}, \
+                 seed={seed})"
+            );
+        }
     }
 }

@@ -13,6 +13,9 @@
 //!   byte-reproducible from its seed, lossless through JSON.
 //! - **Telemetry bracketing**: each incident carries exactly the
 //!   telemetry windows `[w-1, w+1]` around its trigger cycle.
+//! - **Cycle order**: the serving lane is emitted in cycle order, so a
+//!   late batch's SLO-miss snapshot includes the arrivals that came while
+//!   it ran.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
@@ -22,7 +25,7 @@ use tsm_core::serving::{Request, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::telemetry::TelemetryConfig;
-use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
+use tsm_trace::{EventKind, RingSink, TraceEvent, SERVING_LANE};
 
 fn pipeline() -> Graph {
     let mut g = Graph::new();
@@ -95,6 +98,18 @@ fn serve_with(
     marginal: bool,
     seed: u64,
 ) -> (ServeReport, Vec<TraceEvent>) {
+    let (report, sink) = serve_traced(flight, telemetry, marginal, seed);
+    (report, sink.sorted_events())
+}
+
+/// [`serve_with`], handing back the sink so callers can read events in
+/// emission order.
+fn serve_traced(
+    flight: Option<FlightConfig>,
+    telemetry: Option<TelemetryConfig>,
+    marginal: bool,
+    seed: u64,
+) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
     let mut rt = runtime().with_trace_sink(sink.clone());
     if marginal {
@@ -125,7 +140,7 @@ fn serve_with(
     });
     let report = server.serve(&offered_hostile()).unwrap();
     assert_eq!(sink.dropped(), 0);
-    (report, sink.sorted_events())
+    (report, sink)
 }
 
 const FLIGHT: FlightConfig = FlightConfig {
@@ -176,11 +191,11 @@ fn triggers_cover_shed_expiry_and_slo_miss_and_snapshots_agree() {
         assert!(last_seq < Some(inc.seq) || last_seq.is_none());
         last_seq = Some(inc.seq);
         // The tail is serving-lane only, bounded, and in observation
-        // order (batch completions are observed when dispatched, so
-        // cycles need not be monotone — sequence numbers are).
+        // order, which is cycle order.
         assert!(inc.trace_tail.len() <= FLIGHT.trace_tail);
         for pair in inc.trace_tail.windows(2) {
             assert!(pair[0].seq < pair[1].seq);
+            assert!(pair[0].cycle <= pair[1].cycle, "tail goes back in time");
         }
         for e in &inc.trace_tail {
             assert_eq!(e.lane, SERVING_LANE);
@@ -282,4 +297,78 @@ fn telemetry_windows_bracket_each_incident() {
             }
         }
     }
+}
+
+#[test]
+fn serving_events_are_emitted_in_cycle_order() {
+    for marginal in [false, true] {
+        for seed in [1, 7, 42] {
+            let (_, sink) = serve_traced(Some(FLIGHT), None, marginal, seed);
+            let serving: Vec<u64> = sink
+                .events()
+                .iter()
+                .filter(|e| e.lane == SERVING_LANE)
+                .map(|e| e.cycle)
+                .collect();
+            assert!(!serving.is_empty());
+            assert!(
+                serving.windows(2).all(|w| w[0] <= w[1]),
+                "serving lane goes back in time (marginal={marginal}, seed={seed})"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_arrival_during_a_late_batch_is_in_its_slo_miss_snapshot() {
+    let rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem);
+    let mut server = Server::new(
+        rt,
+        ServeConfig {
+            flight: Some(FLIGHT),
+            ..ServeConfig::default()
+        },
+    );
+    server.add_model(|batch| {
+        let mut g = Graph::new();
+        g.add(
+            TspId(0),
+            OpKind::Compute {
+                cycles: 10_000 * batch as u64,
+            },
+            vec![],
+        )
+        .unwrap();
+        g
+    });
+    let request = |at, deadline_slack| Request {
+        at,
+        tenant: 0,
+        model: 0,
+        priority: 1,
+        deadline_slack,
+    };
+    // Request 0 dispatches alone at cycle 0 and misses its deadline;
+    // request 1 arrives while batch 0 is still running.
+    let report = server
+        .serve(&[request(0, 100), request(50, 10_000_000)])
+        .unwrap();
+    assert_eq!(report.batches[0].completion, 11_576);
+    let incidents = report.incidents.unwrap();
+    let miss = incidents
+        .iter()
+        .find(|i| i.trigger.kind() == "slo_miss")
+        .expect("request 0 misses its SLO");
+    assert_eq!(miss.cycle, 11_576);
+    assert_eq!(miss.queue_depth, 1, "request 1 waits behind batch 0");
+    assert_eq!(miss.tracked_tenants, 1);
+    assert!(
+        miss.trace_tail.iter().any(|e| e.cycle == 50
+            && e.kind
+                == EventKind::RequestEnqueue {
+                    tenant: 0,
+                    request: 1
+                }),
+        "the tail holds request 1's enqueue"
+    );
 }

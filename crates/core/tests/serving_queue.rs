@@ -12,8 +12,8 @@ use tsm_core::system::System;
 use tsm_topology::TspId;
 
 /// Reference model: a flat list of `(priority, deadline, seq)` keys; pop
-/// removes the minimum. `Vec::swap_remove` + full scan — obviously
-/// correct, nothing shared with the heap implementation.
+/// removes the minimum. Full scan + `retain` — obviously correct,
+/// nothing shared with the ordered-map implementation.
 #[derive(Default)]
 struct ModelQueue {
     entries: Vec<(u8, u64, u64)>,

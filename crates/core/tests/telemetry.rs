@@ -23,7 +23,9 @@ use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Serve
 use tsm_core::system::System;
 use tsm_topology::TspId;
 use tsm_trace::telemetry::{series, TelemetryConfig};
-use tsm_trace::{chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent};
+use tsm_trace::{
+    chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent, SERVING_LANE,
+};
 
 /// Window small enough that a single launch spans several windows.
 const TEL: TelemetryConfig = TelemetryConfig {
@@ -157,6 +159,13 @@ fn offered_mixed() -> Vec<Request> {
 }
 
 fn serve_with(tel: Option<TelemetryConfig>) -> (ServeReport, Vec<TraceEvent>) {
+    let (report, sink) = serve_traced(tel);
+    (report, sink.sorted_events())
+}
+
+/// [`serve_with`], handing back the sink so callers can read events in
+/// emission order.
+fn serve_traced(tel: Option<TelemetryConfig>) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
     let rt = runtime().with_trace_sink(sink.clone());
     let cfg = ServeConfig {
@@ -181,7 +190,7 @@ fn serve_with(tel: Option<TelemetryConfig>) -> (ServeReport, Vec<TraceEvent>) {
     });
     let report = server.serve(&offered_mixed()).unwrap();
     assert_eq!(sink.dropped(), 0);
-    (report, sink.sorted_events())
+    (report, sink)
 }
 
 #[test]
@@ -379,4 +388,23 @@ fn hostile_tenant_names_round_trip_through_both_exports() {
     let doc = chrome_trace_json_telemetry(&sink.sorted_events(), 0, &t);
     assert!(doc.contains(r#"serve.throughput[ten\"ant\\zero\n\u0001[end]]"#));
     assert!(!doc.contains('\u{1}'));
+}
+
+#[test]
+fn serving_events_are_emitted_in_cycle_order() {
+    for tel in [None, Some(TEL)] {
+        let (_, sink) = serve_traced(tel);
+        let serving: Vec<u64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.lane == SERVING_LANE)
+            .map(|e| e.cycle)
+            .collect();
+        assert!(!serving.is_empty());
+        assert!(
+            serving.windows(2).all(|w| w[0] <= w[1]),
+            "serving lane goes back in time (telemetry={})",
+            tel.is_some()
+        );
+    }
 }

@@ -36,6 +36,10 @@ cargo test -p tsm-core --test profile_conformance -q
 # proptests, and batch-width independence of serving outcomes.
 cargo test -p tsm-core --test serve_identity -q
 cargo test -p tsm-core --test serving_queue -q
+# Golden pins of Server::serve with every observer on (clean and marginal
+# fabric, certify on and off): the report and the launch trace must match
+# the pinned digests byte for byte.
+cargo test -p tsm-core --test serve_golden -q
 # The plan-residency layer: multi-model reuse, budget-0 single-entry
 # equivalence, pre-residency trace-shape pinning, failover epoch drops,
 # the warm-start tier round trip, and the LRU-vs-reference proptest.
@@ -79,13 +83,15 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 cargo run --release -p tsm-bench --bin repro attribution-smoke
 # Plan compile is pinned byte for byte: golden digests of two compiled
 # plans, then the outside-in benchmark's own tests and one pass of each
-# co-simulation workload. Each run exits 1 if its seed-1 result digest
-# differs from the pinned one, so a routing or reservation change fails
-# the gate, not only the benchmark pipeline.
+# co-simulation and serving workload. Each run exits 1 if its seed-1
+# result digest differs from the pinned one, so a routing, reservation or
+# serving-loop change fails the gate, not only the benchmark pipeline.
 cargo test -p tsm-core --test plan_golden -q
 cargo test --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-16 --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-10440 --seconds 0
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-churn --seconds 0
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Rustdoc is part of the contract: broken intra-doc links and bad doc
