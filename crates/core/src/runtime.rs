@@ -550,9 +550,10 @@ fn datapath_shapes(physical: &Graph) -> Result<Vec<TransferShape>, RuntimeError>
             let src = src_next.entry(node.device).or_insert(0);
             let dst = dst_next.entry(to).or_insert(0);
             let (src_offset, dst_offset) = (*src, *dst);
-            if src_offset + vectors > u16::MAX as u32 + 1
-                || dst_offset + vectors > u16::MAX as u32 + 1
-            {
+            // Summed in u64: both bases are at most 2^16, but `vectors`
+            // may be close to u32::MAX.
+            let fits = |base: u32| u64::from(base) + u64::from(vectors) <= 1 << 16;
+            if !fits(src_offset) || !fits(dst_offset) {
                 return Err(RuntimeError::Execution(
                     "datapath payloads exceed SRAM slice capacity".into(),
                 ));
@@ -812,6 +813,43 @@ mod tests {
         let warm = rt.launch(&logical_pipeline(), 2).unwrap();
         assert_eq!((warm.compiles(), warm.reuses()), (0, 1));
         assert_eq!(warm.dst_digests, out.dst_digests);
+    }
+
+    /// A transfer whose SRAM region would run past the slice, placed after
+    /// another from the same chip, is refused with an error: the offset
+    /// bump must not overflow on the way to the capacity check.
+    #[test]
+    fn oversized_datapath_transfer_is_an_error_not_a_panic() {
+        let mut g = Graph::new();
+        let first = g
+            .add(
+                TspId(0),
+                OpKind::Transfer {
+                    to: TspId(1),
+                    bytes: 10 * VECTOR_BYTES as u64,
+                    allow_nonminimal: false,
+                },
+                vec![],
+            )
+            .unwrap();
+        g.add(
+            TspId(0),
+            OpKind::Transfer {
+                to: TspId(2),
+                bytes: u64::from(u32::MAX - 5) * VECTOR_BYTES as u64,
+                allow_nonminimal: false,
+            },
+            vec![first],
+        )
+        .unwrap();
+        let mut rt = Runtime::new(System::with_nodes(2).unwrap(), SparePolicy::PerSystem)
+            .with_exec_mode(ExecMode::Datapath);
+        match rt.launch(&g, 1) {
+            Err(RuntimeError::Execution(msg)) => {
+                assert_eq!(msg, "datapath payloads exceed SRAM slice capacity")
+            }
+            other => panic!("expected a capacity error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden plan pins: `compile_plan` output is pinned byte for byte on two
+//! Golden plan pins: `compile_plan` output is pinned byte for byte on three
 //! fixed workloads, so any change to routing, link/unit reservation or
 //! lowering that alters a plan fails here rather than only in the
 //! benchmark. The digests are FNV-1a over `CompiledPlan::to_json()`.
@@ -66,6 +66,31 @@ fn half_stride_4_racks() -> (Topology, Vec<TransferShape>) {
     (topo, shapes)
 }
 
+/// BERT-Large's batch-1 pipeline on four fully connected nodes: three
+/// stage-to-stage transfers of 2,458 vectors each, then a 100-vector
+/// offload to the next node. Chips 1 and 2 both receive one stage's
+/// activations and send their own on, so their Mem windows from two long
+/// transfers interleave.
+fn bert_pipeline_with_offload() -> (Topology, Vec<TransferShape>) {
+    let topo = Topology::fully_connected_nodes(4).unwrap();
+    let shape = |from, to, src_offset, vectors| TransferShape {
+        from: TspId(from),
+        to: TspId(to),
+        src_slice: 0,
+        src_offset,
+        dst_slice: 1,
+        dst_offset: 0,
+        vectors,
+    };
+    let shapes = vec![
+        shape(0, 1, 0, 2_458),
+        shape(1, 2, 0, 2_458),
+        shape(2, 3, 0, 2_458),
+        shape(0, 12, 2_458, 100),
+    ];
+    (topo, shapes)
+}
+
 fn plan_digest((topo, shapes): (Topology, Vec<TransferShape>)) -> u64 {
     fnv1a(compile_plan(&topo, &shapes).unwrap().to_json().as_bytes())
 }
@@ -85,5 +110,18 @@ fn half_stride_288_plan_is_pinned() {
         plan_digest(half_stride_4_racks()),
         0x8454_d5d6_5e35_f71d,
         "288-chip half-stride plan digest moved"
+    );
+}
+
+#[test]
+fn bert_pipeline_plan_is_pinned() {
+    let (topo, shapes) = bert_pipeline_with_offload();
+    let plan = compile_plan(&topo, &shapes).unwrap();
+    assert_eq!(plan.instructions, 30_296);
+    assert_eq!(plan.arrivals, [59_225, 59_225, 59_225, 3_342]);
+    assert_eq!(
+        fnv1a(plan.to_json().as_bytes()),
+        0x767e_f747_ff9a_d642,
+        "BERT pipeline plan digest moved"
     );
 }

@@ -81,7 +81,9 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 # must sum exactly to its latency, with byte-reproducible incident
 # capture and the off-is-off identity for both features. Writes no files.
 cargo run --release -p tsm-bench --bin repro attribution-smoke
-# Plan compile is pinned byte for byte: golden digests of two compiled
+# Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle.
+cargo test -p tsm-core --lib cosim::plan -q
+# Plan compile is pinned byte for byte: golden digests of three compiled
 # plans, then the outside-in benchmark's own tests and one pass of each
 # co-simulation and serving workload. Each run exits 1 if its seed-1
 # result digest differs from the pinned one, so a routing, reservation or
