@@ -176,8 +176,8 @@ mod parse {
                 };
                 c.object(|c, key| {
                     match key {
-                        "op" => op.op = c.u64()? as u32,
-                        "device" => op.device = c.u64()? as u32,
+                        "op" => op.op = c.narrow("op")?,
+                        "device" => op.device = c.narrow("op device")?,
                         "kind" => op.kind = c.string()?,
                         "start" => op.start = c.u64()?,
                         "end" => op.end = c.u64()?,
@@ -199,12 +199,12 @@ mod parse {
                 };
                 c.object(|c, key| {
                     match key {
-                        "link" => r.link = c.u64()? as u32,
-                        "from" => r.from = c.u64()? as u32,
+                        "link" => r.link = c.narrow("reservation link")?,
+                        "from" => r.from = c.narrow("reservation from")?,
                         "start" => r.start = c.u64()?,
                         "vectors" => r.vectors = c.u64()?,
-                        "transfer" => r.transfer = c.u64()? as u32,
-                        "hop" => r.hop = c.u64()? as u8,
+                        "transfer" => r.transfer = c.narrow("reservation transfer")?,
+                        "hop" => r.hop = c.narrow("reservation hop")?,
                         other => return Err(format!("unknown reservation field {other:?}")),
                     }
                     Ok(())
@@ -291,6 +291,18 @@ mod tests {
         assert!(ScheduleDump::from_json("{\"span_cycles\": 1").is_err());
         assert!(ScheduleDump::from_json("{\"bogus\": 1}").is_err());
         assert!(ScheduleDump::from_json("{\"span_cycles\": 1} trailing").is_err());
+    }
+
+    /// A value too wide for its field is refused, not truncated: hop 300
+    /// would read back as hop 44.
+    #[test]
+    fn from_json_refuses_out_of_range_fields() {
+        let (g, p) = program();
+        let json = ScheduleDump::capture(&g, &p).to_json();
+        let wide = json.replacen("\"hop\": 0", "\"hop\": 300", 1);
+        assert_ne!(wide, json);
+        let err = ScheduleDump::from_json(&wide).unwrap_err();
+        assert!(err.contains("reservation hop 300 out of range"), "{err}");
     }
 
     #[test]

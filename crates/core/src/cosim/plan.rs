@@ -1036,12 +1036,14 @@ mod json {
         w.finish()
     }
 
-    fn stream(v: u64) -> Result<StreamId, String> {
-        StreamId::new(v as u8).map_err(|_| format!("stream id {v} out of range"))
+    fn stream(v: u8) -> Result<StreamId, String> {
+        StreamId::new(v).map_err(|_| format!("stream id {v} out of range"))
     }
 
-    fn require(v: Option<u64>, what: &str) -> Result<u64, String> {
-        v.ok_or_else(|| format!("instruction missing {what:?}"))
+    /// A required instruction field, narrowed to its type.
+    fn require<T: TryFrom<u64>>(v: Option<u64>, what: &str) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("instruction missing {what:?}"))?;
+        T::try_from(v).map_err(|_| format!("instruction {what} {v} out of range"))
     }
 
     /// Parses one slab entry. Fields are collected order-independently,
@@ -1091,19 +1093,19 @@ mod json {
                 target_cycles: require(num[TARGET], "target_cycles")?,
             },
             "transmit" => Instruction::Transmit {
-                port: require(num[PORT], "port")? as u8,
+                port: require(num[PORT], "port")?,
             },
             "receive" => Instruction::Receive {
-                port: require(num[PORT], "port")? as u8,
+                port: require(num[PORT], "port")?,
                 stream: stream(require(num[STREAM], "stream")?)?,
             },
             "send" => Instruction::Send {
-                port: require(num[PORT], "port")? as u8,
+                port: require(num[PORT], "port")?,
                 stream: stream(require(num[STREAM], "stream")?)?,
             },
             "read" => Instruction::Read {
-                slice: require(num[SLICE], "slice")? as u8,
-                offset: require(num[OFFSET], "offset")? as u16,
+                slice: require(num[SLICE], "slice")?,
+                offset: require(num[OFFSET], "offset")?,
                 stream: stream(require(num[STREAM], "stream")?)?,
                 dir: match dir.as_deref() {
                     Some("east") => Direction::East,
@@ -1112,8 +1114,8 @@ mod json {
                 },
             },
             "write" => Instruction::Write {
-                slice: require(num[SLICE], "slice")? as u8,
-                offset: require(num[OFFSET], "offset")? as u16,
+                slice: require(num[SLICE], "slice")?,
+                offset: require(num[OFFSET], "offset")?,
                 stream: stream(require(num[STREAM], "stream")?)?,
             },
             "install_weight" => Instruction::InstallWeight {
@@ -1160,13 +1162,13 @@ mod json {
         };
         c.object(|c, key| {
             match key {
-                "from" => s.from = TspId(c.u64()? as u32),
-                "to" => s.to = TspId(c.u64()? as u32),
-                "src_slice" => s.src_slice = c.u64()? as u8,
-                "src_offset" => s.src_offset = c.u64()? as u16,
-                "dst_slice" => s.dst_slice = c.u64()? as u8,
-                "dst_offset" => s.dst_offset = c.u64()? as u16,
-                "vectors" => s.vectors = c.u64()? as u32,
+                "from" => s.from = TspId(c.narrow("shape from")?),
+                "to" => s.to = TspId(c.narrow("shape to")?),
+                "src_slice" => s.src_slice = c.narrow("shape src_slice")?,
+                "src_offset" => s.src_offset = c.narrow("shape src_offset")?,
+                "dst_slice" => s.dst_slice = c.narrow("shape dst_slice")?,
+                "dst_offset" => s.dst_offset = c.narrow("shape dst_offset")?,
+                "vectors" => s.vectors = c.narrow("shape vectors")?,
                 other => return Err(format!("unknown shape field {other:?}")),
             }
             Ok(())
@@ -1187,11 +1189,11 @@ mod json {
         };
         c.object(|c, key| {
             match key {
-                "tsp" => chip.tsp = TspId(c.u64()? as u32),
-                "depth" => chip.depth = c.u64()? as u32,
-                "shard" => chip.shard = c.u64()? as u32,
-                "prog_start" => chip.prog_start = c.u64()? as u32,
-                "prog_end" => chip.prog_end = c.u64()? as u32,
+                "tsp" => chip.tsp = TspId(c.narrow("chip tsp")?),
+                "depth" => chip.depth = c.narrow("chip depth")?,
+                "shard" => chip.shard = c.narrow("chip shard")?,
+                "prog_start" => chip.prog_start = c.narrow("chip prog_start")?,
+                "prog_end" => chip.prog_end = c.narrow("chip prog_end")?,
                 "preloads" => c.array(|c| {
                     let mut p = PlannedPreload {
                         slice: 0,
@@ -1203,10 +1205,10 @@ mod json {
                     };
                     c.object(|c, key| {
                         match key {
-                            "slice" => p.slice = c.u64()? as u8,
-                            "offset" => p.offset = c.u64()? as u16,
-                            "transfer" => p.vec.transfer = c.u64()? as u32,
-                            "vector" => p.vec.vector = c.u64()? as u32,
+                            "slice" => p.slice = c.narrow("preload slice")?,
+                            "offset" => p.offset = c.narrow("preload offset")?,
+                            "transfer" => p.vec.transfer = c.narrow("preload transfer")?,
+                            "vector" => p.vec.vector = c.narrow("preload vector")?,
                             other => return Err(format!("unknown preload field {other:?}")),
                         }
                         Ok(())
@@ -1226,11 +1228,11 @@ mod json {
                     };
                     c.object(|c, key| {
                         match key {
-                            "port" => d.port = c.u64()? as u8,
+                            "port" => d.port = c.narrow("delivery port")?,
                             "cycle" => d.cycle = c.u64()?,
-                            "transfer" => d.vec.transfer = c.u64()? as u32,
-                            "vector" => d.vec.vector = c.u64()? as u32,
-                            "link" => d.link = LinkId(c.u64()? as u32),
+                            "transfer" => d.vec.transfer = c.narrow("delivery transfer")?,
+                            "vector" => d.vec.vector = c.narrow("delivery vector")?,
+                            "link" => d.link = LinkId(c.narrow("delivery link")?),
                             other => return Err(format!("unknown delivery field {other:?}")),
                         }
                         Ok(())
@@ -1250,9 +1252,9 @@ mod json {
                     c.object(|c, key| {
                         match key {
                             "cycle" => e.cycle = c.u64()?,
-                            "port" => e.port = c.u64()? as u8,
-                            "transfer" => e.vec.transfer = c.u64()? as u32,
-                            "vector" => e.vec.vector = c.u64()? as u32,
+                            "port" => e.port = c.narrow("emission port")?,
+                            "transfer" => e.vec.transfer = c.narrow("emission transfer")?,
+                            "vector" => e.vec.vector = c.narrow("emission vector")?,
                             other => return Err(format!("unknown emission field {other:?}")),
                         }
                         Ok(())
@@ -1293,7 +1295,7 @@ mod json {
             "levels" => c.array(|c| {
                 let mut level = Vec::new();
                 c.array(|c| {
-                    level.push(c.u64()? as u32);
+                    level.push(c.narrow("level entry")?);
                     Ok(())
                 })?;
                 plan.levels.push(level);
@@ -1304,12 +1306,37 @@ mod json {
                 Ok(())
             }),
             "instructions" => {
-                plan.instructions = c.u64()? as usize;
+                plan.instructions = c.narrow("instructions")?;
                 Ok(())
             }
             other => Err(format!("unknown plan field {other:?}")),
         })?;
         c.expect_end()?;
+        check_indices(&plan)?;
+        Ok(plan)
+    }
+
+    /// Rejects a parsed plan that indexes outside itself, so an edited or
+    /// corrupted document fails to load instead of sending the executor
+    /// out of bounds: every chip's program window lies in the slab and
+    /// every payload reference in the shapes; chips ascend by TSP and
+    /// include each transfer's destination; levels list each chip at most
+    /// once.
+    fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
+        if let Some(w) = plan.chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
+            return Err(format!(
+                "chip {} follows chip {}: chips must ascend by TSP",
+                w[1].tsp.0, w[0].tsp.0
+            ));
+        }
+        for (t, s) in plan.shapes.iter().enumerate() {
+            if s.vectors > 0 && plan.chips.binary_search_by_key(&s.to, |c| c.tsp).is_err() {
+                return Err(format!(
+                    "transfer {t} delivers to TSP {} with no chip plan",
+                    s.to.0
+                ));
+            }
+        }
         for chip in &plan.chips {
             if chip.prog_start > chip.prog_end || chip.prog_end as usize > plan.slab.len() {
                 return Err(format!(
@@ -1320,8 +1347,36 @@ mod json {
                     plan.slab.len()
                 ));
             }
+            let refs = (chip.preloads.iter().map(|p| ("preload", p.vec)))
+                .chain(chip.deliveries.iter().map(|d| ("delivery", d.vec)))
+                .chain(chip.emissions.iter().map(|e| ("emission", e.vec)));
+            for (what, r) in refs {
+                let shape = plan.shapes.get(r.transfer as usize);
+                if shape.is_none_or(|s| r.vector >= s.vectors) {
+                    return Err(format!(
+                        "chip {} {what} names vector {} of transfer {}, outside the plan's {} shapes",
+                        chip.tsp.0,
+                        r.vector,
+                        r.transfer,
+                        plan.shapes.len()
+                    ));
+                }
+            }
         }
-        Ok(plan)
+        let mut listed = vec![false; plan.chips.len()];
+        for &i in plan.levels.iter().flatten() {
+            match listed.get_mut(i as usize) {
+                Some(seen) if !*seen => *seen = true,
+                Some(_) => return Err(format!("chip index {i} listed in two level slots")),
+                None => {
+                    return Err(format!(
+                        "level entry {i} exceeds the plan's {} chips",
+                        plan.chips.len()
+                    ))
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1456,5 +1511,61 @@ mod tests {
             interleaved > 300,
             "only {interleaved} transfers interleaved"
         );
+    }
+
+    /// A parsed plan may index only inside itself: each hostile edit of a
+    /// real plan is refused by `from_json` with an error naming what is
+    /// wrong, where executing it would have indexed out of bounds or, for
+    /// a too-wide stream id, silently run a different stream.
+    #[test]
+    fn from_json_refuses_plans_that_index_outside_themselves() {
+        let shape = TransferShape {
+            from: TspId(0),
+            to: TspId(5),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        let json = plan.to_json();
+        assert_eq!(CompiledPlan::from_json(&json).unwrap(), plan);
+        let edited = |edit: fn(&mut CompiledPlan)| {
+            let mut bad = plan.clone();
+            edit(&mut bad);
+            bad
+        };
+        let cases = [
+            (
+                edited(|p| p.chips[0].preloads[0].vec.vector = 4),
+                "preload names vector 4",
+            ),
+            (
+                edited(|p| p.chips[1].deliveries[0].vec.transfer = 1),
+                "delivery names vector",
+            ),
+            (
+                edited(|p| p.chips[0].emissions[0].vec.vector = u32::MAX),
+                "emission names",
+            ),
+            (
+                edited(|p| p.levels[0].push(p.chips.len() as u32)),
+                "exceeds the plan's",
+            ),
+            (
+                edited(|p| p.levels.push(vec![p.levels[0][0]])),
+                "two level slots",
+            ),
+            (edited(|p| p.chips.swap(0, 1)), "must ascend by TSP"),
+        ];
+        for (bad, says) in cases {
+            let err = CompiledPlan::from_json(&bad.to_json()).unwrap_err();
+            assert!(err.contains(says), "want {says:?}, got {err:?}");
+        }
+        let wide = json.replacen("\"stream\": 0", "\"stream\": 256", 1);
+        assert_ne!(wide, json);
+        let err = CompiledPlan::from_json(&wide).unwrap_err();
+        assert!(err.contains("stream 256 out of range"), "{err}");
     }
 }

@@ -69,7 +69,9 @@ pub struct ResidencyStats {
     pub stale_drops: u64,
     /// Datapath plans adopted from the warm-start tier.
     pub warm_starts: u64,
-    /// Estimated bytes currently resident.
+    /// Estimated bytes currently resident. The payload part is nominal:
+    /// each entry is charged 320 B per payload vector it binds, although
+    /// entries share those vectors through the runtime's payload pool.
     pub resident_bytes: u64,
     /// Plans currently resident.
     pub resident_plans: u64,
@@ -407,6 +409,12 @@ impl ResidencyManager {
 /// shapes/slab/chip manifests, and the synthetic payload vectors. An
 /// estimate, not an exact allocator tally — what matters is that it is
 /// deterministic and proportional, so budget arithmetic is reproducible.
+///
+/// The payload charge is nominal: each entry is charged 320 B for every
+/// vector it binds, as if it held a private copy, although the vectors
+/// live once in the runtime's payload pool and entries hold handles to
+/// them. Charging per entry keeps budgets, evictions and reports
+/// independent of which other entries happen to be resident.
 fn cache_bytes(cache: &CompiledCache) -> u64 {
     use std::mem::{size_of, size_of_val};
     let program = &cache.program;

@@ -212,11 +212,44 @@ impl LaunchOutcome {
 /// plan and the synthetic payload vectors bound to it on every attempt.
 /// Payload bytes are a pure function of (transfer index, vector index), so
 /// fault-free and faulty launches move identical data — the basis of the
-/// bit-identical guarantee.
+/// bit-identical guarantee. The payloads are handles into the runtime's
+/// [`PayloadPool`], shared with every other entry that binds them.
 #[derive(Debug)]
 pub(crate) struct DatapathArtifact {
     pub(crate) plan: CompiledPlan,
     pub(crate) payloads: Vec<Vec<Payload>>,
+}
+
+/// The synthetic payloads of one runtime, grow-only: `vectors[t][v]` is
+/// vector `v` of transfer `t`, synthesized the first time a launch needs
+/// it and handed out by `Arc` clone from then on. Payload bytes depend
+/// only on `(t, v)`, so every datapath artifact binds a prefix of each
+/// transfer's pool, and one copy serves them all. The pool is outside the
+/// residency budget and lives exactly as long as its runtime.
+#[derive(Debug, Default)]
+pub(crate) struct PayloadPool {
+    vectors: Vec<Vec<Payload>>,
+}
+
+impl PayloadPool {
+    /// Handles to the first `len` vectors of transfer `t`, synthesizing
+    /// whichever of them no earlier launch on this runtime needed.
+    fn prefix(&mut self, t: usize, len: u32) -> Vec<Payload> {
+        if self.vectors.len() <= t {
+            self.vectors.resize_with(t + 1, Vec::new);
+        }
+        let pool = &mut self.vectors[t];
+        for v in pool.len() as u32..len {
+            pool.push(Arc::new(synthetic_vector(t as u32, v)));
+        }
+        pool[..len as usize].to_vec()
+    }
+
+    /// Vectors held, over every transfer index.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.vectors.iter().map(Vec::len).sum()
+    }
 }
 
 /// The compiled artifact of one logical graph against one
@@ -263,6 +296,9 @@ pub struct Runtime {
     /// The payload-binding executor (datapath mode); chip simulators are
     /// reset, not rebuilt, across attempts and launches.
     pub(crate) executor: crate::cosim::PlanExecutor,
+    /// Synthetic payload vectors shared by every datapath artifact this
+    /// runtime compiles.
+    pub(crate) payload_pool: PayloadPool,
     /// Where launch-lifecycle trace events go. Shared with the executor so
     /// one faulty launch renders as a single timeline: runtime lane events
     /// (compile, replay epochs, blame, failover) interleaved with the
@@ -289,6 +325,7 @@ impl Runtime {
             mapping_epoch: 0,
             residency: ResidencyManager::new(),
             executor: crate::cosim::PlanExecutor::new(),
+            payload_pool: PayloadPool::default(),
             sink: None,
         }
     }
@@ -503,7 +540,9 @@ impl Runtime {
     /// the transfer and vector indices — not on the seed, the attempt, or
     /// the mapping — so every run of the same logical graph moves the
     /// same bits, which is what makes "bit-identical to a fault-free run"
-    /// a checkable property rather than a tautology.
+    /// a checkable property rather than a tautology. It also lets every
+    /// artifact take its payloads as handles from the runtime's
+    /// [`PayloadPool`].
     pub(crate) fn compile_datapath(
         &mut self,
         graph_fp: u64,
@@ -521,11 +560,7 @@ impl Runtime {
         let payloads = shapes
             .iter()
             .enumerate()
-            .map(|(t, s)| {
-                (0..s.vectors)
-                    .map(|v| Arc::new(synthetic_vector(t as u32, v)))
-                    .collect()
-            })
+            .map(|(t, s)| self.payload_pool.prefix(t, s.vectors))
             .collect();
         Ok(DatapathArtifact { plan, payloads })
     }
@@ -850,6 +885,52 @@ mod tests {
             }
             other => panic!("expected a capacity error, got {other:?}"),
         }
+    }
+
+    /// BERT at smoke scale, 4 encoders over 64-token sequences, on a
+    /// 4-stage pipeline.
+    fn bert(batch: u64) -> Graph {
+        tsm_workloads::BertConfig {
+            batch,
+            seq: 64,
+            ..tsm_workloads::BertConfig::with_encoders(4)
+        }
+        .build_pipeline_graph(4)
+    }
+
+    /// Warming one runtime at several batch sizes synthesizes each
+    /// `(transfer, vector)` payload once: the pool ends holding exactly
+    /// the longest length launched per transfer index, and every resident
+    /// entry binds the very handles an earlier entry bound.
+    #[test]
+    fn payload_pool_synthesizes_each_vector_once() {
+        let mut rt = runtime().with_exec_mode(ExecMode::Datapath);
+        let mut longest: Vec<usize> = Vec::new();
+        let mut earlier: Vec<Vec<Payload>> = Vec::new();
+        for batch in [2, 1, 3] {
+            rt.launch(&bert(batch), 1).unwrap();
+            let bound = &rt
+                .residency
+                .current()
+                .and_then(|c| c.datapath.as_ref())
+                .expect("a datapath launch leaves a datapath entry")
+                .payloads;
+            longest.resize(longest.len().max(bound.len()), 0);
+            for (t, vectors) in bound.iter().enumerate() {
+                longest[t] = longest[t].max(vectors.len());
+                for (v, handle) in vectors.iter().enumerate() {
+                    if let Some(old) = earlier.get(t).and_then(|e| e.get(v)) {
+                        assert!(Arc::ptr_eq(old, handle), "batch {batch}: ({t}, {v})");
+                    }
+                }
+            }
+            if earlier.is_empty() {
+                earlier = bound.clone();
+            }
+        }
+        assert_eq!(longest.len(), 3, "three stage-to-stage transfers");
+        assert!(longest[0] > earlier[0].len(), "batch 3 grew the pool");
+        assert_eq!(rt.payload_pool.len(), longest.iter().sum::<usize>());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The plan-residency layer, exercised through the public `Runtime`
 //! API: multi-model alternation reuses instead of recompiling, budgets
 //! evict deterministically (proptest vs a reference model), the warm
-//! tier round-trips plans across runtimes bit-for-bit, failovers drop
-//! stale epochs, and — the regression the bugfix must not cause —
-//! single-model launch sequences remain bit- and trace-identical to the
-//! pre-residency runtime.
+//! tier round-trips plans across runtimes bit-for-bit and refuses plans
+//! that index outside themselves, failovers drop stale epochs, entries
+//! sharing pooled payloads launch exactly like private ones, and — the
+//! regression the bugfix must not cause — single-model launch sequences
+//! remain bit- and trace-identical to the pre-residency runtime.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -14,6 +15,7 @@ use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::{EventKind, RingSink, RUNTIME_LANE};
+use tsm_workloads::BertConfig;
 
 /// A compute-only model; distinct `cycles` gives distinct fingerprints.
 fn compute_model(cycles: u64) -> Graph {
@@ -43,6 +45,17 @@ fn pipeline(bytes: u64) -> Graph {
     g.add(TspId(15), OpKind::Compute { cycles: 1_000 }, vec![t])
         .unwrap();
     g
+}
+
+/// BERT at smoke scale, 4 encoders over 64-token sequences, on a 4-stage
+/// pipeline: every batch size's transfers are prefixes of the next one's.
+fn bert(batch: u64) -> Graph {
+    BertConfig {
+        batch,
+        seq: 64,
+        ..BertConfig::with_encoders(4)
+    }
+    .build_pipeline_graph(4)
 }
 
 fn runtime(mode: ExecMode) -> Runtime {
@@ -230,6 +243,72 @@ fn warm_tier_round_trips_plans_across_runtimes() {
     rt3.launch(&pipeline(64_000), 7).unwrap();
     assert_eq!(rt3.residency().stats().warm_starts, 0);
     assert_eq!(rt3.residency().warm_len(), 1);
+}
+
+/// Entries whose payloads come from one shared pool launch exactly like
+/// entries with private payloads: one runtime warmed at several batch
+/// sizes gives the same outcome, destination digests included, and
+/// charges the same bytes per entry as a fresh runtime per batch size.
+#[test]
+fn shared_payloads_launch_like_private_ones() {
+    let mut shared = runtime(ExecMode::Datapath);
+    let mut private_bytes = Vec::new();
+    for batch in [2, 1, 3] {
+        let g = bert(batch);
+        let warmed = shared.launch(&g, 7).unwrap();
+        let mut fresh = runtime(ExecMode::Datapath);
+        let private = fresh.launch(&g, 7).unwrap();
+        assert_eq!(warmed, private, "batch {batch}");
+        assert_eq!(warmed.dst_digests, private.dst_digests, "batch {batch}");
+        let [info] = fresh.residency().resident()[..] else {
+            panic!("a fresh runtime holds one entry");
+        };
+        private_bytes.push((info.graph_fp, info.bytes));
+    }
+    private_bytes.sort_unstable();
+    let shared_bytes: Vec<(u64, u64)> = shared
+        .residency()
+        .resident()
+        .iter()
+        .map(|i| (i.graph_fp, i.bytes))
+        .collect();
+    assert_eq!(shared_bytes, private_bytes);
+}
+
+/// `doc` with the value of `key` in the first preload replaced by `value`.
+fn edit_first_preload(doc: &str, key: &str, value: u64) -> String {
+    let preloads = doc
+        .find("\"preloads\": [")
+        .expect("the source chip preloads");
+    let at = preloads + doc[preloads..].find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
+    let end = at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{}{value}{}", &doc[..at], &doc[end..])
+}
+
+/// Warm-tier documents are trusted only as far as their own shapes: an
+/// offset too wide for its field, or a preload naming a vector its
+/// transfer does not have, is refused at import with an error naming the
+/// field. The tier keeps only what it held before, and the next launch
+/// adopts that plan instead of indexing out of bounds.
+#[test]
+fn warm_tier_refuses_plans_that_index_outside_themselves() {
+    let g = pipeline(3_200);
+    let mut rt1 = runtime(ExecMode::Datapath);
+    let cold = rt1.launch(&g, 7).unwrap();
+    let exported = rt1.residency().export_warm();
+    for (key, value, says) in [
+        ("offset", 70_000, "offset 70000"),
+        ("vector", 99, "vector 99"),
+    ] {
+        let hostile = edit_first_preload(&exported, key, value);
+        let mut rt = runtime(ExecMode::Datapath);
+        assert_eq!(rt.residency_mut().import_warm(&exported), Ok(1));
+        let err = rt.residency_mut().import_warm(&hostile).unwrap_err();
+        assert!(err.contains(says), "{key}: {err}");
+        assert_eq!(rt.residency().warm_len(), 1, "{key}: the tier is unchanged");
+        assert_eq!(rt.launch(&g, 7).unwrap(), cold, "{key}");
+        assert_eq!(rt.residency().stats().warm_starts, 1, "{key}");
+    }
 }
 
 /// Reference model for the through-the-runtime proptest: entry-count

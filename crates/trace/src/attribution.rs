@@ -428,9 +428,9 @@ impl LatencyBreakdown {
         let mut critical = None;
         c.object(|c, key| {
             match key {
-                "request" => b.request = parse_u32(c, "request")?,
-                "tenant" => b.tenant = parse_u32(c, "tenant")?,
-                "batch" => b.batch = parse_u32(c, "batch")?,
+                "request" => b.request = c.narrow("request")?,
+                "tenant" => b.tenant = c.narrow("tenant")?,
+                "batch" => b.batch = c.narrow("batch")?,
                 "arrival" => b.arrival = c.u64()?,
                 "completion" => b.completion = c.u64()?,
                 "window_wait" => b.window_wait = c.u64()?,
@@ -439,8 +439,8 @@ impl LatencyBreakdown {
                 "replay" => b.replay = c.u64()?,
                 "execute" => b.execute = c.u64()?,
                 "drain" => b.drain = c.u64()?,
-                "compiles" => b.compiles = parse_u32(c, "compiles")?,
-                "reuses" => b.reuses = parse_u32(c, "reuses")?,
+                "compiles" => b.compiles = c.narrow("compiles")?,
+                "reuses" => b.reuses = c.narrow("reuses")?,
                 "critical" => {
                     let s = c.string()?;
                     critical = Some(Stage::from_str(&s).ok_or(format!("unknown stage {s:?}"))?);
@@ -460,10 +460,6 @@ impl LatencyBreakdown {
         }
         Ok(b)
     }
-}
-
-fn parse_u32(c: &mut Cursor<'_>, what: &str) -> Result<u32, String> {
-    u32::try_from(c.u64()?).map_err(|_| format!("{what} out of range"))
 }
 
 /// The aggregated attribution record of one serve run: every served

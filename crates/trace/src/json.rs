@@ -320,6 +320,14 @@ impl<'a> Cursor<'a> {
             .map_err(|e| format!("bad integer at byte {start}: {e}"))
     }
 
+    /// Parses a non-negative integer into the narrower type of `field`: a
+    /// value that does not fit is an error naming the field, never
+    /// truncated.
+    pub fn narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, String> {
+        let v = self.u64()?;
+        T::try_from(v).map_err(|_| format!("{field} {v} out of range"))
+    }
+
     /// Parses `true` or `false`.
     pub fn bool(&mut self) -> Result<bool, String> {
         self.skip_ws();

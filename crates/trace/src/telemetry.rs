@@ -356,10 +356,7 @@ impl Telemetry {
         c.object(|c, key| {
             match key {
                 "window" => t.window = c.u64()?,
-                "slo_permille" => {
-                    t.slo_permille = u32::try_from(c.u64()?)
-                        .map_err(|_| "slo_permille out of range".to_string())?;
-                }
+                "slo_permille" => t.slo_permille = c.narrow("slo_permille")?,
                 "series" => c.array(|c| {
                     let mut ts = TimeSeries::new("", "", SeriesKind::Counter);
                     c.object(|c, k| {

@@ -42,7 +42,8 @@ cargo test -p tsm-core --test serving_queue -q
 cargo test -p tsm-core --test serve_golden -q
 # The plan-residency layer: multi-model reuse, budget-0 single-entry
 # equivalence, pre-residency trace-shape pinning, failover epoch drops,
-# the warm-start tier round trip, and the LRU-vs-reference proptest.
+# the warm-start tier round trip and its refusal of hostile plans,
+# shared-vs-private payload identity, and the LRU-vs-reference proptest.
 cargo test -p tsm-core --test residency -q
 # The windowed telemetry layer: launch/serve off-identity (sampling off is
 # bit-identical to pre-feature behaviour), heatmap-vs-trace agreement,
@@ -81,8 +82,12 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 # must sum exactly to its latency, with byte-reproducible incident
 # capture and the off-is-off identity for both features. Writes no files.
 cargo run --release -p tsm-bench --bin repro attribution-smoke
-# Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle.
+# Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
+# and plan JSON that indexes outside itself refused at parse.
 cargo test -p tsm-core --lib cosim::plan -q
+# Runtime unit tests: the payload pool synthesizes each (transfer, vector)
+# once per runtime and every residency entry binds the same handles.
+cargo test -p tsm-core --lib runtime -q
 # Plan compile is pinned byte for byte: golden digests of three compiled
 # plans, then the outside-in benchmark's own tests and one pass of each
 # co-simulation and serving workload. Each run exits 1 if its seed-1
