@@ -378,8 +378,8 @@ pub struct TelemetryBenchResult {
 
 /// Measures the telemetry bench point: a two-tenant serve run — one
 /// comfortable, one with deadlines tight enough to miss — with windowed
-/// sampling on, in datapath mode without certification so the launches'
-/// link/chip heatmaps land on the serving timeline.
+/// sampling on, in datapath mode, so the launches' link/chip heatmaps
+/// land on the serving timeline.
 pub fn measure_telemetry(
     encoders: usize,
     horizon_services: u64,
@@ -922,7 +922,7 @@ mod tests {
         assert!(r.series_count > 0);
         assert!(
             r.link_labels > 0 && r.chip_labels > 0,
-            "non-certified datapath launches put heatmaps on the timeline"
+            "datapath launches put heatmaps on the timeline"
         );
         assert_eq!(r.tenants.len(), 2);
         assert!(

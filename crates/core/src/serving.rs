@@ -35,13 +35,11 @@ use crate::flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigge
 use crate::runtime::{mix64, ExecMode, Runtime, RuntimeError, EPOCH_GAP_CYCLES};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use tsm_compiler::graph::Graph;
-use tsm_trace::profile::profile;
 use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{
-    names, AttributionReport, CycleHistogram, EventKind, LatencyBreakdown, Metrics, RingSink,
-    RunMetrics, ShedReason, Tracer, SERVING_LANE,
+    names, AttributionReport, CycleHistogram, EventKind, LatencyBreakdown, Metrics, RunMetrics,
+    ShedReason, Tracer, SERVING_LANE,
 };
 
 /// Why admission control rejected a request.
@@ -196,11 +194,12 @@ pub struct ServeConfig {
     /// Base seed; batch `i`'s launch seed is derived from it (recorded in
     /// [`BatchRecord::seed`]).
     pub seed: u64,
-    /// Certify every launch against the conformance profiler
-    /// ([`tsm_trace::profile`]). Requires [`ExecMode::Datapath`]. Each
-    /// launch then runs base-0 into a private scratch sink (the serving
-    /// timeline keeps only the `Request*`/`Batch*` events), and
-    /// [`BatchRecord::certified`] reports the verdict.
+    /// Certify every launch against its compiled plan: each
+    /// [`BatchRecord::certified`] then carries the conformance verdict.
+    /// Requires [`ExecMode::Datapath`]. Like the observers below it only
+    /// observes: launches, traces and the report are the same with it
+    /// off, but for the verdicts and the flight recorder's Deviant
+    /// incidents.
     pub certify: bool,
     /// Windowed telemetry sampling ([`tsm_trace::telemetry`]). `Some`
     /// makes [`ServeReport::telemetry`] carry per-tenant throughput,
@@ -293,6 +292,9 @@ pub struct BatchRecord {
     /// Execution attempts the launch consumed (1 = clean first try).
     pub attempts: u32,
     /// Conformance verdict when [`ServeConfig::certify`] was on.
+    /// `Some(true)`: every planned delivery landed once, at its planned
+    /// cycle. That holds exactly when the launch ran in one attempt, and
+    /// it is the verdict [`tsm_trace::profile`] gives the launch's trace.
     pub certified: Option<bool>,
     /// The batch's full launch record — by the engine's determinism,
     /// bit-identical to `Runtime::launch(graph, seed)` standalone (the
@@ -356,9 +358,9 @@ pub struct ServeReport {
     /// was set: per-tenant `serve.throughput`/`serve.enqueued`/
     /// `serve.shed`/`serve.expired` counters, `serve.slo.met`/
     /// `serve.slo.missed` (a request meets its SLO when it completes by
-    /// its deadline), the `serve.queue_depth` gauge, and — in
-    /// non-certify runs — the launches' `link.deliveries`/
-    /// `chip.busy_cycles` heatmaps merged onto the serving timeline.
+    /// its deadline), the `serve.queue_depth` gauge, and the launches'
+    /// `link.deliveries`/`chip.busy_cycles` heatmaps merged onto the
+    /// serving timeline.
     /// `None` when telemetry is off.
     pub telemetry: Option<Telemetry>,
     /// Per-request latency breakdowns plus their per-tenant/per-stage
@@ -778,40 +780,12 @@ impl Server {
                     let model = offered[head].model;
                     let seed = mix64(self.cfg.seed, u64::from(batch));
                     let graph = (self.models[model as usize])(size);
-                    let (outcome, certified) = if self.cfg.certify {
-                        // Certified launches run base-0 into a private
-                        // scratch ring so the profiler's plan-vs-actual
-                        // join sees exactly one launch at its planned
-                        // coordinates.
-                        let scratch = Arc::new(RingSink::new(1 << 18));
-                        self.rt
-                            .set_trace_sink(Arc::clone(&scratch) as Arc<dyn tsm_trace::TraceSink>);
-                        let out = self.rt.launch_at(&graph, seed, 0);
-                        match &user_sink {
-                            Some(s) => self.rt.set_trace_sink(Arc::clone(s)),
-                            None => self.rt.clear_trace_sink(),
-                        }
-                        let out = out?;
-                        let planned = self
-                            .rt
-                            .planned_timeline()
-                            .expect("datapath launch has a planned timeline");
-                        let certified =
-                            profile(&planned, &scratch.sorted_events(), scratch.dropped())
-                                .map(|p| p.conformance.certified())
-                                .unwrap_or(false);
-                        (out, Some(certified))
-                    } else {
-                        let out = self.rt.launch_at(&graph, seed, now)?;
-                        // Merge the launch's link/chip heatmaps onto the
-                        // serving timeline. Certified launches run base-0,
-                        // off this timeline, so their heatmaps stay on the
-                        // batch's own outcome record instead.
-                        if let (Some(s), Some(lt)) = (sampler.as_mut(), out.telemetry.as_ref()) {
-                            s.absorb(lt);
-                        }
-                        (out, None)
-                    };
+                    let outcome = self.rt.launch_at(&graph, seed, now)?;
+                    // Merge the launch's link/chip heatmaps onto the
+                    // serving timeline.
+                    if let (Some(s), Some(lt)) = (sampler.as_mut(), outcome.telemetry.as_ref()) {
+                        s.absorb(lt);
+                    }
                     batches.push(BatchRecord {
                         batch,
                         model,
@@ -820,7 +794,13 @@ impl Server {
                         completion: now + outcome.timeline_cycles,
                         seed,
                         attempts: outcome.attempts(),
-                        certified,
+                        // One attempt is exactly the profiler's verdict:
+                        // each `Delivery` lands at its manifest cycle plus
+                        // its attempt window's start, and `profile()`
+                        // normalizes by the first window, so only a
+                        // one-attempt launch has zero skew, no duplicate
+                        // and nothing unplanned.
+                        certified: self.cfg.certify.then(|| outcome.attempts() == 1),
                         outcome,
                     });
                     in_flight = Some((requests, window_deadline));

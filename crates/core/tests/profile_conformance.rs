@@ -2,13 +2,16 @@
 //! run delivers every vector on exactly the cycle the compiler promised
 //! (zero skew, serial and parallel alike), and a replayed launch shows
 //! nonzero, deterministic, itemized per-link skew — one whole epoch
-//! window per replay.
+//! window per replay. The profiler is also the oracle for the serving
+//! loop's certification, which reads its verdict off the launch record.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
 use tsm_core::cosim::{compile_plan, CompiledPlan, CosimTransfer, PlanExecutor, TransferShape};
 use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
+use tsm_core::serving::{Request, ServeConfig, Server};
 use tsm_core::system::System;
+use tsm_isa::vector::VECTOR_BYTES;
 use tsm_isa::Vector;
 use tsm_topology::{LinkId, NodeId, Topology, TspId};
 use tsm_trace::profile::{profile, Conformance, ProfileError};
@@ -143,11 +146,16 @@ fn clean_datapath_launch_certifies_end_to_end() {
     assert!(!prof.chips.is_empty(), "chip breakdown present");
 }
 
-/// Marks every cable into `victim` marginal at a BER where a replay
-/// usually clears the fault without needing a failover.
-fn marginal_runtime(victim: NodeId) -> Runtime {
+/// Marks every cable into node 1 marginal at `ber`; 2e-5 is a BER where
+/// a replay usually clears the fault without needing a failover. A `ber`
+/// of 0 leaves the fabric clean.
+fn marginal_runtime(ber: f64) -> Runtime {
     let mut rt = datapath_runtime();
-    rt.set_ber(0.0, 2e-5);
+    if ber == 0.0 {
+        return rt;
+    }
+    rt.set_ber(0.0, ber);
+    let victim = NodeId(1);
     let bad: Vec<LinkId> = rt
         .system()
         .topology()
@@ -165,7 +173,7 @@ fn marginal_runtime(victim: NodeId) -> Runtime {
 
 fn replay_profile(seed: u64) -> Option<tsm_trace::LaunchProfile> {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = marginal_runtime(NodeId(1)).with_trace_sink(sink.clone());
+    let mut rt = marginal_runtime(2e-5).with_trace_sink(sink.clone());
     let out = rt.launch(&logical_pipeline(), seed).ok()?;
     // Replay-only recovery: a second attempt on the *same* plan, no
     // failover, so the final plan is also attempt 0's plan.
@@ -238,4 +246,118 @@ fn lossy_traces_are_refused_and_surfaced_in_metrics() {
         Err(ProfileError::LossyTrace { dropped })
     );
     assert_eq!(report.metrics.gauge(names::TRACE_DROPPED), Some(dropped));
+}
+
+/// Certification reads the profiler's verdict off the launch record
+/// (one attempt). Checks that against `profile()` itself: every batch of
+/// certified serves over a clean and two marginal fabrics is relaunched,
+/// in order, on an identically prepared twin runtime into a lossless
+/// ring, and the twin's profile certifies exactly the batches the server
+/// certified. The corpus covers clean, replayed and failed-over batches.
+#[test]
+fn served_verdicts_equal_the_profilers() {
+    let model = |batch: u32| {
+        let mut g = logical_pipeline();
+        g.add(
+            TspId(0),
+            OpKind::Compute {
+                cycles: 1_000 * batch as u64,
+            },
+            vec![],
+        )
+        .unwrap();
+        g
+    };
+    let offered: Vec<Request> = (0..6u64)
+        .map(|i| Request {
+            at: i * 3_000,
+            tenant: i as u32 % 2,
+            model: 0,
+            priority: 1,
+            deadline_slack: 10_000_000,
+        })
+        .collect();
+    let (mut replayed, mut failed_over) = (0, 0);
+    for (ber, seeds) in [(0.0, 0..2), (2e-5, 0..6), (1e-4, 0..4)] {
+        for seed in seeds {
+            let cfg = ServeConfig {
+                batch_window: 500,
+                max_batch: 4,
+                seed,
+                certify: true,
+                ..ServeConfig::default()
+            };
+            let mut server = Server::new(marginal_runtime(ber), cfg);
+            server.add_model(model);
+            let report = server.serve(&offered).unwrap();
+            assert!(!report.batches.is_empty());
+
+            let mut twin = marginal_runtime(ber);
+            for b in &report.batches {
+                let ring = Arc::new(RingSink::new(1 << 16));
+                twin.set_trace_sink(ring.clone());
+                let out = twin.launch_at(&model(b.size), b.seed, b.dispatch).unwrap();
+                assert_eq!(out, b.outcome, "ber {ber} seed {seed} batch {}", b.batch);
+                assert_eq!(ring.dropped(), 0);
+                let planned = twin.planned_timeline().unwrap();
+                let prof = profile(&planned, &ring.sorted_events(), ring.dropped()).unwrap();
+                assert_eq!(
+                    b.certified,
+                    Some(prof.certified()),
+                    "ber {ber} seed {seed} batch {}: {:?}",
+                    b.batch,
+                    prof.conformance
+                );
+                if !b.outcome.failovers.is_empty() {
+                    failed_over += 1;
+                } else if b.outcome.replays() > 0 {
+                    replayed += 1;
+                }
+            }
+        }
+    }
+    assert!(replayed > 0, "the corpus replays without failing over");
+    assert!(failed_over > 0, "the corpus fails over");
+}
+
+/// A clean certified launch certifies however many trace events it
+/// makes. Four 65,536-vector transfers inside node 0 deliver 2^18
+/// vectors in one attempt, more events than a 2^18-entry trace ring
+/// holds; a verdict profiled from such a ring reads its loss as a
+/// deviant launch.
+#[test]
+fn clean_launch_past_two_to_the_eighteen_events_certifies() {
+    let cfg = ServeConfig {
+        certify: true,
+        ..ServeConfig::default()
+    };
+    let mut server = Server::new(datapath_runtime(), cfg);
+    let model = server.add_model(|_| {
+        let mut g = Graph::new();
+        for from in [0, 2, 4, 6] {
+            g.add(
+                TspId(from),
+                OpKind::Transfer {
+                    to: TspId(from + 1),
+                    bytes: 65_536 * VECTOR_BYTES as u64,
+                    allow_nonminimal: false,
+                },
+                vec![],
+            )
+            .unwrap();
+        }
+        g
+    });
+    let report = server
+        .serve(&[Request {
+            at: 0,
+            tenant: 0,
+            model,
+            priority: 0,
+            deadline_slack: u64::MAX,
+        }])
+        .unwrap();
+    let b = &report.batches[0];
+    assert_eq!(b.attempts, 1, "the fabric is clean");
+    assert_eq!(b.certified, Some(true));
 }

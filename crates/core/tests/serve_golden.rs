@@ -1,9 +1,8 @@
 //! Golden pins of `Server::serve`: one fixed multi-tenant, two-model
 //! fixture with every observer on (trace sink, telemetry, attribution,
-//! flight recorder), over a clean and a marginal fabric, with and without
-//! certification.
+//! flight recorder), over a clean and a marginal fabric.
 //!
-//! Each case pins two FNV-1a digests:
+//! Each fabric pins two FNV-1a digests of the uncertified run:
 //!
 //! - the report without `incidents`: the metrics, telemetry and
 //!   attribution JSON, plus the outcomes, batches (with their launch
@@ -16,11 +15,17 @@
 //! to the loop may legitimately alter. Everything pinned here is what the
 //! loop *decides* — a digest change is a behaviour change, never a
 //! re-pin.
+//!
+//! Certification only observes, so the certified run is pinned by
+//! identity with the uncertified one rather than by digests of its own:
+//! the same report once the verdicts are cleared, the same launch trace,
+//! a verdict per batch equal to `Some(attempts == 1)`, and one extra
+//! Deviant incident per batch that did not certify.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::flight::FlightConfig;
+use tsm_core::flight::{FlightConfig, IncidentReport, IncidentTrigger};
 use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
@@ -28,12 +33,12 @@ use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::telemetry::TelemetryConfig;
 use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
 
-/// FNV-1a of no bytes. Certified launches trace into a private scratch
-/// ring, so the user's sink holds no launch events at all.
-const FNV_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+/// Uncertified pins per fabric: (report without incidents, launch trace).
+const CLEAN: (u64, u64) = (10767313771079705818, 11349179071343632474);
+const MARGINAL: (u64, u64) = (16795044075802140433, 12054163327429677918);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_EMPTY, |h, &b| {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
@@ -218,9 +223,8 @@ fn launch_trace_digest(events: &[TraceEvent]) -> u64 {
     fnv1a(s.as_bytes())
 }
 
-fn check(certify: bool, marginal: bool, pinned: (u64, u64)) {
-    let (report, events) = serve(certify, marginal);
-    // The fixture exercises every serving outcome and every observer.
+/// The fixture exercises every serving outcome and every observer.
+fn check_fixture(report: &ServeReport, marginal: bool) {
     assert!(report.shed > 0 && report.expired > 0 && report.served > 0);
     let late = offered()
         .iter()
@@ -239,29 +243,76 @@ fn check(certify: bool, marginal: bool, pinned: (u64, u64)) {
             "the marginal fabric replays"
         );
     }
+}
+
+fn check_uncertified(marginal: bool, pinned: (u64, u64)) {
+    let (report, events) = serve(false, marginal);
+    check_fixture(&report, marginal);
     let got = (report_digest(&report), launch_trace_digest(&events));
+    assert_eq!(got, pinned, "serve digests changed (marginal={marginal})");
+}
+
+/// The certified run is the uncertified one plus the verdicts.
+fn check_certified(marginal: bool, pinned: (u64, u64)) {
+    let (mut off, _) = serve(false, marginal);
+    let (on, events) = serve(true, marginal);
+    check_fixture(&on, marginal);
+    for b in &on.batches {
+        assert_eq!(b.certified, Some(b.attempts == 1), "batch {}", b.batch);
+    }
+    // A batch that does not certify fires a Deviant incident at its end.
+    let deviants: Vec<(u64, IncidentTrigger)> = on
+        .batches
+        .iter()
+        .filter(|b| b.certified == Some(false))
+        .map(|b| (b.completion, IncidentTrigger::Deviant { batch: b.batch }))
+        .collect();
     assert_eq!(
-        got, pinned,
-        "serve digests changed (certify={certify}, marginal={marginal})"
+        !deviants.is_empty(),
+        marginal,
+        "only the marginal fabric deviates"
     );
+
+    // The same launches on the same sink: the launch trace is the
+    // uncertified pin.
+    assert_eq!(launch_trace_digest(&events), pinned.1);
+    // The same report once the verdicts are cleared, incidents aside.
+    let mut cleared = on;
+    for b in &mut cleared.batches {
+        b.certified = None;
+    }
+    let on_incidents = cleared.incidents.take().unwrap();
+    let off_incidents = off.incidents.take().unwrap();
+    assert_eq!(cleared, off);
+    assert_eq!(report_digest(&cleared), pinned.0);
+    // Every other incident fires as it does uncertified.
+    assert_eq!(on_incidents.len(), off_incidents.len() + deviants.len());
+    let fired = |v: &[IncidentReport], deviant: bool| -> Vec<(u64, IncidentTrigger)> {
+        v.iter()
+            .filter(|i| matches!(i.trigger, IncidentTrigger::Deviant { .. }) == deviant)
+            .map(|i| (i.cycle, i.trigger))
+            .collect()
+    };
+    assert_eq!(fired(&on_incidents, true), deviants);
+    assert_eq!(fired(&on_incidents, false), fired(&off_incidents, false));
 }
 
 #[test]
 fn clean_fabric_uncertified() {
-    check(false, false, (10767313771079705818, 11349179071343632474));
+    check_uncertified(false, CLEAN);
 }
 
 #[test]
 fn clean_fabric_certified() {
-    check(true, false, (10824466948831890672, FNV_EMPTY));
+    check_certified(false, CLEAN);
 }
 
 #[test]
 fn marginal_fabric_uncertified() {
-    check(false, true, (16795044075802140433, 12054163327429677918));
+    check_uncertified(true, MARGINAL);
 }
 
 #[test]
 fn marginal_fabric_certified() {
-    check(true, true, (10344323833421190989, FNV_EMPTY));
+    check_certified(true, MARGINAL);
 }

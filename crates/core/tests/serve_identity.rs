@@ -60,9 +60,9 @@ fn make_marginal(rt: &mut Runtime, victim: NodeId) {
     }
 }
 
-/// Serves exactly one request (batch window 0, certify off, so the
-/// launch runs at base 0 on the shared sink) and returns the batch
-/// record plus the non-serving trace events.
+/// Serves exactly one request (batch window 0, so the launch runs at
+/// base 0 on the shared sink) and returns the batch record plus the
+/// non-serving trace events.
 fn serve_one(mode: ExecMode, cfg_seed: u64, marginal: bool) -> (BatchRecord, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 16));
     let mut rt = runtime(mode).with_trace_sink(sink.clone());

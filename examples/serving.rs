@@ -132,8 +132,8 @@ fn main() {
         queue_capacity: 32,
         tenant_quota: 12, // the burst cannot squeeze tenant 0 out
         seed: 7,
-        // Non-certified launches put their link/chip heatmaps on the
-        // serving timeline; certify-mode replays run off-timeline.
+        // Every launch puts its link/chip heatmaps on the serving
+        // timeline; certification would only add per-batch verdicts.
         certify: false,
         telemetry: Some(TelemetryConfig {
             window: service / 2,

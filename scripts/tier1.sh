@@ -29,7 +29,10 @@ cargo test -p tsm-core --test trace_identity -q
 cargo test -p tsm-core --test trace_fault -q
 # The plan-vs-actual conformance invariant: fault-free runs certify with
 # zero skew (executor and full launch), replays itemize deterministic
-# skew, lossy traces are refused.
+# skew, lossy traces are refused. The profiler is also the oracle for the
+# serving loop's verdicts: every batch of certified serves over clean,
+# replaying and failing-over fabrics is relaunched on a twin runtime and
+# profiled, and a clean launch past 2^18 trace events must certify.
 cargo test -p tsm-core --test profile_conformance -q
 # The serving runtime: launch-vs-serve-of-one bit/trace identity (both
 # exec modes, fault-free and replay paths), WorkQueue total-order
@@ -37,8 +40,10 @@ cargo test -p tsm-core --test profile_conformance -q
 cargo test -p tsm-core --test serve_identity -q
 cargo test -p tsm-core --test serving_queue -q
 # Golden pins of Server::serve with every observer on (clean and marginal
-# fabric, certify on and off): the report and the launch trace must match
-# the pinned digests byte for byte.
+# fabric): the uncertified report and launch trace must match the pinned
+# digests byte for byte, and the certified run must be the uncertified
+# one plus the verdicts (Some(attempts == 1)) and one Deviant incident
+# per batch that did not certify.
 cargo test -p tsm-core --test serve_golden -q
 # The plan-residency layer: multi-model reuse, budget-0 single-entry
 # equivalence, pre-residency trace-shape pinning, failover epoch drops,
