@@ -7,18 +7,21 @@
 //! lowering or stream allocation happens here. This is the runtime half of
 //! the paper's compile-once / execute-many contract (§5, Fig 17).
 //!
-//! Parallelism comes from a persistent worker pool: workers are created
-//! once (lazily, at the first parallel execution) and each hop-depth level
-//! is a single epoch dispatch. Which worker runs which chip is fixed at
-//! plan-compile time by [`ChipPlan::shard`] — a hash of the TSP id — so
-//! the assignment depends on the plan alone, never on OS scheduling. Every
-//! observable (results, traces, metrics, the first error) is merged on the
-//! calling thread in ascending `(depth, TspId)` order, which is what makes
-//! serial and parallel execution bit-identical.
+//! Every delivery is bound from the plan before any chip runs, and no chip
+//! reads another chip's output, so the chips of one execute need no
+//! barrier between them. A parallel execute opens one
+//! [`std::thread::scope`]: chips are partitioned once by their
+//! compile-time [`ChipPlan::shard`] (a hash of the TSP id) modulo the
+//! width, the lowest non-empty shard runs on the calling thread and every
+//! other non-empty shard on a scoped thread of its own. Which thread runs
+//! which chip therefore depends on the plan and the width alone, never on
+//! OS scheduling. Every observable (results, traces, metrics, the first
+//! error) is merged on the calling thread in the plan's level order —
+//! ascending `(depth, TspId)` — which is what makes serial and parallel
+//! execution bit-identical.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tsm_chip::exec::{ChipSim, Payload};
@@ -33,7 +36,6 @@ use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{names, EventKind, Metrics, TraceSink, Tracer};
 
 use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
-use super::pool::WorkerPool;
 use super::verify::{verify_destinations, verify_emissions};
 use super::{CosimError, CosimReport};
 
@@ -176,37 +178,12 @@ fn transmit_delivery(
     }
 }
 
-/// One chip's pending level result. Workers write disjoint slots (the
-/// shard partition guarantees exclusivity); the calling thread reads them
-/// after the dispatch barrier.
-#[derive(Debug, Default)]
-struct SlotCell(UnsafeCell<Option<Result<u64, CosimError>>>);
-
-// Safety: slot `i` is written by exactly one worker per level (the one
-// owning `chips[i].shard % workers`) and only read on the calling thread
-// after the pool's dispatch barrier, which orders the accesses.
-unsafe impl Sync for SlotCell {}
-
-/// The simulator array as a raw base pointer, so workers can reach their
-/// own shard's simulators. Disjointness comes from the same shard
-/// partition that protects [`SlotCell`].
-#[derive(Clone, Copy)]
-struct SimsPtr(*mut ChipSim);
-
-unsafe impl Send for SimsPtr {}
-unsafe impl Sync for SimsPtr {}
-
-impl SimsPtr {
-    /// The simulator at index `i`.
-    ///
-    /// # Safety
-    /// `i` is in bounds and no other reference to this simulator exists
-    /// for the lifetime of the returned borrow (the executor's shard
-    /// partition guarantees this during a level dispatch).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn chip(&self, i: usize) -> &mut ChipSim {
-        &mut *self.0.add(i)
-    }
+/// One chip's turn in an execute: its plan, its simulator and, once it
+/// has run, its retire cycle or error.
+struct ChipRun<'a> {
+    chip: &'a ChipPlan,
+    sim: &'a mut ChipSim,
+    result: Option<Result<u64, CosimError>>,
 }
 
 /// Reusable payload-binding executor.
@@ -214,10 +191,9 @@ impl SimsPtr {
 /// One `PlanExecutor` can run many plans and many payload sets; its chip
 /// simulators are reset (allocations retained) at the start of every
 /// execution, so no state leaks between invocations and no state is
-/// rebuilt. Its worker pool and result slots persist the same way, so the
-/// warm path neither spawns threads nor allocates per launch. Serial and
-/// parallel execution are bit-identical — see the module docs of
-/// [`super`].
+/// rebuilt. A parallel execution spawns its scoped threads for that call
+/// alone; none outlive it. Serial and parallel execution are
+/// bit-identical — see the module docs of [`super`].
 #[derive(Debug, Default)]
 pub struct PlanExecutor {
     /// Per-chip simulators, aligned by index with the executing plan's
@@ -235,12 +211,6 @@ pub struct PlanExecutor {
     /// Explicit worker-count override (the `set_threads` knob); `None`
     /// defers to `TSM_THREADS`, then to `available_parallelism`.
     threads: Option<usize>,
-    /// Persistent workers, built lazily at the first parallel execution
-    /// and rebuilt only when the resolved width changes.
-    pool: Option<WorkerPool>,
-    /// Per-chip result slots, grown on demand and reused across
-    /// executions (the allocation-free warm path).
-    slots: Vec<SlotCell>,
     /// Windowed-telemetry sampling config; `None` (the default) keeps
     /// the sampler detached and every sampling point behind one branch,
     /// so disabled telemetry is bit- and trace-identical to pre-feature
@@ -308,9 +278,8 @@ impl PlanExecutor {
     }
 
     /// Pins the parallel worker count (clamped to at least 1). Overrides
-    /// the `TSM_THREADS` environment variable; the pool is rebuilt at the
-    /// next parallel execution if the width changed. Has no effect on the
-    /// serial entry points.
+    /// the `TSM_THREADS` environment variable from the next parallel
+    /// execution on. Has no effect on the serial entry points.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = Some(threads.max(1));
     }
@@ -340,9 +309,12 @@ impl PlanExecutor {
             .unwrap_or(1)
     }
 
-    /// Binds `payloads` to `plan` and executes it, chips within a hop
-    /// level in parallel on the persistent worker pool (width per
-    /// [`PlanExecutor::resolved_threads`]).
+    /// Binds `payloads` to `plan` and executes it, its chips split by
+    /// shard across [`PlanExecutor::resolved_threads`] threads: the calling
+    /// thread and at most that many less one scoped threads, spawned for
+    /// this call and joined before it returns. A chip that runs after the
+    /// first failing one (in `(depth, TspId)` order) is discarded with the
+    /// execute's error and reset at the next.
     ///
     /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
     /// plan's [`TransferShape`]s exactly.
@@ -418,9 +390,9 @@ impl PlanExecutor {
         let bind = |r: &VecRef| Arc::clone(&payloads[r.transfer as usize][r.vector as usize]);
 
         // Per-run observability state. All emission points below sit on
-        // the serial spine (this bind loop and the post-level merge loop),
-        // so the event sequence — not just the sorted set — is identical
-        // between serial and parallel execution.
+        // the serial spine (this bind loop and the merge loop after the
+        // chips run), so the event sequence — not just the sorted set — is
+        // identical between serial and parallel execution.
         let metrics = Metrics::default();
         let mut tracer = Tracer::new(self.sink.as_deref()).with_offset(self.trace_offset);
         // Telemetry sampling shares those serial paths: heatmap samples
@@ -549,111 +521,71 @@ impl PlanExecutor {
             });
         }
 
-        // Each chip runs exactly once, levels in topological order. A
-        // level is one pool dispatch: worker `w` runs the chips whose
-        // compile-time shard lands on `w`, writing retire results into
-        // per-chip slots and tallies into its own metrics instance. The
-        // serial path runs the identical per-chip code inline into the
-        // same slots. Either way, the merge below walks the level in
-        // ascending TspId order on this thread, so the first error in
-        // (depth, TspId) order — and every trace event — is identical in
-        // both modes.
-        let threads = if parallel { self.resolved_threads() } else { 1 };
-        if threads > 1 && self.pool.as_ref().is_none_or(|p| p.workers() != threads) {
-            self.pool = Some(WorkerPool::new(threads));
-        }
-        if self.slots.len() < plan.chips.len() {
-            self.slots.resize_with(plan.chips.len(), SlotCell::default);
-        }
-        for slot in &mut self.slots {
-            *slot.0.get_mut() = None;
-        }
-        let worker_metrics: Vec<Metrics> = (0..threads).map(|_| Metrics::default()).collect();
-        let mut retire_cycles = HashMap::new();
-        for level in &plan.levels {
-            if level.is_empty() {
-                continue;
-            }
-            if threads <= 1 {
-                for &i in level {
-                    let chip = &plan.chips[i as usize];
-                    let res = run_chip(
-                        plan,
-                        chip,
-                        &mut self.sims[i as usize],
-                        payloads,
-                        &worker_metrics[0],
-                    );
-                    *self.slots[i as usize].0.get_mut() = Some(res);
-                }
-            } else {
-                let pool = self.pool.as_ref().expect("pool built above");
-                let sims = SimsPtr(self.sims.as_mut_ptr());
-                let slots = &self.slots[..];
-                pool.dispatch(&|w| {
-                    for &i in level {
-                        let chip = &plan.chips[i as usize];
-                        if chip.shard as usize % threads != w {
-                            continue;
-                        }
-                        // Safety: the shard test above partitions the
-                        // level across workers, so index `i` is touched
-                        // by this worker alone; the dispatch barrier
-                        // publishes the writes to the merge loop.
-                        let sim = unsafe { sims.chip(i as usize) };
-                        let res = run_chip(plan, chip, sim, payloads, &worker_metrics[w]);
-                        unsafe { *slots[i as usize].0.get() = Some(res) };
-                    }
-                });
-            }
-            // Merge on the calling thread, ascending TspId order.
-            for &i in level {
-                let chip = &plan.chips[i as usize];
-                let retire = self.slots[i as usize]
-                    .0
-                    .get_mut()
+        // Each chip runs exactly once. Every delivery is bound above, from
+        // the plan, so no chip waits on another's output and the levels are
+        // not barriers: they fix only the order of the merge below, in
+        // (depth, TspId), and with it which error is reported first.
+        let width = if parallel { self.resolved_threads() } else { 1 };
+        let mut sims: Vec<Option<&mut ChipSim>> = self.sims.iter_mut().map(Some).collect();
+        // Sized up front: `flatten` gives `collect` no length, and growing
+        // would add allocations with the chip count.
+        let mut runs = Vec::with_capacity(plan.chips.len());
+        runs.extend(plan.levels.iter().flatten().map(|&i| {
+            ChipRun {
+                chip: &plan.chips[i as usize],
+                sim: sims[i as usize]
                     .take()
-                    .expect("every level chip is owned by exactly one worker")?;
-                retire_cycles.insert(chip.tsp, retire);
-                // The per-chip occupancy heatmap samples the same
-                // issue→retire span the ChipExec trace event covers, but
-                // independently of whether a sink is attached — telemetry
-                // works trace-off, and tracing works telemetry-off.
-                if let Some(s) = self.sampler.as_mut() {
-                    let start = plan.program(chip).first().map_or(0, |i| i.cycle);
-                    s.count_span(
-                        telemetry::series::CHIP_BUSY,
-                        &format!("chip{}", chip.tsp.0),
-                        self.trace_offset.saturating_add(start),
-                        retire.saturating_sub(start).max(1),
-                    );
-                }
-                if tracer.enabled() {
-                    let lane = chip.tsp.0;
-                    let instrs = plan.program(chip);
-                    let start = instrs.first().map_or(0, |i| i.cycle);
+                    .expect("levels list each chip at most once"),
+                result: None,
+            }
+        }));
+        run_shards(plan, payloads, &mut runs, width);
+
+        // Merge on the calling thread, in level order.
+        let mut retire_cycles = HashMap::with_capacity(runs.len());
+        for run in runs {
+            let chip = run.chip;
+            let retire = run
+                .result
+                .expect("every chip before the first failure has run")?;
+            metrics.observe_cycles(names::COSIM_RETIRE_CYCLES, retire);
+            retire_cycles.insert(chip.tsp, retire);
+            // The per-chip occupancy heatmap samples the same
+            // issue→retire span the ChipExec trace event covers, but
+            // independently of whether a sink is attached — telemetry
+            // works trace-off, and tracing works telemetry-off.
+            if let Some(s) = self.sampler.as_mut() {
+                let start = plan.program(chip).first().map_or(0, |i| i.cycle);
+                s.count_span(
+                    telemetry::series::CHIP_BUSY,
+                    &format!("chip{}", chip.tsp.0),
+                    self.trace_offset.saturating_add(start),
+                    retire.saturating_sub(start).max(1),
+                );
+            }
+            if tracer.enabled() {
+                let lane = chip.tsp.0;
+                let instrs = plan.program(chip);
+                let start = instrs.first().map_or(0, |i| i.cycle);
+                tracer.span(
+                    start,
+                    retire.saturating_sub(start).max(1),
+                    lane,
+                    EventKind::ChipExec {
+                        depth: chip.depth,
+                        instructions: instrs.len() as u32,
+                    },
+                );
+                if let (Some(first), Some(last)) = (chip.emissions.first(), chip.emissions.last()) {
+                    // Emissions are stored sorted by (cycle, port).
                     tracer.span(
-                        start,
-                        retire.saturating_sub(start).max(1),
+                        first.cycle,
+                        (last.cycle - first.cycle).max(1),
                         lane,
-                        EventKind::ChipExec {
-                            depth: chip.depth,
-                            instructions: instrs.len() as u32,
+                        EventKind::Emissions {
+                            count: chip.emissions.len() as u32,
                         },
                     );
-                    if let (Some(first), Some(last)) =
-                        (chip.emissions.first(), chip.emissions.last())
-                    {
-                        // Emissions are stored sorted by (cycle, port).
-                        tracer.span(
-                            first.cycle,
-                            (last.cycle - first.cycle).max(1),
-                            lane,
-                            EventKind::Emissions {
-                                count: chip.emissions.len() as u32,
-                            },
-                        );
-                    }
                 }
             }
         }
@@ -673,48 +605,67 @@ impl PlanExecutor {
             metrics.set_gauge(names::TRACE_DROPPED, trace_dropped);
         }
 
-        // Fold the workers' tallies into the spine's snapshot in
-        // worker-index order. `RunMetrics::absorb` is commutative for
-        // counters and histograms (entries re-sort to canonical order), so
-        // the result is independent of how the shard hash partitioned the
-        // chips — which is what keeps this snapshot bit-identical between
-        // serial and parallel execution. Workers never touch gauges (the
-        // one absorb channel that is order-sensitive).
-        let mut snapshot = metrics.snapshot();
-        for wm in &worker_metrics {
-            snapshot.absorb(&wm.snapshot());
-        }
-
         Ok(CosimReport {
             retire_cycles,
             instructions: plan.instructions,
             arrivals: plan.arrivals.clone(),
             dst_digests,
-            metrics: snapshot,
+            metrics: metrics.snapshot(),
         })
     }
 }
 
-/// Runs one chip of one level: executes its slab window, verifies its
-/// emission manifest, and tallies its retire cycle into `metrics`.
+/// Runs every chip of `runs` once, split by compile-time shard across
+/// `width` threads: the lowest non-empty shard on the calling thread, each
+/// other non-empty shard on a scoped thread of its own. Within a shard
+/// chips run in `runs` order, so a shard stops at its own first failure.
+fn run_shards(plan: &CompiledPlan, payloads: &[Vec<Payload>], runs: &mut [ChipRun], width: usize) {
+    if width <= 1 {
+        return run_shard(plan, payloads, runs.iter_mut());
+    }
+    let shard = |r: &&mut ChipRun| r.chip.shard as usize % width;
+    // A stable sort keeps each shard's chips in `runs` order.
+    let mut by_shard: Vec<&mut ChipRun> = runs.iter_mut().collect();
+    by_shard.sort_by_key(shard);
+    let mut shards = by_shard.chunk_by_mut(|a, b| shard(a) == shard(b));
+    let first = shards.next();
+    std::thread::scope(|s| {
+        for chunk in shards {
+            s.spawn(|| run_shard(plan, payloads, chunk.iter_mut().map(|r| &mut **r)));
+        }
+        if let Some(chunk) = first {
+            run_shard(plan, payloads, chunk.iter_mut().map(|r| &mut **r));
+        }
+    });
+}
+
+/// Runs a shard's chips in order, stopping at the first that fails: each
+/// executes its slab window and has its emission manifest verified.
 ///
-/// This is the *entire* per-chip level body, shared verbatim by the
-/// serial path and the pool workers — the two modes differ only in which
+/// This is the *entire* per-chip body, shared verbatim by the serial path
+/// and every thread of a parallel one — the two modes differ only in which
 /// thread calls it, which is exactly the determinism argument.
-fn run_chip(
+fn run_shard<'r, 'a: 'r>(
     plan: &CompiledPlan,
-    chip: &ChipPlan,
-    sim: &mut ChipSim,
     payloads: &[Vec<Payload>],
-    metrics: &Metrics,
-) -> Result<u64, CosimError> {
-    let retire = sim
-        .run_sorted(plan.program(chip))
-        .map_err(|error| CosimError::Chip {
-            tsp: chip.tsp,
-            error,
-        })?;
-    verify_emissions(chip.tsp, sim, &chip.emissions, payloads)?;
-    metrics.observe_cycles(names::COSIM_RETIRE_CYCLES, retire);
-    Ok(retire)
+    runs: impl Iterator<Item = &'r mut ChipRun<'a>>,
+) {
+    for run in runs {
+        let result = run
+            .sim
+            .run_sorted(plan.program(run.chip))
+            .map_err(|error| CosimError::Chip {
+                tsp: run.chip.tsp,
+                error,
+            })
+            .and_then(|retire| {
+                verify_emissions(run.chip.tsp, run.sim, &run.chip.emissions, payloads)?;
+                Ok(retire)
+            });
+        let failed = result.is_err();
+        run.result = Some(result);
+        if failed {
+            break;
+        }
+    }
 }

@@ -38,36 +38,38 @@
 //! Because the network is statically scheduled, every delivery — the cycle
 //! a vector lands on a port, and which vector it is — is known before any
 //! chip runs. The driver therefore materializes all deliveries directly
-//! from the schedule and executes **each chip exactly once**, in ascending
-//! hop-depth order (sources first, then first-hop forwarders, …). There is
-//! no fixpoint, no event loop and no re-execution: a cluster-wide run
-//! costs one pass over the lowered instructions.
+//! from the schedule and executes **each chip exactly once**, merging the
+//! results in ascending hop-depth order (sources first, then first-hop
+//! forwarders, …). There is no fixpoint, no event loop and no
+//! re-execution: a cluster-wide run costs one pass over the lowered
+//! instructions.
 //!
 //! The schedule's *claim* that an intermediate chip forwards the right
 //! bytes at the right cycle is still verified, not assumed: after a chip
 //! executes, its actual C2C emissions are compared bit-for-bit against the
 //! emissions the schedule promised. A chip that emits the wrong payload,
 //! at the wrong cycle, or on the wrong port fails the run with
-//! [`CosimError::EmissionMismatch`] before any downstream chip's inputs
-//! are trusted; destination SRAM is additionally checked bit-for-bit at
-//! the end.
+//! [`CosimError::EmissionMismatch`], and no downstream chip's result is
+//! reported; destination SRAM is additionally checked bit-for-bit at the
+//! end.
 //!
 //! # Determinism contract
 //!
-//! Chips at the same hop depth are independent (their inputs come only
-//! from shallower depths), so each depth level executes in parallel on a
-//! persistent worker pool (one epoch dispatch per level; workers are
-//! created once per executor, and chips map to workers by a shard key
-//! fixed at plan-compile time). Parallel and serial runs are
-//! **bit-identical**: every chip's execution is a pure function of its
-//! program and materialized deliveries, and per-level results are merged
-//! in ascending [`TspId`] order regardless of thread completion order —
-//! the first error in (depth, TspId) order is the one reported, in both
-//! modes.
+//! Every delivery is materialized from the schedule before any chip runs,
+//! so no chip reads another chip's output and all chips of an execute are
+//! independent. A parallel execute runs them on one
+//! [`std::thread::scope`], split across threads by a shard key fixed at
+//! plan-compile time; the serial path runs the same per-chip code on the
+//! calling thread. Parallel and serial runs are **bit-identical**: every
+//! chip's execution is a pure function of its program and materialized
+//! deliveries, and results are merged on the calling thread in the plan's
+//! level order, ascending (depth, [`TspId`]), regardless of thread
+//! completion order. Levels are that merge order, not barriers: the first
+//! error in (depth, TspId) order is the one reported, in both modes, and
+//! any chip that ran after it is discarded with the execute.
 
 pub mod exec;
 pub mod plan;
-mod pool;
 mod verify;
 
 pub use exec::{LinkFaultModel, PlanExecutor, TargetedFlip};

@@ -113,12 +113,14 @@ pub struct PlannedEmission {
 pub struct ChipPlan {
     /// The chip.
     pub tsp: TspId,
-    /// Hop depth (0 = pure source); chips execute level by level.
+    /// Hop depth (0 = pure source): the chip's level in
+    /// [`CompiledPlan::levels`], which orders the executor's merge.
     pub depth: u32,
     /// Stable shard key (FNV-1a over the TSP id), fixed at compile time.
-    /// The parallel executor assigns this chip to worker
-    /// `shard % workers`, so the chip→worker mapping is a pure function
-    /// of the plan and the thread count — never of scheduling order.
+    /// The parallel executor puts this chip in partition
+    /// `shard % workers` and runs each non-empty partition on a thread of
+    /// its own, so the chip→thread mapping is a pure function of the plan
+    /// and the thread count — never of scheduling order.
     pub shard: u32,
     /// Start of this chip's issue-sorted instruction window in the slab.
     pub prog_start: u32,
@@ -149,11 +151,15 @@ pub struct CompiledPlan {
     pub chips: Vec<ChipPlan>,
     /// Every chip's issue-sorted instruction stream, laid out
     /// back-to-back in chip order. One allocation for the whole plan:
-    /// executing a level walks this slab linearly instead of chasing one
-    /// heap vector per chip.
+    /// executing a chip walks its window of this slab linearly instead of
+    /// chasing a heap vector of its own.
     pub slab: Vec<TimedInstruction>,
-    /// Hop-depth levels: indices into `chips`. Chips within a level are
-    /// mutually independent; levels execute in order.
+    /// Hop-depth levels: indices into `chips`, each level in ascending
+    /// [`TspId`] order. Every delivery is bound from the plan, so no chip
+    /// waits on another and levels are not barriers: they are the order
+    /// in which the executor merges results, and so decide which error
+    /// it reports first. Each chip is listed at most once; an unlisted
+    /// chip does not run.
     pub levels: Vec<Vec<u32>>,
     /// Per-transfer scheduled arrival cycle of the last vector.
     pub arrivals: Vec<u64>,
@@ -781,8 +787,8 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
 
     // Assemble per-chip plans in ascending TspId order and group them into
     // hop-depth levels: a chip at depth d receives only from chips at
-    // depth < d, so levels execute in topological order and chips within a
-    // level are mutually independent.
+    // depth < d, so levels form a topological order, the order in which
+    // the executor merges chip results.
     let mut built = builds.chips;
     built.sort_unstable_by_key(|c| c.tsp);
     let mut chips = Vec::with_capacity(built.len());

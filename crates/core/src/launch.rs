@@ -187,9 +187,14 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     }
 
     /// **Stage: mapping/alignment.** Opens the launch on the trace
-    /// timeline and pays the one-time hardware-alignment window
+    /// timeline, discards any telemetry samples a failed launch left in
+    /// the executor, and pays the one-time hardware-alignment window
     /// (paper §3.2) before epoch 0.
     pub fn begin(&mut self, tracer: &mut Tracer<'_>) -> AlignmentWindow {
+        // A launch that failed never reached `finish`, the one place the
+        // executor's samples are drained; drop them so they cannot land in
+        // this launch's heatmaps.
+        drop(self.rt.executor.take_telemetry());
         self.alignment_cycles = self.rt.system.plan_alignment().overhead_cycles;
         tracer.instant(
             self.clock,

@@ -461,11 +461,30 @@ impl Server {
     /// Pure virtual time: the same `(config, offered, runtime)` always
     /// produces the same report, bit for bit.
     ///
+    /// With [`ServeConfig::telemetry`] set, the runtime samples telemetry
+    /// for the serve's own launches only: its prior setting is restored on
+    /// return, error or not.
+    ///
     /// # Errors
     /// [`RuntimeError::Execution`] when `certify` is set outside
     /// [`ExecMode::Datapath`] or a request names an unregistered model,
     /// and any error of a batch's launch.
     pub fn serve(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
+        let prior = self.rt.telemetry_cfg();
+        if let Some(tc) = self.cfg.telemetry {
+            self.rt.set_telemetry(tc);
+        }
+        let report = self.serve_armed(offered);
+        match prior {
+            Some(tc) => self.rt.set_telemetry(tc),
+            None => self.rt.clear_telemetry(),
+        }
+        report
+    }
+
+    /// The body of [`Server::serve`], run once `serve` has set the
+    /// runtime's telemetry for this call.
+    fn serve_armed(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
         if self.cfg.certify && self.rt.exec_mode() != ExecMode::Datapath {
             return Err(RuntimeError::Execution(
                 "certify requires ExecMode::Datapath (statistical launches carry no delivery manifest)"
@@ -495,12 +514,10 @@ impl Server {
         // each collects into its own report field, never into the serve
         // metrics or the trace, so turning one off changes nothing else
         // (pinned by the telemetry/attribution/flight suites). Telemetry
-        // also arms the runtime's executor, so each batch's launch
-        // carries link/chip heatmaps for the serving sampler to merge.
+        // also arms the runtime's executor (see `serve`), so each batch's
+        // launch carries link/chip heatmaps for the serving sampler to
+        // merge.
         let mut sampler = self.cfg.telemetry.map(Sampler::new);
-        if let Some(tc) = self.cfg.telemetry {
-            self.rt.set_telemetry(tc);
-        }
         let mut breakdowns: Option<Vec<LatencyBreakdown>> = self.cfg.attribution.then(Vec::new);
         let mut flight = self.cfg.flight.map(FlightRecorder::new);
 

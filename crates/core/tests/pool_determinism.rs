@@ -1,15 +1,17 @@
-//! Worker-pool determinism contract: for ANY worker count — more workers
-//! than chips, fewer workers than chips, odd widths, width changes on a
-//! live executor — the parallel engine's report AND its trace event
-//! stream are bit-identical to the serial engine's. The pool, the
-//! compile-time shard partition, and the spine-side merge are the
-//! tentpole of the parallel executor; these tests are its oracle.
+//! Parallel-execution determinism contract: for ANY worker count — more
+//! workers than chips, fewer workers than chips, odd widths, width changes
+//! on a live executor, executes that fail in a chip — the parallel
+//! engine's report AND its trace event stream are bit-identical to the
+//! serial engine's. The compile-time shard partition, the scoped threads
+//! and the spine-side merge are the parallel executor; these tests are its
+//! oracle.
 
 #![allow(dead_code)]
 
 use std::sync::Arc;
 use tsm_core::cosim::{
-    compile_plan, CompiledPlan, CosimTransfer, LinkFaultModel, PlanExecutor, TransferShape,
+    compile_plan, CompiledPlan, CosimError, CosimTransfer, LinkFaultModel, PlanExecutor,
+    TransferShape,
 };
 use tsm_isa::Vector;
 use tsm_topology::{Topology, TspId};
@@ -138,8 +140,8 @@ proptest! {
         prop_assert_eq!(got_events, want_events);
     }
 
-    /// One executor re-used across changing worker counts (forcing pool
-    /// rebuilds) and repeated runs stays bit-identical throughout.
+    /// One executor re-used across changing worker counts and repeated
+    /// runs stays bit-identical throughout.
     #[test]
     fn width_changes_on_a_live_executor_stay_identical(
         raw in prop::collection::vec(raw_transfer(), 1..=4),
@@ -161,12 +163,9 @@ proptest! {
     }
 }
 
-/// Deterministic pin of the extremes on a fixed workload: 1 worker, a few
-/// odd widths, and a width far beyond the chip count all reproduce the
-/// serial report and trace exactly. Runs a deep (multi-hop, uneven-level)
-/// dragonfly so levels of very different populations are covered.
-#[test]
-fn fixed_workload_all_widths_identical() {
+/// A deep (multi-hop, uneven-level) workload on a 2-rack dragonfly, so
+/// levels of very different populations are covered.
+fn dragonfly_workload() -> (CompiledPlan, Vec<Vec<Payload>>) {
     let topo = Topology::rack_dragonfly(2).expect("topology builds");
     let raw: Vec<RawTransfer> = vec![
         (0, 140, 1, 2, 12, 0x5a),
@@ -177,8 +176,16 @@ fn fixed_workload_all_widths_identical() {
     let transfers = build_transfers(&topo, &raw);
     let shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
     let plan = compile_plan(&topo, &shapes).unwrap();
-    let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
+    let payloads = transfers.iter().map(CosimTransfer::payload).collect();
+    (plan, payloads)
+}
 
+/// Deterministic pin of the extremes on a fixed workload: 1 worker, a few
+/// odd widths, and a width far beyond the chip count all reproduce the
+/// serial report and trace exactly.
+#[test]
+fn fixed_workload_all_widths_identical() {
+    let (plan, payloads) = dragonfly_workload();
     let (want, want_events) = traced_run_with_threads(&plan, &payloads, None, None);
     want.as_ref().expect("fixed workload executes");
     for threads in [1usize, 2, 3, 5, 8, 64, 1000] {
@@ -188,6 +195,54 @@ fn fixed_workload_all_widths_identical() {
             got_events, want_events,
             "trace diverged at {threads} workers"
         );
+    }
+}
+
+/// Chip-phase errors at every width. Every delivery is bound from the
+/// plan, so chips deeper than a failing one still run in a parallel
+/// execute; the merge must still report the serial error, the first in
+/// (depth, TspId) order, with the serial trace. Moving the first emission
+/// of a depth-0 chip and of the deepest emitting chip off schedule must
+/// name the depth-0 chip at every width; moving only the deep chip's must
+/// name the deep chip.
+#[test]
+fn chip_errors_are_identical_serially_and_at_every_width() {
+    let (plan, payloads) = dragonfly_workload();
+    let emitting = |i: &usize| !plan.chips[*i].emissions.is_empty();
+    let shallow = plan.levels[0]
+        .iter()
+        .map(|&i| i as usize)
+        .find(emitting)
+        .expect("a source chip emits");
+    let deep = (0..plan.chips.len())
+        .filter(emitting)
+        .max_by_key(|&i| plan.chips[i].depth)
+        .expect("some chip emits");
+    assert!(
+        plan.chips[deep].depth >= 2,
+        "the deep chip sits levels below the shallow one"
+    );
+
+    for (corrupt, culprit) in [(vec![shallow, deep], shallow), (vec![deep], deep)] {
+        let mut bad = plan.clone();
+        for &i in &corrupt {
+            bad.chips[i].emissions[0].cycle += 1;
+        }
+        let (want, want_events) = traced_run_with_threads(&bad, &payloads, None, None);
+        match &want {
+            Err(CosimError::EmissionMismatch { tsp, .. }) => {
+                assert_eq!(*tsp, plan.chips[culprit].tsp, "serial names the culprit")
+            }
+            other => panic!("expected an emission mismatch, got {other:?}"),
+        }
+        for threads in [1usize, 2, 3, 8, 1000] {
+            let (got, got_events) = traced_run_with_threads(&bad, &payloads, Some(threads), None);
+            assert_eq!(got, want, "error diverged at {threads} workers");
+            assert_eq!(
+                got_events, want_events,
+                "trace diverged at {threads} workers"
+            );
+        }
     }
 }
 
@@ -225,9 +280,10 @@ fn thread_resolution_precedence() {
     assert_eq!(exec.resolved_threads(), auto);
 }
 
-/// The pool actually executes on its workers: a 2-worker run on a
-/// many-chip level completes (the shard partition covers every chip) and
-/// the executor can be dropped and rebuilt without hanging.
+/// Parallel executes actually run on their threads: a 2-worker run on a
+/// many-chip level completes (the shard partition covers every chip),
+/// re-executes bit-identically, and the executor can be dropped and
+/// rebuilt without hanging.
 #[test]
 fn pool_lifecycle_smoke() {
     let topo = Topology::fully_connected_nodes(3).expect("topology builds");
@@ -254,6 +310,6 @@ fn pool_lifecycle_smoke() {
         let a = exec.execute(&plan, &payloads).unwrap();
         let b = exec.execute(&plan, &payloads).unwrap();
         assert_eq!(a, b, "warm re-execution is bit-identical");
-        drop(exec); // joins the pool; must not hang
+        drop(exec); // no thread outlives an execute; must not hang
     }
 }

@@ -15,13 +15,16 @@
 //!   and sampling itself never drops (it does not go through the sink).
 //! - **Escaping**: hostile tenant names survive the JSON and Perfetto
 //!   exports via the in-repo escapers.
+//! - **No leaks between calls**: a serve hands the runtime back with the
+//!   telemetry setting it found, and a failed launch's samples never
+//!   reach the next launch on the same runtime.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, SparePolicy};
+use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, RuntimeError, SparePolicy};
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
-use tsm_topology::TspId;
+use tsm_topology::{LinkId, TspId};
 use tsm_trace::telemetry::{series, TelemetryConfig};
 use tsm_trace::{
     chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent, SERVING_LANE,
@@ -102,12 +105,7 @@ fn launch_heatmaps_agree_with_the_trace() {
         .filter(|e| matches!(e.kind, EventKind::Delivery { .. }))
         .count() as u64;
     assert!(traced_deliveries > 0, "the pipeline crosses links");
-    let sampled_deliveries: u64 = t
-        .labels(series::LINK_DELIVERIES)
-        .iter()
-        .map(|l| t.get(series::LINK_DELIVERIES, l).unwrap().total())
-        .sum();
-    assert_eq!(sampled_deliveries, traced_deliveries);
+    assert_eq!(sampled_deliveries(&t), traced_deliveries);
 
     let traced_busy: u64 = events
         .iter()
@@ -167,7 +165,14 @@ fn serve_with(tel: Option<TelemetryConfig>) -> (ServeReport, Vec<TraceEvent>) {
 /// emission order.
 fn serve_traced(tel: Option<TelemetryConfig>) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let rt = runtime().with_trace_sink(sink.clone());
+    let mut server = server(runtime().with_trace_sink(sink.clone()), tel);
+    let report = server.serve(&offered_mixed()).unwrap();
+    assert_eq!(sink.dropped(), 0);
+    (report, sink)
+}
+
+/// A server over `rt` with the pipeline, widened per batch, as its model.
+fn server(rt: Runtime, tel: Option<TelemetryConfig>) -> Server {
     let cfg = ServeConfig {
         batch_window: 500,
         max_batch: 4,
@@ -188,9 +193,23 @@ fn serve_traced(tel: Option<TelemetryConfig>) -> (ServeReport, Arc<RingSink>) {
         .unwrap();
         g
     });
-    let report = server.serve(&offered_mixed()).unwrap();
-    assert_eq!(sink.dropped(), 0);
-    (report, sink)
+    server
+}
+
+/// Marks every cable of `rt` marginal at `ber`: no failover can escape.
+fn degrade_every_cable(rt: &mut Runtime, ber: f64) {
+    for l in 0..rt.system().topology().links().len() {
+        rt.degrade_link(LinkId(l as u32));
+    }
+    rt.set_ber(0.0, ber);
+}
+
+/// Total `link.deliveries` over every link of `t`.
+fn sampled_deliveries(t: &tsm_trace::Telemetry) -> u64 {
+    t.labels(series::LINK_DELIVERIES)
+        .iter()
+        .map(|l| t.get(series::LINK_DELIVERIES, l).unwrap().total())
+        .sum()
 }
 
 #[test]
@@ -340,12 +359,7 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
     // Sampling is not a sink client: the lossy trace loses events, the
     // telemetry loses nothing.
     let t = out.telemetry.unwrap();
-    let sampled: u64 = t
-        .labels(series::LINK_DELIVERIES)
-        .iter()
-        .map(|l| t.get(series::LINK_DELIVERIES, l).unwrap().total())
-        .sum();
-    assert_eq!(sampled, expected_deliveries);
+    assert_eq!(sampled_deliveries(&t), expected_deliveries);
     assert_eq!(t, full.telemetry.unwrap(), "loss-independent telemetry");
 }
 
@@ -405,6 +419,67 @@ fn serving_events_are_emitted_in_cycle_order() {
             serving.windows(2).all(|w| w[0] <= w[1]),
             "serving lane goes back in time (telemetry={})",
             tel.is_some()
+        );
+    }
+}
+
+/// Regression: a telemetry-on serve used to leave the runtime armed, so a
+/// later launch, or a telemetry-off serve, on the same runtime carried
+/// heatmaps. A serve now restores the runtime's own setting on every
+/// return, a failed serve's included.
+#[test]
+fn serve_restores_the_runtime_telemetry_setting() {
+    let mut on = server(runtime(), Some(TEL));
+    on.serve(&offered_mixed()).unwrap();
+    assert_eq!(on.runtime().telemetry_cfg(), None, "serve disarms");
+
+    let mut off = server(on.into_runtime(), None);
+    let report = off.serve(&offered_mixed()).unwrap();
+    assert!(!report.batches.is_empty());
+    assert!(
+        report.batches.iter().all(|b| b.outcome.telemetry.is_none()),
+        "a telemetry-off serve samples nothing"
+    );
+    let out = off.into_runtime().launch(&pipeline(), 7).unwrap();
+    assert!(out.telemetry.is_none(), "a later launch samples nothing");
+
+    // An owner's own setting survives a serve with another window, also
+    // one that fails in a launch.
+    let mine = TelemetryConfig {
+        window: 1 << 20,
+        slo_permille: 500,
+    };
+    let mut rt = runtime();
+    rt.set_telemetry(mine);
+    let mut failing = server(rt, Some(TEL));
+    degrade_every_cable(failing.runtime_mut(), 1e-3);
+    let err = failing.serve(&offered_mixed()).unwrap_err();
+    assert!(matches!(err, RuntimeError::OutOfSpares { .. }), "{err:?}");
+    assert_eq!(failing.runtime().telemetry_cfg(), Some(mine));
+}
+
+/// Regression: a launch that ends in error never reaches `finish`, the
+/// one place the executor's samples were drained, so they used to land in
+/// the next launch's heatmaps. Whatever the failed launch sampled, the
+/// next one-attempt launch samples exactly its own deliveries.
+#[test]
+fn failed_launch_samples_do_not_reach_the_next_launch() {
+    for ber in [1e-3, 5e-4, 2e-4] {
+        let mut rt = runtime();
+        rt.set_telemetry(TEL);
+        degrade_every_cable(&mut rt, ber);
+        let err = rt.launch(&pipeline(), 7).unwrap_err();
+        assert!(matches!(err, RuntimeError::OutOfSpares { .. }), "{err:?}");
+
+        rt.set_ber(0.0, 0.0);
+        let out = rt.launch(&pipeline(), 7).unwrap();
+        assert_eq!(out.attempts(), 1);
+        let delivered = out.metrics.counter(names::COSIM_DELIVERIES);
+        assert!(delivered > 0);
+        assert_eq!(
+            sampled_deliveries(&out.telemetry.unwrap()),
+            delivered,
+            "stale samples after a failed launch at BER {ber}"
         );
     }
 }

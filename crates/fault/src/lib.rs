@@ -14,6 +14,8 @@
 //!    edge/node symmetry so the network stays fully connected
 //!    ([`spare`]).
 
+#![forbid(unsafe_code)]
+
 pub mod inject;
 pub mod replay;
 pub mod spare;

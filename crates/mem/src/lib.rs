@@ -14,6 +14,8 @@
 //! dense linearization; [`alloc`] provides the per-device and distributed
 //! tensor allocators the compiler uses to place operands.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod secded;
 

@@ -21,6 +21,8 @@
 //! link-jitter already modelled in `tsm-link`), which is precisely the
 //! information the HAC protocol observes.
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod clock;
 pub mod deskew;

@@ -18,6 +18,8 @@
 //! packaging hierarchy. Route computation lives in [`route`], the Fig 2
 //! bandwidth profile in [`bandwidth`].
 
+#![forbid(unsafe_code)]
+
 pub mod bandwidth;
 pub mod build;
 pub mod route;

@@ -44,6 +44,8 @@
 //! identifiers so every other crate in the workspace can depend on it
 //! without cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod attribution;
 pub mod chrome;
 pub mod event;

@@ -9,6 +9,8 @@
 //! 2. a *numerical reference* (in [`linalg`]) so data-path correctness can
 //!    be asserted, not just timing.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod bert;
 pub mod cholesky;

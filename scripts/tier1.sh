@@ -15,9 +15,12 @@ cargo test --workspace -q
 # serde round-trip) has its own integration suite; run it by name so a
 # filtered `cargo test` invocation can never silently skip it.
 cargo test -p tsm-core --test plan_reuse -q
-# The persistent worker pool behind the parallel engine: serial≡parallel
+# The parallel engine, one std::thread::scope per execute: serial≡parallel
 # bit-identity and trace identity across randomized workloads and worker
-# counts, pool rebuilds on a live executor, TSM_THREADS resolution.
+# counts, width changes on a live executor, chip-phase errors that must
+# give the serial error and trace at every width although deeper chips run
+# after the failing one (chip_errors_are_identical_serially_and_at_every_width),
+# TSM_THREADS resolution.
 cargo test -p tsm-core --test pool_determinism -q
 # Likewise the fault path: datapath BER injection, FEC bit-for-bit
 # verification, and the replay/blame/failover recovery loop.
@@ -52,8 +55,10 @@ cargo test -p tsm-core --test serve_golden -q
 cargo test -p tsm-core --test residency -q
 # The windowed telemetry layer: launch/serve off-identity (sampling off is
 # bit-identical to pre-feature behaviour), heatmap-vs-trace agreement,
-# SLO-series accounting, JSON bit-reproducibility, and hostile-label
-# escaping through both exporters.
+# SLO-series accounting, JSON bit-reproducibility, hostile-label
+# escaping through both exporters, and no telemetry leak between calls on
+# one runtime (a serve restores the runtime's setting; a failed launch's
+# samples never reach the next launch).
 cargo test -p tsm-core --test telemetry -q
 # The causal attribution layer: every served request's stage breakdown
 # sums exactly to its latency (clean, replaying, and certified paths),

@@ -37,6 +37,8 @@
 //! assert!(report.succeeded);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use tsm_baseline as baseline;
 pub use tsm_chip as chip;
 pub use tsm_compiler as compiler;
