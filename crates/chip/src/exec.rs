@@ -80,6 +80,12 @@ impl ChipProgram {
         self.issue_sorted = false;
     }
 
+    /// Reserves room for at least `additional` more instructions, so a
+    /// caller that knows how many it will push grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.instrs.reserve(additional);
+    }
+
     /// All instructions, sorted by (cycle, unit order).
     pub fn sorted(&self) -> Vec<TimedInstruction> {
         let mut v = self.instrs.clone();

@@ -64,9 +64,12 @@ pub struct TargetedFlip {
 ///
 /// When a model is passed to [`PlanExecutor::execute_with_faults`], every
 /// inter-chip delivery traverses a [`Channel`] for its link: bit flips are
-/// sampled from the link's BER (Poisson over the 2560 payload bits),
-/// applied to a copy of the payload bytes, and run through the receiver's
-/// FEC decoder. Corrected payloads continue downstream — and must still
+/// sampled from the link's BER (Poisson over the 2560 payload bits); a
+/// delivery with none binds its payload untouched, and any other has them
+/// applied to a copy of the payload bytes and run through the receiver's
+/// FEC decoder. Every rate must lie in `[0, 1)`: an execute that would
+/// cross a link at any other rate fails with [`CosimError::BitErrorRate`].
+/// Corrected payloads continue downstream — and must still
 /// verify bit-for-bit against the emission/destination manifests, which is
 /// the paper's "constant-latency in-situ correction" claim exercised on
 /// real data. An uncorrectable error aborts the run with
@@ -118,13 +121,47 @@ impl LinkFaultModel {
         self.per_link.get(&link).copied().unwrap_or(self.base_ber)
     }
 
-    /// Every targeted bit flip aimed at delivery `(vec, link)`.
-    fn targeted_bits(&self, vec: VecRef, link: LinkId) -> Vec<usize> {
+    /// The targeted flips aimed at delivery `(vec, link)`.
+    fn flips_at(&self, vec: VecRef, link: LinkId) -> impl Iterator<Item = &TargetedFlip> {
         self.targeted
             .iter()
-            .filter(|t| t.transfer == vec.transfer && t.vector == vec.vector && t.link == link)
+            .filter(move |t| t.transfer == vec.transfer && t.vector == vec.vector && t.link == link)
+    }
+
+    /// Every targeted bit flip aimed at delivery `(vec, link)`.
+    fn targeted_bits(&self, vec: VecRef, link: LinkId) -> Vec<usize> {
+        self.flips_at(vec, link)
             .flat_map(|t| t.bits.iter().copied())
             .collect()
+    }
+
+    /// Whether delivery `d` crosses `channel` untouched: no targeted flip
+    /// names a bit of it, and its keyed draw flips none. Decided from the
+    /// draw alone, before any packet exists. Where it holds,
+    /// [`transmit_delivery`], taking the same draws from an identically
+    /// keyed RNG, would report `Clean` with the original payload.
+    fn crosses_clean(&self, channel: &Channel, d: &PlannedDelivery) -> bool {
+        self.flips_at(d.vec, d.link).all(|t| t.bits.is_empty())
+            && channel
+                .draw(&mut self.delivery_rng(d.vec, d.link), |_| {})
+                .flips
+                == 0
+    }
+
+    /// The first link in bind order whose bit error rate no channel
+    /// accepts, with that rate. Only the links `plan` crosses are looked
+    /// up, and only when some configured rate is out of range.
+    fn invalid_link(&self, plan: &CompiledPlan) -> Option<(LinkId, f64)> {
+        if Channel::valid_ber(self.base_ber)
+            && self.per_link.values().all(|&b| Channel::valid_ber(b))
+        {
+            return None;
+        }
+        plan.chips
+            .iter()
+            .flat_map(|c| &c.deliveries)
+            .map(|d| (d.link, self.ber_for(d.link)))
+            .find(|&(_, ber)| !Channel::valid_ber(ber))
     }
 
     /// RNG for one delivery, keyed by (seed, link, transfer, vector) so the
@@ -176,6 +213,15 @@ fn transmit_delivery(
         // replay; neither may deliver wrong bytes.
         FecOutcome::Uncorrectable => (Arc::clone(original), FecOutcome::Uncorrectable, demoted),
     }
+}
+
+/// One link's state across a fault-mode bind: its channel, built once per
+/// execute, and how many of its deliveries crossed clean. Clean outcomes
+/// are tallied here and folded into the metrics once per link.
+struct LinkBind {
+    link: LinkId,
+    channel: Channel,
+    clean: u64,
 }
 
 /// One chip's turn in an execute: its plan, its simulator and, once it
@@ -387,7 +433,11 @@ impl PlanExecutor {
             }
         }
 
-        let bind = |r: &VecRef| Arc::clone(&payloads[r.transfer as usize][r.vector as usize]);
+        if let Some((link, ber)) = faults.and_then(|fm| fm.invalid_link(plan)) {
+            return Err(CosimError::BitErrorRate { link, ber });
+        }
+
+        let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
 
         // Per-run observability state. All emission points below sit on
         // the serial spine (this bind loop and the merge loop after the
@@ -410,11 +460,18 @@ impl PlanExecutor {
         // payloads by Arc clone (pointer copies, no byte copies). In fault
         // mode each delivery additionally crosses its link's channel here,
         // in the serial bind phase — so injection cannot perturb the
-        // parallel-vs-serial determinism contract.
+        // parallel-vs-serial determinism contract. Its keyed draw decides
+        // first whether it crosses clean; only one that does not is built
+        // into a packet and decoded.
         if self.sims.len() < plan.chips.len() {
             self.sims.resize_with(plan.chips.len(), ChipSim::default);
         }
-        let mut channels: HashMap<LinkId, Channel> = HashMap::new();
+        // Fault mode's per-link channels and clean tallies, indexed through
+        // `link_index`; `run` is the entry of the link the current run of
+        // deliveries crosses.
+        let mut links: Vec<LinkBind> = Vec::new();
+        let mut link_index: HashMap<LinkId, usize> = HashMap::new();
+        let mut run = usize::MAX;
         // Earliest uncorrectable delivery in (cycle, link, transfer) order;
         // the whole bind completes first so the FEC tally covers every
         // packet of the aborted attempt.
@@ -425,7 +482,7 @@ impl PlanExecutor {
             sim.reset();
             let lane = chip.tsp.0;
             for p in &chip.preloads {
-                sim.preload(p.slice, p.offset, bind(&p.vec));
+                sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
             }
             delivered += chip.deliveries.len() as u64;
             for d in &chip.deliveries {
@@ -435,41 +492,62 @@ impl PlanExecutor {
                 // no Delivery event — the conformance profiler sees the
                 // aborted window's gap instead of a phantom arrival.
                 let mut landed = true;
+                let original = payload(&d.vec);
                 let payload = match faults {
-                    None => bind(&d.vec),
+                    None => Arc::clone(original),
                     Some(fm) => {
-                        let channel = channels.entry(d.link).or_insert_with(|| {
-                            Channel::new(LatencyModel::fixed(0), fm.ber_for(d.link))
-                        });
-                        let (payload, outcome, demoted) =
-                            transmit_delivery(fm, channel, d, &bind(&d.vec));
-                        LinkMeter::new(&metrics, d.link.0).record(&outcome, demoted);
-                        match outcome {
-                            FecOutcome::Clean => {}
-                            FecOutcome::Corrected { bit } => tracer.instant(
-                                d.cycle,
-                                lane,
-                                EventKind::LinkCorrected {
-                                    link: d.link.0,
-                                    bit: bit as u32,
-                                },
-                            ),
-                            FecOutcome::Uncorrectable => {
-                                let kind = if demoted {
-                                    EventKind::LinkDemoted { link: d.link.0 }
-                                } else {
-                                    EventKind::LinkUncorrectable { link: d.link.0 }
-                                };
-                                tracer.instant(d.cycle, lane, kind);
-                                culprits.push(d.link);
-                                landed = false;
-                                let key = (d.cycle, d.link, d.vec.transfer as usize);
-                                if lost.is_none_or(|worst| key < worst) {
-                                    lost = Some(key);
+                        // A port's deliveries all cross one link, so the
+                        // channel is looked up once per run of them.
+                        if links.get(run).is_none_or(|l| l.link != d.link) {
+                            run = *link_index.entry(d.link).or_insert_with(|| {
+                                links.push(LinkBind {
+                                    link: d.link,
+                                    channel: Channel::new(
+                                        LatencyModel::fixed(0),
+                                        fm.ber_for(d.link),
+                                    ),
+                                    clean: 0,
+                                });
+                                links.len() - 1
+                            });
+                        }
+                        let link = &mut links[run];
+                        // The common case binds the pool handle as is: no
+                        // packet, no byte copy, no metrics lock.
+                        if fm.crosses_clean(&link.channel, d) {
+                            link.clean += 1;
+                            Arc::clone(original)
+                        } else {
+                            let (payload, outcome, demoted) =
+                                transmit_delivery(fm, &link.channel, d, original);
+                            LinkMeter::new(&metrics, d.link.0).record(&outcome, demoted);
+                            match outcome {
+                                FecOutcome::Clean => {}
+                                FecOutcome::Corrected { bit } => tracer.instant(
+                                    d.cycle,
+                                    lane,
+                                    EventKind::LinkCorrected {
+                                        link: d.link.0,
+                                        bit: bit as u32,
+                                    },
+                                ),
+                                FecOutcome::Uncorrectable => {
+                                    let kind = if demoted {
+                                        EventKind::LinkDemoted { link: d.link.0 }
+                                    } else {
+                                        EventKind::LinkUncorrectable { link: d.link.0 }
+                                    };
+                                    tracer.instant(d.cycle, lane, kind);
+                                    culprits.push(d.link);
+                                    landed = false;
+                                    let key = (d.cycle, d.link, d.vec.transfer as usize);
+                                    if lost.is_none_or(|worst| key < worst) {
+                                        lost = Some(key);
+                                    }
                                 }
                             }
+                            payload
                         }
-                        payload
                     }
                 };
                 if landed {
@@ -510,6 +588,9 @@ impl PlanExecutor {
                     },
                 );
             }
+        }
+        for l in &links {
+            metrics.inc_labeled(names::LINK_CLEAN, l.link.0, l.clean);
         }
         if let Some((cycle, link, transfer)) = lost {
             return Err(CosimError::Uncorrectable {

@@ -212,6 +212,16 @@ pub enum CosimError {
         /// the tie.
         culprits: Vec<LinkId>,
     },
+    /// A fault model gives a link the plan crosses a bit error rate
+    /// outside `[0, 1)` (or NaN), which no channel can draw errors from.
+    /// Refused before anything is bound or traced; names the first such
+    /// link in bind order.
+    BitErrorRate {
+        /// The link.
+        link: LinkId,
+        /// The rate the model gives it.
+        ber: f64,
+    },
 }
 
 impl std::fmt::Display for CosimError {
@@ -273,6 +283,13 @@ impl std::fmt::Display for CosimError {
                 write!(
                     f,
                     "uncorrectable FEC error on link {} (transfer {transfer}, cycle {cycle})",
+                    link.0
+                )
+            }
+            CosimError::BitErrorRate { link, ber } => {
+                write!(
+                    f,
+                    "link {} has bit error rate {ber}, outside [0, 1)",
                     link.0
                 )
             }

@@ -342,15 +342,20 @@ impl UnitOccupancy {
     }
 
     /// Books one transfer's windows: `trial` holds every
-    /// `(resource, start, end)` of its conflict-free trial. Sorted by
-    /// resource and start, each resource's run is merged into the booked
-    /// list in place from the back, so a run that starts after the last
-    /// booked window is an append and otherwise only the booked windows
-    /// that lie after the run's first window move. The trial conflicts
-    /// with nothing booked, so the result is the same sorted, disjoint
-    /// list that booking window by window would build.
-    fn book(&mut self, trial: &mut [(usize, u64, u64)]) {
-        trial.sort_unstable();
+    /// `(resource, start, end)` of its conflict-free trial in
+    /// [`for_each_unit_window`] order, so each resource's windows form one
+    /// run in ascending order. That order is the precondition the merge
+    /// relies on, so it is checked, not assumed. Each run is merged
+    /// into the booked list in place from the back, so a run that starts
+    /// after the last booked window is an append and otherwise only the
+    /// booked windows that lie after the run's first window move. The
+    /// trial conflicts with nothing booked, so the result is the same
+    /// sorted, disjoint list that booking window by window would build.
+    fn book(&mut self, trial: &[(usize, u64, u64)]) {
+        assert!(
+            trial.windows(2).all(|w| w[0].0 != w[1].0 || w[0] <= w[1]),
+            "unit windows out of booking order"
+        );
         for run in trial.chunk_by(|a, b| a.0 == b.0) {
             let windows = &mut self.busy[run[0].0];
             let mut booked = windows.len();
@@ -382,6 +387,12 @@ impl UnitOccupancy {
 /// lockstep with the program-construction loops below — both walk the
 /// same source Read→Send, forwarder Receive→Write→Read→Send, and
 /// destination Receive→Write timing.
+///
+/// The windows come out in booking order: each resource's together and
+/// ascending, as [`UnitOccupancy::book`] requires. On every resource but
+/// one they form a single train, one window per vector slot; a
+/// forwarder's Mem unit serves two (staging writes and forwarding reads),
+/// which are merged.
 fn for_each_unit_window(
     topo: &Topology,
     path: &Path,
@@ -390,6 +401,9 @@ fn for_each_unit_window(
     f: &mut impl FnMut(TspId, usize, u64, u64),
 ) {
     let slot = vector_slot_cycles();
+    // `n` windows of `len` cycles, one vector slot apart from `start`.
+    let train =
+        |start: u64, len: u64| (0..n).map(move |v| (start + v * slot, start + v * slot + len));
     let dummy = StreamId::new(0).expect("stream 0 exists");
     let read_lat = Instruction::Read {
         slice: 0,
@@ -415,9 +429,11 @@ fn for_each_unit_window(
     let send0 = hop_starts[0];
     let read0 = send0.saturating_sub(READ_LATENCY);
     let src_key = c2c_slot(port_of(topo, path, 0, src));
-    for v in 0..n {
-        f(src, MEM_SLOT, read0 + v * slot, read0 + v * slot + read_lat);
-        f(src, src_key, send0 + v * slot, send0 + v * slot + c2c_lat);
+    for (s, e) in train(read0, read_lat) {
+        f(src, MEM_SLOT, s, e);
+    }
+    for (s, e) in train(send0, c2c_lat) {
+        f(src, src_key, s, e);
     }
 
     // Intermediate hops: Receive -> Write -> Read -> Send per vector.
@@ -429,18 +445,35 @@ fn for_each_unit_window(
         let arrive0 = hop_starts[h - 1] + slot + in_latency;
         let forward0 = hop_starts[h];
         let fread0 = forward0.saturating_sub(READ_LATENCY);
-        for v in 0..n {
-            let arrive = arrive0 + v * slot;
-            let forward = forward0 + v * slot;
-            f(tsp, in_key, arrive, arrive + c2c_lat);
-            f(tsp, MEM_SLOT, arrive + 1, arrive + 1 + write_lat);
-            f(
-                tsp,
-                MEM_SLOT,
-                fread0 + v * slot,
-                fread0 + v * slot + read_lat,
-            );
-            f(tsp, out_key, forward, forward + c2c_lat);
+        for (s, e) in train(arrive0, c2c_lat) {
+            f(tsp, in_key, s, e);
+        }
+        // The Mem unit serves two trains with one step: staging writes
+        // from `arrive0 + 1` and forwarding reads from `fread0`. Once the
+        // leading train's first `k` windows are out (those ordered before
+        // the other train's first), the two alternate. Computing `k`
+        // keeps the merge free of a comparison per window, which the
+        // retry loop's conflict scan would pay on every trial.
+        let (writes, reads) = ((arrive0 + 1, write_lat), (fread0, read_lat));
+        let (lead, lag) = (writes.min(reads), writes.max(reads));
+        let gap = lag.0 - lead.0;
+        let k = n.min(if lead.1 <= lag.1 {
+            gap / slot + 1
+        } else {
+            gap.div_ceil(slot)
+        });
+        let mut lead_train = train(lead.0, lead.1);
+        for (s, e) in lead_train.by_ref().take(k as usize) {
+            f(tsp, MEM_SLOT, s, e);
+        }
+        for (s, e) in train(lag.0, lag.1) {
+            f(tsp, MEM_SLOT, s, e);
+            if let Some((s, e)) = lead_train.next() {
+                f(tsp, MEM_SLOT, s, e);
+            }
+        }
+        for (s, e) in train(forward0, c2c_lat) {
+            f(tsp, out_key, s, e);
         }
     }
 
@@ -450,10 +483,11 @@ fn for_each_unit_window(
     let dst_key = c2c_slot(port_of(topo, path, last, dst));
     let out_latency = scheduled_link_latency(topo, path.links[last]);
     let dst_arrive0 = hop_starts[last] + slot + out_latency;
-    for v in 0..n {
-        let arrive = dst_arrive0 + v * slot;
-        f(dst, dst_key, arrive, arrive + c2c_lat);
-        f(dst, MEM_SLOT, arrive + 1, arrive + 1 + write_lat);
+    for (s, e) in train(dst_arrive0, c2c_lat) {
+        f(dst, dst_key, s, e);
+    }
+    for (s, e) in train(dst_arrive0 + 1, write_lat) {
+        f(dst, MEM_SLOT, s, e);
     }
 }
 
@@ -613,7 +647,7 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
         for_each_unit_window(topo, path, &sched.hop_starts, n, &mut |tsp, key, s, e| {
             trial.push((UnitOccupancy::resource(tsp, key), s, e));
         });
-        units.book(&mut trial);
+        units.book(&trial);
         // Per-hop block starts come straight off the schedule.
         let hop_starts = &sched.hop_starts;
         debug_assert_eq!(hop_starts.len(), path.links.len());
@@ -623,9 +657,15 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
             vector: v as u32,
         };
 
+        // The path fixes each chip's instruction count for this transfer:
+        // Read and Send per vector at the source, Receive and Write at the
+        // destination, all four at a forwarder.
+        let dst_hop = path.links.len();
         for (h, &tsp) in path.tsps.iter().enumerate() {
             let chip = builds.get(tsp);
             chip.depth = chip.depth.max(h);
+            let per_vector = if h == 0 || h == dst_hop { 2 } else { 4 };
+            chip.program.reserve(per_vector * n as usize);
         }
 
         // Source program: Read -> Send per vector, from the preloaded
@@ -793,7 +833,8 @@ pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<Compile
     built.sort_unstable_by_key(|c| c.tsp);
     let mut chips = Vec::with_capacity(built.len());
     let mut levels: Vec<Vec<u32>> = Vec::new();
-    let mut slab: Vec<TimedInstruction> = Vec::new();
+    let mut slab: Vec<TimedInstruction> =
+        Vec::with_capacity(built.iter().map(|c| c.program.len()).sum());
     let mut instructions = 0usize;
     for (i, mut c) in built.into_iter().enumerate() {
         if levels.len() <= c.depth {
@@ -1466,6 +1507,118 @@ mod tests {
         out
     }
 
+    /// The per-vector enumeration [`for_each_unit_window`] replaced, kept
+    /// as its oracle: every window of vector `v` on every chip of the path,
+    /// vector by vector.
+    fn unit_windows_per_vector(
+        topo: &Topology,
+        path: &Path,
+        hop_starts: &[u64],
+        n: u64,
+    ) -> Vec<(usize, u64, u64)> {
+        let slot = vector_slot_cycles();
+        // Read and Write hold the Mem unit 5 cycles, Send and Receive
+        // their port engine 1.
+        let (mem, c2c) = (5, 1);
+        let mut out = Vec::new();
+        let mut f = |tsp: TspId, key, s, len| {
+            out.push((UnitOccupancy::resource(tsp, key), s, s + len));
+        };
+        let src = path.tsps[0];
+        let send0 = hop_starts[0];
+        let read0 = send0 - READ_LATENCY;
+        let src_key = c2c_slot(port_of(topo, path, 0, src));
+        for v in 0..n {
+            f(src, MEM_SLOT, read0 + v * slot, mem);
+            f(src, src_key, send0 + v * slot, c2c);
+        }
+        for h in 1..path.links.len() {
+            let tsp = path.tsps[h];
+            let in_key = c2c_slot(port_of(topo, path, h - 1, tsp));
+            let out_key = c2c_slot(port_of(topo, path, h, tsp));
+            let arrive0 =
+                hop_starts[h - 1] + slot + scheduled_link_latency(topo, path.links[h - 1]);
+            let forward0 = hop_starts[h];
+            for v in 0..n {
+                let arrive = arrive0 + v * slot;
+                let forward = forward0 + v * slot;
+                f(tsp, in_key, arrive, c2c);
+                f(tsp, MEM_SLOT, arrive + 1, mem);
+                f(tsp, MEM_SLOT, forward - READ_LATENCY, mem);
+                f(tsp, out_key, forward, c2c);
+            }
+        }
+        let last = path.links.len() - 1;
+        let dst = path.tsps[last + 1];
+        let dst_key = c2c_slot(port_of(topo, path, last, dst));
+        let arrive0 = hop_starts[last] + slot + scheduled_link_latency(topo, path.links[last]);
+        for v in 0..n {
+            f(dst, dst_key, arrive0 + v * slot, c2c);
+            f(dst, MEM_SLOT, arrive0 + v * slot + 1, mem);
+        }
+        out
+    }
+
+    /// The enumerator yields booking order on random multi-hop paths of a
+    /// two-rack dragonfly at random hop starts: each resource's windows
+    /// come out together, ascending and disjoint, and they are exactly the
+    /// windows the per-vector enumeration yields. Hop starts keep the
+    /// scheduler's causality (a hop starts at least the forwarding
+    /// overhead after its vector lands); a start that would make a
+    /// forwarder's staging writes and forwarding reads collide is redrawn,
+    /// since no chip could run that trial.
+    #[test]
+    fn enumerator_yields_booking_order() {
+        use tsm_net::ssn::FORWARD_OVERHEAD_CYCLES;
+        let topo = Topology::rack_dragonfly(2).unwrap();
+        let slot = vector_slot_cycles();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut paths = 0;
+        while paths < 200 {
+            let from = TspId(rng.gen_range(0..topo.num_tsps() as u32));
+            let to = TspId(rng.gen_range(0..topo.num_tsps() as u32));
+            let path = shortest_path(&topo, from, to).unwrap();
+            if path.links.len() < 2 {
+                continue;
+            }
+            paths += 1;
+            let mut hop_starts = vec![rng.gen_range(READ_LATENCY..500)];
+            for h in 1..path.links.len() {
+                let landed =
+                    hop_starts[h - 1] + slot + scheduled_link_latency(&topo, path.links[h - 1]);
+                let start = loop {
+                    let start = landed + FORWARD_OVERHEAD_CYCLES + rng.gen_range(0..3 * slot);
+                    // Writes occupy [landed + 1, +5) mod slot, reads
+                    // [start - READ_LATENCY, +5): keep them apart.
+                    let gap = (start - READ_LATENCY - (landed + 1)) % slot;
+                    if (5..=slot - 5).contains(&gap) {
+                        break start;
+                    }
+                };
+                hop_starts.push(start);
+            }
+            for n in [1u64, 2, 3, 64] {
+                let mut got = Vec::new();
+                for_each_unit_window(&topo, &path, &hop_starts, n, &mut |tsp, key, s, e| {
+                    got.push((UnitOccupancy::resource(tsp, key), s, e));
+                });
+                let mut seen = std::collections::HashSet::new();
+                for run in got.chunk_by(|a, b| a.0 == b.0) {
+                    assert!(seen.insert(run[0].0), "{from}->{to} n={n}: resource split");
+                    assert!(
+                        run.windows(2).all(|w| w[0].2 <= w[1].1),
+                        "{from}->{to} n={n}: resource {} out of order",
+                        run[0].0
+                    );
+                }
+                let mut want = unit_windows_per_vector(&topo, &path, &hop_starts, n);
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "{from}->{to} n={n}");
+            }
+        }
+    }
+
     /// Booking a transfer by merge gives the same per-resource lists as
     /// booking it one window at a time, and the single-lookup
     /// [`UnitOccupancy::conflict`] agrees with a full scan on random
@@ -1486,7 +1639,11 @@ mod tests {
                 for &(r, s, e) in &trial {
                     reserve(&mut oracle, r, s, e);
                 }
-                merged.book(&mut trial);
+                // `book` takes its windows in booking order, which the
+                // compiler's enumerator produces and these shuffled
+                // trials must be sorted into.
+                trial.sort_unstable();
+                merged.book(&trial);
                 for (r, (got, want)) in merged.busy.iter().zip(&oracle.busy).enumerate() {
                     assert_eq!(got, want, "seed {seed}, resource {r}");
                 }

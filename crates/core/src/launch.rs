@@ -31,6 +31,7 @@ use tsm_compiler::schedule::CompileOptions;
 use tsm_fault::inject::{inject_schedule_with, FecStats};
 use tsm_fault::replay::{run_with_replay_fallible, FallibleReplayOutcome, ReplayPolicy};
 use tsm_fault::spare::SpareError;
+use tsm_link::Channel;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::{names, EventKind, Metrics, RunMetrics, Tracer, RUNTIME_LANE};
 
@@ -157,12 +158,21 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
         self.clock
     }
 
-    /// **Stage: admission.** Checks the logical graph against the
-    /// runtime's logical device space: every device the program names —
-    /// including transfer destinations — must be a logical TSP. Programs
-    /// naming physical spares are rejected here with a typed error
-    /// instead of failing deep inside remap/compile.
+    /// **Stage: admission.** Checks the runtime's bit error rates and the
+    /// logical graph against the runtime's logical device space: every
+    /// device the program names — including transfer destinations — must
+    /// be a logical TSP. A rate no link channel accepts, or a program
+    /// naming physical spares, is rejected here with a typed error instead
+    /// of failing deep inside remap, compile or fault injection.
     pub fn admit(&self) -> Result<Admission, RuntimeError> {
+        for (rate, ber) in [
+            ("base", self.rt.base_ber),
+            ("marginal", self.rt.marginal_ber),
+        ] {
+            if !Channel::valid_ber(ber) {
+                return Err(RuntimeError::BitErrorRate { rate, ber });
+            }
+        }
         let logical_tsps = self.rt.logical_tsps();
         let check = |t: TspId| {
             if (t.0 as usize) < logical_tsps {

@@ -98,6 +98,15 @@ pub enum RuntimeError {
     /// reason that is not a link fault (a lowering bug, a capacity limit):
     /// replaying cannot help, so it surfaces directly.
     Execution(String),
+    /// A bit error rate set with [`Runtime::set_ber`] is outside `[0, 1)`
+    /// (or NaN), so no link channel can draw errors from it. Refused at
+    /// admission, before anything compiles or traces.
+    BitErrorRate {
+        /// Which rate: `"base"` or `"marginal"`.
+        rate: &'static str,
+        /// The refused value.
+        ber: f64,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -121,6 +130,9 @@ impl std::fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::Execution(e) => write!(f, "execution: {e}"),
+            RuntimeError::BitErrorRate { rate, ber } => {
+                write!(f, "{rate} bit error rate {ber} outside [0, 1)")
+            }
         }
     }
 }
@@ -395,7 +407,9 @@ impl Runtime {
         self.mode
     }
 
-    /// Overrides the healthy/marginal bit error rates.
+    /// Overrides the healthy/marginal bit error rates. Each must be a
+    /// probability in `[0, 1)`; a launch refuses one that is not with
+    /// [`RuntimeError::BitErrorRate`].
     pub fn set_ber(&mut self, base: f64, marginal: f64) {
         self.base_ber = base;
         self.marginal_ber = marginal;

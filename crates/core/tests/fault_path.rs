@@ -15,16 +15,18 @@
 //! cable whose BER defeats SEC-DED, recovered by failover, with final
 //! destination SRAM bit-identical to a fault-free run.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
 use tsm_core::cosim::{
     compile_plan, CompiledPlan, CosimError, LinkFaultModel, PlanExecutor, TargetedFlip,
     TransferShape,
 };
-use tsm_core::runtime::{graph_fingerprint, ExecMode, Runtime, SparePolicy};
+use tsm_core::runtime::{graph_fingerprint, ExecMode, Runtime, RuntimeError, SparePolicy};
 use tsm_core::system::System;
 use tsm_isa::Vector;
 use tsm_topology::{LinkId, NodeId, Topology, TspId};
+use tsm_trace::{names, RingSink, RunMetrics};
 
 type Payload = Arc<Vector>;
 
@@ -284,6 +286,232 @@ fn fingerprint_separates_field_boundary_shifts() {
     b.add(TspId(0), OpKind::Compute { cycles: 21 }, vec![])
         .unwrap();
     assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
+}
+
+/// The `link.fec.*` counter names: every delivery of a fault-mode execute
+/// lands in exactly one of them, labeled with its link.
+const LINK_FEC: [&str; 4] = [
+    names::LINK_CLEAN,
+    names::LINK_CORRECTED,
+    names::LINK_UNCORRECTABLE,
+    names::LINK_DEMOTED,
+];
+
+/// The plan's deliveries per link, ascending by link.
+fn deliveries_per_link(plan: &CompiledPlan) -> BTreeMap<u32, u64> {
+    let mut per_link = BTreeMap::new();
+    for (_, _, link) in all_hops(plan) {
+        *per_link.entry(link.0).or_insert(0) += 1;
+    }
+    per_link
+}
+
+/// Checks that a successful fault-mode report counts each delivery once,
+/// under its own link: per link, the `link.fec.*` counters sum to the
+/// plan's deliveries over it, and no other link is counted.
+fn assert_tallies_cover_the_plan(plan: &CompiledPlan, metrics: &RunMetrics, what: &str) {
+    let mut counted = BTreeMap::new();
+    for c in &metrics.counters {
+        if LINK_FEC.contains(&c.name.as_str()) {
+            let link = c
+                .label
+                .unwrap_or_else(|| panic!("{what}: unlabeled {}", c.name));
+            *counted.entry(link).or_insert(0) += c.value;
+        }
+    }
+    assert_eq!(counted, deliveries_per_link(plan), "{what}");
+}
+
+/// Every delivery of a fault-mode execute is tallied exactly once under
+/// its link, whether it crossed clean (decided from its draw alone and
+/// tallied per link) or built a packet, at BER 0, at the runtime's
+/// default 1e-9, and with the cross-node cable marginal at 2e-4, over a
+/// seed scan. An aborted execute's tally still covers every delivery.
+#[test]
+fn fec_tallies_count_every_delivery_once_per_link() {
+    let (plan, payloads) = two_hop_setup();
+    let total: u64 = deliveries_per_link(&plan).values().sum();
+    let topo = Topology::fully_connected_nodes(2).unwrap();
+    let cross = all_hops(&plan)
+        .into_iter()
+        .map(|(_, _, link)| link)
+        .find(|&l| {
+            let l = topo.link(l);
+            l.a.node() != l.b.node()
+        })
+        .expect("the route crosses nodes");
+    let mut exec = PlanExecutor::new();
+    let (mut corrected, mut aborted) = (0, 0);
+    for seed in 0..64u64 {
+        let models = [
+            LinkFaultModel::uniform(0.0, seed),
+            LinkFaultModel::uniform(1e-9, seed),
+            LinkFaultModel::uniform(1e-9, seed).with_link(cross, 2e-4),
+        ];
+        for faults in &models {
+            let what = format!("seed {seed}, base {}", faults.base_ber);
+            match exec.execute_with_faults(&plan, &payloads, faults) {
+                Ok(report) => {
+                    assert_tallies_cover_the_plan(&plan, &report.metrics, &what);
+                    corrected += report.fec().corrected;
+                }
+                Err(CosimError::Uncorrectable { fec, .. }) => {
+                    assert_eq!(
+                        fec.clean + fec.corrected + fec.uncorrectable,
+                        total,
+                        "{what}"
+                    );
+                    aborted += 1;
+                }
+                Err(e) => panic!("{what}: {e}"),
+            }
+        }
+    }
+    assert!(corrected > 0, "no seed corrected a delivery");
+    assert!(aborted > 0, "no seed struck a delivery uncorrectable");
+
+    // A targeted flip is the one delivery that builds a packet.
+    let (transfer, vector, link) = all_hops(&plan)[3];
+    let faults = LinkFaultModel {
+        targeted: vec![TargetedFlip {
+            transfer,
+            vector,
+            link,
+            bits: vec![1234],
+        }],
+        ..LinkFaultModel::uniform(1e-9, 5)
+    };
+    let report = exec.execute_with_faults(&plan, &payloads, &faults).unwrap();
+    assert_tallies_cover_the_plan(&plan, &report.metrics, "targeted");
+    assert_eq!(
+        report.metrics.labeled(names::LINK_CORRECTED),
+        vec![(link.0, 1)]
+    );
+}
+
+/// At BER 0 the fault mode binds every delivery clean: its report is the
+/// fault-free execute's plus the clean tallies, serially and in parallel.
+#[test]
+fn zero_ber_fault_mode_reports_what_execute_reports() {
+    let (plan, payloads) = two_hop_setup();
+    let mut exec = PlanExecutor::new();
+    let reference = exec.execute(&plan, &payloads).unwrap();
+    let without_fec = |mut r: tsm_core::cosim::CosimReport| {
+        r.metrics
+            .counters
+            .retain(|c| !c.name.starts_with("link.fec."));
+        r
+    };
+    for seed in 0..8 {
+        let faults = LinkFaultModel::uniform(0.0, seed);
+        for report in [
+            exec.execute_with_faults(&plan, &payloads, &faults).unwrap(),
+            exec.execute_with_faults_serial(&plan, &payloads, &faults)
+                .unwrap(),
+        ] {
+            assert_tallies_cover_the_plan(&plan, &report.metrics, "BER 0");
+            assert_eq!(
+                report.metrics.counter(names::LINK_CLEAN),
+                all_hops(&plan).len() as u64
+            );
+            assert_eq!(without_fec(report), reference);
+        }
+    }
+}
+
+/// A fault model that gives a crossed link a rate outside [0, 1) is
+/// refused with a typed error naming that link, serially and in
+/// parallel, instead of panicking inside the channel. A base rate names
+/// the first delivery's link in bind order.
+#[test]
+fn out_of_range_link_rates_are_typed_errors() {
+    let (plan, payloads) = two_hop_setup();
+    let first = plan
+        .chips
+        .iter()
+        .flat_map(|c| &c.deliveries)
+        .next()
+        .unwrap()
+        .link;
+    let (_, _, last) = *all_hops(&plan).last().unwrap();
+    let cases = [
+        (LinkFaultModel::uniform(1.0, 0), first),
+        (LinkFaultModel::uniform(f64::NAN, 0), first),
+        (LinkFaultModel::uniform(-0.5, 0), first),
+        (LinkFaultModel::uniform(1e-9, 0).with_link(last, 1.0), last),
+    ];
+    let mut exec = PlanExecutor::new();
+    for (faults, named) in &cases {
+        for result in [
+            exec.execute_with_faults(&plan, &payloads, faults),
+            exec.execute_with_faults_serial(&plan, &payloads, faults),
+        ] {
+            match result {
+                Err(CosimError::BitErrorRate { link, ber }) => {
+                    assert_eq!(link, *named);
+                    assert_eq!(ber.to_bits(), faults.ber_for(link).to_bits());
+                }
+                other => panic!("{faults:?}: expected BitErrorRate, got {other:?}"),
+            }
+        }
+    }
+    // The executor is not left in a bad state.
+    exec.execute_with_faults(&plan, &payloads, &LinkFaultModel::uniform(1e-9, 0))
+        .unwrap();
+}
+
+/// `Runtime::set_ber` stores any value; a launch refuses an out-of-range
+/// base or marginal rate at admission with a typed error, in both exec
+/// modes, before it compiles or traces anything. Once the rates are
+/// valid again the same runtime launches cleanly.
+#[test]
+fn out_of_range_runtime_rates_are_refused_at_admission() {
+    let cases = [
+        (1.0, 1e-4, "base"),
+        (f64::NAN, 1e-4, "base"),
+        (-0.5, 1e-4, "base"),
+        (1e-9, 1.0, "marginal"),
+    ];
+    for mode in [ExecMode::Statistical, ExecMode::Datapath] {
+        for (base, marginal, which) in cases {
+            let sink = Arc::new(RingSink::new(1 << 12));
+            let mut rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem)
+                .with_exec_mode(mode)
+                .with_trace_sink(sink.clone());
+            // The pipeline crosses node 1's cables, so a marginal rate
+            // reaches a channel too.
+            let victim: Vec<LinkId> = rt
+                .system()
+                .topology()
+                .links()
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.a.node() == NodeId(1) || l.b.node() == NodeId(1))
+                .map(|(i, _)| LinkId(i as u32))
+                .collect();
+            for l in victim {
+                rt.degrade_link(l);
+            }
+            rt.set_ber(base, marginal);
+            match rt.launch(&logical_pipeline(), 3) {
+                Err(RuntimeError::BitErrorRate { rate, ber }) => {
+                    assert_eq!(rate, which, "{mode:?}");
+                    let want = if which == "base" { base } else { marginal };
+                    assert_eq!(ber.to_bits(), want.to_bits(), "{mode:?}");
+                }
+                other => panic!("{mode:?} {base}/{marginal}: expected BitErrorRate, got {other:?}"),
+            }
+            assert!(sink.events().is_empty(), "{mode:?}: refused launch traced");
+            assert!(
+                rt.residency().resident().is_empty(),
+                "{mode:?}: refused launch compiled"
+            );
+            rt.set_ber(1e-9, 0.0);
+            let out = rt.launch(&logical_pipeline(), 3).unwrap();
+            assert_eq!(out.attempts(), 1, "{mode:?}");
+            assert!(!sink.events().is_empty(), "{mode:?}");
+        }
+    }
 }
 
 #[cfg(test)]

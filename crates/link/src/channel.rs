@@ -24,23 +24,51 @@ pub struct Delivery {
     pub outcome: FecOutcome,
 }
 
+/// The random part of one transmission: what [`Channel::draw`] takes from
+/// the caller's RNG.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Draw {
+    /// Observed one-way latency, in cycles.
+    pub latency: u64,
+    /// Payload bits flipped on the wire.
+    pub flips: usize,
+}
+
 /// A unidirectional point-to-point link.
 #[derive(Debug, Clone)]
 pub struct Channel {
     latency: LatencyModel,
     /// Probability that any given transmitted bit is flipped.
     bit_error_rate: f64,
+    /// Expected flips per packet: the BER times the payload bits.
+    lambda: f64,
+    /// Probability that a packet crosses with no flip, `exp(-lambda)`:
+    /// the first term of the flip-count inversion, computed once per
+    /// channel.
+    no_flip: f64,
     /// Cycles to serialize one 328-byte packet onto the 4 lanes.
     serialization_cycles: u64,
 }
 
 impl Channel {
+    /// Whether `ber` is a bit error rate a channel accepts: a probability
+    /// in `[0, 1)` (so not NaN).
+    pub fn valid_ber(ber: f64) -> bool {
+        (0.0..1.0).contains(&ber)
+    }
+
     /// Creates a channel with the given latency model and bit error rate.
+    ///
+    /// # Panics
+    /// Panics unless [`Channel::valid_ber`] accepts `bit_error_rate`.
     pub fn new(latency: LatencyModel, bit_error_rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&bit_error_rate), "BER must be in [0,1)");
+        assert!(Self::valid_ber(bit_error_rate), "BER must be in [0,1)");
+        let lambda = bit_error_rate * fec::PAYLOAD_BITS as f64;
         Channel {
             latency,
             bit_error_rate,
+            lambda,
+            no_flip: (-lambda).exp(),
             serialization_cycles: timing::wire_packet_serialization_cycles(),
         }
     }
@@ -80,11 +108,10 @@ impl Channel {
         inject_cycle: u64,
         rng: &mut R,
     ) -> Delivery {
-        let latency = self.latency.sample(rng);
-        let arrival_cycle = inject_cycle + self.serialization_cycles + latency;
-
-        let flips = self.draw_bit_flips(rng);
-        if flips == 0 {
+        let mut payload: [u8; VECTOR_BYTES] = *packet.payload.as_bytes();
+        let draw = self.draw(rng, |bit| payload[bit / 8] ^= 1 << (bit % 8));
+        let arrival_cycle = inject_cycle + self.serialization_cycles + draw.latency;
+        if draw.flips == 0 {
             // Fast path: an unflipped payload always decodes Clean, so the
             // codec round-trip is skipped (bit-identical outcome).
             return Delivery {
@@ -95,12 +122,6 @@ impl Channel {
         }
 
         let codeword = FecCodeword::encode(packet.payload.as_bytes());
-        let mut payload: [u8; VECTOR_BYTES] = *packet.payload.as_bytes();
-        for _ in 0..flips {
-            let bit = rng.gen_range(0..fec::PAYLOAD_BITS);
-            payload[bit / 8] ^= 1 << (bit % 8);
-        }
-
         let outcome = fec::decode(&mut payload, codeword);
         let received = WirePacket {
             sequence: packet.sequence,
@@ -192,6 +213,21 @@ impl Channel {
         }
     }
 
+    /// Draws everything random about one transmission from `rng`, in the
+    /// channel's one fixed order: the latency sample, then the number of
+    /// flipped payload bits, then each flip's bit position, handed to
+    /// `flip`. [`Channel::transmit`] is built on it; a caller that only
+    /// needs to know whether a packet crosses clean calls it on an RNG in
+    /// the same state and gets the same draws.
+    pub fn draw<R: Rng>(&self, rng: &mut R, mut flip: impl FnMut(usize)) -> Draw {
+        let latency = self.latency.sample(rng);
+        let flips = self.draw_bit_flips(rng);
+        for _ in 0..flips {
+            flip(rng.gen_range(0..fec::PAYLOAD_BITS));
+        }
+        Draw { latency, flips }
+    }
+
     /// Draws the number of flipped bits for one packet: Poisson with
     /// λ = BER × payload bits, sampled by inversion (λ is tiny for any
     /// realistic BER, so this is a handful of multiplications).
@@ -199,16 +235,15 @@ impl Channel {
         if self.bit_error_rate == 0.0 {
             return 0;
         }
-        let lambda = self.bit_error_rate * fec::PAYLOAD_BITS as f64;
         let u: f64 = rng.gen();
         let mut cdf = 0.0;
-        let mut p = (-lambda).exp();
+        let mut p = self.no_flip;
         for k in 0..16 {
             cdf += p;
             if u < cdf {
                 return k;
             }
-            p *= lambda / (k + 1) as f64;
+            p *= self.lambda / (k + 1) as f64;
         }
         16
     }
@@ -218,7 +253,7 @@ impl Channel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use tsm_isa::Vector;
 
     fn packet(seq: u16) -> WirePacket {
@@ -378,6 +413,53 @@ mod tests {
             demotions > 0,
             "expected at least one miscorrection in 24 tries"
         );
+    }
+
+    /// [`Channel::draw`] takes exactly what [`Channel::transmit`] takes.
+    /// On two identically seeded RNGs, whenever `draw` reports no flip,
+    /// `transmit` delivers the sent packet clean; either way it arrives
+    /// after the drawn latency and both RNGs are left in the same state.
+    #[test]
+    fn draw_takes_what_transmit_takes() {
+        let p = packet(10);
+        let latencies = [
+            LatencyModel::fixed(0),
+            LatencyModel::for_class(tsm_topology::CableClass::IntraNode),
+        ];
+        for ber in [0.0, 1e-9, 2e-5, 1e-3] {
+            for latency in latencies.clone() {
+                let ch = Channel::new(latency, ber);
+                let mut clean = 0;
+                for seed in 0..2000 {
+                    let mut a = StdRng::seed_from_u64(seed);
+                    let mut b = StdRng::seed_from_u64(seed);
+                    let draw = ch.draw(&mut a, |_| {});
+                    let d = ch.transmit(&p, 100, &mut b);
+                    assert_eq!(
+                        d.arrival_cycle,
+                        100 + ch.serialization_cycles() + draw.latency
+                    );
+                    if draw.flips == 0 {
+                        clean += 1;
+                        assert_eq!(d.outcome, FecOutcome::Clean, "BER {ber}, seed {seed}");
+                        assert_eq!(d.packet, p, "BER {ber}, seed {seed}");
+                    }
+                    assert_eq!(a.next_u64(), b.next_u64(), "BER {ber}, seed {seed}");
+                }
+                // λ is at most 2.56 here, so e^-λ of 2000 packets is ~150.
+                assert!(clean > 50, "BER {ber}: {clean} clean draws");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_bers_are_refused_up_front() {
+        for ber in [1.0, 1.5, -0.5, f64::NAN, f64::INFINITY] {
+            assert!(!Channel::valid_ber(ber), "{ber}");
+        }
+        for ber in [0.0, -0.0, 1e-9, 0.5] {
+            assert!(Channel::valid_ber(ber), "{ber}");
+        }
     }
 
     #[test]

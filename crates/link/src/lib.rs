@@ -25,7 +25,7 @@ pub mod fec;
 pub mod latency;
 pub mod meter;
 
-pub use channel::{Channel, Delivery};
+pub use channel::{Channel, Delivery, Draw};
 pub use fec::{FecCodeword, FecOutcome};
 pub use latency::{LatencyModel, LatencyStats};
 pub use meter::LinkMeter;

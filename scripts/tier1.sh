@@ -23,7 +23,14 @@ cargo test -p tsm-core --test plan_reuse -q
 # TSM_THREADS resolution.
 cargo test -p tsm-core --test pool_determinism -q
 # Likewise the fault path: datapath BER injection, FEC bit-for-bit
-# verification, and the replay/blame/failover recovery loop.
+# verification, and the replay/blame/failover recovery loop. Clean
+# deliveries bind without a packet: per-link FEC tallies must still sum to
+# the plan's deliveries (fec_tallies_count_every_delivery_once_per_link),
+# and BER 0 must report what execute reports
+# (zero_ber_fault_mode_reports_what_execute_reports). Out-of-range BERs
+# are typed errors, never panics
+# (out_of_range_link_rates_are_typed_errors,
+# out_of_range_runtime_rates_are_refused_at_admission).
 cargo test -p tsm-core --test fault_path -q
 # The observability layer: the trace crate itself, the serial≡parallel
 # trace-identity contract, and the fault-path timeline assertions.
@@ -70,6 +77,9 @@ cargo test -p tsm-core --test attribution -q
 # and telemetry-window bracketing.
 cargo test -p tsm-core --test flight -q
 cargo test -p tsm-fault -q
+# The link model, including draw_takes_what_transmit_takes: Channel::draw
+# takes exactly the draws transmit takes, so a clean decision made from it
+# agrees with transmit's.
 cargo test -p tsm-link -q
 # Fast bench smoke: one sample of the canonical workload plus the small
 # end of the scaling curve, with bit-identity and trace-identity asserted
@@ -93,7 +103,9 @@ cargo run --release -p tsm-bench --bin repro telemetry-smoke
 # capture and the off-is-off identity for both features. Writes no files.
 cargo run --release -p tsm-bench --bin repro attribution-smoke
 # Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
-# and plan JSON that indexes outside itself refused at parse.
+# the enumerator's booking order vs a per-vector oracle on random dragonfly
+# paths (enumerator_yields_booking_order), and plan JSON that indexes
+# outside itself refused at parse.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
