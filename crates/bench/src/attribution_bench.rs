@@ -30,7 +30,7 @@ pub const FLIGHT: FlightConfig = FlightConfig {
 /// Per-stage slice of the attribution record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StagePoint {
-    /// Stage name (stable serde identifier).
+    /// Stage name (its stable JSON identifier).
     pub stage: &'static str,
     /// Total cycles attributed to this stage across every request.
     pub total_cycles: u64,
@@ -288,11 +288,11 @@ pub fn measure_attribution(
 }
 
 impl AttributionBenchResult {
-    /// The `"attribution"` JSON block spliced into `BENCH_cosim.json`.
-    /// The embedded `first_fault_incident` is [`IncidentReport::to_json`]
-    /// verbatim, so the same seed reproduces the block byte for byte.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
+    /// Writes the `"attribution"` block of `BENCH_cosim.json` as the next
+    /// value. The embedded `first_fault_incident` is
+    /// [`IncidentReport::to_json`] verbatim, so the same seed reproduces
+    /// the block byte for byte.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_u64("seed", self.seed)
             .field_u64("service_cycles", self.service_cycles)
@@ -327,11 +327,10 @@ impl AttributionBenchResult {
         if let Some(fault) = self.incidents.iter().find(|i| i.trigger.kind() == "fault") {
             w.field_raw(
                 "first_fault_incident",
-                &crate::cosim_bench::indent_block(&fault.to_json(), 2),
+                &crate::cosim_bench::indent_block(&fault.to_json(), 4),
             );
         }
         w.end_object();
-        w.finish()
     }
 }
 
@@ -416,7 +415,7 @@ mod tests {
         assert_eq!(r.stages.len(), Stage::ALL.len());
         let critical: u64 = r.stages.iter().map(|s| s.critical).sum();
         assert_eq!(critical, r.served);
-        let json = r.to_json();
+        let json = crate::render(|w| r.write_json(w));
         for key in [
             "\"sums_exact\": true",
             "\"reproducible\": true",

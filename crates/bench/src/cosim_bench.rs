@@ -1,20 +1,21 @@
-//! Co-simulation engine throughput benchmark.
+//! Co-simulation record: the canonical workload and the scaling curve.
 //!
 //! One canonical workload — a 2-node system with 16 concurrent multi-hop
 //! transfers (every TSP sources one flow to a non-adjacent TSP on the
-//! other node, so each flow forwards through an intermediate chip) —
-//! shared by the `cosim_throughput` criterion bench and the `repro`
-//! binary's `BENCH_cosim.json` emitter, so the perf trajectory of the
-//! single-pass engine is tracked by one number series from PR to PR.
+//! other node, so each flow forwards through an intermediate chip) — runs
+//! through both one-shot engines and the compile-once pipeline, once
+//! under the conformance profiler, and [`FAULT_INVOCATIONS`] times over a
+//! marginal fabric. [`measure_scaling`] runs the same engine up the
+//! paper's deployment ladder — 16, 72, 288, and 10,440 chips (§2.2's
+//! 145-rack system) — checking report bit-identity *and* trace identity
+//! at every point.
 //!
-//! [`measure_scaling`] sweeps the same engine up the paper's deployment
-//! ladder — 16, 72, 288, and 10,440 chips (§2.2's 145-rack system) —
-//! timing warm serial vs parallel execution at each size and asserting
-//! report bit-identity *and* trace identity at every point.
+//! Every field is simulated, so the record `repro bench-cosim` writes to
+//! `BENCH_cosim.json` is a pure function of the code. Host time has one
+//! source, the outside-in benchmark under `benchmark/`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 use tsm::core::cosim::{
     compile_plan, run_transfers, run_transfers_serial, CosimError, CosimTransfer, LinkFaultModel,
     PlanExecutor, TransferShape,
@@ -23,7 +24,7 @@ use tsm::fault::inject::FecStats;
 use tsm::isa::Vector;
 use tsm::topology::{ScaleRegime, Topology, TspId, NODES_PER_RACK};
 use tsm::trace::profile::profile;
-use tsm::trace::{JsonWriter, NullSink, RingSink, RunMetrics};
+use tsm::trace::{JsonWriter, RingSink, RunMetrics};
 
 /// Builds the canonical benchmark workload: 16 concurrent multi-hop
 /// transfers on a 2-node fully-connected system. Destinations are chosen
@@ -145,47 +146,20 @@ pub struct ScalePoint {
     pub transfers: usize,
     /// Instructions lowered across all chips.
     pub instructions: usize,
-    /// Worker threads the parallel engine resolved to.
-    pub threads: usize,
-    /// Samples actually timed (the largest system is timed once: a single
-    /// 10,440-chip pass already integrates over enough work that
-    /// best-of-N adds minutes, not precision).
-    pub samples: usize,
-    /// Best-of-N warm serial execution, nanoseconds.
-    pub serial_ns: u128,
-    /// Best-of-N warm parallel execution, nanoseconds.
-    pub parallel_ns: u128,
-    /// Whether every serial and parallel report matched the reference
-    /// bit for bit.
+    /// Whether a reused serial execute and a parallel execute both matched
+    /// the first serial report bit for bit.
     pub bit_identical: bool,
     /// Whether the serial and parallel trace event streams were
     /// byte-identical at this scale.
     pub trace_identical: bool,
 }
 
-impl ScalePoint {
-    /// Serial-over-parallel wall-time ratio.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_ns as f64
-    }
-
-    /// Lowered instructions executed per second, serial engine.
-    pub fn serial_instr_per_sec(&self) -> f64 {
-        self.instructions as f64 / (self.serial_ns as f64 / 1e9)
-    }
-
-    /// Lowered instructions executed per second, parallel engine.
-    pub fn parallel_instr_per_sec(&self) -> f64 {
-        self.instructions as f64 / (self.parallel_ns as f64 / 1e9)
-    }
-}
-
-/// Sweeps the scaling curve up to `max_chips` (pass `usize::MAX` for the
-/// full 10,440-chip ladder, a smaller bound for a fast smoke pass). Each
-/// point compiles its plan once, times `samples` warm serial and parallel
-/// executions on the same executor, and then asserts both report
-/// bit-identity and serial≡parallel trace identity at that scale.
-pub fn measure_scaling(samples: usize, max_chips: usize) -> Vec<ScalePoint> {
+/// Runs the scaling curve up to `max_chips` (pass `usize::MAX` for the
+/// full 10,440-chip ladder, a smaller bound for a fast pass). Each point
+/// compiles its plan once, executes it serially, serially again on the
+/// reused executor and in parallel, and records report bit-identity and
+/// serial≡parallel trace identity at that scale.
+pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
     SCALING_CHIPS
         .iter()
         .copied()
@@ -198,29 +172,17 @@ pub fn measure_scaling(samples: usize, max_chips: usize) -> Vec<ScalePoint> {
             let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
 
             let mut exec = PlanExecutor::new();
-            let threads = exec.resolved_threads();
             let reference = exec
                 .execute_serial(&plan, &payloads)
                 .expect("serial scale run");
+            let reused = exec
+                .execute_serial(&plan, &payloads)
+                .expect("reused serial scale run");
+            let parallel = exec.execute(&plan, &payloads).expect("parallel scale run");
+            let bit_identical = reused == reference && parallel == reference;
 
-            let effective = if chips > 1_000 { 1 } else { samples.max(1) };
-            let mut serial_ns = u128::MAX;
-            let mut parallel_ns = u128::MAX;
-            let mut bit_identical = true;
-            for _ in 0..effective {
-                let t0 = Instant::now();
-                let s = exec
-                    .execute_serial(&plan, &payloads)
-                    .expect("serial scale run");
-                serial_ns = serial_ns.min(t0.elapsed().as_nanos());
-                let t1 = Instant::now();
-                let p = exec.execute(&plan, &payloads).expect("parallel scale run");
-                parallel_ns = parallel_ns.min(t1.elapsed().as_nanos());
-                bit_identical &= s == reference && p == reference;
-            }
-
-            // Trace identity at this scale, checked once outside the timed
-            // loop: both engines must record byte-identical event streams.
+            // Trace identity at this scale: both engines must record
+            // byte-identical event streams.
             let capacity = (reference.instructions * 4 + chips * 8).next_power_of_two();
             let mut traced = |parallel: bool| {
                 let sink = Arc::new(RingSink::new(capacity));
@@ -244,10 +206,6 @@ pub fn measure_scaling(samples: usize, max_chips: usize) -> Vec<ScalePoint> {
                 workload: workload_label(&topo, transfers.len()),
                 transfers: transfers.len(),
                 instructions: reference.instructions,
-                threads,
-                samples: effective,
-                serial_ns,
-                parallel_ns,
                 bit_identical,
                 trace_identical,
             }
@@ -255,7 +213,7 @@ pub fn measure_scaling(samples: usize, max_chips: usize) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// One measured sample of the canonical workload.
+/// The co-simulation record of the canonical workload.
 #[derive(Debug, Clone)]
 pub struct CosimBenchResult {
     /// Workload description, derived from the measured system by
@@ -267,75 +225,34 @@ pub struct CosimBenchResult {
     pub chips: usize,
     /// Instructions lowered across all chips.
     pub instructions: usize,
-    /// Best-of-N wall time for the serial engine, nanoseconds.
-    pub serial_ns: u128,
-    /// Best-of-N wall time for the parallel engine, nanoseconds.
-    pub parallel_ns: u128,
-    /// Worker threads the parallel engine resolved to (explicit knob >
-    /// `TSM_THREADS` > available parallelism).
-    pub threads: usize,
-    /// Best-of-N wall time for a *cold* invocation, nanoseconds: one full
-    /// one-shot call from the transfer descriptors — shape extraction,
-    /// payload materialization, [`CompiledPlan`] compile, fresh executor,
-    /// one execution. This is the work `run_transfers_serial` repeats on
-    /// every call and a compile-once caller pays exactly once.
-    ///
-    /// [`CompiledPlan`]: tsm::core::cosim::CompiledPlan
-    pub cold_ns: u128,
-    /// Best-of-N *warm* per-invocation wall time: plan and executor
-    /// reused, payload binding + chip passes only, nanoseconds.
-    pub warm_ns: u128,
-    /// Warm invocations timed per sample (the amortization window).
-    pub invocations: u32,
-    /// Whether the serial, parallel, and plan-reuse reports (including
-    /// destination SRAM digests) were bit-identical on every sample.
+    /// Whether the one-shot serial and parallel reports and the
+    /// compile-once reports (the first execute on a fresh executor and a
+    /// reused execute), destination SRAM digests included, were
+    /// bit-identical.
     pub bit_identical: bool,
-    /// Best-of-N per-invocation wall time with datapath BER injection at
-    /// [`FAULT_BER`]: every delivery crosses its link's channel, flips are
-    /// sampled, FEC decodes, and uncorrectable attempts are replayed with
-    /// a fresh seed until they succeed. The faulty-vs-warm ratio is the
-    /// runtime cost of driving real bytes through a marginal fabric.
-    pub faulty_ns: u128,
-    /// Faulty invocations timed per sample.
-    pub fault_invocations: u32,
-    /// Replays consumed by uncorrectable-aborted attempts across one
-    /// sample's faulty invocations (deterministic: seeds derive from the
-    /// invocation index).
+    /// Replays consumed by uncorrectable-aborted attempts across the
+    /// [`FAULT_INVOCATIONS`] faulty invocations at [`FAULT_BER`]
+    /// (deterministic: seeds derive from the invocation index).
     pub fault_replays: u64,
-    /// FEC tally across one sample's faulty invocations, replays included.
+    /// FEC tally across the faulty invocations, replays included.
     pub fault_stats: FecStats,
     /// Whether every recovered faulty invocation delivered destination
     /// SRAM digests bit-identical to the fault-free reference.
     pub fault_bit_identical: bool,
-    /// Best-of-N warm per-invocation wall time with a [`NullSink`]
-    /// attached — the numeric check behind the "zero-cost when disabled"
-    /// claim of the trace layer: this should equal [`Self::warm_ns`] to
-    /// within noise.
-    pub trace_null_ns: u128,
-    /// Best-of-N warm per-invocation wall time with a recording
-    /// [`RingSink`] attached — what full event capture actually costs.
-    pub trace_ring_ns: u128,
-    /// Best-of-N warm per-invocation wall time with the conformance
-    /// profiler fully attached: a fresh lossless `RingSink` per
-    /// invocation plus the plan-vs-actual join over its events. The
-    /// profiled-vs-warm ratio is what always-on conformance checking
-    /// costs relative to a detached run.
-    pub profiled_ns: u128,
-    /// Whether every profiled invocation came back
+    /// Whether the profiled execute came back
     /// [`Conformance::Certified`] — the canonical workload is fault-free,
     /// so anything else is a conformance regression.
     ///
     /// [`Conformance::Certified`]: tsm::trace::Conformance::Certified
     pub profile_certified: bool,
-    /// The last profiled invocation's bottleneck summary
+    /// The profiled execute's bottleneck summary
     /// ([`LaunchProfile::summary_json`]): verdict, per-link utilization,
     /// critical path — embedded in `BENCH_cosim.json`.
     ///
     /// [`LaunchProfile::summary_json`]: tsm::trace::LaunchProfile::summary_json
     pub profile_summary: String,
-    /// Metrics snapshot of one warm invocation of the canonical workload
-    /// (instruction/delivery counters, retire-cycle histogram), recorded
-    /// PR-to-PR alongside the timings.
+    /// Metrics snapshot of one reused execute of the canonical workload
+    /// (instruction/delivery counters, retire-cycle histogram).
     pub run_metrics: RunMetrics,
     /// The engine's scaling curve (empty unless [`measure_scaling`] was
     /// run and its points attached, as `repro bench-cosim` does).
@@ -343,109 +260,21 @@ pub struct CosimBenchResult {
 }
 
 impl CosimBenchResult {
-    /// Lowered instructions executed per second, serial engine.
-    pub fn serial_instr_per_sec(&self) -> f64 {
-        self.instructions as f64 / (self.serial_ns as f64 / 1e9)
-    }
-
-    /// Lowered instructions executed per second, parallel engine.
-    pub fn parallel_instr_per_sec(&self) -> f64 {
-        self.instructions as f64 / (self.parallel_ns as f64 / 1e9)
-    }
-
-    /// Serial-over-parallel wall-time ratio on the canonical workload.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_ns as f64
-    }
-
-    /// How much cheaper a warm invocation is than a cold one — the payoff
-    /// of compile-once / execute-many.
-    pub fn plan_reuse_speedup(&self) -> f64 {
-        self.cold_ns as f64 / self.warm_ns as f64
-    }
-
-    /// Faulty-run overhead: per-invocation cost with BER injection and
-    /// replay, relative to the fault-free warm path.
-    pub fn fault_overhead(&self) -> f64 {
-        self.faulty_ns as f64 / self.warm_ns as f64
-    }
-
-    /// Disabled-tracing overhead: warm invocation with a `NullSink`
-    /// attached, relative to no sink at all. The trace layer's zero-cost
-    /// claim is this ratio staying within measurement noise of 1.0.
-    pub fn trace_null_overhead(&self) -> f64 {
-        self.trace_null_ns as f64 / self.warm_ns as f64
-    }
-
-    /// Recording-tracing overhead: warm invocation with a `RingSink`
-    /// capturing every event, relative to no sink.
-    pub fn trace_ring_overhead(&self) -> f64 {
-        self.trace_ring_ns as f64 / self.warm_ns as f64
-    }
-
-    /// Conformance-profiler overhead: warm invocation with capture *and*
-    /// the plan-vs-actual join, relative to a detached warm run.
-    pub fn profile_overhead(&self) -> f64 {
-        self.profiled_ns as f64 / self.warm_ns as f64
-    }
-
-    /// The JSON record written to `BENCH_cosim.json`, emitted through the
-    /// workspace's [`JsonWriter`] so escaping, separators, and balance are
-    /// owned by one serializer instead of a hand-maintained format string.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
-        w.begin_object();
+    /// Writes the co-simulation record and its scaling curve as fields of
+    /// the open top-level object of `BENCH_cosim.json`.
+    pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_str("bench", "cosim_throughput")
             .field_str("workload", &self.workload)
             .field_u64("transfers", self.transfers as u64)
             .field_u64("chips", self.chips as u64)
-            .field_u64("instructions", self.instructions as u64)
-            .field_u64("threads", self.threads as u64)
-            .field_raw("serial_ns", &self.serial_ns.to_string())
-            .field_raw("parallel_ns", &self.parallel_ns.to_string())
-            .field_raw(
-                "serial_instr_per_sec",
-                &format!("{:.0}", self.serial_instr_per_sec()),
-            )
-            .field_raw(
-                "parallel_instr_per_sec",
-                &format!("{:.0}", self.parallel_instr_per_sec()),
-            )
-            .field_raw(
-                "parallel_speedup",
-                &format!("{:.3}", self.parallel_speedup()),
-            )
-            .field_raw("cold_ns", &self.cold_ns.to_string())
-            .field_raw("warm_ns", &self.warm_ns.to_string())
-            .field_u64("invocations", u64::from(self.invocations))
-            .field_raw(
-                "plan_reuse_speedup",
-                &format!("{:.3}", self.plan_reuse_speedup()),
-            );
+            .field_u64("instructions", self.instructions as u64);
         w.key("bit_identical").bool(self.bit_identical);
         w.field_raw("fault_ber", &format!("{FAULT_BER:e}"))
-            .field_raw("faulty_ns", &self.faulty_ns.to_string())
-            .field_u64("fault_invocations", u64::from(self.fault_invocations))
-            .field_raw("fault_overhead", &format!("{:.3}", self.fault_overhead()))
+            .field_u64("fault_invocations", u64::from(FAULT_INVOCATIONS))
             .field_u64("fault_replays", self.fault_replays)
             .field_u64("fault_corrected", self.fault_stats.corrected)
             .field_u64("fault_uncorrectable", self.fault_stats.uncorrectable);
         w.key("fault_bit_identical").bool(self.fault_bit_identical);
-        w.field_raw("trace_null_ns", &self.trace_null_ns.to_string())
-            .field_raw("trace_ring_ns", &self.trace_ring_ns.to_string())
-            .field_raw(
-                "trace_null_overhead",
-                &format!("{:.3}", self.trace_null_overhead()),
-            )
-            .field_raw(
-                "trace_ring_overhead",
-                &format!("{:.3}", self.trace_ring_overhead()),
-            )
-            .field_raw("profiled_ns", &self.profiled_ns.to_string())
-            .field_raw(
-                "profile_overhead",
-                &format!("{:.3}", self.profile_overhead()),
-            );
         w.key("profile_certified").bool(self.profile_certified);
         w.key("scaling").begin_array();
         for p in &self.scaling {
@@ -453,20 +282,7 @@ impl CosimBenchResult {
                 .field_u64("chips", p.chips as u64)
                 .field_str("workload", &p.workload)
                 .field_u64("transfers", p.transfers as u64)
-                .field_u64("instructions", p.instructions as u64)
-                .field_u64("threads", p.threads as u64)
-                .field_u64("samples", p.samples as u64)
-                .field_raw("serial_ns", &p.serial_ns.to_string())
-                .field_raw("parallel_ns", &p.parallel_ns.to_string())
-                .field_raw("parallel_speedup", &format!("{:.3}", p.parallel_speedup()))
-                .field_raw(
-                    "serial_instr_per_sec",
-                    &format!("{:.0}", p.serial_instr_per_sec()),
-                )
-                .field_raw(
-                    "parallel_instr_per_sec",
-                    &format!("{:.0}", p.parallel_instr_per_sec()),
-                );
+                .field_u64("instructions", p.instructions as u64);
             w.key("bit_identical").bool(p.bit_identical);
             w.key("trace_identical").bool(p.trace_identical);
             w.end_object();
@@ -474,15 +290,12 @@ impl CosimBenchResult {
         w.end_array();
         w.field_raw("profile", &indent_block(&self.profile_summary, 2))
             .field_raw("metrics", &indent_block(&self.run_metrics.to_json(), 2));
-        w.end_object();
-        let mut out = w.finish();
-        out.push('\n');
-        out
     }
 }
 
 /// Re-indents every line after the first by `n` extra spaces, so a
-/// pretty-printed sub-object nests readably inside the bench record.
+/// pretty-printed sub-object nests readably inside the bench record: 2
+/// for a top-level field, 4 for a field of a top-level block.
 pub(crate) fn indent_block(s: &str, n: usize) -> String {
     let pad = " ".repeat(n);
     let mut out = String::with_capacity(s.len());
@@ -496,192 +309,101 @@ pub(crate) fn indent_block(s: &str, n: usize) -> String {
     out
 }
 
-/// Warm invocations timed per sample when measuring plan reuse.
-pub const WARM_INVOCATIONS: u32 = 100;
-
-/// Faulty invocations timed per sample when measuring BER overhead.
+/// Faulty invocations of the canonical workload.
 pub const FAULT_INVOCATIONS: u32 = 50;
 
-/// Uniform BER for the faulty-run measurement: ~0.026 expected flips per
+/// Uniform BER for the faulty invocations: ~0.026 expected flips per
 /// 2560-bit packet, so single-bit corrections are routine and the
 /// occasional double flip exercises the uncorrectable replay path.
 pub const FAULT_BER: f64 = 1e-5;
 
-/// Replay budget backstop for the faulty measurement (a runaway here
+/// Replay budget backstop for the faulty invocations (a runaway here
 /// would mean the BER maths are off by orders of magnitude).
 const FAULT_REPLAY_CAP: u64 = 64;
 
-/// Runs the canonical workload `samples` times through both one-shot
-/// engines and the compile-once / execute-many pipeline, returning
-/// best-of-N timings plus the bit-identity verdict.
-pub fn measure(samples: usize) -> CosimBenchResult {
+/// Runs the canonical workload through both one-shot engines and the
+/// compile-once / execute-many pipeline, profiles one execute, and
+/// drives [`FAULT_INVOCATIONS`] invocations over a [`FAULT_BER`] fabric
+/// with replay.
+pub fn measure() -> CosimBenchResult {
     let (topo, transfers) = workload();
     let reference = run_transfers_serial(&topo, &transfers).expect("workload schedules cleanly");
-    // Pre-materialized payload handles for the warm loop: a compile-once
-    // caller materializes these once and re-binds them by Arc clone.
+    let parallel = run_transfers(&topo, &transfers).expect("parallel run");
+
+    // Compile once, then execute on a fresh executor and again on the
+    // reused one: both must reproduce the one-shot report.
+    let shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
     let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
-    let mut serial_ns = u128::MAX;
-    let mut parallel_ns = u128::MAX;
-    let mut cold_ns = u128::MAX;
-    let mut warm_ns = u128::MAX;
-    let mut faulty_ns = u128::MAX;
-    let mut trace_null_ns = u128::MAX;
-    let mut trace_ring_ns = u128::MAX;
-    let mut profiled_ns = u128::MAX;
-    let mut profile_certified = true;
-    let mut profile_summary = String::new();
-    let mut run_metrics = RunMetrics::default();
-    let mut bit_identical = true;
+    let plan = compile_plan(&topo, &shapes).expect("plan compiles");
+    let mut executor = PlanExecutor::new();
+    let first = executor
+        .execute_serial(&plan, &payloads)
+        .expect("first execute");
+    let reused = executor
+        .execute_serial(&plan, &payloads)
+        .expect("reused execute");
+    let bit_identical = parallel == reference && first == reference && reused == reference;
+
+    // One profiled execute: a lossless RingSink plus the plan-vs-actual
+    // conformance join over its events.
+    let sink = Arc::new(RingSink::new(1 << 14));
+    executor.set_trace_sink(sink.clone());
+    executor
+        .execute_serial(&plan, &payloads)
+        .expect("profiled execute");
+    executor.clear_trace_sink();
+    let prof = profile(
+        &plan.planned_timeline(&topo),
+        &sink.sorted_events(),
+        sink.dropped(),
+    )
+    .expect("lossless ring profiles");
+
+    // Faulty: the same plan and payloads with every delivery crossing its
+    // link's BER channel. Uncorrectable attempts replay with a fresh
+    // derived seed, mirroring the runtime's recovery loop. Seeds derive
+    // from the invocation index, so the flip pattern — and the tally — is
+    // identical on every run and every machine.
     let mut fault_replays = 0u64;
     let mut fault_stats = FecStats::default();
     let mut fault_bit_identical = true;
-    for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        let s = run_transfers_serial(&topo, &transfers).expect("serial run");
-        serial_ns = serial_ns.min(t0.elapsed().as_nanos());
-        let t1 = Instant::now();
-        let p = run_transfers(&topo, &transfers).expect("parallel run");
-        parallel_ns = parallel_ns.min(t1.elapsed().as_nanos());
-        bit_identical &= s == reference && p == reference;
-
-        // Cold: one full one-shot invocation from the transfer
-        // descriptors — shape extraction, payload materialization, plan
-        // compile, fresh executor, one execution. Exactly the work
-        // `run_transfers_serial` repeats on every call. Serial executor on
-        // both sides so the comparison is free of thread-pool noise.
-        let t2 = Instant::now();
-        let cold_shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
-        let cold_payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
-        let plan = compile_plan(&topo, &cold_shapes).expect("plan compiles");
-        let mut executor = PlanExecutor::new();
-        let first = executor
-            .execute_serial(&plan, &cold_payloads)
-            .expect("cold execute");
-        cold_ns = cold_ns.min(t2.elapsed().as_nanos());
-        bit_identical &= first == reference;
-
-        // Warm: the same plan and executor serve WARM_INVOCATIONS more
-        // payload bindings; per-invocation cost is the amortized number.
-        let t3 = Instant::now();
-        for _ in 0..WARM_INVOCATIONS {
-            executor
-                .execute_serial(&plan, &payloads)
-                .expect("warm execute");
-        }
-        warm_ns = warm_ns.min(t3.elapsed().as_nanos() / u128::from(WARM_INVOCATIONS));
-        let verify = executor.execute_serial(&plan, &payloads).expect("verify");
-        bit_identical &= verify == reference;
-        run_metrics = verify.metrics;
-
-        // Trace overhead, same warm loop: first with a NullSink attached
-        // (the zero-cost-when-disabled claim, measured), then with a
-        // RingSink recording every event (the cost of full capture).
-        executor.set_trace_sink(Arc::new(NullSink));
-        let t5 = Instant::now();
-        for _ in 0..WARM_INVOCATIONS {
-            executor
-                .execute_serial(&plan, &payloads)
-                .expect("null-sink execute");
-        }
-        trace_null_ns = trace_null_ns.min(t5.elapsed().as_nanos() / u128::from(WARM_INVOCATIONS));
-        executor.set_trace_sink(Arc::new(RingSink::new(1 << 14)));
-        let t6 = Instant::now();
-        for _ in 0..WARM_INVOCATIONS {
-            executor
-                .execute_serial(&plan, &payloads)
-                .expect("ring-sink execute");
-        }
-        trace_ring_ns = trace_ring_ns.min(t6.elapsed().as_nanos() / u128::from(WARM_INVOCATIONS));
-        executor.clear_trace_sink();
-
-        // Profiler overhead, same warm loop: a fresh lossless RingSink per
-        // invocation plus the full plan-vs-actual conformance join over
-        // its events. The planned timeline is a compile-time artifact —
-        // derived once with the plan, outside the per-invocation cost.
-        let planned = plan.planned_timeline(&topo);
-        let t7 = Instant::now();
-        for _ in 0..WARM_INVOCATIONS {
-            let sink = Arc::new(RingSink::new(1 << 14));
-            executor.set_trace_sink(sink.clone());
-            executor
-                .execute_serial(&plan, &payloads)
-                .expect("profiled execute");
-            let prof = profile(&planned, &sink.sorted_events(), sink.dropped())
-                .expect("lossless ring profiles");
-            profile_certified &= prof.certified();
-            profile_summary = prof.summary_json();
-        }
-        profiled_ns = profiled_ns.min(t7.elapsed().as_nanos() / u128::from(WARM_INVOCATIONS));
-        executor.clear_trace_sink();
-
-        // Faulty: the same plan and payloads with every delivery crossing
-        // its link's BER channel. Uncorrectable attempts replay with a
-        // fresh derived seed, mirroring the runtime's recovery loop; the
-        // per-invocation time therefore includes replay cost. Seeds derive
-        // from the invocation index, so the flip pattern — and the tally —
-        // is identical on every sample and every machine.
-        let t4 = Instant::now();
-        let mut replays = 0u64;
-        let mut stats = FecStats::default();
-        for inv in 0..FAULT_INVOCATIONS {
-            let mut attempt = 0u64;
-            loop {
-                let faults = LinkFaultModel::uniform(FAULT_BER, (u64::from(inv) << 16) | attempt);
-                match executor.execute_with_faults_serial(&plan, &payloads, &faults) {
-                    Ok(rep) => {
-                        stats = stats.merge(&rep.fec());
-                        fault_bit_identical &= rep.dst_digests == reference.dst_digests;
-                        break;
-                    }
-                    Err(CosimError::Uncorrectable { fec, .. }) => {
-                        stats = stats.merge(&fec);
-                        replays += 1;
-                        attempt += 1;
-                        assert!(attempt < FAULT_REPLAY_CAP, "fault replay runaway");
-                    }
-                    Err(e) => panic!("faulty execute: {e}"),
+    for inv in 0..FAULT_INVOCATIONS {
+        let mut attempt = 0u64;
+        loop {
+            let faults = LinkFaultModel::uniform(FAULT_BER, (u64::from(inv) << 16) | attempt);
+            match executor.execute_with_faults_serial(&plan, &payloads, &faults) {
+                Ok(rep) => {
+                    fault_stats = fault_stats.merge(&rep.fec());
+                    fault_bit_identical &= rep.dst_digests == reference.dst_digests;
+                    break;
                 }
+                Err(CosimError::Uncorrectable { fec, .. }) => {
+                    fault_stats = fault_stats.merge(&fec);
+                    fault_replays += 1;
+                    attempt += 1;
+                    assert!(attempt < FAULT_REPLAY_CAP, "fault replay runaway");
+                }
+                Err(e) => panic!("faulty execute: {e}"),
             }
         }
-        faulty_ns = faulty_ns.min(t4.elapsed().as_nanos() / u128::from(FAULT_INVOCATIONS));
-        // Deterministic seeds make every sample's tally identical; keep
-        // one sample's worth rather than scaling with the sample count.
-        fault_replays = replays;
-        fault_stats = stats;
     }
     CosimBenchResult {
         workload: workload_label(&topo, transfers.len()),
         transfers: transfers.len(),
         chips: reference.retire_cycles.len(),
         instructions: reference.instructions,
-        serial_ns,
-        parallel_ns,
-        threads: PlanExecutor::new().resolved_threads(),
-        cold_ns,
-        warm_ns,
-        invocations: WARM_INVOCATIONS,
         bit_identical,
-        faulty_ns,
-        fault_invocations: FAULT_INVOCATIONS,
         fault_replays,
         fault_stats,
         fault_bit_identical,
-        trace_null_ns,
-        trace_ring_ns,
-        profiled_ns,
-        profile_certified,
-        profile_summary,
-        run_metrics,
+        profile_certified: prof.certified(),
+        profile_summary: prof.summary_json(),
+        run_metrics: reused.metrics,
         scaling: Vec::new(),
     }
 }
 
-/// Printable report lines for the `repro` binary and the criterion bench.
-pub fn lines() -> Vec<String> {
-    lines_for(&measure(5))
-}
-
-/// Formats an already-measured sample.
+/// Printable report lines for the `repro` binary.
 pub fn lines_for(r: &CosimBenchResult) -> Vec<String> {
     let mut out = vec![
         format!("workload: {}", r.workload),
@@ -690,37 +412,21 @@ pub fn lines_for(r: &CosimBenchResult) -> Vec<String> {
             r.transfers, r.chips, r.instructions
         ),
         format!(
-            "serial:   {:>10} ns  ({:>12.0} instr/s)",
-            r.serial_ns,
-            r.serial_instr_per_sec()
-        ),
-        format!(
-            "parallel: {:>10} ns  ({:>12.0} instr/s, {:.2}x on {} threads)",
-            r.parallel_ns,
-            r.parallel_instr_per_sec(),
-            r.parallel_speedup(),
-            r.threads
-        ),
-        format!(
-            "cold (one-shot: bind + compile plan + execute): {:>10} ns",
-            r.cold_ns
-        ),
-        format!(
-            "warm (execute only, {}x):      {:>10} ns/invocation  ({:.2}x cheaper)",
-            r.invocations,
-            r.warm_ns,
-            r.plan_reuse_speedup()
-        ),
-        format!(
-            "serial == parallel == plan-reuse (bit-identical): {}",
+            "one-shot serial == parallel == compile-once, fresh and reused executor (bit-identical): {}",
             r.bit_identical
         ),
         format!(
-            "faulty (BER {:e}, {}x): {:>10} ns/invocation  ({:.2}x warm; {} corrected, {} uncorrectable, {} replays)",
+            "profiled execute: {}",
+            if r.profile_certified {
+                "CERTIFIED"
+            } else {
+                "DEVIANT — conformance regression"
+            }
+        ),
+        format!(
+            "faulty (BER {:e}, {}x): {} corrected, {} uncorrectable, {} replays",
             FAULT_BER,
-            r.fault_invocations,
-            r.faulty_ns,
-            r.fault_overhead(),
+            FAULT_INVOCATIONS,
             r.fault_stats.corrected,
             r.fault_stats.uncorrectable,
             r.fault_replays,
@@ -729,50 +435,14 @@ pub fn lines_for(r: &CosimBenchResult) -> Vec<String> {
             "faulty recoveries == fault-free digests (bit-identical): {}",
             r.fault_bit_identical
         ),
-        format!(
-            "trace disabled (NullSink): {:>10} ns/invocation  ({:.3}x warm — the zero-cost claim)",
-            r.trace_null_ns,
-            r.trace_null_overhead()
-        ),
-        format!(
-            "trace recording (RingSink): {:>9} ns/invocation  ({:.3}x warm)",
-            r.trace_ring_ns,
-            r.trace_ring_overhead()
-        ),
-        format!(
-            "profiler attached (capture + conformance join): {:>9} ns/invocation  ({:.3}x warm; every invocation {})",
-            r.profiled_ns,
-            r.profile_overhead(),
-            if r.profile_certified {
-                "CERTIFIED"
-            } else {
-                "DEVIANT — conformance regression"
-            }
-        ),
     ];
-    out.extend(scaling_lines(&r.scaling));
-    out
-}
-
-/// Formats the scaling curve, one line per swept system size. Empty input
-/// (a result without an attached sweep) formats to nothing.
-pub fn scaling_lines(points: &[ScalePoint]) -> Vec<String> {
-    if points.is_empty() {
-        return Vec::new();
+    if !r.scaling.is_empty() {
+        out.push("scaling curve (compile once; serial, reused and parallel execute):".to_string());
     }
-    let mut out = vec!["scaling curve (warm plan, best-of-N per point):".to_string()];
-    for p in points {
+    for p in &r.scaling {
         out.push(format!(
-            "  {:>6} chips ({}): serial {:>13} ns, parallel {:>13} ns — {:.2}x on {} threads, {:>12.0} instr/s, bit_identical={} trace_identical={}",
-            p.chips,
-            p.workload,
-            p.serial_ns,
-            p.parallel_ns,
-            p.parallel_speedup(),
-            p.threads,
-            p.parallel_instr_per_sec(),
-            p.bit_identical,
-            p.trace_identical
+            "  {:>6} chips ({}): {:>7} instructions, bit_identical={} trace_identical={}",
+            p.chips, p.workload, p.instructions, p.bit_identical, p.trace_identical
         ));
     }
     out
@@ -831,7 +501,7 @@ mod tests {
 
     #[test]
     fn scaling_smoke_points_are_identical_across_engines() {
-        let points = measure_scaling(1, 100);
+        let points = measure_scaling(100);
         assert_eq!(points.len(), 2, "smoke bound covers 16 and 72 chips");
         assert_eq!(points[0].chips, 16);
         assert_eq!(points[1].chips, 72);
@@ -839,62 +509,40 @@ mod tests {
             assert!(p.bit_identical, "{} chips: reports diverged", p.chips);
             assert!(p.trace_identical, "{} chips: traces diverged", p.chips);
             assert!(p.instructions > 0);
-            assert!(p.serial_ns > 0 && p.parallel_ns > 0);
-            assert!(p.threads >= 1);
         }
     }
 
     #[test]
     fn measure_reports_bit_identical_engines() {
-        let r = measure(1);
+        let r = measure();
         assert!(r.bit_identical);
         assert!(r.instructions > 0);
-        assert!(r.to_json().contains(
+        let json = crate::render(|w| {
+            w.begin_object();
+            r.write_fields(w);
+            w.end_object();
+        });
+        assert!(json.contains(
             "\"workload\": \"2-node fully-connected, 16 concurrent multi-hop transfers\""
         ));
-        assert!(r.to_json().contains("\"threads\""));
-        assert!(r.to_json().contains("\"scaling\": []"));
-        assert!(r.to_json().contains("\"bit_identical\": true"));
-        assert!(r.to_json().contains("\"cold_ns\""));
-        assert!(r.to_json().contains("\"warm_ns\""));
-        assert!(r.to_json().contains("\"fault_replays\""));
-        assert!(r.to_json().contains("\"fault_bit_identical\": true"));
-        assert!(r.to_json().contains("\"trace_null_ns\""));
-        assert!(r.to_json().contains("\"trace_ring_overhead\""));
-        assert!(r.to_json().contains("\"cosim.instructions\""));
-        // The canonical fault-free workload certifies on every profiled
-        // invocation, and its bottleneck summary rides into the record.
+        assert!(json.contains("\"scaling\": []"));
+        assert!(json.contains("\"bit_identical\": true"));
+        assert!(json.contains("\"fault_replays\""));
+        assert!(json.contains("\"fault_bit_identical\": true"));
+        assert!(json.contains("\"cosim.instructions\""));
+        // The canonical fault-free workload certifies when profiled, and
+        // its bottleneck summary rides into the record.
         assert!(r.profile_certified);
-        assert!(r.to_json().contains("\"profile_overhead\""));
-        assert!(r.to_json().contains("\"verdict\": \"certified\""));
-        assert!(r.to_json().contains("\"critical_path\""));
-        assert!(r.to_json().contains("\"top_links\""));
-        assert!(r.profiled_ns > 0);
-        assert!(r.cold_ns > 0 && r.warm_ns > 0);
-        assert!(r.trace_null_ns > 0 && r.trace_ring_ns > 0);
+        assert!(json.contains("\"verdict\": \"certified\""));
+        assert!(json.contains("\"critical_path\""));
+        assert!(json.contains("\"top_links\""));
         // The metrics snapshot describes the canonical workload.
         assert_eq!(
             r.run_metrics.counter("cosim.instructions"),
             r.instructions as u64
         );
-        // Loose sanity bound only — single-sample CI timings are noisy;
-        // the enforced number is the one `repro bench-cosim` records into
-        // BENCH_cosim.json from a best-of-N run.
-        assert!(
-            r.trace_null_overhead() < 1.5,
-            "NullSink overhead {:.3}x is far beyond noise",
-            r.trace_null_overhead()
-        );
         // corruption must actually have been exercised and repaired
         assert!(r.fault_stats.corrected > 0);
         assert!(r.fault_bit_identical);
-        assert!(r.faulty_ns > 0);
-        // reusing the plan must never cost more than compiling it anew
-        assert!(
-            r.warm_ns <= r.cold_ns,
-            "warm {} > cold {}",
-            r.warm_ns,
-            r.cold_ns
-        );
     }
 }

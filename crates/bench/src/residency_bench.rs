@@ -12,14 +12,11 @@
 //! - **single** — budget = 0: the pre-residency single-entry cache,
 //!   same pathology.
 //!
-//! The warm-over-thrash wall-clock ratio is the bench's headline
-//! (`warm_speedup_*`). A second scenario round-trips the warm-start
-//! tier: the warm run's resident plans are exported, imported into a
-//! fresh runtime, and served again — every model must warm-start and
-//! the launch records must be bit-identical to a cold runtime's. The
-//! `"residency"` block of `BENCH_cosim.json` records all of it.
-
-use std::time::Instant;
+//! A second scenario round-trips the warm-start tier: the warm run's
+//! resident plans are exported, imported into a fresh runtime, and
+//! served again — every model must warm-start and the launch records
+//! must be bit-identical to a cold runtime's. The `"residency"` block of
+//! `BENCH_cosim.json` records all of it.
 
 use tsm::core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm::core::serving::{Request, ServeConfig, ServeReport, Server};
@@ -42,9 +39,6 @@ pub struct ResidencyVariant {
     pub evictions: u64,
     /// `hits / (hits + misses)`.
     pub hit_rate: f64,
-    /// Wall-clock time of the serve run, nanoseconds (host-dependent;
-    /// the deterministic fields above are the comparable record).
-    pub serve_ns: u64,
 }
 
 /// The full residency benchmark record.
@@ -67,10 +61,6 @@ pub struct ResidencyBenchResult {
     pub thrash: ResidencyVariant,
     /// Budget = 0: the pre-residency single-entry cache.
     pub single: ResidencyVariant,
-    /// Wall-clock `thrash.serve_ns / warm.serve_ns`.
-    pub warm_speedup_vs_thrash: f64,
-    /// Wall-clock `single.serve_ns / warm.serve_ns`.
-    pub warm_speedup_vs_single: f64,
     /// Warm-start tier: plans imported into a fresh runtime that
     /// short-circuited a compile (`residency.warm_starts` delta; must
     /// equal K).
@@ -150,9 +140,7 @@ fn run_variant(
     seed: u64,
 ) -> (ResidencyVariant, ServeReport, Runtime) {
     let mut server = server(runtime(budget_bytes), models, seed);
-    let start = Instant::now();
     let report = server.serve(offered).expect("residency serve run");
-    let serve_ns = start.elapsed().as_nanos() as u64;
     let hits = report.metrics.counter(names::RES_HITS);
     let misses = report.metrics.counter(names::RES_MISSES);
     let variant = ResidencyVariant {
@@ -166,7 +154,6 @@ fn run_variant(
         } else {
             hits as f64 / (hits + misses) as f64
         },
-        serve_ns,
     };
     (variant, report, server.into_runtime())
 }
@@ -235,15 +222,12 @@ pub fn measure_residency(models: usize, rounds: u64, seed: u64) -> ResidencyBenc
     let (_, again, _) = run_variant("warm", warm_budget, models, &offered, seed);
     let reproducible = again == warm_report;
 
-    let speedup = |other: &ResidencyVariant| other.serve_ns as f64 / warm.serve_ns.max(1) as f64;
     ResidencyBenchResult {
         models,
         rounds,
         requests,
         model_bytes,
         expected_warm_hit_rate: (requests - models as u64) as f64 / requests as f64,
-        warm_speedup_vs_thrash: speedup(&thrash),
-        warm_speedup_vs_single: speedup(&single),
         warm,
         thrash,
         single,
@@ -260,14 +244,13 @@ fn variant_fields(w: &mut JsonWriter, v: &ResidencyVariant) {
         .field_u64("misses", v.misses)
         .field_u64("evictions", v.evictions)
         .field_raw("hit_rate", &format!("{:.4}", v.hit_rate))
-        .field_u64("serve_ns", v.serve_ns)
         .end_object();
 }
 
 impl ResidencyBenchResult {
-    /// The `"residency"` JSON block spliced into `BENCH_cosim.json`.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
+    /// Writes the `"residency"` block of `BENCH_cosim.json` as the next
+    /// value.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_u64("models", self.models as u64)
             .field_u64("rounds", self.rounds)
@@ -281,24 +264,15 @@ impl ResidencyBenchResult {
             "expected_warm_hit_rate",
             &format!("{:.4}", self.expected_warm_hit_rate),
         );
-        variant_fields(&mut w, &self.warm);
-        variant_fields(&mut w, &self.thrash);
-        variant_fields(&mut w, &self.single);
-        w.field_raw(
-            "warm_speedup_vs_thrash",
-            &format!("{:.2}", self.warm_speedup_vs_thrash),
-        )
-        .field_raw(
-            "warm_speedup_vs_single",
-            &format!("{:.2}", self.warm_speedup_vs_single),
-        );
+        variant_fields(w, &self.warm);
+        variant_fields(w, &self.thrash);
+        variant_fields(w, &self.single);
         w.key("warm_tier").begin_object();
         w.field_u64("warm_starts", self.warm_starts);
         w.key("identical_to_cold").bool(self.warm_tier_identical);
         w.end_object();
         w.key("reproducible").bool(self.reproducible);
         w.end_object();
-        w.finish()
     }
 }
 
@@ -316,14 +290,10 @@ pub fn lines_for(r: &ResidencyBenchResult) -> Vec<String> {
     ];
     for v in [&r.warm, &r.thrash, &r.single] {
         out.push(format!(
-            "  {:<6} budget {:>8} B: {:>3} hits, {:>3} misses, {:>3} evictions, hit rate {:.4}, {:>12} ns",
-            v.name, v.budget_bytes, v.hits, v.misses, v.evictions, v.hit_rate, v.serve_ns
+            "  {:<6} budget {:>8} B: {:>3} hits, {:>3} misses, {:>3} evictions, hit rate {:.4}",
+            v.name, v.budget_bytes, v.hits, v.misses, v.evictions, v.hit_rate
         ));
     }
-    out.push(format!(
-        "warm speedup: {:.2}x vs thrash, {:.2}x vs single (wall clock)",
-        r.warm_speedup_vs_thrash, r.warm_speedup_vs_single
-    ));
     out.push(format!(
         "warm-start tier: {} of {} launches warm-started, bit-identical to cold: {}",
         r.warm_starts, r.models, r.warm_tier_identical
@@ -363,7 +333,7 @@ mod tests {
         assert_eq!(r.warm_starts, 2, "every model warm-starts");
         assert!(r.warm_tier_identical, "warm-started launches == cold");
         assert!(r.reproducible, "warm variant must reproduce bit-for-bit");
-        let json = r.to_json();
+        let json = crate::render(|w| r.write_json(w));
         assert!(json.contains("\"warm\""));
         assert!(json.contains("\"thrash\""));
         assert!(json.contains("\"warm_starts\": 2"));

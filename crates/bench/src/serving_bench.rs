@@ -8,12 +8,11 @@
 //! p50/p99/p999 enqueue→complete latency from the run's
 //! [`CycleHistogram`], plus an overload point (admission control must
 //! shed) and a two-tenant burst scenario (quota must protect the steady
-//! tenant). The whole sweep is bit-reproducible from its seed — the
-//! smoke section and a unit test assert it by rerunning a point.
+//! tenant). The whole sweep is bit-reproducible from its seed: the first
+//! point is rerun and the verdict recorded (`reproducible`).
 //!
 //! [`CycleHistogram`]: tsm::trace::CycleHistogram
 
-use std::time::Instant;
 use tsm::core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm::core::serving::{Request, ServeConfig, ServeReport, Server};
 use tsm::core::system::System;
@@ -316,9 +315,6 @@ pub fn measure_serving(encoders: usize, horizon_services: u64, seed: u64) -> Ser
     }
 }
 
-/// Wall-clock samples taken (best-of) when measuring sampler overhead.
-pub const OVERHEAD_SAMPLES: u32 = 3;
-
 /// Per-tenant SLO summary of the telemetry bench point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSlo {
@@ -334,9 +330,8 @@ pub struct TenantSlo {
 }
 
 /// The `"telemetry"` bench record: one non-certified serve run with
-/// windowed sampling on, the identity and reproducibility verdicts the
-/// feature promises, and the sampler's measured wall-clock overhead —
-/// the observational analogue of the NullSink/RingSink trace baselines.
+/// windowed sampling on, and the identity and reproducibility verdicts
+/// the feature promises.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryBenchResult {
     /// Master seed of the run.
@@ -369,9 +364,6 @@ pub struct TelemetryBenchResult {
     /// Whether a sampling-off run was bit-identical to the sampling-on
     /// run minus the telemetry fields.
     pub off_identical: bool,
-    /// Best-of-[`OVERHEAD_SAMPLES`] wall ratio of a sampling-on serve to
-    /// a sampling-off serve.
-    pub sampler_overhead: f64,
     /// The run's full telemetry record (embedded in the JSON block).
     pub telemetry: Telemetry,
 }
@@ -454,20 +446,6 @@ pub fn measure_telemetry(
     }
     let off_identical = off.telemetry.is_none() && stripped == off;
 
-    // Sampler overhead, best-of-N: identical serve runs, sampling off vs
-    // on — reported alongside the trace layer's NullSink/RingSink
-    // baselines in BENCH_cosim.json.
-    let (mut off_ns, mut on_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..OVERHEAD_SAMPLES {
-        let t = Instant::now();
-        let _ = serve_once(None);
-        off_ns = off_ns.min(t.elapsed().as_nanos());
-        let t = Instant::now();
-        let _ = serve_once(Some(tel_cfg));
-        on_ns = on_ns.min(t.elapsed().as_nanos());
-    }
-    let sampler_overhead = on_ns as f64 / off_ns as f64;
-
     let total = |name: &str, label: &str| telemetry.get(name, label).map_or(0, |s| s.total());
     let tenants = on
         .tenants
@@ -504,18 +482,15 @@ pub fn measure_telemetry(
         tenants,
         reproducible,
         off_identical,
-        sampler_overhead,
         telemetry,
     }
 }
 
 impl TelemetryBenchResult {
-    /// The `"telemetry"` JSON block spliced into `BENCH_cosim.json`. The
-    /// embedded `series` object is [`Telemetry::to_json`] verbatim, so
-    /// the same seed reproduces it byte for byte (only the wall-clock
-    /// `sampler_overhead` field varies across machines).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
+    /// Writes the `"telemetry"` block of `BENCH_cosim.json` as the next
+    /// value. The embedded `series` object is [`Telemetry::to_json`]
+    /// verbatim, so the same seed reproduces it byte for byte.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_u64("seed", self.seed)
             .field_u64("service_cycles", self.service_cycles)
@@ -540,13 +515,11 @@ impl TelemetryBenchResult {
         w.end_array();
         w.key("reproducible").bool(self.reproducible);
         w.key("off_identical").bool(self.off_identical);
-        w.field_raw("sampler_overhead", &format!("{:.3}", self.sampler_overhead));
         w.field_raw(
             "series",
-            &crate::cosim_bench::indent_block(&self.telemetry.to_json(), 2),
+            &crate::cosim_bench::indent_block(&self.telemetry.to_json(), 4),
         );
         w.end_object();
-        w.finish()
     }
 }
 
@@ -584,16 +557,10 @@ pub fn telemetry_lines(r: &TelemetryBenchResult) -> Vec<String> {
         ));
     }
     out.push(format!(
-        "bit-reproducible: {}; sampling-off identical: {}; sampler overhead {:.3}x (best of {})",
-        r.reproducible, r.off_identical, r.sampler_overhead, OVERHEAD_SAMPLES
+        "bit-reproducible: {}; sampling-off identical: {}",
+        r.reproducible, r.off_identical
     ));
     out
-}
-
-/// Replaces (or appends) the top-level `"telemetry"` key of an existing
-/// `BENCH_cosim.json` document with `block`.
-pub fn splice_telemetry(existing: &str, block: &str) -> String {
-    splice_block(existing, "telemetry", block)
 }
 
 fn point_fields(w: &mut JsonWriter, p: &ServePoint) {
@@ -615,9 +582,9 @@ fn point_fields(w: &mut JsonWriter, p: &ServePoint) {
 }
 
 impl ServingBenchResult {
-    /// The `"serving"` JSON block spliced into `BENCH_cosim.json`.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::pretty();
+    /// Writes the `"serving"` block of `BENCH_cosim.json` as the next
+    /// value.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_str("model", &self.model)
             .field_u64("seed", self.seed)
@@ -625,11 +592,11 @@ impl ServingBenchResult {
             .field_u64("horizon_cycles", self.horizon);
         w.key("sweep").begin_array();
         for p in &self.sweep {
-            point_fields(&mut w, p);
+            point_fields(w, p);
         }
         w.end_array();
         w.key("overload");
-        point_fields(&mut w, &self.overload);
+        point_fields(w, &self.overload);
         w.key("tenant_burst").begin_object();
         w.key("all_certified").bool(self.burst_certified);
         w.key("tenants").begin_array();
@@ -649,7 +616,6 @@ impl ServingBenchResult {
         w.end_object();
         w.key("reproducible").bool(self.reproducible);
         w.end_object();
-        w.finish()
     }
 }
 
@@ -689,180 +655,9 @@ pub fn lines_for(r: &ServingBenchResult) -> Vec<String> {
     out
 }
 
-/// Replaces (or appends) the top-level `"serving"` key of an existing
-/// `BENCH_cosim.json` document with `block`, leaving every other field
-/// byte-identical — so `repro serve` can update its section without
-/// re-running the co-simulation bench.
-pub fn splice_serving(existing: &str, block: &str) -> String {
-    splice_block(existing, "serving", block)
-}
-
-/// Replaces (or appends) the top-level `"key"` of an existing
-/// `BENCH_cosim.json` document with `block`, leaving every other field
-/// byte-identical — each bench section owns one top-level key and can
-/// refresh it without re-running the others.
-pub fn splice_block(existing: &str, key: &str, block: &str) -> String {
-    let without = remove_top_level_key(existing, key);
-    let trimmed = without.trim_end();
-    let body = trimmed.strip_suffix('}').unwrap_or(trimmed).trim_end();
-    let sep = if body.ends_with('{') { "\n" } else { ",\n" };
-    format!(
-        "{body}{sep}  \"{key}\": {}\n}}\n",
-        crate::cosim_bench::indent_block(block, 2)
-    )
-}
-
-/// Removes a top-level `"key": <value>` pair (object, array, or scalar
-/// value) from a JSON object document, swallowing the separating comma.
-/// Returns the input unchanged when the key is absent at depth 1.
-fn remove_top_level_key(s: &str, key: &str) -> String {
-    let bytes = s.as_bytes();
-    let pat = format!("\"{key}\"");
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == b'\\' {
-                esc = true;
-            } else if c == b'"' {
-                in_str = false;
-            }
-            i += 1;
-            continue;
-        }
-        match c {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth -= 1,
-            b'"' => {
-                if depth == 1 && s[i..].starts_with(&pat) {
-                    // Value starts after the colon; scan to its end.
-                    let mut j = i + pat.len();
-                    while bytes[j].is_ascii_whitespace() || bytes[j] == b':' {
-                        j += 1;
-                    }
-                    let end = value_end(s, j);
-                    // Swallow a following comma, else the preceding one.
-                    let cut_start;
-                    let mut cut_end = end;
-                    let mut k = end;
-                    while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                        k += 1;
-                    }
-                    let lead = s[..i].trim_end().len();
-                    if k < bytes.len() && bytes[k] == b',' {
-                        cut_start = lead;
-                        cut_end = k + 1;
-                    } else if s[..lead].ends_with(',') {
-                        cut_start = lead - 1;
-                    } else {
-                        cut_start = lead;
-                    }
-                    return format!("{}{}", &s[..cut_start], &s[cut_end..]);
-                }
-                in_str = true;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    s.to_string()
-}
-
-/// The byte index one past the JSON value starting at `from`.
-fn value_end(s: &str, from: usize) -> usize {
-    let bytes = s.as_bytes();
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    let mut i = from;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == b'\\' {
-                esc = true;
-            } else if c == b'"' {
-                in_str = false;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-            continue;
-        }
-        match c {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                if depth == 0 {
-                    return i; // scalar value ends at enclosing close
-                }
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            b',' if depth == 0 => return i,
-            b'"' => in_str = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    i
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const DOC: &str = "{\n  \"bench\": \"cosim\",\n  \"chips\": 16\n}\n";
-
-    #[test]
-    fn splice_appends_when_absent() {
-        let out = splice_serving(DOC, "{\n  \"seed\": 1\n}");
-        assert!(out.contains("\"chips\": 16,"));
-        assert!(out.contains("\"serving\": {"));
-        assert!(out.trim_end().ends_with('}'));
-        // Other fields byte-identical.
-        assert!(out.starts_with("{\n  \"bench\": \"cosim\",\n  \"chips\": 16"));
-    }
-
-    #[test]
-    fn splice_replaces_and_is_idempotent() {
-        let once = splice_serving(DOC, "{\n  \"seed\": 1\n}");
-        let twice = splice_serving(&once, "{\n  \"seed\": 2\n}");
-        assert!(
-            !twice.contains("\"seed\": 1"),
-            "old block replaced:\n{twice}"
-        );
-        assert!(twice.contains("\"seed\": 2"));
-        let thrice = splice_serving(&twice, "{\n  \"seed\": 2\n}");
-        assert_eq!(twice, thrice, "splicing the same block is idempotent");
-    }
-
-    #[test]
-    fn splice_survives_a_mid_document_serving_key() {
-        let doc = "{\n  \"serving\": {\n    \"old\": [1, 2, {\"x\": \"a}b\"}]\n  },\n  \"chips\": 16\n}\n";
-        let out = splice_serving(doc, "{\n  \"seed\": 3\n}");
-        assert!(
-            !out.contains("\"old\""),
-            "mid-document block removed:\n{out}"
-        );
-        assert!(out.contains("\"chips\": 16,"));
-        assert!(out.contains("\"seed\": 3"));
-    }
-
-    #[test]
-    fn splice_handles_empty_and_scalar_values() {
-        let out = splice_serving("{}\n", "{\n  \"seed\": 4\n}");
-        assert!(out.starts_with("{\n  \"serving\": {"));
-        let doc = "{\n  \"serving\": 7,\n  \"chips\": 16\n}\n";
-        let out = splice_serving(doc, "{\n  \"seed\": 5\n}");
-        assert!(!out.contains("\"serving\": 7"));
-        assert!(out.contains("\"chips\": 16,"));
-        assert!(out.contains("\"seed\": 5"));
-    }
 
     /// Tiny end-to-end measure: a 4-encoder model over a short horizon.
     /// Asserts the acceptance shape — ≥3 loads × ≥2 windows, every launch
@@ -903,7 +698,7 @@ mod tests {
                 "a 64-deep queue never backpressures the burst; its quota does"
             );
         }
-        let json = r.to_json();
+        let json = crate::render(|w| r.write_json(w));
         assert!(json.contains("\"sweep\""));
         assert!(json.contains("\"p999_cycles\""));
         assert!(json.contains("\"reproducible\": true"));
@@ -932,13 +727,12 @@ mod tests {
         for t in &r.tenants {
             assert!((0.0..=1.0).contains(&t.attainment));
         }
-        let json = r.to_json();
+        let json = crate::render(|w| r.write_json(w));
         for key in [
             "\"window_cycles\"",
             "\"sampled_windows\"",
             "\"tenants\"",
             "\"slo_attainment\"",
-            "\"sampler_overhead\"",
             "\"series\"",
             "\"off_identical\": true",
             "\"reproducible\": true",
@@ -949,6 +743,5 @@ mod tests {
         assert!(json.contains(series::CHIP_BUSY));
         let lines = telemetry_lines(&r);
         assert!(lines.iter().any(|l| l.contains("throughput")));
-        assert!(lines.iter().any(|l| l.contains("sampler overhead")));
     }
 }

@@ -45,7 +45,7 @@ fn instruction_port(instr: &Instruction) -> u8 {
 }
 
 /// An instruction bound to its issue cycle.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedInstruction {
     /// Cycle the instruction issues.
     pub cycle: u64,
@@ -54,7 +54,7 @@ pub struct TimedInstruction {
 }
 
 /// A static schedule for one chip.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChipProgram {
     instrs: Vec<TimedInstruction>,
     /// Set by [`ChipProgram::sort_in_place`], cleared by any mutation:

@@ -7,10 +7,9 @@
 
 use crate::graph::{Graph, OpKind};
 use crate::schedule::CompiledProgram;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpDump {
     /// Graph op index.
     pub op: u32,
@@ -25,7 +24,7 @@ pub struct OpDump {
 }
 
 /// One link reservation train.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReservationDump {
     /// Link index in the topology's cable table.
     pub link: u32,
@@ -42,7 +41,7 @@ pub struct ReservationDump {
 }
 
 /// A full schedule snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleDump {
     /// Total span in cycles (the latency estimate).
     pub span_cycles: u64,
@@ -96,7 +95,7 @@ impl ScheduleDump {
 
     /// Serializes to pretty JSON.
     ///
-    /// Hand-rolled emitter (the offline toolchain stubs serde_json): the
+    /// Hand-rolled emitter (the workspace has no JSON library): the
     /// output is deterministic — field order fixed, strings escaped via
     /// [`tsm_trace::escape_json`] — so snapshots diff cleanly across
     /// processes.
@@ -148,7 +147,7 @@ impl ScheduleDump {
 
 /// A minimal recursive-descent parser for the dump's fixed schema,
 /// built on the workspace-shared [`tsm_trace::Cursor`] combinators (the
-/// offline toolchain stubs serde_json, so the round trip is hand-rolled
+/// workspace has no JSON library, so the round trip is hand-rolled
 /// against the same escaping rules the emitter uses).
 mod parse {
     use super::{OpDump, ReservationDump, ScheduleDump};

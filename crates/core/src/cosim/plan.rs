@@ -24,7 +24,7 @@ use super::{CosimError, CosimTransfer, READ_LATENCY, SCRATCH_SLICE};
 /// The payload-independent description of one transfer: endpoints, SRAM
 /// layout, and vector count — everything the compiler needs, nothing the
 /// payload bytes touch.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferShape {
     /// Source TSP.
     pub from: TspId,
@@ -58,7 +58,7 @@ impl From<&CosimTransfer> for TransferShape {
 
 /// Symbolic reference to one payload vector: `vector` within `transfer`.
 /// The executor resolves it against the payloads bound at invocation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VecRef {
     /// Index into the plan's transfer list.
     pub transfer: u32,
@@ -67,7 +67,7 @@ pub struct VecRef {
 }
 
 /// A source-SRAM preload the runtime performs before execution.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedPreload {
     /// SRAM slice.
     pub slice: u8,
@@ -78,7 +78,7 @@ pub struct PlannedPreload {
 }
 
 /// A scheduled inbound delivery: `vec` lands on `port` at `cycle`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedDelivery {
     /// Local C2C port.
     pub port: u8,
@@ -94,7 +94,7 @@ pub struct PlannedDelivery {
 
 /// An emission the schedule promises: the chip sends `vec` out `port` at
 /// `cycle`. The executor verifies actual emissions against these.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedEmission {
     /// Issue cycle of the SEND.
     pub cycle: u64,
@@ -109,7 +109,7 @@ pub struct PlannedEmission {
 /// The instruction stream itself lives in the plan's contiguous
 /// [`CompiledPlan::slab`]; each chip holds only its `[prog_start,
 /// prog_end)` window — resolve it with [`CompiledPlan::program`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipPlan {
     /// The chip.
     pub tsp: TspId,
@@ -142,7 +142,7 @@ pub struct ChipPlan {
 /// payload sets as you like — and JSON-serializable, so a plan can be
 /// built offline and shipped to the runtime like the paper's machine-code
 /// binaries.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     /// The transfer shapes the plan was compiled for; execution payloads
     /// must match them exactly.
@@ -887,8 +887,8 @@ fn port_of(topo: &Topology, path: &Path, h: usize, tsp: TspId) -> u8 {
     }
 }
 
-/// Hand-rolled JSON round-trip for [`CompiledPlan`] (the offline
-/// toolchain stubs serde_json). Emitter and parser share the
+/// Hand-rolled JSON round-trip for [`CompiledPlan`] (the workspace has
+/// no JSON library). Emitter and parser share the
 /// [`tsm_trace::JsonWriter`] / [`tsm_trace::Cursor`] combinators, so the
 /// escaping and structure rules match every other serializer in the
 /// workspace.

@@ -99,7 +99,7 @@ pub enum IncidentTrigger {
 }
 
 impl IncidentTrigger {
-    /// Stable serde tag for the trigger kind.
+    /// Stable JSON tag for the trigger kind.
     pub fn kind(&self) -> &'static str {
         match self {
             IncidentTrigger::Deviant { .. } => "deviant",
@@ -755,7 +755,7 @@ mod tests {
             4,
         );
         let mut incidents = f.finish(Some(&t));
-        // Exercise the resident-list serde too.
+        // Exercise the resident-list JSON too.
         incidents[0].resident.push(ResidentInfo {
             graph_fp: 0xDEAD_BEEF,
             epoch: 1,

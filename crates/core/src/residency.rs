@@ -20,8 +20,8 @@
 //!
 //! # Warm-start tier
 //!
-//! Datapath [`CompiledPlan`]s are serde-ready and serialize through the
-//! same hand-rolled JSON as the plan dumper, so a fleet can persist its
+//! Datapath [`CompiledPlan`]s serialize through the same hand-rolled
+//! JSON as the plan dumper, so a fleet can persist its
 //! plans at shutdown ([`ResidencyManager::export_warm`]) and reload them
 //! into a fresh [`Runtime`](crate::runtime::Runtime)
 //! ([`ResidencyManager::import_warm`]). A warm-started launch adopts the

@@ -363,13 +363,6 @@ impl Runtime {
         self.executor.clear_trace_sink();
     }
 
-    /// Enables windowed telemetry sampling for subsequent launches
-    /// (builder style). See [`Runtime::set_telemetry`].
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.set_telemetry(cfg);
-        self
-    }
-
     /// Enables windowed telemetry for subsequent launches: the executor
     /// samples per-link delivery counts and per-chip busy cycles onto
     /// `cfg.window`-cycle windows, and each [`LaunchOutcome`] carries the
@@ -393,13 +386,8 @@ impl Runtime {
 
     /// Selects the execution mode for subsequent launches (builder style).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.set_exec_mode(mode);
-        self
-    }
-
-    /// Selects the execution mode for subsequent launches.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mode = mode;
+        self
     }
 
     /// The execution mode in use.
@@ -452,13 +440,8 @@ impl Runtime {
     /// unbounded; `0` keeps only the most recently used plan — the
     /// pre-residency single-entry behavior.
     pub fn with_plan_budget(mut self, budget_bytes: u64) -> Self {
-        self.set_plan_budget(budget_bytes);
-        self
-    }
-
-    /// Caps the residency byte budget, evicting down to it immediately.
-    pub fn set_plan_budget(&mut self, budget_bytes: u64) {
         self.residency.set_budget_bytes(budget_bytes);
+        self
     }
 
     /// The residency layer (inspection: resident set, counters, warm

@@ -1,7 +1,7 @@
 //! Compile-once / execute-many contract tests: a [`CompiledPlan`] bound to
 //! payloads via [`PlanExecutor`] must be bit-identical to the one-shot
 //! engine, reusable across payload sets without state leakage, and
-//! round-trippable through serde.
+//! round-trippable through its JSON form.
 
 // In offline dev environments the proptest stub's `proptest!` macro
 // expands to nothing, which makes the generator helpers (and an import

@@ -58,7 +58,7 @@ impl FunctionalUnit {
 ///
 /// The first seven variants are exactly paper Table 1; the rest are the
 /// compute/stream operations the evaluation section exercises (§5.2–§5.5).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instruction {
     // ---- Table 1: determinism support -------------------------------------
     /// Intra-chip pause: park this functional unit until a NOTIFY arrives.
@@ -155,7 +155,7 @@ pub enum Instruction {
 }
 
 /// Pointwise opcodes supported by the VXM model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VectorOpcode {
     /// Lane-wise addition.
     Add,

@@ -73,9 +73,7 @@ impl std::error::Error for IsaError {}
 /// Identifier of one of the 32 stream registers flowing in each direction
 /// across the chip (paper §2: the chip carries 32 streams eastward and 32
 /// westward).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(u8);
 
 impl StreamId {
@@ -95,7 +93,7 @@ impl StreamId {
 }
 
 /// Direction a stream flows across the chip's superlanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Toward increasing slice numbers.
     East,

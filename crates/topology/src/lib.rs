@@ -63,9 +63,7 @@ pub const MAX_TSPS: usize = MAX_RACKS * TSPS_PER_RACK;
 pub const INTRA_NODE_CABLES: usize = TSPS_PER_NODE * (TSPS_PER_NODE - 1) / 2;
 
 /// Identifier of one TSP in the system (dense, 0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TspId(pub u32);
 
 impl TspId {
@@ -153,9 +151,7 @@ impl fmt::Display for RackId {
 }
 
 /// Index of a link in a [`Topology`]'s link table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 impl LinkId {

@@ -5,8 +5,8 @@
 //! timestamp unit equals one *simulated* cycle (the viewer labels it "µs";
 //! read it as cycles). Runtime-lane events render under process
 //! `"runtime"`, chip lanes under process `"chips"` with one thread row per
-//! chip. Hand-rolled because the offline toolchain stubs out serde_json —
-//! and the format is simple enough not to miss it.
+//! chip. Hand-rolled because the workspace has no JSON library — and the
+//! format is simple enough not to miss one.
 
 use crate::attribution::{LatencyBreakdown, Stage};
 use crate::event::{EventKind, TraceEvent, RUNTIME_LANE, SERVING_LANE};

@@ -1,7 +1,7 @@
 //! JSON string escaping for the workspace's hand-rolled emitters.
 //!
-//! The offline toolchain stubs out serde_json, so every serializer in this
-//! repo writes JSON by hand — and a hand-rolled emitter that interpolates
+//! The workspace has no JSON library, so every serializer in this repo
+//! writes JSON by hand — and a hand-rolled emitter that interpolates
 //! a label containing `"` or `\` corrupts the whole document. Every
 //! emitter (chrome traces, metrics snapshots, schedule dumps, bench
 //! reports) routes its strings through [`escape_json`]; [`unescape_json`]

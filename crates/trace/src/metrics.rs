@@ -89,8 +89,8 @@ pub mod names {
     /// Resident plans dropped because their mapping epoch went stale
     /// after a spare failover.
     pub const RES_STALE_DROPS: &str = "residency.stale_drops";
-    /// Datapath plans adopted from the serde warm-start tier instead of
-    /// being recompiled.
+    /// Datapath plans adopted from the warm-start tier instead of being
+    /// recompiled.
     pub const RES_WARM_STARTS: &str = "residency.warm_starts";
     /// Estimated bytes held by resident plans (gauge).
     pub const RES_RESIDENT_BYTES: &str = "residency.resident_bytes";
@@ -423,8 +423,8 @@ impl RunMetrics {
         self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
-    /// Hand-rolled JSON rendering (the offline toolchain stubs out
-    /// serde_json, so every serializer in this workspace is explicit).
+    /// Hand-rolled JSON rendering (the workspace has no JSON library, so
+    /// every serializer in it is explicit).
     /// Deterministic: entries are already sorted. Names are escaped via
     /// [`crate::json::escape_json`], so a label containing quotes or
     /// backslashes cannot corrupt the document.

@@ -1,7 +1,7 @@
 //! Structural validation of the hand-rolled JSON emitters.
 //!
-//! The offline toolchain stubs out serde_json, so this harness carries its
-//! own minimal JSON syntax checker: a single-pass scanner that verifies
+//! The workspace has no JSON library, so this harness carries its own
+//! minimal JSON syntax checker: a single-pass scanner that verifies
 //! string escaping plus brace/bracket balance — enough to guarantee the
 //! documents parse in any real JSON reader (Perfetto included).
 

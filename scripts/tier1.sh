@@ -2,17 +2,18 @@
 # Tier-1 gate: everything must build, every test must pass, clippy must be
 # clean at -D warnings. Run from the repo root.
 #
-# Offline environments: the workspace's external-looking deps
-# (rand/serde/proptest/criterion) resolve to the in-repo crates under
-# stubs/ via [patch.crates-io] in the root Cargo.toml, so no network or
-# vendored registry is needed — `cargo build --offline` just works.
+# Offline environments: the workspace's external-looking deps (rand and
+# proptest) resolve to the in-repo crates under stubs/ via
+# [patch.crates-io] in the root Cargo.toml, and the benchmark's `serde`
+# patch to stubs/serde, so no network or vendored registry is needed —
+# `cargo build --offline` just works.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
 cargo test --workspace -q
 # The compile-once / execute-many contract (plan reuse, payload isolation,
-# serde round-trip) has its own integration suite; run it by name so a
+# the plan JSON round trip) has its own integration suite; run it by name so a
 # filtered `cargo test` invocation can never silently skip it.
 cargo test -p tsm-core --test plan_reuse -q
 # The parallel engine, one std::thread::scope per execute: serial≡parallel
@@ -81,27 +82,6 @@ cargo test -p tsm-fault -q
 # takes exactly the draws transmit takes, so a clean decision made from it
 # agrees with transmit's.
 cargo test -p tsm-link -q
-# Fast bench smoke: one sample of the canonical workload plus the small
-# end of the scaling curve, with bit-identity and trace-identity asserted
-# at every point. Writes no files, so it cannot clobber BENCH_cosim.json.
-cargo run --release -p tsm-bench --bin repro bench-cosim-smoke
-# Fast serving smoke: a small load×window sweep with certification on
-# every launch, overload backpressure, bit-reproducibility, and a
-# multi-model alternation that must report residency-cache hits.
-# Writes no files.
-cargo run --release -p tsm-bench --bin repro serve-smoke
-# Fast residency smoke: the cache-thrash scenario at warm/thrash/single
-# budgets with exact hit-rate and warm-start-tier assertions. Writes no
-# files.
-cargo run --release -p tsm-bench --bin repro residency-smoke
-# Fast telemetry smoke: windowed sampling must reproduce byte-for-byte
-# from its seed and, when off, be bit-identical to the pre-feature
-# event sequences and reports. Writes no files.
-cargo run --release -p tsm-bench --bin repro telemetry-smoke
-# Fast attribution smoke: a fault-injected serve whose every breakdown
-# must sum exactly to its latency, with byte-reproducible incident
-# capture and the off-is-off identity for both features. Writes no files.
-cargo run --release -p tsm-bench --bin repro attribution-smoke
 # Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
 # the enumerator's booking order vs a per-vector oracle on random dragonfly
 # paths (enumerator_yields_booking_order), and plan JSON that indexes
@@ -121,6 +101,19 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-10440 --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-churn --seconds 0
+# BENCH_cosim.json is a golden record: every field is simulated (host time
+# is measured by benchmark/ alone), so the file is a pure function of the
+# code. Regenerate it at one and at three worker threads and fail on any
+# difference from the committed file: a host-dependent field fails on any
+# host, and the scaling curve's serial≡parallel report and trace checks
+# run at two widths. A change that moves a simulated number must commit
+# the regenerated file. The residency block's plan bytes are an estimate
+# built from `size_of`, so a toolchain that changes a type's layout moves
+# them too and also calls for a regeneration.
+TSM_THREADS=1 cargo run --release -p tsm-bench --bin repro bench-cosim
+git diff --exit-code -- BENCH_cosim.json
+TSM_THREADS=3 cargo run --release -p tsm-bench --bin repro bench-cosim
+git diff --exit-code -- BENCH_cosim.json
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Rustdoc is part of the contract: broken intra-doc links and bad doc
