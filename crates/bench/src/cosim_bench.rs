@@ -146,6 +146,11 @@ pub struct ScalePoint {
     pub transfers: usize,
     /// Instructions lowered across all chips.
     pub instructions: usize,
+    /// FNV-1a of the plan's [`CompiledPlan::to_json`], so the record pins
+    /// every compiled plan of the curve byte for byte.
+    ///
+    /// [`CompiledPlan::to_json`]: tsm::core::cosim::CompiledPlan::to_json
+    pub plan_digest: u64,
     /// Whether a reused serial execute and a parallel execute both matched
     /// the first serial report bit for bit.
     pub bit_identical: bool,
@@ -206,6 +211,7 @@ pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
                 workload: workload_label(&topo, transfers.len()),
                 transfers: transfers.len(),
                 instructions: reference.instructions,
+                plan_digest: fnv1a(plan.to_json().as_bytes()),
                 bit_identical,
                 trace_identical,
             }
@@ -282,7 +288,8 @@ impl CosimBenchResult {
                 .field_u64("chips", p.chips as u64)
                 .field_str("workload", &p.workload)
                 .field_u64("transfers", p.transfers as u64)
-                .field_u64("instructions", p.instructions as u64);
+                .field_u64("instructions", p.instructions as u64)
+                .field_str("plan_digest", &format!("{:016x}", p.plan_digest));
             w.key("bit_identical").bool(p.bit_identical);
             w.key("trace_identical").bool(p.trace_identical);
             w.end_object();
@@ -307,6 +314,13 @@ pub(crate) fn indent_block(s: &str, n: usize) -> String {
         out.push_str(line);
     }
     out
+}
+
+/// FNV-1a over `bytes`, the digest the plan pins use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Faulty invocations of the canonical workload.
@@ -441,8 +455,8 @@ pub fn lines_for(r: &CosimBenchResult) -> Vec<String> {
     }
     for p in &r.scaling {
         out.push(format!(
-            "  {:>6} chips ({}): {:>7} instructions, bit_identical={} trace_identical={}",
-            p.chips, p.workload, p.instructions, p.bit_identical, p.trace_identical
+            "  {:>6} chips ({}): {:>7} instructions, plan {:016x}, bit_identical={} trace_identical={}",
+            p.chips, p.workload, p.instructions, p.plan_digest, p.bit_identical, p.trace_identical
         ));
     }
     out

@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tsm_chip::exec::{ChipSim, Payload};
 use tsm_fault::inject::FecStats;
 use tsm_isa::packet::WirePacket;
@@ -39,10 +39,33 @@ use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
 use super::verify::{verify_destinations, verify_emissions};
 use super::{CosimError, CosimReport};
 
-/// Environment variable overriding the parallel worker count (a positive
-/// integer). An explicit [`PlanExecutor::set_threads`] wins over it; an
+/// Environment variable overriding the parallel worker count of executes
+/// and of plan compile (a positive integer). An explicit
+/// [`PlanExecutor::set_threads`] wins over it for that executor; an
 /// unset/invalid value falls back to `available_parallelism`.
 pub const TSM_THREADS_ENV: &str = "TSM_THREADS";
+
+/// The automatic worker count, shared by parallel executes and plan
+/// compile: a positive integer in `TSM_THREADS`, else
+/// `available_parallelism`. The variable is read on every call, so a
+/// change takes effect at the next execute or compile; the detected
+/// parallelism is resolved once per process, since detecting it parses
+/// cgroup files on every call.
+pub(super) fn auto_threads() -> usize {
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    if let Ok(v) = std::env::var(TSM_THREADS_ENV) {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+    }
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// An exact, deterministic corruption: flip `bits` of the payload of
 /// vector `vector` of transfer `transfer` as it crosses `link`. Fault
@@ -340,19 +363,7 @@ impl PlanExecutor {
     /// explicit [`PlanExecutor::set_threads`] value, else a positive
     /// integer in `TSM_THREADS`, else `available_parallelism`.
     pub fn resolved_threads(&self) -> usize {
-        if let Some(t) = self.threads {
-            return t;
-        }
-        if let Ok(v) = std::env::var(TSM_THREADS_ENV) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        self.threads.unwrap_or_else(auto_threads)
     }
 
     /// Binds `payloads` to `plan` and executes it, its chips split by

@@ -1,4 +1,4 @@
-//! Golden plan pins: `compile_plan` output is pinned byte for byte on three
+//! Golden plan pins: `compile_plan` output is pinned byte for byte on four
 //! fixed workloads, so any change to routing, link/unit reservation or
 //! lowering that alters a plan fails here rather than only in the
 //! benchmark. The digests are FNV-1a over `CompiledPlan::to_json()`.
@@ -47,10 +47,10 @@ fn cosim16() -> (Topology, Vec<TransferShape>) {
     (topo, shapes)
 }
 
-/// A 4-rack (288-chip) dragonfly where TSP `i` streams two vectors to TSP
+/// A `racks`-rack dragonfly where TSP `i` streams two vectors to TSP
 /// `i + N/2`.
-fn half_stride_4_racks() -> (Topology, Vec<TransferShape>) {
-    let topo = Topology::rack_dragonfly(4).unwrap();
+fn half_stride(racks: usize) -> (Topology, Vec<TransferShape>) {
+    let topo = Topology::rack_dragonfly(racks).unwrap();
     let half = (topo.num_tsps() / 2) as u32;
     let shapes = (0..half)
         .map(|i| TransferShape {
@@ -107,9 +107,22 @@ fn cosim16_plan_is_pinned() {
 #[test]
 fn half_stride_288_plan_is_pinned() {
     assert_eq!(
-        plan_digest(half_stride_4_racks()),
+        plan_digest(half_stride(4)),
         0x8454_d5d6_5e35_f71d,
         "288-chip half-stride plan digest moved"
+    );
+}
+
+/// 576 distinct pairs, so compile routes them on two threads wherever two
+/// are available, on a fabric dense enough that the chip-unit search
+/// takes 1,224 trials, where stepping one conflicting window at a time
+/// took 13,556.
+#[test]
+fn half_stride_1152_plan_is_pinned() {
+    assert_eq!(
+        plan_digest(half_stride(16)),
+        0x5f17_01a9_3ef2_9448,
+        "1,152-chip half-stride plan digest moved"
     );
 }
 

@@ -83,15 +83,22 @@ cargo test -p tsm-fault -q
 # agrees with transmit's.
 cargo test -p tsm-link -q
 # Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
-# the enumerator's booking order vs a per-vector oracle on random dragonfly
-# paths (enumerator_yields_booking_order), and plan JSON that indexes
-# outside itself refused at parse.
+# the enumerator's booking order and hop indices vs a per-vector oracle on
+# random dragonfly paths (enumerator_yields_booking_order), the jumping
+# chip-unit search vs the one-step-at-a-time search it replaced: same
+# schedule for every next transfer of random prefixes, no more trials
+# (jump_search_finds_what_the_bump_search_finds), plans equal at widths 1,
+# 2, 3 and 7 (plans_do_not_depend_on_the_width), route errors surfacing in
+# transfer order (compile_errors_keep_transfer_order), the grouping helper
+# of the parallel stages, and plan JSON that indexes outside itself refused
+# at parse.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
 cargo test -p tsm-core --lib runtime -q
-# Plan compile is pinned byte for byte: golden digests of three compiled
-# plans, then the outside-in benchmark's own tests and one pass of each
+# Plan compile is pinned byte for byte: plan_golden pins four compiled
+# plans (cosim-16, the 288- and 1,152-chip half-stride plans, the BERT
+# pipeline), then the outside-in benchmark's own tests and one pass of each
 # co-simulation and serving workload. Each run exits 1 if its seed-1
 # result digest differs from the pinned one, so a routing, reservation or
 # serving-loop change fails the gate, not only the benchmark pipeline.
@@ -105,8 +112,9 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 # is measured by benchmark/ alone), so the file is a pure function of the
 # code. Regenerate it at one and at three worker threads and fail on any
 # difference from the committed file: a host-dependent field fails on any
-# host, and the scaling curve's serial≡parallel report and trace checks
-# run at two widths. A change that moves a simulated number must commit
+# host, the scaling curve's serial≡parallel report and trace checks run at
+# two widths, and each scaling point's plan_digest pins its plan, the
+# 10,440-chip one included, compiled at both widths. A change that moves a simulated number must commit
 # the regenerated file. The residency block's plan bytes are an estimate
 # built from `size_of`, so a toolchain that changes a type's layout moves
 # them too and also calls for a regeneration.
