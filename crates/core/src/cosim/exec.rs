@@ -32,7 +32,6 @@ use tsm_link::fec::FecOutcome;
 use tsm_link::latency::LatencyModel;
 use tsm_link::meter::LinkMeter;
 use tsm_topology::LinkId;
-use tsm_trace::telemetry::{self, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{names, EventKind, Metrics, TraceSink, Tracer};
 
 use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
@@ -273,22 +272,13 @@ pub struct PlanExecutor {
     /// Where trace events go; `None` (the default) costs one branch per
     /// emission point, as does an attached [`tsm_trace::NullSink`].
     sink: Option<Arc<dyn TraceSink>>,
-    /// Added to every emitted event's cycle — the runtime uses this to
-    /// place each replay epoch after the previous one on the launch
+    /// Added to every emitted event's cycle — the launch engine uses this
+    /// to place each replay epoch after the previous one on the launch
     /// timeline. Metrics and reports are unaffected.
     trace_offset: u64,
     /// Explicit worker-count override (the `set_threads` knob); `None`
     /// defers to `TSM_THREADS`, then to `available_parallelism`.
     threads: Option<usize>,
-    /// Windowed-telemetry sampling config; `None` (the default) keeps
-    /// the sampler detached and every sampling point behind one branch,
-    /// so disabled telemetry is bit- and trace-identical to pre-feature
-    /// builds.
-    telemetry_cfg: Option<TelemetryConfig>,
-    /// Samples accumulated across executions since the last
-    /// [`PlanExecutor::take_telemetry`] — a launch's attempts fold into
-    /// one record, mirroring how attempt metrics absorb.
-    sampler: Option<Sampler>,
 }
 
 impl PlanExecutor {
@@ -311,39 +301,6 @@ impl PlanExecutor {
     /// Sets the cycle offset applied to subsequently emitted events.
     pub fn set_trace_offset(&mut self, offset: u64) {
         self.trace_offset = offset;
-    }
-
-    /// Enables windowed telemetry: subsequent executions derive per-link
-    /// delivery and per-chip busy-cycle heatmaps on `cfg`'s window, at
-    /// absolute (offset-adjusted) launch-timeline cycles. Sampling sits
-    /// on the same serial code paths as trace emission, so it is
-    /// deterministic and observation-only.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.telemetry_cfg = Some(cfg);
-    }
-
-    /// Disables telemetry and discards any unsampled accumulation.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry_cfg = None;
-        self.sampler = None;
-    }
-
-    /// The active sampling configuration, if telemetry is enabled.
-    pub fn telemetry_cfg(&self) -> Option<TelemetryConfig> {
-        self.telemetry_cfg
-    }
-
-    /// Drains the samples accumulated since the last take into a sealed
-    /// record — `Some` (possibly empty) whenever telemetry is enabled,
-    /// `None` when it is off. The launch engine calls this once per
-    /// launch so each outcome carries exactly its own heatmaps.
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        let cfg = self.telemetry_cfg?;
-        Some(
-            self.sampler
-                .take()
-                .map_or_else(|| Telemetry::empty(cfg), Sampler::finish),
-        )
     }
 
     /// Pins the parallel worker count (clamped to at least 1). Overrides
@@ -456,15 +413,6 @@ impl PlanExecutor {
         // identical between serial and parallel execution.
         let metrics = Metrics::default();
         let mut tracer = Tracer::new(self.sink.as_deref()).with_offset(self.trace_offset);
-        // Telemetry sampling shares those serial paths: heatmap samples
-        // are taken at absolute launch-timeline cycles (the trace offset
-        // applied), never fed back into execution, and accumulate across
-        // a launch's attempts until `take_telemetry` drains them.
-        if let Some(cfg) = self.telemetry_cfg {
-            if self.sampler.is_none() {
-                self.sampler = Some(Sampler::new(cfg));
-            }
-        }
 
         // Reset-not-rebuild: each chip's simulator keeps its allocations
         // across invocations; preloads and deliveries bind the new
@@ -563,7 +511,8 @@ impl PlanExecutor {
                 };
                 if landed {
                     // The cycle-coordinate ground truth the conformance
-                    // profiler joins against the plan's delivery manifest.
+                    // profiler joins against the plan's delivery manifest,
+                    // and the arrival a launch's link heatmap counts.
                     tracer.instant(
                         d.cycle,
                         lane,
@@ -573,17 +522,6 @@ impl PlanExecutor {
                             vector: d.vec.vector,
                         },
                     );
-                    // The per-link occupancy heatmap counts exactly the
-                    // vectors the trace records as arrived — a vector
-                    // struck uncorrectable occupies no heatmap cell.
-                    if let Some(s) = self.sampler.as_mut() {
-                        s.count(
-                            telemetry::series::LINK_DELIVERIES,
-                            &format!("link{}", d.link.0),
-                            self.trace_offset.saturating_add(d.cycle),
-                            1,
-                        );
-                    }
                 }
                 sim.deliver_in_order(d.port, d.cycle, payload);
             }
@@ -642,19 +580,6 @@ impl PlanExecutor {
                 .expect("every chip before the first failure has run")?;
             metrics.observe_cycles(names::COSIM_RETIRE_CYCLES, retire);
             retire_cycles.insert(chip.tsp, retire);
-            // The per-chip occupancy heatmap samples the same
-            // issue→retire span the ChipExec trace event covers, but
-            // independently of whether a sink is attached — telemetry
-            // works trace-off, and tracing works telemetry-off.
-            if let Some(s) = self.sampler.as_mut() {
-                let start = plan.program(chip).first().map_or(0, |i| i.cycle);
-                s.count_span(
-                    telemetry::series::CHIP_BUSY,
-                    &format!("chip{}", chip.tsp.0),
-                    self.trace_offset.saturating_add(start),
-                    retire.saturating_sub(start).max(1),
-                );
-            }
             if tracer.enabled() {
                 let lane = chip.tsp.0;
                 let instrs = plan.program(chip);

@@ -259,8 +259,7 @@ impl CompiledPlan {
 /// whole `[start, end]` live range; the register is recycled once the
 /// range has passed. Exhaustion (more than [`MAX_STREAMS`] simultaneously
 /// live flows through one chip) is reported to the caller instead of
-/// silently aliasing a live register, which is what the old modulo-32
-/// round-robin did.
+/// silently aliasing a live register, as a modulo-32 round-robin would.
 #[derive(Debug, Clone, Default)]
 pub(super) struct StreamAlloc {
     /// `live_until[s]` = last cycle on which stream `s` still carries a
@@ -765,11 +764,9 @@ fn compile_plan_on(
     let mut builds = ChipBuilds::new(topo.num_tsps());
     let mut arrivals = Vec::with_capacity(shapes.len());
 
-    // Each distinct (from, to) pair is routed once, the pairs in first-use
-    // order. A pair's route error surfaces only at the first transfer that
-    // uses it, so errors keep transfer order. Pairs are routed up front,
-    // except one naming a TSP outside the topology: the transfer loop
-    // routes it at its first transfer, where it was always routed.
+    // Each distinct (from, to) pair is routed once, up front, the pairs in
+    // first-use order. A pair's route error surfaces only at the first
+    // transfer that uses it, so errors keep transfer order.
     let mut pair_index: HashMap<(TspId, TspId), usize> = HashMap::with_capacity(shapes.len());
     let mut routes = Vec::new();
     let route_of: Vec<usize> = shapes
@@ -781,28 +778,23 @@ fn compile_plan_on(
             })
         })
         .collect();
-    let known = |t: TspId| t.index() < topo.num_tsps();
     for_each_grouped(
         &mut routes,
         width,
         ROUTE_GRAIN,
         |_| 1,
-        |((from, to), path)| {
-            if known(*from) && known(*to) {
-                *path = Some(shortest_path(topo, *from, *to));
-            }
-        },
+        |((from, to), path)| *path = Some(shortest_path(topo, *from, *to)),
     );
 
     for (idx, tr) in shapes.iter().enumerate() {
         let path = routes[route_of[idx]]
             .1
-            .get_or_insert_with(|| shortest_path(topo, tr.from, tr.to))
+            .as_ref()
+            .expect("every pair is routed up front")
             .as_ref()
             .map_err(|e| CosimError::Route(e.clone()))?;
         if path.links.is_empty() {
-            // from == to: nothing crosses the network. The old engine hit
-            // a debug assertion here; it is a caller error, reported as one.
+            // from == to: nothing crosses the network, a caller error.
             return Err(CosimError::LocalTransfer { transfer: idx });
         }
         let n = u64::from(tr.vectors);
@@ -1617,6 +1609,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use tsm_isa::Vector;
 
     /// Chips in the synthetic occupancy tables.
     const CHIPS: usize = 3;
@@ -1997,7 +1990,8 @@ mod tests {
     /// transfer wins, also over a later transfer that names a TSP outside
     /// the topology. With both nodes of a two-node system failed, TSP 0
     /// still reaches TSP 8 over its cable, but reaching TSP 9 would need a
-    /// failed chip to forward.
+    /// failed chip to forward. A TSP outside the topology has no route,
+    /// compiled alone or through `run_transfers`.
     #[test]
     fn compile_errors_keep_transfer_order() {
         let mut topo = Topology::fully_connected_nodes(2).unwrap();
@@ -2022,11 +2016,38 @@ mod tests {
             tsp: TspId(0),
             transfer: 0,
         };
+        let outside = shape(0, 999, 0);
+        let no_route_outside = CosimError::Route(tsm_topology::TopologyError::NoRoute {
+            from: TspId(0),
+            to: TspId(999),
+        });
+        let transfer = CosimTransfer {
+            from: outside.from,
+            to: outside.to,
+            src_slice: outside.src_slice,
+            src_offset: outside.src_offset,
+            dst_slice: outside.dst_slice,
+            dst_offset: outside.dst_offset,
+            data: vec![Vector::zeroed(); 2],
+        };
+        for run in [
+            crate::cosim::run_transfers,
+            crate::cosim::run_transfers_serial,
+        ] {
+            assert_eq!(
+                run(&topo, std::slice::from_ref(&transfer)).unwrap_err(),
+                no_route_outside
+            );
+        }
         for width in [1, 2, 3, 7] {
             let compile = |shapes: &[TransferShape]| compile_plan_on(&topo, shapes, width);
             assert_eq!(
                 compile(std::slice::from_ref(&unroutable)).unwrap_err(),
                 no_route
+            );
+            assert_eq!(
+                compile(std::slice::from_ref(&outside)).unwrap_err(),
+                no_route_outside
             );
             assert_eq!(
                 compile(&[overflow.clone(), unroutable.clone()]).unwrap_err(),
@@ -2040,14 +2061,12 @@ mod tests {
                 compile(&[shape(0, 8, 0), shape(3, 3, 0), unroutable.clone()]).unwrap_err(),
                 CosimError::LocalTransfer { transfer: 1 }
             );
-            // A pair naming a TSP outside the topology is routed only
-            // when its transfer comes up.
             assert_eq!(
-                compile(&[overflow.clone(), shape(0, 999, 0)]).unwrap_err(),
+                compile(&[overflow.clone(), outside.clone()]).unwrap_err(),
                 address
             );
             assert_eq!(
-                compile(&[shape(999, 999, 0), shape(0, 999, 0)]).unwrap_err(),
+                compile(&[shape(999, 999, 0), outside.clone()]).unwrap_err(),
                 CosimError::LocalTransfer { transfer: 0 }
             );
         }

@@ -1,9 +1,8 @@
 //! The staged launch pipeline behind [`Runtime::launch`].
 //!
-//! The launch path used to be one ~200-line monolith interleaving
-//! alignment, cache lookup, compile, execute, blame, failover and replay
-//! in a single loop. [`LaunchEngine`] decomposes it into explicit stages,
-//! each a separately callable (and separately testable) method with typed
+//! [`LaunchEngine`] runs a launch — alignment, cache lookup, compile,
+//! execute, blame, failover and replay — as explicit stages, each a
+//! separately callable (and separately testable) method with typed
 //! inputs and outputs:
 //!
 //! ```text
@@ -11,12 +10,14 @@
 //!                       └──────── recover ◀──persistent──┘
 //! ```
 //!
-//! [`LaunchEngine::run`] drives the stages exactly as the monolith did —
-//! [`Runtime::launch`] delegates to it, and outcomes are bit-identical
-//! (asserted by the `serve_identity` integration suite). The engine also
-//! accepts a base cycle ([`LaunchEngine::with_base`]) so the serving
+//! [`LaunchEngine::run`] drives the stages end to end; [`Runtime::launch`]
+//! delegates to it, and so does the serving frontend for every batch (the
+//! `serve_identity` suite pins the two to the same outcome). The engine
+//! accepts a base cycle ([`LaunchEngine::with_base`]), so the serving
 //! frontend can place each batch's launch at its dispatch cycle on one
-//! shared trace timeline.
+//! shared trace timeline, and a telemetry window
+//! ([`LaunchEngine::with_telemetry`]), so the launch's heatmaps are a fold
+//! of the trace its executor emits, owned by the launch.
 
 use crate::cosim::{CosimError, LinkFaultModel};
 use crate::runtime::{
@@ -26,14 +27,15 @@ use crate::runtime::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
 use tsm_compiler::schedule::CompileOptions;
 use tsm_fault::inject::{inject_schedule_with, FecStats};
-use tsm_fault::replay::{run_with_replay_fallible, FallibleReplayOutcome, ReplayPolicy};
 use tsm_fault::spare::SpareError;
 use tsm_link::Channel;
 use tsm_topology::{LinkId, NodeId, TspId};
-use tsm_trace::{names, EventKind, Metrics, RunMetrics, Tracer, RUNTIME_LANE};
+use tsm_trace::telemetry::{TelemetryConfig, TelemetrySink};
+use tsm_trace::{names, EventKind, Metrics, RunMetrics, TraceSink, Tracer, RUNTIME_LANE};
 
 /// Output of the admission stage: the launch is structurally runnable on
 /// this runtime's logical device space.
@@ -113,7 +115,7 @@ pub struct LaunchEngine<'rt, 'g> {
     clock: u64,
     alignment_cycles: u64,
     /// Statistical-mode fault RNG; state persists across attempts *and*
-    /// failover episodes, exactly as the monolith's did.
+    /// failover episodes.
     rng: StdRng,
     attempts: u32,
     failovers: Vec<NodeId>,
@@ -121,6 +123,10 @@ pub struct LaunchEngine<'rt, 'g> {
     metrics: Metrics,
     /// Per-attempt executor snapshots absorbed across the launch.
     attempt_metrics: RunMetrics,
+    /// This launch's heatmap fold, when telemetry is on: the executor
+    /// traces into it on every attempt, and it forwards to the runtime's
+    /// sink.
+    telemetry: Option<Arc<TelemetrySink>>,
 }
 
 impl<'rt, 'g> LaunchEngine<'rt, 'g> {
@@ -141,6 +147,7 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
             failovers: Vec::new(),
             metrics: Metrics::default(),
             attempt_metrics: RunMetrics::default(),
+            telemetry: None,
         }
     }
 
@@ -150,6 +157,17 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     pub fn with_base(mut self, base: u64) -> Self {
         self.base = base;
         self.clock = base;
+        self
+    }
+
+    /// Folds the launch's link and chip heatmaps on `cfg`'s window into
+    /// [`LaunchOutcome::telemetry`] (builder style); `None` leaves
+    /// telemetry off. The fold reads the events the executor emits on
+    /// every attempt, aborted ones included, before the runtime's sink
+    /// sees them, so a lossy sink still yields complete heatmaps. It
+    /// changes no other outcome field and no event.
+    pub fn with_telemetry(mut self, cfg: Option<TelemetryConfig>) -> Self {
+        self.telemetry = cfg.map(|cfg| Arc::new(TelemetrySink::new(cfg, self.rt.sink.clone())));
         self
     }
 
@@ -197,14 +215,9 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     }
 
     /// **Stage: mapping/alignment.** Opens the launch on the trace
-    /// timeline, discards any telemetry samples a failed launch left in
-    /// the executor, and pays the one-time hardware-alignment window
-    /// (paper §3.2) before epoch 0.
+    /// timeline and pays the one-time hardware-alignment window (paper
+    /// §3.2) before epoch 0.
     pub fn begin(&mut self, tracer: &mut Tracer<'_>) -> AlignmentWindow {
-        // A launch that failed never reached `finish`, the one place the
-        // executor's samples are drained; drop them so they cannot land in
-        // this launch's heatmaps.
-        drop(self.rt.executor.take_telemetry());
         self.alignment_cycles = self.rt.system.plan_alignment().overhead_cycles;
         tracer.instant(
             self.clock,
@@ -291,145 +304,109 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     /// and (datapath) SRAM digests; a persistent fault carries the
     /// implicated links for [`LaunchEngine::recover`].
     pub fn execute(&mut self, tracer: &mut Tracer<'_>) -> Result<AttemptSuccess, ExecuteFailure> {
-        let seed = self.seed;
-        let attempts = &mut self.attempts;
-        let metrics = &self.metrics;
-        let attempt_metrics = &mut self.attempt_metrics;
-        let clock = &mut self.clock;
-        let rng = &mut self.rng;
         let rt = &mut *self.rt;
         let cache = rt.residency.current().expect("compile_or_reuse runs first");
         let span_cycles = cache.program.span_cycles;
         // Trace-timeline width of one attempt's window.
         let window = span_cycles.max(1) + EPOCH_GAP_CYCLES;
-        match rt.mode {
-            ExecMode::Statistical => {
-                let mut culprit_links: Vec<LinkId> = Vec::new();
-                let mut success = None;
-                for _ in 0..=rt.max_replays {
-                    *attempts += 1;
-                    metrics.inc(names::RT_ATTEMPTS, 1);
-                    if *attempts > 1 {
-                        metrics.inc(names::RT_REPLAYS, 1);
-                    }
-                    tracer.span(
-                        *clock,
-                        span_cycles.max(1),
-                        RUNTIME_LANE,
-                        EventKind::ReplayEpoch {
-                            attempt: *attempts - 1,
-                        },
-                    );
+        let mut faults = LinkFaultModel {
+            base_ber: rt.base_ber,
+            per_link: rt
+                .marginal_links
+                .iter()
+                .map(|&l| (l, rt.marginal_ber))
+                .collect(),
+            ..LinkFaultModel::default()
+        };
+        // The executor traces into this launch's heatmap fold, which
+        // forwards to the runtime's sink, or straight into that sink.
+        let exec_sink = match &self.telemetry {
+            Some(fold) => Some(Arc::clone(fold) as Arc<dyn TraceSink>),
+            None => rt.sink.clone(),
+        };
+        // Both modes blame from the attempts' lost links, each by its own
+        // rule: statistical keeps the last attempt's deduplicated links,
+        // datapath every lost delivery's link over all attempts. The vote
+        // in `recover`, and with it serve-churn's failovers and its pinned
+        // digest, depends on both rules.
+        let mut culprit_links: Vec<LinkId> = Vec::new();
+        for _ in 0..=rt.max_replays {
+            self.attempts += 1;
+            self.metrics.inc(names::RT_ATTEMPTS, 1);
+            if self.attempts > 1 {
+                self.metrics.inc(names::RT_REPLAYS, 1);
+            }
+            tracer.span(
+                self.clock,
+                span_cycles.max(1),
+                RUNTIME_LANE,
+                EventKind::ReplayEpoch {
+                    attempt: self.attempts - 1,
+                },
+            );
+            let start = self.clock;
+            self.clock += window;
+            match rt.mode {
+                ExecMode::Statistical => {
                     let (stats, culprits) = inject_schedule_with(
                         rt.system.topology(),
                         cache.program.occupancy.reservations(),
-                        |l| {
-                            if rt.marginal_links.contains(&l) {
-                                rt.marginal_ber
-                            } else {
-                                rt.base_ber
-                            }
-                        },
-                        rng,
+                        |l| faults.ber_for(l),
+                        &mut self.rng,
                     );
-                    stats.record_into(metrics);
-                    *clock += window;
+                    stats.record_into(&self.metrics);
                     if stats.is_clean_run() {
-                        success = Some(stats);
-                        break;
+                        return Ok(AttemptSuccess {
+                            fec: stats,
+                            dst_digests: Vec::new(),
+                            span_cycles,
+                        });
                     }
                     culprit_links = culprits;
                 }
-                match success {
-                    Some(fec) => Ok(AttemptSuccess {
-                        fec,
-                        dst_digests: Vec::new(),
-                        span_cycles,
-                    }),
-                    None => Err(ExecuteFailure::Persistent(culprit_links)),
-                }
-            }
-            ExecMode::Datapath => {
-                let art = cache
-                    .datapath
-                    .as_ref()
-                    .expect("datapath artifacts compiled above");
-                let per_link: HashMap<LinkId, f64> = rt
-                    .marginal_links
-                    .iter()
-                    .map(|&l| (l, rt.marginal_ber))
-                    .collect();
-                let base_ber = rt.base_ber;
-                let max_replays = rt.max_replays;
-                let executor = &mut rt.executor;
-                let mut culprit_links: Vec<LinkId> = Vec::new();
-                let mut fatal: Option<RuntimeError> = None;
-                let outcome = run_with_replay_fallible(ReplayPolicy { max_replays }, |_| {
-                    if fatal.is_some() {
-                        return Err(());
-                    }
-                    *attempts += 1;
-                    metrics.inc(names::RT_ATTEMPTS, 1);
-                    if *attempts > 1 {
-                        metrics.inc(names::RT_REPLAYS, 1);
-                    }
-                    tracer.span(
-                        *clock,
-                        span_cycles.max(1),
-                        RUNTIME_LANE,
-                        EventKind::ReplayEpoch {
-                            attempt: *attempts - 1,
-                        },
-                    );
+                ExecMode::Datapath => {
+                    let art = cache
+                        .datapath
+                        .as_ref()
+                        .expect("datapath artifacts compiled above");
                     // The executor's events land inside this attempt's
-                    // window on the launch timeline.
-                    executor.set_trace_offset(*clock);
-                    // Each attempt corrupts independently; the flip
-                    // pattern is a pure function of
-                    // (launch seed, attempt, link, vector).
-                    let faults = LinkFaultModel {
-                        base_ber,
-                        per_link: per_link.clone(),
-                        seed: mix64(seed, *attempts as u64),
-                        targeted: Vec::new(),
-                    };
-                    let result = executor.execute_with_faults(&art.plan, &art.payloads, &faults);
-                    *clock += window;
+                    // window on the launch timeline. It holds a sink only
+                    // while an attempt runs, so none outlives its launch.
+                    if let Some(sink) = &exec_sink {
+                        rt.executor.set_trace_sink(Arc::clone(sink));
+                    }
+                    rt.executor.set_trace_offset(start);
+                    // Each attempt corrupts independently; the flip pattern
+                    // is a pure function of (launch seed, attempt, link,
+                    // vector).
+                    faults.seed = mix64(self.seed, self.attempts as u64);
+                    let result = rt
+                        .executor
+                        .execute_with_faults(&art.plan, &art.payloads, &faults);
+                    rt.executor.clear_trace_sink();
                     match result {
                         Ok(report) => {
-                            let fec = report.fec();
-                            attempt_metrics.absorb(&report.metrics);
-                            Ok((fec, report.dst_digests))
+                            self.attempt_metrics.absorb(&report.metrics);
+                            return Ok(AttemptSuccess {
+                                fec: report.fec(),
+                                dst_digests: report.dst_digests,
+                                span_cycles,
+                            });
                         }
                         Err(CosimError::Uncorrectable { fec, culprits, .. }) => {
-                            fec.record_into(metrics);
+                            fec.record_into(&self.metrics);
                             culprit_links.extend(culprits);
-                            Err(())
                         }
                         Err(e) => {
-                            fatal = Some(RuntimeError::Execution(e.to_string()));
-                            Err(())
+                            return Err(ExecuteFailure::Fatal(RuntimeError::Execution(
+                                e.to_string(),
+                            )))
                         }
-                    }
-                });
-                if let Some(e) = fatal {
-                    return Err(ExecuteFailure::Fatal(e));
-                }
-                match outcome {
-                    FallibleReplayOutcome::Recovered {
-                        value: (fec, dst_digests),
-                        ..
-                    } => Ok(AttemptSuccess {
-                        fec,
-                        dst_digests,
-                        span_cycles,
-                    }),
-                    FallibleReplayOutcome::Persistent { .. } => {
-                        Err(ExecuteFailure::Persistent(culprit_links))
                     }
                 }
             }
         }
+        Err(ExecuteFailure::Persistent(culprit_links))
     }
 
     /// **Stage: recover.** The health monitor's blame vote (paper §4.5):
@@ -520,7 +497,8 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     }
 
     /// Closes the launch: records the final-attempt FEC tally, traces
-    /// `LaunchEnd`, and folds every stage's metrics into the outcome.
+    /// `LaunchEnd`, folds every stage's metrics into the outcome, and
+    /// seals the launch's heatmaps into [`LaunchOutcome::telemetry`].
     pub fn finish(self, success: AttemptSuccess, tracer: &mut Tracer<'_>) -> LaunchOutcome {
         self.metrics.inc(names::FINAL_CLEAN, success.fec.clean);
         self.metrics
@@ -536,9 +514,7 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
         );
         let mut all = self.attempt_metrics;
         all.absorb(&self.metrics.snapshot());
-        // Drain the executor's windowed samples so each outcome carries
-        // exactly its own launch's heatmaps (None when telemetry is off).
-        let telemetry = self.rt.executor.take_telemetry();
+        let telemetry = self.telemetry.map(|fold| fold.seal());
         LaunchOutcome {
             metrics: all,
             failovers: self.failovers,
@@ -550,9 +526,9 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
         }
     }
 
-    /// Drives the stages end to end exactly as the pre-refactor monolith
-    /// did: admission, alignment, then compile → execute, recovering from
-    /// persistent faults until the launch converges or recovery fails.
+    /// Drives the stages end to end: admission, alignment, then compile →
+    /// execute, recovering from persistent faults until the launch
+    /// converges or recovery fails.
     pub fn run(mut self) -> Result<LaunchOutcome, RuntimeError> {
         // The launch timeline is virtual simulated time: the alignment
         // window first, then one window of `span_cycles` (plus a fixed
@@ -658,7 +634,7 @@ mod tests {
         let success = engine.execute(&mut tracer).unwrap();
         assert!(success.fec.is_clean_run());
         let staged = engine.finish(success, &mut tracer);
-        // Monolith-compatible wrapper.
+        // The same launch through `Runtime::launch`.
         let mut rt2 = runtime();
         let wrapped = rt2.launch(&g, 7).unwrap();
         assert_eq!(staged, wrapped);

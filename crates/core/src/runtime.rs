@@ -17,8 +17,9 @@
 //! The health monitor can observe the links two ways ([`ExecMode`]):
 //!
 //! - **Statistical** (default): a per-packet FEC tally over the schedule's
-//!   link reservations. Fast — no payload bytes move — and what the big
-//!   benches use.
+//!   link reservations. Fast — no payload bytes move — and what the
+//!   `runtime_orchestration` example and most of the runtime's unit tests
+//!   use.
 //! - **Datapath**: every transfer's payload vectors actually stream
 //!   through the [`CompiledPlan`] engine, each inter-chip delivery
 //!   crossing its link's BER channel. Single-bit flips are corrected in
@@ -29,7 +30,9 @@
 //!   replay/blame/failover machinery. Any launch that completes — after
 //!   any number of replays and failovers — leaves destination SRAM
 //!   bit-identical to a fault-free run, because corrupted attempts never
-//!   contribute bytes and corrected ones are verified exact.
+//!   contribute bytes and corrected ones are verified exact. Every `repro`
+//!   section that launches, the serving example and the outside-in
+//!   benchmark run this mode.
 
 use crate::cosim::{compile_plan, CompiledPlan, TransferShape};
 use crate::launch::LaunchEngine;
@@ -45,7 +48,7 @@ use tsm_fault::spare::SparePlan;
 use tsm_isa::vector::VECTOR_BYTES;
 use tsm_isa::Vector;
 use tsm_topology::{LinkId, NodeId, TspId};
-use tsm_trace::telemetry::{Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::Telemetry;
 use tsm_trace::{names, RunMetrics, TraceSink};
 
 /// Which spare-provisioning policy the deployment uses (paper §4.5).
@@ -142,8 +145,8 @@ impl std::error::Error for RuntimeError {}
 /// The record of one successful launch.
 ///
 /// All tallies live in [`LaunchOutcome::metrics`] — one source of truth —
-/// and the old standalone fields (`fec`, `fec_total`, `attempts`,
-/// `compiles`, `reuses`) are views over it. `PartialEq` compares every
+/// and the accessors (`fec`, `fec_total`, `attempts`, `compiles`,
+/// `reuses`) are views over it. `PartialEq` compares every
 /// field, which is what the launch-vs-serve identity tests lean on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchOutcome {
@@ -171,13 +174,17 @@ pub struct LaunchOutcome {
     /// from the launch's base cycle to its `LaunchEnd` event. The serving
     /// frontend uses this as the service time of a batch.
     pub timeline_cycles: u64,
-    /// Windowed utilization heatmaps of this launch when telemetry is
-    /// enabled ([`Runtime::set_telemetry`]): per-link delivery counts
-    /// (`link.deliveries[linkN]`) and per-chip busy cycles
-    /// (`chip.busy_cycles[chipN]`), sampled over every attempt — aborted
-    /// ones included, exactly matching the trace. `None` when telemetry
-    /// is off, so pre-feature outcomes compare bit-identically; present
-    /// but empty in statistical mode, which moves no payloads.
+    /// Windowed utilization heatmaps of this launch when it ran with a
+    /// telemetry window ([`LaunchEngine::with_telemetry`], which a serve
+    /// with [`ServeConfig::telemetry`] sets on every batch): per-link
+    /// delivery counts (`link.deliveries[linkN]`) and per-chip busy cycles
+    /// (`chip.busy_cycles[chipN]`), a fold of the `Delivery` and
+    /// `ChipExec` events the executor traced over every attempt, aborted
+    /// ones included. `None` when telemetry is off, so pre-feature
+    /// outcomes compare bit-identically; present but empty in statistical
+    /// mode, which moves no payloads.
+    ///
+    /// [`ServeConfig::telemetry`]: crate::serving::ServeConfig::telemetry
     pub telemetry: Option<Telemetry>,
 }
 
@@ -306,15 +313,17 @@ pub struct Runtime {
     /// budget — multi-model streams reuse instead of thrashing.
     pub(crate) residency: ResidencyManager,
     /// The payload-binding executor (datapath mode); chip simulators are
-    /// reset, not rebuilt, across attempts and launches.
+    /// reset, not rebuilt, across attempts and launches. The launch
+    /// engine sets its trace sink and offset before every execute.
     pub(crate) executor: crate::cosim::PlanExecutor,
     /// Synthetic payload vectors shared by every datapath artifact this
     /// runtime compiles.
     pub(crate) payload_pool: PayloadPool,
-    /// Where launch-lifecycle trace events go. Shared with the executor so
-    /// one faulty launch renders as a single timeline: runtime lane events
-    /// (compile, replay epochs, blame, failover) interleaved with the
-    /// per-chip spans and link flips of each attempt.
+    /// Where launch-lifecycle trace events go. The launch engine points
+    /// the executor at it too, so one faulty launch renders as a single
+    /// timeline: runtime lane events (compile, replay epochs, blame,
+    /// failover) interleaved with the per-chip spans and link flips of
+    /// each attempt.
     pub(crate) sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -353,35 +362,12 @@ impl Runtime {
     /// runtime's own lifecycle events plus, in datapath mode, the
     /// executor's per-chip and per-link events of every attempt.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.executor.set_trace_sink(Arc::clone(&sink));
         self.sink = Some(sink);
     }
 
     /// Detaches the trace sink (tracing back to zero-cost disabled).
     pub fn clear_trace_sink(&mut self) {
         self.sink = None;
-        self.executor.clear_trace_sink();
-    }
-
-    /// Enables windowed telemetry for subsequent launches: the executor
-    /// samples per-link delivery counts and per-chip busy cycles onto
-    /// `cfg.window`-cycle windows, and each [`LaunchOutcome`] carries the
-    /// resulting [`Telemetry`]. Sampling is observation-only — event
-    /// sequences and every other outcome field are bit-identical with
-    /// telemetry on or off.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.executor.set_telemetry(cfg);
-    }
-
-    /// Disables telemetry sampling (back to the pre-feature single
-    /// branch; subsequent outcomes carry `telemetry: None`).
-    pub fn clear_telemetry(&mut self) {
-        self.executor.clear_telemetry();
-    }
-
-    /// The telemetry configuration in effect, if any.
-    pub fn telemetry_cfg(&self) -> Option<TelemetryConfig> {
-        self.executor.telemetry_cfg()
     }
 
     /// Selects the execution mode for subsequent launches (builder style).
@@ -474,11 +460,10 @@ impl Runtime {
     /// current mapping, execute with health monitoring, and recover from
     /// faults by replay and failover.
     ///
-    /// Since the staged-pipeline refactor this is a thin compatibility
-    /// wrapper over [`LaunchEngine`] — admission → mapping/alignment →
-    /// compile-or-reuse → execute → recover, each stage a separately
-    /// callable (and separately tested) method. Outcomes are bit-identical
-    /// to the pre-refactor monolith.
+    /// A thin wrapper over [`LaunchEngine`] — admission →
+    /// mapping/alignment → compile-or-reuse → execute → recover, each
+    /// stage a separately callable (and separately tested) method. It runs
+    /// with telemetry off; [`LaunchEngine::with_telemetry`] turns it on.
     pub fn launch(&mut self, logical: &Graph, seed: u64) -> Result<LaunchOutcome, RuntimeError> {
         self.launch_at(logical, seed, 0)
     }
@@ -639,12 +624,9 @@ pub(crate) fn mix64(a: u64, b: u64) -> u64 {
 ///
 /// Every node field is folded in as a separate word with the FNV-1a
 /// pattern (`Vector::digest` uses the same constants), with a tag word
-/// per op kind and an explicit dependency count. The previous
-/// implementation hashed `format!("{node:?}")`, which had no field
-/// separators inside a node — adjacent integer fields could collide
-/// (`cycles: 12, …1` vs `cycles: 1, …21` shapes) — and silently changed
-/// meaning whenever any `Debug` impl changed, aliasing or invalidating
-/// compile caches across builds.
+/// per op kind and an explicit dependency count, so adjacent integer
+/// fields cannot collide (`cycles: 12, …1` vs `cycles: 1, …21` shapes),
+/// and no `Debug` impl can change what a cache key means.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;

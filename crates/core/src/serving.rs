@@ -4,7 +4,7 @@
 //! The paper's deployments run one compiled schedule thousands of times
 //! under sustained traffic (§5); what matters there is tail latency under
 //! open-loop load, not peak throughput. This module puts a request queue
-//! in front of [`LaunchEngine`](crate::launch::LaunchEngine):
+//! in front of [`LaunchEngine`]:
 //!
 //! - [`WorkQueue`] — totally ordered by `(priority, deadline,
 //!   insertion_seq)`, with [`WorkQueue::try_push`] backpressure and
@@ -12,7 +12,7 @@
 //! - [`Server`] — a virtual-time discrete-event loop: seeded, no wall
 //!   clock anywhere, so a whole serving run is bit-reproducible from its
 //!   config. Requests batch into launches under a configurable batch
-//!   window; each batch dispatches through [`Runtime::launch_at`] at its
+//!   window; each batch launches through [`LaunchEngine`] at its
 //!   dispatch cycle and its service time is the launch's
 //!   [`LaunchOutcome::timeline_cycles`](crate::runtime::LaunchOutcome::timeline_cycles).
 //! - One cycle-ordered stream of `Request*`/`Batch*` events on
@@ -32,6 +32,7 @@
 //! different-model entry — strict queue order is preserved.
 
 use crate::flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger};
+use crate::launch::LaunchEngine;
 use crate::runtime::{mix64, ExecMode, Runtime, RuntimeError, EPOCH_GAP_CYCLES};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -205,7 +206,10 @@ pub struct ServeConfig {
     /// makes [`ServeReport::telemetry`] carry per-tenant throughput,
     /// queue-depth, shed/expired and SLO-attainment series plus the
     /// launches' link/chip heatmaps, all on `window`-cycle windows of the
-    /// serving timeline. `None` (the default) is the pre-feature single
+    /// serving timeline. It is each batch's launch telemetry window
+    /// ([`LaunchEngine::with_telemetry`]), so every
+    /// [`BatchRecord`]'s outcome carries its own heatmaps, and nothing
+    /// outlives the serve. `None` (the default) is the pre-feature single
     /// branch: the report is bit-identical to a build without the
     /// feature. Sampling never changes event sequences or any other
     /// report field — it only observes.
@@ -461,30 +465,16 @@ impl Server {
     /// Pure virtual time: the same `(config, offered, runtime)` always
     /// produces the same report, bit for bit.
     ///
-    /// With [`ServeConfig::telemetry`] set, the runtime samples telemetry
-    /// for the serve's own launches only: its prior setting is restored on
-    /// return, error or not.
+    /// Each batch launches through [`LaunchEngine`] at its dispatch
+    /// cycle, with [`ServeConfig::telemetry`] as the launch's telemetry
+    /// window, so its heatmaps belong to that launch alone and the
+    /// runtime is left as the serve found it.
     ///
     /// # Errors
     /// [`RuntimeError::Execution`] when `certify` is set outside
     /// [`ExecMode::Datapath`] or a request names an unregistered model,
     /// and any error of a batch's launch.
     pub fn serve(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
-        let prior = self.rt.telemetry_cfg();
-        if let Some(tc) = self.cfg.telemetry {
-            self.rt.set_telemetry(tc);
-        }
-        let report = self.serve_armed(offered);
-        match prior {
-            Some(tc) => self.rt.set_telemetry(tc),
-            None => self.rt.clear_telemetry(),
-        }
-        report
-    }
-
-    /// The body of [`Server::serve`], run once `serve` has set the
-    /// runtime's telemetry for this call.
-    fn serve_armed(&mut self, offered: &[Request]) -> Result<ServeReport, RuntimeError> {
         if self.cfg.certify && self.rt.exec_mode() != ExecMode::Datapath {
             return Err(RuntimeError::Execution(
                 "certify requires ExecMode::Datapath (statistical launches carry no delivery manifest)"
@@ -513,10 +503,9 @@ impl Server {
         // Telemetry, attribution and the flight recorder only observe:
         // each collects into its own report field, never into the serve
         // metrics or the trace, so turning one off changes nothing else
-        // (pinned by the telemetry/attribution/flight suites). Telemetry
-        // also arms the runtime's executor (see `serve`), so each batch's
-        // launch carries link/chip heatmaps for the serving sampler to
-        // merge.
+        // (pinned by the telemetry/attribution/flight suites). With
+        // telemetry on, each batch's launch also folds link/chip heatmaps
+        // for the serving sampler to merge.
         let mut sampler = self.cfg.telemetry.map(Sampler::new);
         let mut breakdowns: Option<Vec<LatencyBreakdown>> = self.cfg.attribution.then(Vec::new);
         let mut flight = self.cfg.flight.map(FlightRecorder::new);
@@ -797,7 +786,10 @@ impl Server {
                     let model = offered[head].model;
                     let seed = mix64(self.cfg.seed, u64::from(batch));
                     let graph = (self.models[model as usize])(size);
-                    let outcome = self.rt.launch_at(&graph, seed, now)?;
+                    let outcome = LaunchEngine::new(&mut self.rt, &graph, seed)
+                        .with_base(now)
+                        .with_telemetry(self.cfg.telemetry)
+                        .run()?;
                     // Merge the launch's link/chip heatmaps onto the
                     // serving timeline.
                     if let (Some(s), Some(lt)) = (sampler.as_mut(), outcome.telemetry.as_ref()) {

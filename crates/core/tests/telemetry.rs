@@ -6,26 +6,30 @@
 //!   `telemetry` field itself.
 //! - **Reproducibility**: the same seed reproduces the identical
 //!   telemetry, byte for byte through the JSON round trip.
-//! - **Heatmap fidelity**: per-link delivery counts and per-chip busy
-//!   cycles agree exactly with the trace events of the same run.
+//! - **Heatmap fidelity**: a launch's per-link delivery counts and
+//!   per-chip busy cycles are exactly the fold of its trace's `Delivery`
+//!   and `ChipExec` events, window by window, replays and failovers
+//!   included.
 //! - **SLO accounting**: per-tenant met+missed partitions the tenant's
 //!   terminal requests (served + expired).
 //! - **Loss accounting**: under telemetry sampling, the `trace.dropped`
 //!   gauge, the sink's counter, and the exporter's warning banner agree —
-//!   and sampling itself never drops (it does not go through the sink).
+//!   and the heatmaps lose nothing (the fold sees every event before the
+//!   user's sink does).
 //! - **Escaping**: hostile tenant names survive the JSON and Perfetto
 //!   exports via the in-repo escapers.
-//! - **No leaks between calls**: a serve hands the runtime back with the
-//!   telemetry setting it found, and a failed launch's samples never
-//!   reach the next launch on the same runtime.
+//! - **No leaks between calls**: samples live and die with their launch,
+//!   so neither a serve's nor a failed launch's heatmaps reach a later
+//!   call on the same runtime.
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
+use tsm_core::launch::LaunchEngine;
 use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, RuntimeError, SparePolicy};
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
-use tsm_topology::{LinkId, TspId};
-use tsm_trace::telemetry::{series, TelemetryConfig};
+use tsm_topology::{LinkId, NodeId, TspId};
+use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
 use tsm_trace::{
     chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent, SERVING_LANE,
 };
@@ -65,15 +69,67 @@ fn runtime() -> Runtime {
         .with_exec_mode(ExecMode::Datapath)
 }
 
-fn launch_with(tel: Option<TelemetryConfig>) -> (LaunchOutcome, Vec<TraceEvent>) {
+/// Launches the pipeline with seed 7 on `rt` and telemetry window `tel`.
+fn launch(rt: &mut Runtime, tel: Option<TelemetryConfig>) -> Result<LaunchOutcome, RuntimeError> {
+    LaunchEngine::new(rt, &pipeline(), 7)
+        .with_telemetry(tel)
+        .run()
+}
+
+/// [`launch`] on a fresh runtime over `fabric`, traced into a lossless
+/// ring.
+fn launch_traced(
+    tel: Option<TelemetryConfig>,
+    fabric: fn(&mut Runtime),
+) -> (LaunchOutcome, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 16));
     let mut rt = runtime().with_trace_sink(sink.clone());
-    if let Some(cfg) = tel {
-        rt.set_telemetry(cfg);
-    }
-    let out = rt.launch(&pipeline(), 7).unwrap();
+    fabric(&mut rt);
+    let out = launch(&mut rt, tel).unwrap();
     assert_eq!(sink.dropped(), 0);
     (out, sink.sorted_events())
+}
+
+fn launch_with(tel: Option<TelemetryConfig>) -> (LaunchOutcome, Vec<TraceEvent>) {
+    launch_traced(tel, |_| {})
+}
+
+/// Marks every cable of node 1, which holds the pipeline's destination,
+/// marginal at a rate where every attempt loses a packet: the launch
+/// aborts its whole replay budget, then fails node 1 over to the spare.
+fn marginal_node_1(rt: &mut Runtime) {
+    let cables: Vec<LinkId> = (0..rt.system().topology().links().len())
+        .map(|l| LinkId(l as u32))
+        .filter(|&l| {
+            let link = rt.system().topology().link(l);
+            link.a.node() == NodeId(1) || link.b.node() == NodeId(1)
+        })
+        .collect();
+    for l in cables {
+        rt.degrade_link(l);
+    }
+    rt.set_ber(0.0, 5e-4);
+}
+
+/// The heatmaps folded straight from trace events, as a launch's
+/// telemetry must be.
+fn fold(events: &[TraceEvent], cfg: TelemetryConfig) -> Telemetry {
+    let mut s = Sampler::new(cfg);
+    for e in events {
+        match e.kind {
+            EventKind::Delivery { link, .. } => {
+                s.count(series::LINK_DELIVERIES, &format!("link{link}"), e.cycle, 1)
+            }
+            EventKind::ChipExec { .. } => s.count_span(
+                series::CHIP_BUSY,
+                &format!("chip{}", e.lane),
+                e.cycle,
+                e.dur,
+            ),
+            _ => {}
+        }
+    }
+    s.finish()
 }
 
 #[test]
@@ -91,37 +147,60 @@ fn launch_telemetry_off_is_bit_identical_and_on_only_adds_the_field() {
     assert_eq!(stripped, off, "outcome differs only in the telemetry field");
 }
 
-/// The heatmaps are derived from the same simulation the trace records,
-/// so they must agree exactly: total deliveries per run equals the count
-/// of `Delivery` events, and total chip-busy cycles equals the summed
-/// width of the `ChipExec` spans.
+/// A launch's heatmaps are the fold of its own trace: the record equals a
+/// `Sampler` fold of a lossless ring's `Delivery` and `ChipExec` events,
+/// window by window and label by label — on the clean pipeline, and on a
+/// marginal fabric whose launch aborts three attempts and fails over, so
+/// aborted attempts and the spare's chips count too. Totals agree with
+/// the event counts and span widths.
 #[test]
 fn launch_heatmaps_agree_with_the_trace() {
-    let (on, events) = launch_with(Some(TEL));
-    let t = on.telemetry.unwrap();
+    for (case, fabric) in [
+        ("clean", (|_| {}) as fn(&mut Runtime)),
+        ("marginal", marginal_node_1),
+    ] {
+        let (on, events) = launch_traced(Some(TEL), fabric);
+        if case == "marginal" {
+            assert_eq!(on.attempts(), 4, "three aborted attempts, then the spare");
+            assert_eq!(on.failovers, vec![NodeId(1)]);
+        }
+        let t = on.telemetry.unwrap();
+        let folded = fold(&events, TEL);
+        assert_eq!(t.window, folded.window);
+        for name in [series::LINK_DELIVERIES, series::CHIP_BUSY] {
+            assert_eq!(t.labels(name), folded.labels(name), "{case}: {name}");
+            for label in t.labels(name) {
+                assert_eq!(
+                    t.get(name, label).unwrap().points,
+                    folded.get(name, label).unwrap().points,
+                    "{case}: {name}[{label}]"
+                );
+            }
+        }
+        assert_eq!(t, folded, "{case}: the record is the fold");
 
-    let traced_deliveries = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Delivery { .. }))
-        .count() as u64;
-    assert!(traced_deliveries > 0, "the pipeline crosses links");
-    assert_eq!(sampled_deliveries(&t), traced_deliveries);
-
-    let traced_busy: u64 = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::ChipExec { .. }))
-        .map(|e| e.dur)
-        .sum();
-    let sampled_busy: u64 = t
-        .labels(series::CHIP_BUSY)
-        .iter()
-        .map(|l| t.get(series::CHIP_BUSY, l).unwrap().total())
-        .sum();
-    assert_eq!(sampled_busy, traced_busy);
-    assert!(
-        t.labels(series::CHIP_BUSY).len() >= 2,
-        "both endpoint chips were busy"
-    );
+        let traced_deliveries = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Delivery { .. }))
+            .count() as u64;
+        assert!(traced_deliveries > 0, "{case}: the pipeline crosses links");
+        assert_eq!(sampled_deliveries(&t), traced_deliveries);
+        let traced_busy: u64 = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::ChipExec { .. }))
+            .map(|e| e.dur)
+            .sum();
+        let sampled_busy: u64 = t
+            .labels(series::CHIP_BUSY)
+            .iter()
+            .map(|l| t.get(series::CHIP_BUSY, l).unwrap().total())
+            .sum();
+        assert_eq!(sampled_busy, traced_busy);
+        assert!(
+            t.labels(series::CHIP_BUSY).len() >= 2,
+            "{case}: both endpoint chips were busy"
+        );
+    }
 }
 
 /// A serving workload with every terminal outcome represented: tenant 0
@@ -323,10 +402,10 @@ fn serve_heatmaps_are_the_merged_launch_heatmaps() {
     );
 }
 
-/// Satellite: under telemetry sampling, trace-loss accounting stays
-/// coherent — the `trace.dropped` gauge equals the sink's counter, the
-/// Perfetto banner reports the same number, and the sampler (which does
-/// not go through the sink) still captures complete heatmaps.
+/// Under telemetry sampling, trace-loss accounting stays coherent — the
+/// `trace.dropped` gauge equals the sink's counter, the Perfetto banner
+/// reports the same number, and the heatmaps are complete: the fold sees
+/// every event before the lossy sink does.
 #[test]
 fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
     // A full-size sink first, to know the true delivery count.
@@ -341,8 +420,7 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
     // the gauge lower-bounds the sink's final counter.
     let sink = Arc::new(RingSink::new(4)); // far too small for this run
     let mut rt = runtime().with_trace_sink(sink.clone());
-    rt.set_telemetry(TEL);
-    let out = rt.launch(&pipeline(), 7).unwrap();
+    let out = launch(&mut rt, Some(TEL)).unwrap();
 
     let dropped = sink.dropped();
     assert!(dropped > 0, "the tiny ring must evict");
@@ -356,14 +434,14 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
         "WARNING: trace truncated — {dropped} event(s) dropped"
     )));
     assert!(banner.contains(&format!("\"dropped\":{dropped}")));
-    // Sampling is not a sink client: the lossy trace loses events, the
+    // The fold comes before the sink: the lossy trace loses events, the
     // telemetry loses nothing.
     let t = out.telemetry.unwrap();
     assert_eq!(sampled_deliveries(&t), expected_deliveries);
     assert_eq!(t, full.telemetry.unwrap(), "loss-independent telemetry");
 }
 
-/// Satellite: hostile tenant names round-trip through the telemetry JSON
+/// Hostile tenant names round-trip through the telemetry JSON
 /// and the Perfetto counter-track export via the in-repo escapers.
 #[test]
 fn hostile_tenant_names_round_trip_through_both_exports() {
@@ -423,15 +501,14 @@ fn serving_events_are_emitted_in_cycle_order() {
     }
 }
 
-/// Regression: a telemetry-on serve used to leave the runtime armed, so a
-/// later launch, or a telemetry-off serve, on the same runtime carried
-/// heatmaps. A serve now restores the runtime's own setting on every
-/// return, a failed serve's included.
+/// A serve's telemetry belongs to its own launches: on the runtime a
+/// telemetry-on serve hands back, a telemetry-off serve carries no
+/// heatmaps and a later launch carries none, also after a telemetry-on
+/// serve that failed in a launch.
 #[test]
-fn serve_restores_the_runtime_telemetry_setting() {
+fn serve_telemetry_does_not_outlive_the_serve() {
     let mut on = server(runtime(), Some(TEL));
     on.serve(&offered_mixed()).unwrap();
-    assert_eq!(on.runtime().telemetry_cfg(), None, "serve disarms");
 
     let mut off = server(on.into_runtime(), None);
     let report = off.serve(&offered_mixed()).unwrap();
@@ -443,36 +520,29 @@ fn serve_restores_the_runtime_telemetry_setting() {
     let out = off.into_runtime().launch(&pipeline(), 7).unwrap();
     assert!(out.telemetry.is_none(), "a later launch samples nothing");
 
-    // An owner's own setting survives a serve with another window, also
-    // one that fails in a launch.
-    let mine = TelemetryConfig {
-        window: 1 << 20,
-        slo_permille: 500,
-    };
-    let mut rt = runtime();
-    rt.set_telemetry(mine);
-    let mut failing = server(rt, Some(TEL));
+    let mut failing = server(runtime(), Some(TEL));
     degrade_every_cable(failing.runtime_mut(), 1e-3);
     let err = failing.serve(&offered_mixed()).unwrap_err();
     assert!(matches!(err, RuntimeError::OutOfSpares { .. }), "{err:?}");
-    assert_eq!(failing.runtime().telemetry_cfg(), Some(mine));
+    let mut rt = failing.into_runtime();
+    rt.set_ber(0.0, 0.0);
+    let out = rt.launch(&pipeline(), 7).unwrap();
+    assert!(out.telemetry.is_none(), "nor after a failed serve");
 }
 
-/// Regression: a launch that ends in error never reaches `finish`, the
-/// one place the executor's samples were drained, so they used to land in
-/// the next launch's heatmaps. Whatever the failed launch sampled, the
-/// next one-attempt launch samples exactly its own deliveries.
+/// A launch that ends in error never reaches `finish`; whatever it
+/// sampled dies with it, so the next one-attempt launch on the same
+/// runtime samples exactly its own deliveries.
 #[test]
 fn failed_launch_samples_do_not_reach_the_next_launch() {
     for ber in [1e-3, 5e-4, 2e-4] {
         let mut rt = runtime();
-        rt.set_telemetry(TEL);
         degrade_every_cable(&mut rt, ber);
-        let err = rt.launch(&pipeline(), 7).unwrap_err();
+        let err = launch(&mut rt, Some(TEL)).unwrap_err();
         assert!(matches!(err, RuntimeError::OutOfSpares { .. }), "{err:?}");
 
         rt.set_ber(0.0, 0.0);
-        let out = rt.launch(&pipeline(), 7).unwrap();
+        let out = launch(&mut rt, Some(TEL)).unwrap();
         assert_eq!(out.attempts(), 1);
         let delivered = out.metrics.counter(names::COSIM_DELIVERIES);
         assert!(delivered > 0);

@@ -51,66 +51,6 @@ impl ReplayOutcome {
     }
 }
 
-/// Outcome of a fallible execution run under the replay policy.
-///
-/// The datapath execution engine reports an uncorrectable error as a typed
-/// `Err`, not as a statistics field — this is the [`run_with_replay`]
-/// state machine generalized to that shape. `value` is whatever a
-/// successful attempt produced (e.g. a co-simulation report); `last_error`
-/// is the failure of the final attempt, which the runtime's health monitor
-/// mines for the culprit link before failing over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FallibleReplayOutcome<T, E> {
-    /// Some attempt succeeded after `replays` replays (0 = first try).
-    Recovered {
-        /// Replays consumed before success.
-        replays: u32,
-        /// What the successful attempt produced.
-        value: T,
-    },
-    /// Every attempt in the budget failed: the fault is persistent.
-    Persistent {
-        /// Total executions attempted.
-        attempts: u32,
-        /// The failure of the last attempt.
-        last_error: E,
-    },
-}
-
-impl<T, E> FallibleReplayOutcome<T, E> {
-    /// True if some attempt produced trustworthy output.
-    pub fn succeeded(&self) -> bool {
-        matches!(self, FallibleReplayOutcome::Recovered { .. })
-    }
-}
-
-/// Runs a fallible `execute` under the replay policy: retry until an
-/// attempt returns `Ok` or the budget is exhausted.
-pub fn run_with_replay_fallible<T, E>(
-    policy: ReplayPolicy,
-    mut execute: impl FnMut(u32) -> Result<T, E>,
-) -> FallibleReplayOutcome<T, E> {
-    let mut last = match execute(0) {
-        Ok(value) => return FallibleReplayOutcome::Recovered { replays: 0, value },
-        Err(e) => e,
-    };
-    for replay in 1..=policy.max_replays {
-        match execute(replay) {
-            Ok(value) => {
-                return FallibleReplayOutcome::Recovered {
-                    replays: replay,
-                    value,
-                }
-            }
-            Err(e) => last = e,
-        }
-    }
-    FallibleReplayOutcome::Persistent {
-        attempts: policy.max_replays + 1,
-        last_error: last,
-    }
-}
-
 /// Runs `execute` (which returns the run's FEC tally) under the replay
 /// policy.
 pub fn run_with_replay(
@@ -211,57 +151,6 @@ mod tests {
         });
         assert_eq!(out, ReplayOutcome::Persistent { attempts: 4 });
         assert_eq!(calls, 4);
-        assert!(!out.succeeded());
-    }
-
-    #[test]
-    fn fallible_first_try_success_consumes_one_attempt() {
-        let mut calls = 0;
-        let out = run_with_replay_fallible(ReplayPolicy::default(), |_| -> Result<u32, ()> {
-            calls += 1;
-            Ok(7)
-        });
-        assert_eq!(
-            out,
-            FallibleReplayOutcome::Recovered {
-                replays: 0,
-                value: 7
-            }
-        );
-        assert!(out.succeeded());
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn fallible_transient_error_recovers_on_replay() {
-        let out = run_with_replay_fallible(ReplayPolicy::default(), |attempt| {
-            if attempt == 0 {
-                Err("uncorrectable")
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(
-            out,
-            FallibleReplayOutcome::Recovered {
-                replays: 1,
-                value: 1
-            }
-        );
-    }
-
-    #[test]
-    fn fallible_persistent_error_reports_the_last_failure() {
-        let out = run_with_replay_fallible(ReplayPolicy { max_replays: 2 }, |attempt| {
-            Err::<(), _>(format!("attempt {attempt} lost a packet"))
-        });
-        assert_eq!(
-            out,
-            FallibleReplayOutcome::Persistent {
-                attempts: 3,
-                last_error: "attempt 2 lost a packet".to_string()
-            }
-        );
         assert!(!out.succeeded());
     }
 }

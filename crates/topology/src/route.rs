@@ -67,7 +67,7 @@ impl Path {
 /// the path a forward BFS with that neighbour order finds, so the same
 /// topology always yields the same path. It is computed bidirectionally
 /// (see [`shortest_path_avoiding`]). A zero-hop path is returned when
-/// `from == to`.
+/// `from == to`; otherwise an endpoint outside the topology has no route.
 pub fn shortest_path(topo: &Topology, from: TspId, to: TspId) -> Result<Path, TopologyError> {
     shortest_path_avoiding(topo, from, to, &HashSet::new())
 }
@@ -97,6 +97,9 @@ pub fn shortest_path_avoiding(
             links: Vec::new(),
             tsps: vec![from],
         });
+    }
+    if from.index().max(to.index()) >= topo.num_tsps() {
+        return Err(TopologyError::NoRoute { from, to });
     }
     SEARCH.with(|s| s.borrow_mut().path(topo, from, to, excluded))
 }
@@ -643,6 +646,24 @@ mod tests {
             }
         }
         assert_eq!(eccentricity(&topo, TspId(0)), diameter_bound(&topo));
+    }
+
+    /// A TSP outside the topology is a typed error at either end, never an
+    /// index panic; naming it at both ends is still the zero-hop path.
+    #[test]
+    fn endpoints_outside_the_topology_have_no_route() {
+        let topo = Topology::single_node();
+        for (from, to) in [(0, 999), (999, 0), (0, 8), (8, 7)] {
+            let (from, to) = (TspId(from), TspId(to));
+            assert_eq!(
+                shortest_path(&topo, from, to),
+                Err(TopologyError::NoRoute { from, to })
+            );
+        }
+        assert_eq!(
+            shortest_path(&topo, TspId(999), TspId(999)).unwrap().hops(),
+            0
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! - **Windowed telemetry** ([`telemetry`]) — a [`Sampler`] buckets
 //!   counter deltas and gauge levels into fixed virtual-cycle windows,
 //!   sealing them into mergeable [`Telemetry`] time series (per-tenant
-//!   SLO attainment, per-link/per-chip occupancy heatmaps) that export as
+//!   SLO attainment, and per-link/per-chip occupancy heatmaps that a
+//!   [`TelemetrySink`] folds out of the trace) that export as
 //!   Perfetto counter tracks ([`chrome_trace_json_telemetry`]) and a
 //!   deterministic JSON block.
 //! - **Causal latency attribution** ([`attribution`]) — joins each served
@@ -67,4 +68,6 @@ pub use profile::{
     Conformance, LaunchProfile, PlannedChip, PlannedHop, PlannedTimeline, ProfileError,
 };
 pub use sink::{NullSink, RingSink, TraceSink};
-pub use telemetry::{sparkline, Sampler, SeriesKind, Telemetry, TelemetryConfig, TimeSeries};
+pub use telemetry::{
+    sparkline, Sampler, SeriesKind, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
+};

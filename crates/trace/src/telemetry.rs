@@ -14,18 +14,22 @@
 //! same observation, which is what makes the empty series the identity
 //! of [`TimeSeries::merge`].
 //!
-//! Determinism: samples are taken on the same serial code paths that emit
-//! trace events (plan binding, the post-level merge loop, the serving
-//! dispatch loop), cycle coordinates are simulated — never wall clock —
-//! and the merged record sorts series by `(name, label)` and points by
-//! window. Two runs from the same seed therefore produce byte-identical
-//! [`Telemetry::to_json`] output, and a run with telemetry disabled is
-//! bit-identical to one that never had the feature (the sampler is
-//! observation-only; regression tests in `tsm-core` pin this).
+//! Determinism: a launch's link and chip heatmaps are a fold of the trace
+//! events its executor emits ([`TelemetrySink`]), the serving series are
+//! sampled in the serving dispatch loop, cycle coordinates are simulated
+//! — never wall clock — and the merged record sorts series by
+//! `(name, label)` and points by window. Two runs from the same seed
+//! therefore produce byte-identical [`Telemetry::to_json`] output, and a
+//! run with telemetry disabled is bit-identical to one that never had the
+//! feature (the sampler is observation-only; regression tests in
+//! `tsm-core` pin this).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::event::{EventKind, TraceEvent};
 use crate::json::{Cursor, JsonWriter};
+use crate::sink::TraceSink;
 
 /// Canonical series names. Labels carry the entity: tenant names for the
 /// `serve.*` series, `link{n}` / `chip{n}` for the heatmap series.
@@ -519,6 +523,69 @@ impl Sampler {
     }
 }
 
+/// A [`TraceSink`] that folds the heatmaps out of the events passing
+/// through it: each `Delivery` counts one vector on
+/// `link.deliveries[link{n}]` at its cycle, and each `ChipExec` span
+/// spreads its cycles over `chip.busy_cycles[chip{lane}]`. Every event is
+/// then forwarded to the inner sink, if any, so the fold sees the whole
+/// stream even when that sink is lossy.
+#[derive(Debug)]
+pub struct TelemetrySink {
+    sampler: Mutex<Sampler>,
+    inner: Option<Arc<dyn TraceSink>>,
+}
+
+impl TelemetrySink {
+    /// A fold on `cfg`'s window, forwarding to `inner`.
+    pub fn new(cfg: TelemetryConfig, inner: Option<Arc<dyn TraceSink>>) -> TelemetrySink {
+        TelemetrySink {
+            sampler: Mutex::new(Sampler::new(cfg)),
+            inner,
+        }
+    }
+
+    /// Seals what has been folded so far into a record, leaving the fold
+    /// empty.
+    pub fn seal(&self) -> Telemetry {
+        let mut sampler = self.sampler();
+        let empty = Sampler::new(sampler.cfg());
+        std::mem::replace(&mut *sampler, empty).finish()
+    }
+
+    fn sampler(&self) -> MutexGuard<'_, Sampler> {
+        self.sampler
+            .lock()
+            .expect("no fold panics while it holds the sampler")
+    }
+}
+
+impl TraceSink for TelemetrySink {
+    fn record(&self, event: TraceEvent) {
+        match event.kind {
+            EventKind::Delivery { link, .. } => self.sampler().count(
+                series::LINK_DELIVERIES,
+                &format!("link{link}"),
+                event.cycle,
+                1,
+            ),
+            EventKind::ChipExec { .. } => self.sampler().count_span(
+                series::CHIP_BUSY,
+                &format!("chip{}", event.lane),
+                event.cycle,
+                event.dur,
+            ),
+            _ => {}
+        }
+        if let Some(inner) = &self.inner {
+            inner.record(event);
+        }
+    }
+
+    fn dropped(&self) -> u64 {
+        self.inner.as_deref().map_or(0, TraceSink::dropped)
+    }
+}
+
 /// Renders `values` as a unicode sparkline, one block character per
 /// window; zero windows render as spaces so gaps stay visible.
 pub fn sparkline(values: &[u64]) -> String {
@@ -727,6 +794,48 @@ mod tests {
             .is_err(),
             "unknown kind is refused"
         );
+    }
+
+    #[test]
+    fn sink_folds_deliveries_and_chip_spans_and_forwards_every_event() {
+        let ring = Arc::new(crate::sink::RingSink::new(2));
+        let sink = TelemetrySink::new(cfg(100), Some(ring.clone()));
+        let ev = |cycle, dur, kind| TraceEvent {
+            cycle,
+            lane: 3,
+            seq: 0,
+            dur,
+            kind,
+        };
+        sink.record(ev(
+            150,
+            0,
+            EventKind::Delivery {
+                link: 7,
+                transfer: 0,
+                vector: 0,
+            },
+        ));
+        sink.record(ev(
+            80,
+            250,
+            EventKind::ChipExec {
+                depth: 0,
+                instructions: 4,
+            },
+        ));
+        sink.record(ev(90, 0, EventKind::Align));
+        assert_eq!(ring.len(), 2);
+        assert_eq!(sink.dropped(), 1, "the inner sink's count");
+        let t = sink.seal();
+        let points = |name, label| t.get(name, label).unwrap().points.clone();
+        assert_eq!(points(series::LINK_DELIVERIES, "link7"), vec![(1, 1)]);
+        assert_eq!(
+            points(series::CHIP_BUSY, "chip3"),
+            vec![(0, 20), (1, 100), (2, 100), (3, 30)]
+        );
+        assert_eq!(t.series.len(), 2, "other kinds fold to nothing");
+        assert!(sink.seal().is_empty(), "sealing empties the fold");
     }
 
     #[test]

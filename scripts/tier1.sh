@@ -62,11 +62,13 @@ cargo test -p tsm-core --test serve_golden -q
 # shared-vs-private payload identity, and the LRU-vs-reference proptest.
 cargo test -p tsm-core --test residency -q
 # The windowed telemetry layer: launch/serve off-identity (sampling off is
-# bit-identical to pre-feature behaviour), heatmap-vs-trace agreement,
+# bit-identical to pre-feature behaviour), heatmaps that are a fold of the
+# executor's trace (equal, window by window, to a fold of a lossless
+# ring's Delivery and ChipExec events, clean and failing over),
 # SLO-series accounting, JSON bit-reproducibility, hostile-label
 # escaping through both exporters, and no telemetry leak between calls on
-# one runtime (a serve restores the runtime's setting; a failed launch's
-# samples never reach the next launch).
+# one runtime (samples live and die with their launch, a failed one's
+# included).
 cargo test -p tsm-core --test telemetry -q
 # The causal attribution layer: every served request's stage breakdown
 # sums exactly to its latency (clean, replaying, and certified paths),
@@ -82,6 +84,11 @@ cargo test -p tsm-fault -q
 # takes exactly the draws transmit takes, so a clean decision made from it
 # agrees with transmit's.
 cargo test -p tsm-link -q
+# Route errors are part of compile's error-order contract: an endpoint
+# outside the topology is a typed NoRoute, never an index panic
+# (endpoints_outside_the_topology_have_no_route), next to the
+# bidirectional search's forward-BFS oracle.
+cargo test -p tsm-topology --lib route -q
 # Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
 # the enumerator's booking order and hop indices vs a per-vector oracle on
 # random dragonfly paths (enumerator_yields_booking_order), the jumping
@@ -89,7 +96,8 @@ cargo test -p tsm-link -q
 # schedule for every next transfer of random prefixes, no more trials
 # (jump_search_finds_what_the_bump_search_finds), plans equal at widths 1,
 # 2, 3 and 7 (plans_do_not_depend_on_the_width), route errors surfacing in
-# transfer order (compile_errors_keep_transfer_order), the grouping helper
+# transfer order, a TSP outside the topology included, through compile_plan
+# and run_transfers (compile_errors_keep_transfer_order), the grouping helper
 # of the parallel stages, and plan JSON that indexes outside itself refused
 # at parse.
 cargo test -p tsm-core --lib cosim::plan -q
