@@ -163,6 +163,14 @@ pub enum ExecError {
         /// The reading cycle.
         cycle: u64,
     },
+    /// A C2C instruction named a port beyond the chip's modelled link
+    /// engines.
+    PortOutOfRange {
+        /// The port.
+        port: u8,
+        /// Cycle of the offending instruction.
+        cycle: u64,
+    },
     /// A RECEIVE was scheduled for a port with no delivery by that cycle.
     NothingReceived {
         /// The port.
@@ -212,6 +220,12 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::StreamEmpty { stream, cycle } => {
                 write!(f, "stream {} read empty at cycle {cycle}", stream.index())
+            }
+            ExecError::PortOutOfRange { port, cycle } => {
+                write!(
+                    f,
+                    "C2C port {port} at cycle {cycle} is beyond the {MAX_PORTS} modelled link engines"
+                )
             }
             ExecError::NothingReceived { port, cycle } => {
                 write!(
@@ -491,9 +505,11 @@ impl ChipSim {
                 return Err(ExecError::UnitParked { unit, cycle });
             }
             // Busy check (per C2C port engine, per unit otherwise).
-            let port = instruction_port(&ti.instr) as usize;
-            debug_assert!(port < MAX_PORTS, "C2C port {port} exceeds modelled maximum");
-            let resource = ui * MAX_PORTS + port;
+            let port = instruction_port(&ti.instr);
+            if usize::from(port) >= MAX_PORTS {
+                return Err(ExecError::PortOutOfRange { port, cycle });
+            }
+            let resource = ui * MAX_PORTS + usize::from(port);
             let free = self.free_at[resource];
             if cycle < free {
                 return Err(ExecError::UnitBusy {
@@ -748,6 +764,32 @@ mod tests {
                 free_at: 5
             }
         );
+    }
+
+    /// A C2C instruction on a port past the 16 modelled engines is a typed
+    /// error, never an index past the busy table or into another unit's
+    /// slot.
+    #[test]
+    fn ports_beyond_the_modelled_engines_are_errors() {
+        for port in [16, 40, 200] {
+            for instr in [
+                Instruction::Send {
+                    port,
+                    stream: sid(0),
+                },
+                Instruction::Receive {
+                    port,
+                    stream: sid(0),
+                },
+                Instruction::Transmit { port },
+            ] {
+                let prog = ChipProgram::new().at(7, instr);
+                assert_eq!(
+                    ChipSim::new().run(&prog).unwrap_err(),
+                    ExecError::PortOutOfRange { port, cycle: 7 }
+                );
+            }
+        }
     }
 
     #[test]

@@ -138,8 +138,8 @@ pub enum CosimError {
         error: ExecError,
     },
     /// A chip would need more simultaneously-live stream registers than
-    /// the hardware has. The old round-robin allocator silently wrapped
-    /// and corrupted data here; exhaustion is now a hard error.
+    /// the hardware has: exhaustion is a hard error, never a register
+    /// aliased while still live.
     StreamExhausted {
         /// The overloaded TSP.
         tsp: TspId,
@@ -148,7 +148,7 @@ pub enum CosimError {
     },
     /// A transfer's SRAM region (its source or destination range, or the
     /// forwarding scratch it needs on a chip) runs past the 16-bit offset
-    /// space of a slice. Offsets used to wrap here and alias other data.
+    /// space of a slice, where it would wrap and alias other data.
     AddressOverflow {
         /// The chip whose SRAM the region would overflow.
         tsp: TspId,
@@ -314,8 +314,7 @@ pub struct CosimReport {
     pub dst_digests: Vec<u64>,
     /// The run's full metrics snapshot: per-link FEC counters, delivery
     /// and instruction counts, per-chip retirement histogram. The single
-    /// source of tally truth — the old standalone `fec` field is now the
-    /// [`CosimReport::fec`] view over this.
+    /// source of tally truth; [`CosimReport::fec`] is a view over it.
     pub metrics: RunMetrics,
 }
 
@@ -495,8 +494,7 @@ mod tests {
     }
 
     /// A same-chip transfer is a caller error reported as
-    /// [`CosimError::LocalTransfer`], not a panic (the old engine hit a
-    /// `debug_assert` here and corrupted state in release builds).
+    /// [`CosimError::LocalTransfer`], not a panic.
     #[test]
     fn same_chip_transfer_is_a_typed_error() {
         let topo = Topology::single_node();
@@ -632,9 +630,7 @@ mod tests {
 
     /// More flows than stream registers, serialized on one cable: liveness
     /// tracking recycles registers, so 40 sequential flows through one
-    /// chip succeed bit-exactly (the old modulo-32 allocator would wrap
-    /// onto live registers under concurrency instead of recycling dead
-    /// ones).
+    /// chip succeed bit-exactly.
     #[test]
     fn stream_registers_recycle_across_serialized_flows() {
         let topo = Topology::single_node();

@@ -384,25 +384,128 @@ impl UnitOccupancy {
     }
 }
 
-/// Enumerates every chip-unit busy window the lowering in [`compile_plan`]
-/// will create for a transfer whose hops start at `hop_starts`, calling
-/// `f(hop, tsp, slot, start, end)` once per planned instruction, where
-/// `hop` indexes the hop start the window is a fixed offset from: 0 at the
-/// source, `h - 1` for forwarder `h`'s receives and staging writes, `h`
-/// for its forwarding reads and sends, the last hop at the destination.
-/// Kept in lockstep with the program-construction loops below — both walk
-/// the same source Read→Send, forwarder Receive→Write→Read→Send, and
-/// destination Receive→Write timing.
+/// What the instructions of one [`Train`] do. Along a transfer's path the
+/// source loads and sends, each forwarder receives, stages, unstages and
+/// sends, and the destination receives and stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// Reads the payload out of the source region onto the stream.
+    Load,
+    /// Sends the stream out of this C2C port.
+    Send(u8),
+    /// Receives from this C2C port onto the stream.
+    Receive(u8),
+    /// Writes the received vector to forwarding scratch.
+    Stage,
+    /// Reads the staged vector back onto the stream to forward it.
+    Unstage,
+    /// Writes the received vector to the destination region.
+    Store,
+}
+
+impl Op {
+    /// The instruction the op lowers to, moving `stream` to or from SRAM
+    /// `(slice, offset)` or through its port.
+    fn lower(self, stream: StreamId, slice: u8, offset: u16) -> Instruction {
+        match self {
+            Op::Load | Op::Unstage => Instruction::Read {
+                slice,
+                offset,
+                stream,
+                dir: Direction::East,
+            },
+            Op::Stage | Op::Store => Instruction::Write {
+                slice,
+                offset,
+                stream,
+            },
+            Op::Send(port) => Instruction::Send { port, stream },
+            Op::Receive(port) => Instruction::Receive { port, stream },
+        }
+    }
+
+    /// The [`UnitOccupancy`] slot each of the op's instructions holds, and
+    /// for how many cycles: as `ChipSim` busies them, the instruction's
+    /// C2C port engine (else its Mem unit) for its `min_latency`.
+    fn hold(self) -> (usize, u64) {
+        let instr = self.lower(StreamId::new(0).expect("stream 0 exists"), 0, 0);
+        let slot = match instr {
+            Instruction::Send { port, .. } | Instruction::Receive { port, .. } => c2c_slot(port),
+            _ => MEM_SLOT,
+        };
+        (slot, instr.min_latency())
+    }
+}
+
+/// `n` instructions of one [`Op`] on one chip of a transfer's path, one
+/// vector slot apart, the first at `start`. A transfer's trains are the
+/// one statement of its chip timing: the chip-unit search, the booking,
+/// the lowering, the stream live ranges and the manifest all read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Train {
+    /// Position of the chip on the path (0 = the source).
+    chip: usize,
+    /// The hop whose start `start` is a fixed offset from.
+    hop: usize,
+    /// Issue cycle of the first instruction.
+    start: u64,
+    op: Op,
+}
+
+/// Fills `out` with the trains of a transfer along `path` whose hops start
+/// at `hop_starts`, chip by chip along the path. The source reads each
+/// vector [`READ_LATENCY`] before its hop sends it. Every other chip
+/// receives a vector a vector slot plus the link latency after the hop
+/// into it started, and writes it one cycle later: to the destination
+/// region at the destination; at a forwarder to scratch, from which it
+/// reads the vector back [`READ_LATENCY`] before its own hop sends it
+/// ("we use the local SRAM storage on each TSP to provide intermediate
+/// buffering", §2.3 — a stream register alone would be overwritten by the
+/// next arriving flit long before the forwarding point; this staging is
+/// what the per-hop overhead pays for).
+fn trains(topo: &Topology, path: &Path, hop_starts: &[u64], out: &mut Vec<Train>) {
+    let slot = vector_slot_cycles();
+    let last = path.links.len();
+    let at = |chip, hop, start, op| Train {
+        chip,
+        hop,
+        start,
+        op,
+    };
+    let send = |h: usize| Op::Send(port_of(topo, path, h, path.tsps[h]));
+    // The search injects no earlier than READ_LATENCY, so no read starts
+    // before cycle 0; `saturating_sub` keeps the boundary well-defined.
+    let read = |h: usize| hop_starts[h].saturating_sub(READ_LATENCY);
+    out.clear();
+    out.push(at(0, 0, read(0), Op::Load));
+    out.push(at(0, 0, hop_starts[0], send(0)));
+    for (h, &link) in path.links.iter().enumerate() {
+        let chip = h + 1;
+        let arrive = hop_starts[h] + slot + scheduled_link_latency(topo, link);
+        let port = port_of(topo, path, h, path.tsps[chip]);
+        out.push(at(chip, h, arrive, Op::Receive(port)));
+        if chip == last {
+            out.push(at(chip, h, arrive + 1, Op::Store));
+        } else {
+            out.push(at(chip, h, arrive + 1, Op::Stage));
+            out.push(at(chip, chip, read(chip), Op::Unstage));
+            out.push(at(chip, chip, hop_starts[chip], send(chip)));
+        }
+    }
+}
+
+/// Expands `n`-vector `trains` into chip-unit busy windows, calling
+/// `f(hop, tsp, slot, start, end)` once per instruction, with the train's
+/// hop.
 ///
 /// The windows come out in booking order: each resource's together and
-/// ascending, as [`UnitOccupancy::book`] requires. On every resource but
-/// one they form a single train, one window per vector slot; a
-/// forwarder's Mem unit serves two (staging writes and forwarding reads),
-/// which are merged.
+/// ascending, as [`UnitOccupancy::book`] requires. A train holds one
+/// resource, one window per vector slot. Two consecutive trains on one
+/// resource, which only a forwarder's stage and unstage trains are (both
+/// on Mem), are merged.
 fn for_each_unit_window(
-    topo: &Topology,
     path: &Path,
-    hop_starts: &[u64],
+    trains: &[Train],
     n: u64,
     f: &mut impl FnMut(usize, TspId, usize, u64, u64),
 ) {
@@ -410,94 +513,42 @@ fn for_each_unit_window(
     // `n` windows of `len` cycles, one vector slot apart from `start`.
     let train =
         |start: u64, len: u64| (0..n).map(move |v| (start + v * slot, start + v * slot + len));
-    let dummy = StreamId::new(0).expect("stream 0 exists");
-    let read_lat = Instruction::Read {
-        slice: 0,
-        offset: 0,
-        stream: dummy,
-        dir: Direction::East,
-    }
-    .min_latency();
-    let write_lat = Instruction::Write {
-        slice: 0,
-        offset: 0,
-        stream: dummy,
-    }
-    .min_latency();
-    let c2c_lat = Instruction::Send {
-        port: 0,
-        stream: dummy,
-    }
-    .min_latency();
-
-    // Source: Read -> Send per vector.
-    let src = path.tsps[0];
-    let send0 = hop_starts[0];
-    let read0 = send0.saturating_sub(READ_LATENCY);
-    let src_key = c2c_slot(port_of(topo, path, 0, src));
-    for (s, e) in train(read0, read_lat) {
-        f(0, src, MEM_SLOT, s, e);
-    }
-    for (s, e) in train(send0, c2c_lat) {
-        f(0, src, src_key, s, e);
-    }
-
-    // Intermediate hops: Receive -> Write -> Read -> Send per vector.
-    for h in 1..path.links.len() {
-        let tsp = path.tsps[h];
-        let in_key = c2c_slot(port_of(topo, path, h - 1, tsp));
-        let out_key = c2c_slot(port_of(topo, path, h, tsp));
-        let in_latency = scheduled_link_latency(topo, path.links[h - 1]);
-        let arrive0 = hop_starts[h - 1] + slot + in_latency;
-        let forward0 = hop_starts[h];
-        let fread0 = forward0.saturating_sub(READ_LATENCY);
-        for (s, e) in train(arrive0, c2c_lat) {
-            f(h - 1, tsp, in_key, s, e);
-        }
-        // The Mem unit serves two trains with one step: staging writes
-        // from `arrive0 + 1` and forwarding reads from `fread0`. Once the
-        // leading train's first `k` windows are out (those ordered before
-        // the other train's first), the two alternate. Computing `k`
-        // keeps the merge free of a comparison per window, which the
-        // retry loop's conflict scan would pay on every trial.
-        let (writes, reads) = ((arrive0 + 1, write_lat), (fread0, read_lat));
-        let ((lead, lead_hop), (lag, lag_hop)) = if writes <= reads {
-            ((writes, h - 1), (reads, h))
-        } else {
-            ((reads, h), (writes, h - 1))
+    let mut trains = trains.iter().map(|t| (t, t.op.hold())).peekable();
+    while let Some((a, (key, a_len))) = trains.next() {
+        let tsp = path.tsps[a.chip];
+        let Some((b, (_, b_len))) = trains.next_if(|(b, (k, _))| b.chip == a.chip && *k == key)
+        else {
+            for (s, e) in train(a.start, a_len) {
+                f(a.hop, tsp, key, s, e);
+            }
+            continue;
         };
-        let gap = lag.0 - lead.0;
-        let k = n.min(if lead.1 <= lag.1 {
+        // One step serves both trains. Once the leading train's first `k`
+        // windows are out (those ordered before the other train's first),
+        // the two alternate. Computing `k` keeps the merge free of a
+        // comparison per window, which the search's conflict scan would
+        // pay on every trial.
+        let ((lead, lead_len), (lag, lag_len)) = if (a.start, a_len) <= (b.start, b_len) {
+            ((a, a_len), (b, b_len))
+        } else {
+            ((b, b_len), (a, a_len))
+        };
+        let gap = lag.start - lead.start;
+        let k = n.min(if lead_len <= lag_len {
             gap / slot + 1
         } else {
             gap.div_ceil(slot)
         });
-        let mut lead_train = train(lead.0, lead.1);
+        let mut lead_train = train(lead.start, lead_len);
         for (s, e) in lead_train.by_ref().take(k as usize) {
-            f(lead_hop, tsp, MEM_SLOT, s, e);
+            f(lead.hop, tsp, key, s, e);
         }
-        for (s, e) in train(lag.0, lag.1) {
-            f(lag_hop, tsp, MEM_SLOT, s, e);
+        for (s, e) in train(lag.start, lag_len) {
+            f(lag.hop, tsp, key, s, e);
             if let Some((s, e)) = lead_train.next() {
-                f(lead_hop, tsp, MEM_SLOT, s, e);
+                f(lead.hop, tsp, key, s, e);
             }
         }
-        for (s, e) in train(forward0, c2c_lat) {
-            f(h, tsp, out_key, s, e);
-        }
-    }
-
-    // Destination: Receive -> Write per vector.
-    let last = path.links.len() - 1;
-    let dst = path.tsps[last + 1];
-    let dst_key = c2c_slot(port_of(topo, path, last, dst));
-    let out_latency = scheduled_link_latency(topo, path.links[last]);
-    let dst_arrive0 = hop_starts[last] + slot + out_latency;
-    for (s, e) in train(dst_arrive0, c2c_lat) {
-        f(last, dst, dst_key, s, e);
-    }
-    for (s, e) in train(dst_arrive0 + 1, write_lat) {
-        f(last, dst, MEM_SLOT, s, e);
     }
 }
 
@@ -584,14 +635,19 @@ impl ChipBuilds {
 }
 
 /// The reservation tables a compile books into: link frontiers and
-/// chip-unit windows, with the window buffer of the transfer being booked.
+/// chip-unit windows, with the trains and window buffer of the transfer
+/// being booked.
 struct Occupancy {
     links: LinkOccupancy,
     units: UnitOccupancy,
+    /// The trains of the transfer being booked, reused across trials and
+    /// transfers: the search's last trial leaves the conflict-free ones,
+    /// which [`Occupancy::commit`] books and the lowering then reads.
+    trains: Vec<Train>,
     /// The unit windows of the transfer being booked, reused across
-    /// transfers. Filled once the search has found a conflict-free
-    /// injection, not on every trial: a dense fabric still retries (the
-    /// 10,440-chip half-stride plan averages 3.9 trials per transfer).
+    /// transfers. Filled at commit, not on every trial: a dense fabric
+    /// still retries (the 10,440-chip half-stride plan averages 3.9 trials
+    /// per transfer).
     windows: Vec<(usize, u64, u64)>,
 }
 
@@ -600,6 +656,7 @@ impl Occupancy {
         Occupancy {
             links: LinkOccupancy::new(),
             units: UnitOccupancy::new(num_tsps),
+            trains: Vec::new(),
             windows: Vec::new(),
         }
     }
@@ -623,7 +680,7 @@ impl Occupancy {
     /// jump advances the injection, and booked windows end at finite
     /// cycles, so the search terminates.
     fn first_free_injection(
-        &self,
+        &mut self,
         topo: &Topology,
         path: &Path,
         n: u64,
@@ -642,20 +699,15 @@ impl Occupancy {
             .map_err(CosimError::Schedule)?;
         let mut trials = 1;
         loop {
+            trains(topo, path, &sched.hop_starts, &mut self.trains);
             let mut next = earliest;
-            for_each_unit_window(
-                topo,
-                path,
-                &sched.hop_starts,
-                n,
-                &mut |h, tsp, key, s, e| {
-                    if let Some(busy_until) = self.units.conflict(tsp, key, s, e) {
-                        // In this order: a Read window starts before its hop,
-                        // so `s - hop_starts[h]` would underflow.
-                        next = next.max((busy_until + sched.hop_starts[h]) - (s + unpinned[h]));
-                    }
-                },
-            );
+            for_each_unit_window(path, &self.trains, n, &mut |h, tsp, key, s, e| {
+                if let Some(busy_until) = self.units.conflict(tsp, key, s, e) {
+                    // In this order: a Read window starts before its hop,
+                    // so `s - hop_starts[h]` would underflow.
+                    next = next.max((busy_until + sched.hop_starts[h]) - (s + unpinned[h]));
+                }
+            });
             if next == earliest {
                 return Ok((sched, trials));
             }
@@ -667,21 +719,25 @@ impl Occupancy {
         }
     }
 
-    /// Books `sched`, found by [`Occupancy::first_free_injection`] for
-    /// `n` vectors along `path`, on its links and chip units.
-    fn commit(&mut self, topo: &Topology, path: &Path, n: u64, sched: &TransferSchedule) {
+    /// Books `sched`, which the last [`Occupancy::first_free_injection`]
+    /// found for `n` vectors along `path`, on its links, and the trains
+    /// that search left on its chip units. The trains stay for the
+    /// lowering.
+    fn commit(&mut self, path: &Path, n: u64, sched: &TransferSchedule) {
+        debug_assert!(
+            self.trains
+                .iter()
+                .filter(|t| matches!(t.op, Op::Send(_)))
+                .map(|t| t.start)
+                .eq(sched.hop_starts.iter().copied()),
+            "the trains are not the searched schedule's"
+        );
         self.links.commit(path, sched);
         let windows = &mut self.windows;
         windows.clear();
-        for_each_unit_window(
-            topo,
-            path,
-            &sched.hop_starts,
-            n,
-            &mut |_, tsp, key, s, e| {
-                windows.push((UnitOccupancy::resource(tsp, key), s, e));
-            },
-        );
+        for_each_unit_window(path, &self.trains, n, &mut |_, tsp, key, s, e| {
+            windows.push((UnitOccupancy::resource(tsp, key), s, e));
+        });
         self.units.book(&self.windows);
     }
 }
@@ -749,17 +805,16 @@ fn for_each_grouped<T: Send>(
 /// once the plan is large enough to pay for them; the plan is the same
 /// at every width.
 pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<CompiledPlan, CosimError> {
-    compile_plan_on(topo, shapes, auto_threads())
+    compile_plan_on(topo, shapes, auto_threads()).map(|(plan, _)| plan)
 }
 
 /// [`compile_plan`] with its two parallel stages split across at most
-/// `width` threads.
+/// `width` threads, also returning the chip-unit windows it booked.
 fn compile_plan_on(
     topo: &Topology,
     shapes: &[TransferShape],
     width: usize,
-) -> Result<CompiledPlan, CosimError> {
-    let slot = vector_slot_cycles();
+) -> Result<(CompiledPlan, UnitOccupancy), CosimError> {
     let mut occupancy = Occupancy::new(topo.num_tsps());
     let mut builds = ChipBuilds::new(topo.num_tsps());
     let mut arrivals = Vec::with_capacity(shapes.len());
@@ -811,192 +866,16 @@ fn compile_plan_on(
         // the chips as well as on the wires.
         let (sched, _) = occupancy.first_free_injection(topo, path, n)?;
         arrivals.push(sched.last_arrival);
-        occupancy.commit(topo, path, n, &sched);
-        if n == 0 {
-            continue;
-        }
-        // Per-hop block starts come straight off the schedule.
-        let hop_starts = &sched.hop_starts;
-        debug_assert_eq!(hop_starts.len(), path.links.len());
-
-        let vref = |v: u64| VecRef {
-            transfer: idx as u32,
-            vector: v as u32,
-        };
-
-        // The path fixes each chip's instruction count for this transfer:
-        // Read and Send per vector at the source, Receive and Write at the
-        // destination, all four at a forwarder.
-        let dst_hop = path.links.len();
-        for (h, &tsp) in path.tsps.iter().enumerate() {
-            let chip = builds.get(tsp);
-            chip.depth = chip.depth.max(h);
-            let per_vector = if h == 0 || h == dst_hop { 2 } else { 4 };
-            chip.program.reserve(per_vector * n as usize);
-        }
-
-        // Source program: Read -> Send per vector, from the preloaded
-        // payload. The schedule is asked for an injection no earlier than
-        // READ_LATENCY, so the first read lands at cycle >= 0;
-        // `saturating_sub` makes the subtraction well-defined even at the
-        // boundary where send0 == READ_LATENCY.
-        let send0 = hop_starts[0];
-        debug_assert!(
-            send0 >= READ_LATENCY,
-            "schedule injected before the SRAM read pipeline could stage a vector"
-        );
-        let read0 = send0.saturating_sub(READ_LATENCY);
-        let src_port = port_of(topo, path, 0, tr.from);
-        let src = builds.get(tr.from);
-        src.preloads.extend((0..n).map(|v| PlannedPreload {
-            slice: tr.src_slice,
-            offset: tr.src_offset + v as u16,
-            vec: vref(v),
-        }));
-        let src_stream = src.stream(read0, send0 + (n - 1) * slot)?;
-        for v in 0..n {
-            src.program.push(
-                read0 + v * slot,
-                Instruction::Read {
-                    slice: tr.src_slice,
-                    offset: tr.src_offset + v as u16,
-                    stream: src_stream,
-                    dir: Direction::East,
-                },
-            );
-            src.program.push(
-                send0 + v * slot,
-                Instruction::Send {
-                    port: src_port,
-                    stream: src_stream,
-                },
-            );
-        }
-
-        // Intermediate hops: Receive -> Write -> Read -> Send. The vector
-        // must be staged in local SRAM between arrival and forwarding
-        // ("we use the local SRAM storage on each TSP to provide
-        // intermediate buffering", §2.3) — a stream register alone would
-        // be overwritten by the next arriving flit long before the
-        // 398-cycle forwarding point. This staging is exactly what the
-        // per-hop overhead pays for.
-        for h in 1..path.links.len() {
-            let tsp = path.tsps[h];
-            let in_port = port_of(topo, path, h - 1, tsp);
-            let out_port = port_of(topo, path, h, tsp);
-            let in_latency = scheduled_link_latency(topo, path.links[h - 1]);
-            let arrive0 = hop_starts[h - 1] + slot + in_latency;
-            let forward0 = hop_starts[h];
-            debug_assert!(
-                forward0 >= READ_LATENCY,
-                "forwarding hop scheduled before the SRAM read pipeline"
-            );
-            let fread0 = forward0.saturating_sub(READ_LATENCY);
-            let chip = builds.get(tsp);
-            let in_stream = chip.stream(arrive0, arrive0 + (n - 1) * slot + 1)?;
-            let out_stream = chip.stream(fread0, forward0 + (n - 1) * slot)?;
-            let scratch = chip.scratch(idx, n)?;
-            for v in 0..n {
-                let arrive = arrive0 + v * slot;
-                let forward = forward0 + v * slot;
-                debug_assert!(forward > arrive + 1 + READ_LATENCY);
-                chip.program.push(
-                    arrive,
-                    Instruction::Receive {
-                        port: in_port,
-                        stream: in_stream,
-                    },
-                );
-                chip.program.push(
-                    arrive + 1,
-                    Instruction::Write {
-                        slice: SCRATCH_SLICE,
-                        offset: scratch + v as u16,
-                        stream: in_stream,
-                    },
-                );
-                chip.program.push(
-                    fread0 + v * slot,
-                    Instruction::Read {
-                        slice: SCRATCH_SLICE,
-                        offset: scratch + v as u16,
-                        stream: out_stream,
-                        dir: Direction::East,
-                    },
-                );
-                chip.program.push(
-                    forward,
-                    Instruction::Send {
-                        port: out_port,
-                        stream: out_stream,
-                    },
-                );
-            }
-        }
-
-        // Destination: Receive -> Write.
-        let last = path.links.len() - 1;
-        let dst_port = port_of(topo, path, last, tr.to);
-        let out_latency = scheduled_link_latency(topo, path.links[last]);
-        let dst_arrive0 = hop_starts[last] + slot + out_latency;
-        let dst = builds.get(tr.to);
-        let dst_stream = dst.stream(dst_arrive0, dst_arrive0 + (n - 1) * slot + 1)?;
-        for v in 0..n {
-            let arrive = dst_arrive0 + v * slot;
-            dst.program.push(
-                arrive,
-                Instruction::Receive {
-                    port: dst_port,
-                    stream: dst_stream,
-                },
-            );
-            dst.program.push(
-                arrive + 1,
-                Instruction::Write {
-                    slice: tr.dst_slice,
-                    offset: tr.dst_offset + v as u16,
-                    stream: dst_stream,
-                },
-            );
-        }
-
-        // Materialize every delivery and every promised emission straight
-        // from the schedule: the O(1) topology port index maps each
-        // sending port to its (link, peer, peer port) once per hop.
-        for (h, &hop_start) in hop_starts.iter().enumerate().take(path.links.len()) {
-            let sender = path.tsps[h];
-            let out_port = port_of(topo, path, h, sender);
-            let (link, peer, peer_port) = topo
-                .port_peer(sender, out_port)
-                .expect("scheduled port is wired");
-            debug_assert_eq!(link, path.links[h]);
-            debug_assert_eq!(peer, path.tsps[h + 1]);
-            let latency = scheduled_link_latency(topo, path.links[h]);
-            builds
-                .get(sender)
-                .emissions
-                .extend((0..n).map(|v| PlannedEmission {
-                    cycle: hop_start + v * slot,
-                    port: out_port,
-                    vec: vref(v),
-                }));
-            builds
-                .get(peer)
-                .deliveries
-                .extend((0..n).map(|v| PlannedDelivery {
-                    port: peer_port,
-                    cycle: hop_start + (v + 1) * slot + latency,
-                    vec: vref(v),
-                    link,
-                }));
+        occupancy.commit(path, n, &sched);
+        if n > 0 {
+            lower_transfer(topo, path, idx, tr, &occupancy.trains, &mut builds)?;
         }
     }
 
     // Issue-sort each chip's program once at compile time, so every
     // execution runs its slab window without cloning or re-sorting it.
     // Deliveries take a stable (port, cycle) order: each port's queue is
-    // fed nondecreasing, and equal keys keep transfer order — consumption
-    // order is identical to the legacy per-delivery re-sort. Every sort is
+    // fed nondecreasing, and equal keys keep transfer order. Every sort is
     // stable and touches one chip, so the threads cannot reorder a tie.
     let mut built = builds.chips;
     built.sort_unstable_by_key(|c| c.tsp);
@@ -1042,14 +921,129 @@ fn compile_plan_on(
         });
     }
 
-    Ok(CompiledPlan {
+    let plan = CompiledPlan {
         shapes: shapes.to_vec(),
         chips,
         slab,
         levels,
         arrivals,
         instructions,
-    })
+    };
+    Ok((plan, occupancy.units))
+}
+
+/// Lowers transfer `idx`, `tr` of at least one vector booked as `trains`
+/// along `path`, into its chips' programs, stream registers, forwarding
+/// scratch, preloads, deliveries and emissions.
+///
+/// Chip by chip along the path, registers and scratch are allocated train
+/// by train and instructions pushed vector by vector in train order, which
+/// fixes the first error and the order of equal keys in the issue sort.
+/// The heap order is kept too: every program buffer of the transfer is
+/// reserved first and the deliveries and emissions are grown last, in path
+/// order. The manifests outlive compile and the program buffers do not, so
+/// this order decides how densely the manifests a warm execute walks lie
+/// in memory: growing each chip's manifest right after its program slows
+/// 10,440-chip warm executes measurably.
+fn lower_transfer(
+    topo: &Topology,
+    path: &Path,
+    idx: usize,
+    tr: &TransferShape,
+    trains: &[Train],
+    builds: &mut ChipBuilds,
+) -> Result<(), CosimError> {
+    let slot = vector_slot_cycles();
+    let n = u64::from(tr.vectors);
+    let vref = |v: u64| VecRef {
+        transfer: idx as u32,
+        vector: v as u32,
+    };
+    let on_chips = || trains.chunk_by(|a, b| a.chip == b.chip);
+    for on_chip in on_chips() {
+        let position = on_chip[0].chip;
+        let chip = builds.get(path.tsps[position]);
+        chip.depth = chip.depth.max(position);
+        chip.program.reserve(on_chip.len() * n as usize);
+    }
+    for on_chip in on_chips() {
+        let chip = builds.get(path.tsps[on_chip[0].chip]);
+        if on_chip[0].op == Op::Load {
+            chip.preloads.extend((0..n).map(|v| PlannedPreload {
+                slice: tr.src_slice,
+                offset: tr.src_offset + v as u16,
+                vec: vref(v),
+            }));
+        }
+        // Each consecutive pair of trains (load→send, receive→stage,
+        // unstage→send, receive→store) passes its vectors through one
+        // stream register, live from the first train's start to the
+        // second train's last instruction.
+        let mut streams = [None; 2];
+        for (stream, pair) in streams.iter_mut().zip(on_chip.chunks(2)) {
+            *stream = Some(chip.stream(pair[0].start, pair[1].start + (n - 1) * slot)?);
+        }
+        let scratch = if on_chip.iter().any(|t| t.op == Op::Stage) {
+            chip.scratch(idx, n)?
+        } else {
+            0
+        };
+        for v in 0..n {
+            for (i, t) in on_chip.iter().enumerate() {
+                let (slice, base) = match t.op {
+                    Op::Load => (tr.src_slice, tr.src_offset),
+                    Op::Stage | Op::Unstage => (SCRATCH_SLICE, scratch),
+                    Op::Store => (tr.dst_slice, tr.dst_offset),
+                    Op::Send(_) | Op::Receive(_) => (0, 0),
+                };
+                let stream = streams[i / 2].expect("every train is in a pair");
+                let instr = t.op.lower(stream, slice, base + v as u16);
+                chip.program.push(t.start + v * slot, instr);
+            }
+        }
+    }
+    // The port the previous chip on the path sends on.
+    let mut sent = 0;
+    for (i, t) in trains.iter().enumerate() {
+        let tsp = path.tsps[t.chip];
+        match t.op {
+            Op::Send(port) => {
+                debug_assert!(
+                    t.start >= READ_LATENCY,
+                    "hop {} sends before the SRAM read pipeline could stage a vector",
+                    t.hop
+                );
+                sent = port;
+                let emissions = (0..n).map(|v| PlannedEmission {
+                    cycle: t.start + v * slot,
+                    port,
+                    vec: vref(v),
+                });
+                builds.get(tsp).emissions.extend(emissions);
+            }
+            Op::Receive(port) => {
+                let link = path.links[t.hop];
+                debug_assert_eq!(
+                    topo.port_peer(path.tsps[t.hop], sent),
+                    Some((link, tsp, port)),
+                    "the receive port is not the send port's peer"
+                );
+                let deliveries = (0..n).map(|v| PlannedDelivery {
+                    port,
+                    cycle: t.start + v * slot,
+                    vec: vref(v),
+                    link,
+                });
+                builds.get(tsp).deliveries.extend(deliveries);
+            }
+            Op::Unstage => debug_assert!(
+                t.start > trains[i - 1].start,
+                "{tsp} unstages before it stages"
+            ),
+            Op::Load | Op::Stage | Op::Store => {}
+        }
+    }
+    Ok(())
 }
 
 /// The port number `tsp` uses on hop `h`'s link.
@@ -1539,12 +1533,14 @@ mod json {
         Ok(plan)
     }
 
-    /// Rejects a parsed plan that indexes outside itself, so an edited or
-    /// corrupted document fails to load instead of sending the executor
-    /// out of bounds: every chip's program window lies in the slab and
-    /// every payload reference in the shapes; chips ascend by TSP and
-    /// include each transfer's destination; levels list each chip at most
-    /// once.
+    /// Rejects a parsed plan that indexes outside itself or lists its
+    /// manifest out of order, so an edited or corrupted document fails to
+    /// load instead of sending the executor out of bounds or past its
+    /// order checks: every chip's program window lies in the slab and
+    /// every payload reference in the shapes; each chip's deliveries
+    /// ascend by `(port, cycle)` and its emissions by `(cycle, port)`;
+    /// chips ascend by TSP and include each transfer's destination; levels
+    /// list each chip at most once.
     fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
         if let Some(w) = plan.chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
             return Err(format!(
@@ -1569,6 +1565,16 @@ mod json {
                     chip.prog_end,
                     plan.slab.len()
                 ));
+            }
+            let out_of_order = if !chip.deliveries.is_sorted_by_key(|d| (d.port, d.cycle)) {
+                Some("deliveries out of (port, cycle)")
+            } else if !chip.emissions.is_sorted_by_key(|e| (e.cycle, e.port)) {
+                Some("emissions out of (cycle, port)")
+            } else {
+                None
+            };
+            if let Some(what) = out_of_order {
+                return Err(format!("chip {} lists its {what} order", chip.tsp.0));
             }
             let refs = (chip.preloads.iter().map(|p| ("preload", p.vec)))
                 .chain(chip.deliveries.iter().map(|d| ("delivery", d.vec)))
@@ -1775,9 +1781,11 @@ mod tests {
                 };
                 hop_starts.push(start);
             }
+            let mut booked = Vec::new();
+            trains(&topo, &path, &hop_starts, &mut booked);
             for n in [1u64, 2, 3, 64] {
                 let mut got = Vec::new();
-                for_each_unit_window(&topo, &path, &hop_starts, n, &mut |hop, tsp, key, s, e| {
+                for_each_unit_window(&path, &booked, n, &mut |hop, tsp, key, s, e| {
                     got.push((UnitOccupancy::resource(tsp, key), s, e, hop));
                 });
                 let mut seen = std::collections::HashSet::new();
@@ -1813,19 +1821,15 @@ mod tests {
             .plan_transfer(topo, path, n, earliest)
             .unwrap();
         let mut trials = 1;
+        let mut trial = Vec::new();
         loop {
             let mut bump = 0u64;
-            for_each_unit_window(
-                topo,
-                path,
-                &sched.hop_starts,
-                n,
-                &mut |_, tsp, key, s, e| {
-                    if let Some(busy_until) = occupancy.units.conflict(tsp, key, s, e) {
-                        bump = bump.max(busy_until - s);
-                    }
-                },
-            );
+            trains(topo, path, &sched.hop_starts, &mut trial);
+            for_each_unit_window(path, &trial, n, &mut |_, tsp, key, s, e| {
+                if let Some(busy_until) = occupancy.units.conflict(tsp, key, s, e) {
+                    bump = bump.max(busy_until - s);
+                }
+            });
             if bump == 0 {
                 return (sched, trials);
             }
@@ -1838,42 +1842,62 @@ mod tests {
         }
     }
 
+    /// Random shape set number `seed`, on a 2-, 3- or 4-rack dragonfly or
+    /// on 2 or 4 fully connected nodes: 10 to 50 transfers of 1, 2, 3 or
+    /// 64 vectors between distinct TSPs, half of the endpoints drawn from
+    /// four hot TSPs, so the transfers collide at chips and queue behind
+    /// link frontiers.
+    fn random_shapes(seed: u64) -> (Topology, Vec<TransferShape>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = match seed % 5 {
+            0 => Topology::rack_dragonfly(2),
+            1 => Topology::rack_dragonfly(3),
+            2 => Topology::rack_dragonfly(4),
+            3 => Topology::fully_connected_nodes(2),
+            _ => Topology::fully_connected_nodes(4),
+        }
+        .unwrap();
+        let chips = topo.num_tsps() as u32;
+        let hot: Vec<TspId> = (0..4).map(|_| TspId(rng.gen_range(0..chips))).collect();
+        let endpoint = |rng: &mut StdRng| {
+            if rng.gen_bool(0.5) {
+                *hot.choose(rng).unwrap()
+            } else {
+                TspId(rng.gen_range(0..chips))
+            }
+        };
+        let mut shapes = Vec::new();
+        for _ in 0..rng.gen_range(10..=50) {
+            let (from, to) = (endpoint(&mut rng), endpoint(&mut rng));
+            if from == to {
+                continue;
+            }
+            shapes.push(TransferShape {
+                from,
+                to,
+                src_slice: 0,
+                src_offset: 0,
+                dst_slice: 1,
+                dst_offset: 0,
+                vectors: *[1, 2, 3, 64].choose(&mut rng).unwrap(),
+            });
+        }
+        (topo, shapes)
+    }
+
     /// The jumping search returns the bump search's injection and hop
     /// starts for every transfer, in no more trials, and in strictly fewer
-    /// over all of them. Each state is a random prefix of a random shape
-    /// set, compiled transfer by transfer on a 2-, 3- or 4-rack dragonfly
-    /// or on 2 or 4 fully connected nodes, with 1, 2, 3 or 64 vectors per
-    /// transfer; a few hot sources and destinations make the transfers
-    /// collide at chips and queue behind link frontiers.
+    /// over all of them. Each state is a random prefix of a
+    /// [`random_shapes`] set, compiled transfer by transfer.
     #[test]
     fn jump_search_finds_what_the_bump_search_finds() {
-        let topos = [
-            Topology::rack_dragonfly(2).unwrap(),
-            Topology::rack_dragonfly(3).unwrap(),
-            Topology::rack_dragonfly(4).unwrap(),
-            Topology::fully_connected_nodes(2).unwrap(),
-            Topology::fully_connected_nodes(4).unwrap(),
-        ];
         let (mut jumps, mut bumps, mut fewer) = (0, 0, 0);
         for seed in 0..25u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = &topos[seed as usize % topos.len()];
-            let chips = topo.num_tsps() as u32;
-            let hot: Vec<TspId> = (0..4).map(|_| TspId(rng.gen_range(0..chips))).collect();
-            let endpoint = |rng: &mut StdRng| {
-                if rng.gen_bool(0.5) {
-                    *hot.choose(rng).unwrap()
-                } else {
-                    TspId(rng.gen_range(0..chips))
-                }
-            };
+            let (topo, shapes) = random_shapes(seed);
+            let topo = &topo;
             let mut occupancy = Occupancy::new(topo.num_tsps());
-            for t in 0..rng.gen_range(10..=50) {
-                let (from, to) = (endpoint(&mut rng), endpoint(&mut rng));
-                if from == to {
-                    continue;
-                }
-                let n = *[1u64, 2, 3, 64].choose(&mut rng).unwrap();
+            for (t, shape) in shapes.iter().enumerate() {
+                let (from, to, n) = (shape.from, shape.to, u64::from(shape.vectors));
                 let path = shortest_path(topo, from, to).unwrap();
                 let (got, jumped) = occupancy.first_free_injection(topo, &path, n).unwrap();
                 let (want, bumped) = first_free_injection_by_bump(&occupancy, topo, &path, n);
@@ -1884,11 +1908,55 @@ mod tests {
                 );
                 (jumps, bumps) = (jumps + jumped, bumps + bumped);
                 fewer += usize::from(jumped < bumped);
-                occupancy.commit(topo, &path, n, &got);
+                occupancy.commit(&path, n, &got);
             }
         }
         assert!(jumps < bumps, "{jumps} trials, the bump search {bumps}");
         assert!(fewer > 0);
+    }
+
+    /// What a compile books is what it lowers: over [`random_shapes`]
+    /// sets, the chip-unit windows left booked are, chip by chip, exactly
+    /// the windows its programs hold under `ChipSim`'s busy model, where
+    /// each instruction holds its unit, a C2C instruction its port's
+    /// engine, for its `min_latency` from its issue cycle.
+    #[test]
+    fn booked_windows_are_the_lowered_windows() {
+        use tsm_isa::instr::FunctionalUnit;
+        for seed in 0..25u64 {
+            let (topo, shapes) = random_shapes(seed);
+            let (plan, units) = compile_plan_on(&topo, &shapes, 1).unwrap();
+            let mut booked = Vec::new();
+            for (r, windows) in units.busy.iter().enumerate() {
+                let tsp = TspId((r / UNIT_SLOTS) as u32);
+                let (unit, port) = match r % UNIT_SLOTS {
+                    MEM_SLOT => (FunctionalUnit::Mem, 0),
+                    slot => (FunctionalUnit::C2c, (slot - c2c_slot(0)) as u8),
+                };
+                booked.extend(
+                    windows
+                        .iter()
+                        .map(|&(s, e)| (tsp, unit.index(), port, s, e)),
+                );
+            }
+            let mut lowered = Vec::new();
+            for chip in &plan.chips {
+                for ti in plan.program(chip) {
+                    let port = match ti.instr {
+                        Instruction::Send { port, .. }
+                        | Instruction::Receive { port, .. }
+                        | Instruction::Transmit { port } => port,
+                        _ => 0,
+                    };
+                    let end = ti.cycle + ti.instr.min_latency();
+                    lowered.push((chip.tsp, ti.instr.unit().index(), port, ti.cycle, end));
+                }
+            }
+            assert!(!lowered.is_empty());
+            booked.sort_unstable();
+            lowered.sort_unstable();
+            assert_eq!(booked, lowered, "seed {seed}: {} transfers", shapes.len());
+        }
     }
 
     /// TSP `i` of a `racks`-rack dragonfly streams two vectors to TSP
@@ -1941,9 +2009,9 @@ mod tests {
     #[test]
     fn plans_do_not_depend_on_the_width() {
         for (topo, shapes) in [half_stride(16), pipeline(2_458), pipeline(4_916)] {
-            let want = compile_plan_on(&topo, &shapes, 1).unwrap().to_json();
+            let want = compile_plan_on(&topo, &shapes, 1).unwrap().0.to_json();
             for width in [2, 3, 7] {
-                let got = compile_plan_on(&topo, &shapes, width).unwrap().to_json();
+                let got = compile_plan_on(&topo, &shapes, width).unwrap().0.to_json();
                 assert!(got == want, "{} transfers at width {width}", shapes.len());
             }
         }
@@ -2174,6 +2242,14 @@ mod tests {
                 "two level slots",
             ),
             (edited(|p| p.chips.swap(0, 1)), "must ascend by TSP"),
+            (
+                edited(|p| p.chips[1].deliveries.reverse()),
+                "chip 5 lists its deliveries out of (port, cycle) order",
+            ),
+            (
+                edited(|p| p.chips[0].emissions.reverse()),
+                "chip 0 lists its emissions out of (cycle, port) order",
+            ),
         ];
         for (bad, says) in cases {
             let err = CompiledPlan::from_json(&bad.to_json()).unwrap_err();
@@ -2183,5 +2259,48 @@ mod tests {
         assert_ne!(wide, json);
         let err = CompiledPlan::from_json(&wide).unwrap_err();
         assert!(err.contains("stream 256 out of range"), "{err}");
+    }
+
+    /// A plan document may name any port its field holds. One whose source
+    /// sends on port 40, past the chip's 16 modelled link engines, loads,
+    /// and executing it is that chip's typed error, serially and in
+    /// parallel, not an index out of bounds.
+    #[test]
+    fn a_send_past_the_modelled_ports_is_a_chip_error() {
+        let shape = TransferShape {
+            from: TspId(0),
+            to: TspId(5),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        let port = plan
+            .slab
+            .iter_mut()
+            .find_map(|ti| match &mut ti.instr {
+                Instruction::Send { port, .. } => Some(port),
+                _ => None,
+            })
+            .unwrap();
+        *port = 40;
+        let plan = CompiledPlan::from_json(&plan.to_json()).unwrap();
+        let payloads = vec![vec![std::sync::Arc::new(Vector::zeroed()); 4]];
+        let mut executor = crate::cosim::PlanExecutor::new();
+        for got in [
+            executor.execute_serial(&plan, &payloads),
+            executor.execute(&plan, &payloads),
+        ] {
+            let err = tsm_chip::exec::ExecError::PortOutOfRange { port: 40, cycle: 5 };
+            assert_eq!(
+                got.unwrap_err(),
+                CosimError::Chip {
+                    tsp: TspId(0),
+                    error: err
+                }
+            );
+        }
     }
 }

@@ -608,7 +608,7 @@ impl FlightRecorder {
     }
 
     /// Seals the run: attaches to every incident the telemetry windows
-    /// bracketing its trigger cycle (`[w-1, w+1]` on the sampler's
+    /// bracketing its trigger cycle (`[w-1, w+1]` on the record's
     /// window axis) and returns the captured incidents in trigger order.
     pub fn finish(self, telemetry: Option<&Telemetry>) -> Vec<IncidentReport> {
         let mut incidents = self.incidents;
@@ -651,7 +651,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsm_trace::{Sampler, TelemetryConfig};
+    use tsm_trace::{Telemetry, TelemetryConfig};
 
     fn enqueue(request: u32) -> EventKind {
         EventKind::RequestEnqueue { tenant: 0, request }
@@ -704,16 +704,15 @@ mod tests {
 
     #[test]
     fn finish_attaches_the_bracketing_telemetry_windows() {
-        let mut s = Sampler::new(TelemetryConfig {
+        let mut t = Telemetry::empty(TelemetryConfig {
             window: 100,
             slo_permille: 990,
         });
         // Windows 0..=5 each get one count; the incident in window 3
         // must carry exactly windows 2..=4.
         for w in 0..6u64 {
-            s.count("serve.throughput", "t0", w * 100, 1);
+            t.count("serve.throughput", "t0", w * 100, 1);
         }
-        let t = s.finish();
         let mut f = FlightRecorder::new(FlightConfig::default());
         let res = ResidencyManager::new();
         f.trigger(shed(1), 350, &res, 1, 4, 1, 2);
@@ -728,12 +727,11 @@ mod tests {
 
     #[test]
     fn incident_json_round_trips_byte_identically() {
-        let mut s = Sampler::new(TelemetryConfig {
+        let mut t = Telemetry::empty(TelemetryConfig {
             window: 64,
             slo_permille: 990,
         });
-        s.count("serve.slo.missed", "t1", 130, 2);
-        let t = s.finish();
+        t.count("serve.slo.missed", "t1", 130, 2);
         let mut f = FlightRecorder::new(FlightConfig {
             trace_tail: 2,
             max_incidents: 4,

@@ -19,7 +19,7 @@
 //!   [`SERVING_LANE`], kept off the chip and runtime lanes so launch
 //!   traces stay comparable with or without a frontend. Each event is
 //!   built once and every observer — the trace, the flight recorder's
-//!   tail and triggers, per-tenant accounting, the telemetry sampler —
+//!   tail and triggers, per-tenant accounting, the telemetry record —
 //!   sees it at its own cycle. The report's totals and `serve.*`
 //!   metrics are folds over the per-tenant stats and the batch log.
 //!
@@ -37,7 +37,7 @@ use crate::runtime::{mix64, ExecMode, Runtime, RuntimeError, EPOCH_GAP_CYCLES};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use tsm_compiler::graph::Graph;
-use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::{series, Telemetry, TelemetryConfig};
 use tsm_trace::{
     names, AttributionReport, CycleHistogram, EventKind, LatencyBreakdown, Metrics, RunMetrics,
     ShedReason, Tracer, SERVING_LANE,
@@ -505,8 +505,8 @@ impl Server {
         // metrics or the trace, so turning one off changes nothing else
         // (pinned by the telemetry/attribution/flight suites). With
         // telemetry on, each batch's launch also folds link/chip heatmaps
-        // for the serving sampler to merge.
-        let mut sampler = self.cfg.telemetry.map(Sampler::new);
+        // for the serving record to merge.
+        let mut telemetry = self.cfg.telemetry.map(Telemetry::empty);
         let mut breakdowns: Option<Vec<LatencyBreakdown>> = self.cfg.attribution.then(Vec::new);
         let mut flight = self.cfg.flight.map(FlightRecorder::new);
 
@@ -539,7 +539,7 @@ impl Server {
         let mut in_flight: Option<(Vec<usize>, u64)> = None;
 
         // The one place serving events go: the trace instant, the flight
-        // tail, tenant accounting, the sampler, and any incident the event
+        // tail, tenant accounting, telemetry, and any incident the event
         // fires, which snapshots the queue and residency as of `$cycle`. A
         // macro rather than a closure, so it can read the queue, the batch
         // log and the runtime in place between the loop's mutations.
@@ -555,7 +555,7 @@ impl Server {
                     EventKind::RequestEnqueue { tenant, .. } => {
                         tenant_entry(&mut tenants, tenant).offered += 1;
                         max_depth = max_depth.max(queue.len() as u64);
-                        if let Some(s) = sampler.as_mut() {
+                        if let Some(s) = telemetry.as_mut() {
                             let label = self.tenant_label(tenant);
                             s.count(series::SERVE_ENQUEUED, &label, cycle, 1);
                             s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.len() as u64);
@@ -576,7 +576,7 @@ impl Server {
                             ShedReason::QueueFull => stats.shed_queue_full += 1,
                             ShedReason::TenantOverQuota => stats.shed_over_quota += 1,
                         }
-                        if let Some(s) = sampler.as_mut() {
+                        if let Some(s) = telemetry.as_mut() {
                             s.count(series::SERVE_SHED, &self.tenant_label(tenant), cycle, 1);
                         }
                         fired[0] = Some(IncidentTrigger::Shed {
@@ -593,7 +593,7 @@ impl Server {
                         tenant_entry(&mut tenants, tenant).expired += 1;
                         // An expired request is by definition an SLO miss:
                         // it was never answered at all.
-                        if let Some(s) = sampler.as_mut() {
+                        if let Some(s) = telemetry.as_mut() {
                             let label = self.tenant_label(tenant);
                             s.count(series::SERVE_EXPIRED, &label, cycle, 1);
                             s.count(series::SLO_MISSED, &label, cycle, 1);
@@ -615,7 +615,7 @@ impl Server {
                         // A served request meets its SLO when its answer
                         // arrives by its deadline (virtual time, so exact).
                         let deadline = deadline_of(request as usize);
-                        if let Some(s) = sampler.as_mut() {
+                        if let Some(s) = telemetry.as_mut() {
                             let label = self.tenant_label(tenant);
                             s.count(series::SERVE_THROUGHPUT, &label, cycle, 1);
                             let slo = if cycle <= deadline {
@@ -636,7 +636,7 @@ impl Server {
                     EventKind::BatchBegin { .. } => {
                         // Post-dispatch depth: how much work the batch
                         // left behind.
-                        if let Some(s) = sampler.as_mut() {
+                        if let Some(s) = telemetry.as_mut() {
                             s.level(series::SERVE_QUEUE_DEPTH, "", cycle, queue.len() as u64);
                         }
                     }
@@ -792,8 +792,8 @@ impl Server {
                         .run()?;
                     // Merge the launch's link/chip heatmaps onto the
                     // serving timeline.
-                    if let (Some(s), Some(lt)) = (sampler.as_mut(), outcome.telemetry.as_ref()) {
-                        s.absorb(lt);
+                    if let (Some(s), Some(lt)) = (telemetry.as_mut(), outcome.telemetry.as_ref()) {
+                        s.merge(lt);
                     }
                     batches.push(BatchRecord {
                         batch,
@@ -871,7 +871,6 @@ impl Server {
         // single-model launch records remain bit-identical to the
         // pre-residency runtime.
         self.rt.residency.record_delta(&res_before, &metrics);
-        let telemetry = sampler.map(Sampler::finish);
         let incidents = flight.map(|f| f.finish(telemetry.as_ref()));
         let attribution = match breakdowns {
             Some(b) => Some(

@@ -29,7 +29,7 @@ use tsm_core::runtime::{ExecMode, LaunchOutcome, Runtime, RuntimeError, SparePol
 use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
-use tsm_trace::telemetry::{series, Sampler, Telemetry, TelemetryConfig};
+use tsm_trace::telemetry::{series, Telemetry, TelemetryConfig};
 use tsm_trace::{
     chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent, SERVING_LANE,
 };
@@ -114,13 +114,13 @@ fn marginal_node_1(rt: &mut Runtime) {
 /// The heatmaps folded straight from trace events, as a launch's
 /// telemetry must be.
 fn fold(events: &[TraceEvent], cfg: TelemetryConfig) -> Telemetry {
-    let mut s = Sampler::new(cfg);
+    let mut t = Telemetry::empty(cfg);
     for e in events {
         match e.kind {
             EventKind::Delivery { link, .. } => {
-                s.count(series::LINK_DELIVERIES, &format!("link{link}"), e.cycle, 1)
+                t.count(series::LINK_DELIVERIES, &format!("link{link}"), e.cycle, 1)
             }
-            EventKind::ChipExec { .. } => s.count_span(
+            EventKind::ChipExec { .. } => t.count_span(
                 series::CHIP_BUSY,
                 &format!("chip{}", e.lane),
                 e.cycle,
@@ -129,7 +129,7 @@ fn fold(events: &[TraceEvent], cfg: TelemetryConfig) -> Telemetry {
             _ => {}
         }
     }
-    s.finish()
+    t
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn launch_telemetry_off_is_bit_identical_and_on_only_adds_the_field() {
 }
 
 /// A launch's heatmaps are the fold of its own trace: the record equals a
-/// `Sampler` fold of a lossless ring's `Delivery` and `ChipExec` events,
+/// fold of a lossless ring's `Delivery` and `ChipExec` events,
 /// window by window and label by label — on the clean pipeline, and on a
 /// marginal fabric whose launch aborts three attempts and fails over, so
 /// aborted attempts and the spare's chips count too. Totals agree with

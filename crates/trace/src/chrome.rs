@@ -428,15 +428,14 @@ mod tests {
 
     #[test]
     fn telemetry_renders_counter_tracks_under_their_own_process() {
-        use crate::telemetry::{Sampler, TelemetryConfig};
-        let mut s = Sampler::new(TelemetryConfig {
+        use crate::telemetry::{Telemetry, TelemetryConfig};
+        let mut t = Telemetry::empty(TelemetryConfig {
             window: 100,
             slo_permille: 990,
         });
-        s.count("serve.throughput", "tenant0", 5, 3);
-        s.count("serve.throughput", "tenant0", 310, 1);
-        s.level("serve.queue_depth", "", 150, 7);
-        let t = s.finish();
+        t.count("serve.throughput", "tenant0", 5, 3);
+        t.count("serve.throughput", "tenant0", 310, 1);
+        t.level("serve.queue_depth", "", 150, 7);
         let json = chrome_trace_json_telemetry(&sample(), 0, &t);
         assert!(json.contains("\"args\":{\"name\":\"telemetry\"}"));
         // Counter pulse at window 0 with a zero-return before the gap.
@@ -471,13 +470,13 @@ mod tests {
 
     #[test]
     fn hostile_track_names_are_escaped_in_counter_tracks() {
-        use crate::telemetry::{Sampler, TelemetryConfig};
-        let mut s = Sampler::new(TelemetryConfig {
+        use crate::telemetry::{Telemetry, TelemetryConfig};
+        let mut t = Telemetry::empty(TelemetryConfig {
             window: 10,
             slo_permille: 990,
         });
-        s.count("serve.throughput", "ten\"ant\\zero\n", 0, 1);
-        let json = chrome_trace_json_telemetry(&[], 0, &s.finish());
+        t.count("serve.throughput", "ten\"ant\\zero\n", 0, 1);
+        let json = chrome_trace_json_telemetry(&[], 0, &t);
         assert!(
             json.contains(r#"serve.throughput[ten\"ant\\zero\n]"#),
             "quote, backslash, and newline all escape: {json}"
@@ -538,10 +537,9 @@ mod tests {
             chrome_trace_json_with(&events, 3),
             "no requests, no telemetry: plain export bytes"
         );
-        use crate::telemetry::{Sampler, TelemetryConfig};
-        let mut s = Sampler::new(TelemetryConfig::default());
-        s.count("serve.throughput", "t0", 5, 1);
-        let t = s.finish();
+        use crate::telemetry::{Telemetry, TelemetryConfig};
+        let mut t = Telemetry::empty(TelemetryConfig::default());
+        t.count("serve.throughput", "t0", 5, 1);
         assert_eq!(
             chrome_trace_json_attribution(&events, 0, Some(&t), &[]),
             chrome_trace_json_telemetry(&events, 0, &t),
@@ -551,7 +549,7 @@ mod tests {
 
     #[test]
     fn combined_export_joins_serving_telemetry_and_requests() {
-        use crate::telemetry::{Sampler, TelemetryConfig};
+        use crate::telemetry::{Telemetry, TelemetryConfig};
         let mut events = sample();
         events.push(TraceEvent {
             cycle: 1_000,
@@ -563,12 +561,11 @@ mod tests {
                 request: 5,
             },
         });
-        let mut s = Sampler::new(TelemetryConfig {
+        let mut t = Telemetry::empty(TelemetryConfig {
             window: 100,
             slo_permille: 990,
         });
-        s.count("serve.throughput", "ten\"ant\\zero\n", 5, 3);
-        let t = s.finish();
+        t.count("serve.throughput", "ten\"ant\\zero\n", 5, 3);
         let render = || chrome_trace_json_attribution(&events, 0, Some(&t), &[breakdown(5, 0)]);
         let json = render();
         // All three observability surfaces share one document.

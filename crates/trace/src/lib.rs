@@ -14,11 +14,11 @@
 //!   cycle-bucketed histograms keyed by static `&str` names — snapshotted
 //!   into a serializable, order-independent [`RunMetrics`] that higher
 //!   layers attach to their reports as the single source of tally truth.
-//! - **Windowed telemetry** ([`telemetry`]) — a [`Sampler`] buckets
-//!   counter deltas and gauge levels into fixed virtual-cycle windows,
-//!   sealing them into mergeable [`Telemetry`] time series (per-tenant
-//!   SLO attainment, and per-link/per-chip occupancy heatmaps that a
-//!   [`TelemetrySink`] folds out of the trace) that export as
+//! - **Windowed telemetry** ([`telemetry`]) — a [`Telemetry`] record
+//!   buckets counter deltas and gauge levels into fixed virtual-cycle
+//!   windows as mergeable time series (per-tenant SLO attainment, and
+//!   per-link/per-chip occupancy heatmaps that a [`TelemetrySink`] folds
+//!   out of the trace) that export as
 //!   Perfetto counter tracks ([`chrome_trace_json_telemetry`]) and a
 //!   deterministic JSON block.
 //! - **Causal latency attribution** ([`attribution`]) — joins each served
@@ -68,6 +68,4 @@ pub use profile::{
     Conformance, LaunchProfile, PlannedChip, PlannedHop, PlannedTimeline, ProfileError,
 };
 pub use sink::{NullSink, RingSink, TraceSink};
-pub use telemetry::{
-    sparkline, Sampler, SeriesKind, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
-};
+pub use telemetry::{sparkline, SeriesKind, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};

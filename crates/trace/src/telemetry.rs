@@ -3,9 +3,9 @@
 //! Every other observability surface in the workspace is an end-of-run
 //! aggregate — [`crate::RunMetrics`] snapshots once per launch, the
 //! conformance profiler certifies after the fact. This module adds the
-//! time axis back: a [`Sampler`] buckets counter increments and gauge
-//! levels into fixed windows of *virtual* cycles and produces a
-//! [`Telemetry`] record of mergeable [`TimeSeries`].
+//! time axis back: a [`Telemetry`] record buckets counter increments and
+//! gauge levels into fixed windows of *virtual* cycles, as sorted,
+//! mergeable [`TimeSeries`].
 //!
 //! Window semantics: a cycle `c` belongs to window `c / window`. Counter
 //! series hold the per-window delta (events that happened inside the
@@ -21,10 +21,9 @@
 //! `(name, label)` and points by window. Two runs from the same seed
 //! therefore produce byte-identical [`Telemetry::to_json`] output, and a
 //! run with telemetry disabled is bit-identical to one that never had the
-//! feature (the sampler is observation-only; regression tests in
-//! `tsm-core` pin this).
+//! feature (sampling is observation-only; regression tests in `tsm-core`
+//! pin this).
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{EventKind, TraceEvent};
@@ -146,18 +145,24 @@ impl TimeSeries {
             (&other.name, &other.label, other.kind),
             "merging mismatched series"
         );
-        if other.points.is_empty() {
-            return;
-        }
-        let mut merged: BTreeMap<u64, u64> = self.points.iter().copied().collect();
         for &(win, v) in &other.points {
-            let slot = merged.entry(win).or_insert(0);
-            *slot = match self.kind {
-                SeriesKind::Counter => slot.saturating_add(v),
-                SeriesKind::Gauge => (*slot).max(v),
-            };
+            self.add(win, v);
         }
-        self.points = merged.into_iter().collect();
+    }
+
+    /// Folds `v` into window `win`: a counter adds it, a gauge keeps the
+    /// higher of the two; an absent window starts at `v`.
+    fn add(&mut self, win: u64, v: u64) {
+        match self.points.binary_search_by_key(&win, |p| p.0) {
+            Ok(i) => {
+                let slot = &mut self.points[i].1;
+                *slot = match self.kind {
+                    SeriesKind::Counter => slot.saturating_add(v),
+                    SeriesKind::Gauge => (*slot).max(v),
+                };
+            }
+            Err(i) => self.points.insert(i, (win, v)),
+        }
     }
 
     /// The value recorded for window `win`, if any.
@@ -186,9 +191,13 @@ impl TimeSeries {
     }
 }
 
-/// A finished, mergeable telemetry record: the sampling window, the SLO
-/// target it was recorded against, and the series sorted by
-/// `(name, label)`.
+/// A mergeable telemetry record: the sampling window, the SLO target it
+/// is recorded against, and the series sorted by `(name, label)`.
+///
+/// Sampling is observation-only by construction: [`Telemetry::count`],
+/// [`Telemetry::count_span`] and [`Telemetry::level`] are handed cycle
+/// coordinates the instrumented code already computed and return nothing
+/// to it, so they cannot perturb the simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Telemetry {
     /// Window width in virtual cycles.
@@ -252,14 +261,68 @@ impl Telemetry {
             "merging mismatched SLO targets"
         );
         for s in &other.series {
-            match self
-                .series
-                .binary_search_by(|e| (e.name.as_str(), e.label.as_str()).cmp(&(&s.name, &s.label)))
-            {
-                Ok(i) => self.series[i].merge(s),
-                Err(i) => self.series.insert(i, s.clone()),
-            }
+            self.series_mut(&s.name, &s.label, s.kind).merge(s);
         }
+    }
+
+    /// Adds `by` to the counter `(name, label)` in `cycle`'s window.
+    /// `by == 0` is a no-op, mirroring [`crate::Metrics::inc`], so
+    /// zero-count paths leave no point behind.
+    pub fn count(&mut self, name: &str, label: &str, cycle: u64, by: u64) {
+        if by == 0 {
+            return;
+        }
+        let win = cycle / self.window.max(1);
+        self.series_mut(name, label, SeriesKind::Counter)
+            .add(win, by);
+    }
+
+    /// Distributes a span of `dur` cycles starting at `start` across the
+    /// windows it overlaps — each window's counter gets exactly the
+    /// cycles the span spent inside it (the chip-occupancy heatmap).
+    pub fn count_span(&mut self, name: &str, label: &str, start: u64, dur: u64) {
+        let w = self.window.max(1);
+        let mut cur = start;
+        let end = start.saturating_add(dur);
+        while cur < end {
+            let win_end = (cur - cur % w).saturating_add(w);
+            let take = end.min(win_end) - cur;
+            self.count(name, label, cur, take);
+            if win_end == u64::MAX {
+                break;
+            }
+            cur += take;
+        }
+    }
+
+    /// Records `level` on the gauge `(name, label)` in `cycle`'s window;
+    /// the window keeps its high-water mark.
+    pub fn level(&mut self, name: &str, label: &str, cycle: u64, level: u64) {
+        let win = cycle / self.window.max(1);
+        self.series_mut(name, label, SeriesKind::Gauge)
+            .add(win, level);
+    }
+
+    /// The series `(name, label)`, found by binary search over the sorted
+    /// series and created empty in its place when absent: only a new
+    /// series allocates.
+    ///
+    /// # Panics
+    /// When the series exists with another kind.
+    fn series_mut(&mut self, name: &str, label: &str, kind: SeriesKind) -> &mut TimeSeries {
+        let i = match self
+            .series
+            .binary_search_by(|s| (s.name.as_str(), s.label.as_str()).cmp(&(name, label)))
+        {
+            Ok(i) => i,
+            Err(i) => {
+                self.series.insert(i, TimeSeries::new(name, label, kind));
+                i
+            }
+        };
+        let series = &mut self.series[i];
+        assert_eq!(series.kind, kind, "series {name}[{label}] changed kind");
+        series
     }
 
     /// Per-window SLO attainment for `label`: `met / (met + missed)` over
@@ -399,130 +462,6 @@ impl Telemetry {
     }
 }
 
-/// Accumulates samples during a run and seals them into a [`Telemetry`].
-/// Observation-only by construction: it is handed cycle coordinates the
-/// instrumented code already computed, and returns nothing to it, so an
-/// attached sampler cannot perturb the simulation.
-#[derive(Debug)]
-pub struct Sampler {
-    cfg: TelemetryConfig,
-    series: BTreeMap<(String, String), (SeriesKind, BTreeMap<u64, u64>)>,
-}
-
-impl Sampler {
-    /// A sampler bucketing on `cfg`'s window.
-    pub fn new(cfg: TelemetryConfig) -> Sampler {
-        Sampler {
-            cfg: TelemetryConfig {
-                window: cfg.window.max(1),
-                slo_permille: cfg.slo_permille,
-            },
-            series: BTreeMap::new(),
-        }
-    }
-
-    /// The (normalized) configuration this sampler buckets on.
-    pub fn cfg(&self) -> TelemetryConfig {
-        self.cfg
-    }
-
-    /// Adds `by` to the counter `(name, label)` in `cycle`'s window.
-    /// `by == 0` is a no-op, mirroring [`crate::Metrics::inc`], so
-    /// zero-count paths leave no point behind.
-    pub fn count(&mut self, name: &str, label: &str, cycle: u64, by: u64) {
-        if by == 0 {
-            return;
-        }
-        let win = self.cfg.window_of(cycle);
-        let slot = self.slot(name, label, SeriesKind::Counter, win);
-        *slot = slot.saturating_add(by);
-    }
-
-    /// Distributes a span of `dur` cycles starting at `start` across the
-    /// windows it overlaps — each window's counter gets exactly the
-    /// cycles the span spent inside it (the chip-occupancy heatmap).
-    pub fn count_span(&mut self, name: &str, label: &str, start: u64, dur: u64) {
-        let w = self.cfg.window;
-        let mut cur = start;
-        let end = start.saturating_add(dur);
-        while cur < end {
-            let win_end = (cur - cur % w).saturating_add(w);
-            let take = end.min(win_end) - cur;
-            self.count(name, label, cur, take);
-            if win_end == u64::MAX {
-                break;
-            }
-            cur += take;
-        }
-    }
-
-    /// Records `level` on the gauge `(name, label)` in `cycle`'s window;
-    /// the window keeps its high-water mark.
-    pub fn level(&mut self, name: &str, label: &str, cycle: u64, level: u64) {
-        let win = self.cfg.window_of(cycle);
-        let slot = self.slot(name, label, SeriesKind::Gauge, win);
-        *slot = (*slot).max(level);
-    }
-
-    /// Folds an already-sealed record (e.g. a launch's heatmaps) into
-    /// this sampler's accumulation.
-    ///
-    /// # Panics
-    /// When `other` was sampled on a different window or SLO target.
-    pub fn absorb(&mut self, other: &Telemetry) {
-        assert_eq!(
-            self.cfg.window, other.window,
-            "absorbing mismatched windows"
-        );
-        assert_eq!(
-            self.cfg.slo_permille, other.slo_permille,
-            "absorbing mismatched SLO targets"
-        );
-        for s in &other.series {
-            for &(win, v) in &s.points {
-                let slot = self.slot(&s.name, &s.label, s.kind, win);
-                *slot = match s.kind {
-                    SeriesKind::Counter => slot.saturating_add(v),
-                    SeriesKind::Gauge => (*slot).max(v),
-                };
-            }
-        }
-    }
-
-    /// True when nothing has been sampled.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// Seals the accumulation into a sorted, mergeable [`Telemetry`].
-    pub fn finish(self) -> Telemetry {
-        let series = self
-            .series
-            .into_iter()
-            .map(|((name, label), (kind, points))| TimeSeries {
-                name,
-                label,
-                kind,
-                points: points.into_iter().collect(),
-            })
-            .collect();
-        Telemetry {
-            window: self.cfg.window,
-            slo_permille: self.cfg.slo_permille,
-            series,
-        }
-    }
-
-    fn slot(&mut self, name: &str, label: &str, kind: SeriesKind, win: u64) -> &mut u64 {
-        let entry = self
-            .series
-            .entry((name.to_string(), label.to_string()))
-            .or_insert_with(|| (kind, BTreeMap::new()));
-        assert_eq!(entry.0, kind, "series {name}[{label}] changed kind");
-        entry.1.entry(win).or_insert(0)
-    }
-}
-
 /// A [`TraceSink`] that folds the heatmaps out of the events passing
 /// through it: each `Delivery` counts one vector on
 /// `link.deliveries[link{n}]` at its cycle, and each `ChipExec` span
@@ -531,7 +470,7 @@ impl Sampler {
 /// stream even when that sink is lossy.
 #[derive(Debug)]
 pub struct TelemetrySink {
-    sampler: Mutex<Sampler>,
+    fold: Mutex<Telemetry>,
     inner: Option<Arc<dyn TraceSink>>,
 }
 
@@ -539,7 +478,7 @@ impl TelemetrySink {
     /// A fold on `cfg`'s window, forwarding to `inner`.
     pub fn new(cfg: TelemetryConfig, inner: Option<Arc<dyn TraceSink>>) -> TelemetrySink {
         TelemetrySink {
-            sampler: Mutex::new(Sampler::new(cfg)),
+            fold: Mutex::new(Telemetry::empty(cfg)),
             inner,
         }
     }
@@ -547,28 +486,30 @@ impl TelemetrySink {
     /// Seals what has been folded so far into a record, leaving the fold
     /// empty.
     pub fn seal(&self) -> Telemetry {
-        let mut sampler = self.sampler();
-        let empty = Sampler::new(sampler.cfg());
-        std::mem::replace(&mut *sampler, empty).finish()
+        let mut fold = self.fold();
+        Telemetry {
+            series: std::mem::take(&mut fold.series),
+            ..*fold
+        }
     }
 
-    fn sampler(&self) -> MutexGuard<'_, Sampler> {
-        self.sampler
+    fn fold(&self) -> MutexGuard<'_, Telemetry> {
+        self.fold
             .lock()
-            .expect("no fold panics while it holds the sampler")
+            .expect("no fold panics while it holds the record")
     }
 }
 
 impl TraceSink for TelemetrySink {
     fn record(&self, event: TraceEvent) {
         match event.kind {
-            EventKind::Delivery { link, .. } => self.sampler().count(
+            EventKind::Delivery { link, .. } => self.fold().count(
                 series::LINK_DELIVERIES,
                 &format!("link{link}"),
                 event.cycle,
                 1,
             ),
-            EventKind::ChipExec { .. } => self.sampler().count_span(
+            EventKind::ChipExec { .. } => self.fold().count_span(
                 series::CHIP_BUSY,
                 &format!("chip{}", event.lane),
                 event.cycle,
@@ -620,12 +561,11 @@ mod tests {
 
     #[test]
     fn counter_deltas_bucket_by_window() {
-        let mut s = Sampler::new(cfg(100));
-        s.count("x", "a", 0, 1);
-        s.count("x", "a", 99, 2);
-        s.count("x", "a", 100, 5);
-        s.count("x", "a", 350, 1);
-        let t = s.finish();
+        let mut t = Telemetry::empty(cfg(100));
+        t.count("x", "a", 0, 1);
+        t.count("x", "a", 99, 2);
+        t.count("x", "a", 100, 5);
+        t.count("x", "a", 350, 1);
         let ts = t.get("x", "a").unwrap();
         assert_eq!(ts.points, vec![(0, 3), (1, 5), (3, 1)]);
         assert_eq!(ts.total(), 9);
@@ -634,20 +574,18 @@ mod tests {
 
     #[test]
     fn zero_count_leaves_no_point() {
-        let mut s = Sampler::new(cfg(100));
-        s.count("x", "a", 5, 0);
-        assert!(s.is_empty());
-        assert!(s.finish().is_empty());
+        let mut t = Telemetry::empty(cfg(100));
+        t.count("x", "a", 5, 0);
+        assert!(t.is_empty());
     }
 
     #[test]
     fn gauges_keep_the_window_high_water() {
-        let mut s = Sampler::new(cfg(10));
-        s.level("depth", "", 0, 3);
-        s.level("depth", "", 5, 7);
-        s.level("depth", "", 9, 2);
-        s.level("depth", "", 10, 0);
-        let t = s.finish();
+        let mut t = Telemetry::empty(cfg(10));
+        t.level("depth", "", 0, 3);
+        t.level("depth", "", 5, 7);
+        t.level("depth", "", 9, 2);
+        t.level("depth", "", 10, 0);
         let ts = t.get("depth", "").unwrap();
         assert_eq!(ts.kind, SeriesKind::Gauge);
         assert_eq!(ts.points, vec![(0, 7), (1, 0)]);
@@ -656,11 +594,10 @@ mod tests {
 
     #[test]
     fn count_span_distributes_cycles_across_windows() {
-        let mut s = Sampler::new(cfg(100));
+        let mut t = Telemetry::empty(cfg(100));
         // 250 cycles starting at 80: 20 in win 0, 100 in win 1, 100 in
         // win 2, 30 in win 3.
-        s.count_span("busy", "chip0", 80, 250);
-        let t = s.finish();
+        t.count_span("busy", "chip0", 80, 250);
         let ts = t.get("busy", "chip0").unwrap();
         assert_eq!(ts.points, vec![(0, 20), (1, 100), (2, 100), (3, 30)]);
         assert_eq!(ts.total(), 250, "span cycles are conserved");
@@ -668,10 +605,10 @@ mod tests {
 
     #[test]
     fn window_zero_is_treated_as_one() {
-        let mut s = Sampler::new(cfg(0));
-        assert_eq!(s.cfg().window, 1);
-        s.count("x", "", 3, 1);
-        assert_eq!(s.finish().get("x", "").unwrap().points, vec![(3, 1)]);
+        let mut t = Telemetry::empty(cfg(0));
+        assert_eq!(t.window, 1);
+        t.count("x", "", 3, 1);
+        assert_eq!(t.get("x", "").unwrap().points, vec![(3, 1)]);
     }
 
     #[test]
@@ -700,13 +637,12 @@ mod tests {
 
     #[test]
     fn telemetry_merge_inserts_and_folds() {
-        let mut s1 = Sampler::new(cfg(10));
-        s1.count("x", "a", 0, 1);
-        let mut s2 = Sampler::new(cfg(10));
-        s2.count("x", "a", 5, 2);
-        s2.count("x", "b", 15, 4);
-        let mut t = s1.finish();
-        t.merge(&s2.finish());
+        let mut t = Telemetry::empty(cfg(10));
+        t.count("x", "a", 0, 1);
+        let mut other = Telemetry::empty(cfg(10));
+        other.count("x", "a", 5, 2);
+        other.count("x", "b", 15, 4);
+        t.merge(&other);
         assert_eq!(t.get("x", "a").unwrap().points, vec![(0, 3)]);
         assert_eq!(t.get("x", "b").unwrap().points, vec![(1, 4)]);
         let names: Vec<(&str, &str)> = t
@@ -723,16 +659,15 @@ mod tests {
 
     #[test]
     fn attainment_and_burn_rate_derive_from_met_missed() {
-        let mut s = Sampler::new(cfg(10));
+        let mut t = Telemetry::empty(cfg(10));
         // Window 0: 9 met, 1 missed -> 90% attainment. Budget at 990
         // permille is 1%, so the 10% miss rate burns at 10x.
         for _ in 0..9 {
-            s.count(series::SLO_MET, "t0", 3, 1);
+            t.count(series::SLO_MET, "t0", 3, 1);
         }
-        s.count(series::SLO_MISSED, "t0", 7, 1);
+        t.count(series::SLO_MISSED, "t0", 7, 1);
         // Window 2: all met.
-        s.count(series::SLO_MET, "t0", 25, 4);
-        let t = s.finish();
+        t.count(series::SLO_MET, "t0", 25, 4);
         let att = t.attainment("t0");
         assert_eq!(att.len(), 2);
         assert_eq!(att[0].0, 0);
@@ -772,10 +707,9 @@ mod tests {
 
     #[test]
     fn json_round_trips_hostile_names() {
-        let mut s = Sampler::new(cfg(7));
-        s.count("se\"ries\\name", "tenant\n\"zero\"", 0, 2);
-        s.level("g", "", 13, 5);
-        let t = s.finish();
+        let mut t = Telemetry::empty(cfg(7));
+        t.count("se\"ries\\name", "tenant\n\"zero\"", 0, 2);
+        t.level("g", "", 13, 5);
         let json = t.to_json();
         let back = Telemetry::from_json(&json).expect("round trip");
         assert_eq!(back, t);
@@ -852,9 +786,8 @@ mod tests {
 
     #[test]
     fn empty_telemetry_is_merge_identity() {
-        let mut s = Sampler::new(cfg(10));
-        s.count("x", "a", 0, 1);
-        let t = s.finish();
+        let mut t = Telemetry::empty(cfg(10));
+        t.count("x", "a", 0, 1);
         let mut merged = t.clone();
         merged.merge(&Telemetry::empty(cfg(10)));
         assert_eq!(merged, t);

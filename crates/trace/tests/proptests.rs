@@ -11,7 +11,7 @@
 // lints; the real proptest uses all of them.
 #![allow(dead_code, unused_imports)]
 
-use tsm_trace::telemetry::{Sampler, SeriesKind, Telemetry, TelemetryConfig, TimeSeries};
+use tsm_trace::telemetry::{SeriesKind, Telemetry, TelemetryConfig, TimeSeries};
 use tsm_trace::{names, CounterEntry, CycleHistogram, GaugeEntry, Metrics, RunMetrics};
 
 use proptest::prelude::*;
@@ -100,16 +100,16 @@ type RawTelemetry = (Vec<(u8, u64, u64)>, Vec<(u64, u64)>);
 /// so samples actually collide; `by` wraps small so sums stay far from
 /// saturation.
 fn build_telemetry(raw: &RawTelemetry) -> Telemetry {
-    let mut s = Sampler::new(TS_CFG);
+    let mut t = Telemetry::empty(TS_CFG);
     for &(pick, cycle, by) in &raw.0 {
         let name = TS_NAMES[pick as usize % TS_NAMES.len()];
         let label = TS_LABELS[(pick as usize / TS_NAMES.len()) % TS_LABELS.len()];
-        s.count(name, label, cycle % 1024, by % 1000);
+        t.count(name, label, cycle % 1024, by % 1000);
     }
     for &(cycle, level) in &raw.1 {
-        s.level("serve.queue_depth", "", cycle % 1024, level % 1000);
+        t.level("serve.queue_depth", "", cycle % 1024, level % 1000);
     }
-    s.finish()
+    t
 }
 
 fn raw_telemetry() -> impl Strategy<Value = RawTelemetry> {

@@ -84,22 +84,31 @@ cargo test -p tsm-fault -q
 # takes exactly the draws transmit takes, so a clean decision made from it
 # agrees with transmit's.
 cargo test -p tsm-link -q
+# The chip executor. Its busy model is what compile books, and a C2C port
+# past its 16 modelled engines is a typed ExecError, never an index panic
+# (ports_beyond_the_modelled_engines_are_errors): part of the contract that
+# no hostile plan document panics the executor.
+cargo test -p tsm-chip -q
 # Route errors are part of compile's error-order contract: an endpoint
 # outside the topology is a typed NoRoute, never an index panic
 # (endpoints_outside_the_topology_have_no_route), next to the
 # bidirectional search's forward-BFS oracle.
 cargo test -p tsm-topology --lib route -q
 # Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
-# the enumerator's booking order and hop indices vs a per-vector oracle on
-# random dragonfly paths (enumerator_yields_booking_order), the jumping
-# chip-unit search vs the one-step-at-a-time search it replaced: same
-# schedule for every next transfer of random prefixes, no more trials
-# (jump_search_finds_what_the_bump_search_finds), plans equal at widths 1,
-# 2, 3 and 7 (plans_do_not_depend_on_the_width), route errors surfacing in
+# the window order and hop indices of each transfer's train list (trains,
+# expanded by for_each_unit_window) vs a per-vector oracle on random
+# dragonfly paths (enumerator_yields_booking_order), the jumping chip-unit
+# search vs the one-step-at-a-time search it replaced: same schedule for
+# every next transfer of random prefixes, no more trials
+# (jump_search_finds_what_the_bump_search_finds), what a compile books is
+# exactly what its programs hold under ChipSim's busy model
+# (booked_windows_are_the_lowered_windows), plans equal at widths 1, 2, 3
+# and 7 (plans_do_not_depend_on_the_width), route errors surfacing in
 # transfer order, a TSP outside the topology included, through compile_plan
 # and run_transfers (compile_errors_keep_transfer_order), the grouping helper
-# of the parallel stages, and plan JSON that indexes outside itself refused
-# at parse.
+# of the parallel stages, plan JSON that indexes outside itself or lists its
+# manifest out of order refused at parse, and a plan document that sends on
+# port 40 executing to a chip error.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
