@@ -10,8 +10,9 @@
 //! "the same schedule is reused across runs" (paper §5, Fig 17 runs one
 //! BERT schedule 24,240 times).
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
-use tsm_chip::exec::{ChipProgram, TimedInstruction};
+use tsm_chip::exec::TimedInstruction;
 use tsm_isa::instr::Instruction;
 use tsm_isa::vector::MAX_STREAMS;
 use tsm_isa::{Direction, StreamId};
@@ -299,12 +300,27 @@ impl StreamAlloc {
 ///
 /// The lowering occupies only the Mem unit and the C2C port engines, so
 /// each chip has [`UNIT_SLOTS`] resources: slot 0 is Mem, slot `1 + p`
-/// is C2C port `p`.
+/// is C2C port `p`. The table keeps one record per booked [`Train`], not
+/// per window, so its size and the cost of a query grow with the number
+/// of trains, not with their length.
 #[derive(Debug)]
 struct UnitOccupancy {
-    /// Sorted, disjoint busy windows `[start, end)`, indexed by
-    /// [`resource`](Self::resource).
-    busy: Vec<Vec<(u64, u64)>>,
+    /// The trains booked on each resource, sorted by start and indexed by
+    /// [`resource`](Self::resource). Their windows are disjoint.
+    busy: Vec<Vec<Booked>>,
+}
+
+/// A train booked on one resource: `count` windows of `hold` cycles, one
+/// vector slot apart, the first at `start`.
+#[derive(Debug, Clone, Copy)]
+struct Booked {
+    start: u64,
+    count: u64,
+    hold: u64,
+    /// The latest end of a window of this train or of any train before it
+    /// on the resource, so a query can stop scanning back once no earlier
+    /// train reaches its start.
+    reach: u64,
 }
 
 /// Resources per chip in [`UnitOccupancy`]: Mem plus one per C2C port.
@@ -330,56 +346,82 @@ impl UnitOccupancy {
         tsp.index() * UNIT_SLOTS + slot
     }
 
-    /// If `[start, end)` overlaps a booked window on `tsp`'s resource,
-    /// returns the end of the latest overlapping window (the cycle the
-    /// caller must delay past). The windows are sorted and disjoint, so
-    /// that is the last window to begin before `end`, provided it ends
-    /// after `start`: one binary search finds it.
-    fn conflict(&self, tsp: TspId, slot: usize, start: u64, end: u64) -> Option<u64> {
-        let windows = &self.busy[Self::resource(tsp, slot)];
-        let i = windows.partition_point(|&(s, _)| s < end);
-        match windows[..i].last() {
-            Some(&(_, e)) if e > start => Some(e),
-            _ => None,
+    /// Of the booked windows on `resource` that overlap a window of the
+    /// train of `n` windows of `hold` cycles from `start`, the overlapping
+    /// pair whose booked window ends furthest after the trial window
+    /// starts: `(busy_until, s)`, the booked window's end and the trial
+    /// window's start. `None` if no window overlaps.
+    ///
+    /// Every train has period `P`, the vector slot, and holds for less
+    /// than `P`. Trial window `v` and booked window `u` of a train that
+    /// starts `Δ` cycles before the trial and holds for `M` overlap exactly
+    /// when `k = u − v` satisfies `kP ∈ (Δ − M, Δ + hold)` and `−n < k <
+    /// count`, which at most two `k` do, and `busy_until − s = kP + M − Δ`
+    /// depends on `k` alone. So each booked train needs only its largest
+    /// such `k`, found with one division, here counted from `1 − n` so
+    /// that it is never negative.
+    fn conflict(&self, resource: usize, start: u64, n: u64, hold: u64) -> Option<(u64, u64)> {
+        if n == 0 {
+            return None;
         }
+        let slot = vector_slot_cycles();
+        let last = start + (n - 1) * slot;
+        let end = last + hold;
+        let trains = &self.busy[resource];
+        let mut worst: Option<(u64, u64)> = None;
+        // A train that starts at or after `end` overlaps nothing; scan the
+        // others back from the latest while one of them may still reach
+        // past `start`.
+        let mut i = trains.partition_point(|b| b.start < end);
+        while i > 0 && trains[i - 1].reach > start {
+            i -= 1;
+            let b = trains[i];
+            // The largest `k + n − 1` with `kP < Δ + hold` and `k < count`.
+            let shifted = ((end - b.start - 1) / slot).min(b.count + n - 2);
+            // No overlap unless `kP > Δ − M` holds for it too.
+            if b.start + b.hold + shifted * slot <= last {
+                continue;
+            }
+            let v = (n - 1).saturating_sub(shifted);
+            let u = v + shifted - (n - 1);
+            let (busy_until, s) = (b.start + u * slot + b.hold, start + v * slot);
+            if worst.is_none_or(|(e, w)| busy_until - s > e - w) {
+                worst = Some((busy_until, s));
+            }
+        }
+        worst
     }
 
-    /// Books one transfer's windows: `trial` holds every
-    /// `(resource, start, end)` of its conflict-free trial in
-    /// [`for_each_unit_window`] order, so each resource's windows form one
-    /// run in ascending order. That order is the precondition the merge
-    /// relies on, so it is checked, not assumed. Each run is merged
-    /// into the booked list in place from the back, so a run that starts
-    /// after the last booked window is an append and otherwise only the
-    /// booked windows that lie after the run's first window move. The
-    /// trial conflicts with nothing booked, so the result is the same
-    /// sorted, disjoint list that booking window by window would build.
-    fn book(&mut self, trial: &[(usize, u64, u64)]) {
-        assert!(
-            trial.windows(2).all(|w| w[0].0 != w[1].0 || w[0] <= w[1]),
-            "unit windows out of booking order"
+    /// Books the train of `n` windows of `hold` cycles from `start` on
+    /// `resource`, whose windows must be free.
+    fn book(&mut self, resource: usize, start: u64, n: u64, hold: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(
+            self.conflict(resource, start, n, hold).is_none(),
+            "{} slot {}: booked windows overlap",
+            TspId((resource / UNIT_SLOTS) as u32),
+            resource % UNIT_SLOTS
         );
-        for run in trial.chunk_by(|a, b| a.0 == b.0) {
-            let windows = &mut self.busy[run[0].0];
-            let mut booked = windows.len();
-            windows.resize(booked + run.len(), (0, 0));
-            for (k, &(_, start, end)) in run.iter().enumerate().rev() {
-                // A booked window lies after `[start, end)` exactly when
-                // it ends after `start`: the two are disjoint.
-                while booked > 0 && windows[booked - 1].1 > start {
-                    windows[booked + k] = windows[booked - 1];
-                    booked -= 1;
-                }
-                windows[booked + k] = (start, end);
+        let end = start + (n - 1) * vector_slot_cycles() + hold;
+        let trains = &mut self.busy[resource];
+        let i = trains.partition_point(|b| b.start < start);
+        let reach = i.checked_sub(1).map_or(end, |j| trains[j].reach.max(end));
+        trains.insert(
+            i,
+            Booked {
+                start,
+                count: n,
+                hold,
+                reach,
+            },
+        );
+        for b in &mut trains[i + 1..] {
+            if b.reach >= end {
+                break;
             }
-            debug_assert!(
-                windows[booked.saturating_sub(1)..]
-                    .windows(2)
-                    .all(|w| w[0].1 <= w[1].0),
-                "{} slot {}: booked windows overlap",
-                TspId((run[0].0 / UNIT_SLOTS) as u32),
-                run[0].0 % UNIT_SLOTS
-            );
+            b.reach = end;
         }
     }
 }
@@ -438,116 +480,77 @@ impl Op {
 }
 
 /// `n` instructions of one [`Op`] on one chip of a transfer's path, one
-/// vector slot apart, the first at `start`. A transfer's trains are the
-/// one statement of its chip timing: the chip-unit search, the booking,
-/// the lowering, the stream live ranges and the manifest all read them.
+/// vector slot apart, the first a fixed `offset` from the start of its
+/// hop. A transfer's trains are the one statement of its chip timing: the
+/// chip-unit search, the booking, the lowering, the stream live ranges and
+/// the manifest all read them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Train {
     /// Position of the chip on the path (0 = the source).
     chip: usize,
-    /// The hop whose start `start` is a fixed offset from.
+    /// The hop whose start `offset` is counted from.
     hop: usize,
-    /// Issue cycle of the first instruction.
-    start: u64,
+    /// Issue cycle of the first instruction, relative to the hop's start.
+    offset: i64,
     op: Op,
+    /// The [`UnitOccupancy`] resource each instruction holds.
+    resource: usize,
+    /// How many cycles each instruction holds it.
+    hold: u64,
 }
 
-/// Fills `out` with the trains of a transfer along `path` whose hops start
-/// at `hop_starts`, chip by chip along the path. The source reads each
-/// vector [`READ_LATENCY`] before its hop sends it. Every other chip
-/// receives a vector a vector slot plus the link latency after the hop
-/// into it started, and writes it one cycle later: to the destination
-/// region at the destination; at a forwarder to scratch, from which it
-/// reads the vector back [`READ_LATENCY`] before its own hop sends it
-/// ("we use the local SRAM storage on each TSP to provide intermediate
-/// buffering", §2.3 — a stream register alone would be overwritten by the
-/// next arriving flit long before the forwarding point; this staging is
-/// what the per-hop overhead pays for).
-fn trains(topo: &Topology, path: &Path, hop_starts: &[u64], out: &mut Vec<Train>) {
-    let slot = vector_slot_cycles();
-    let last = path.links.len();
-    let at = |chip, hop, start, op| Train {
-        chip,
-        hop,
-        start,
-        op,
-    };
-    let send = |h: usize| Op::Send(port_of(topo, path, h, path.tsps[h]));
-    // The search injects no earlier than READ_LATENCY, so no read starts
-    // before cycle 0; `saturating_sub` keeps the boundary well-defined.
-    let read = |h: usize| hop_starts[h].saturating_sub(READ_LATENCY);
-    out.clear();
-    out.push(at(0, 0, read(0), Op::Load));
-    out.push(at(0, 0, hop_starts[0], send(0)));
-    for (h, &link) in path.links.iter().enumerate() {
-        let chip = h + 1;
-        let arrive = hop_starts[h] + slot + scheduled_link_latency(topo, link);
-        let port = port_of(topo, path, h, path.tsps[chip]);
-        out.push(at(chip, h, arrive, Op::Receive(port)));
-        if chip == last {
-            out.push(at(chip, h, arrive + 1, Op::Store));
-        } else {
-            out.push(at(chip, h, arrive + 1, Op::Stage));
-            out.push(at(chip, chip, read(chip), Op::Unstage));
-            out.push(at(chip, chip, hop_starts[chip], send(chip)));
-        }
+impl Train {
+    /// Issue cycle of the first instruction when the hops start at
+    /// `hop_starts`. The search injects no earlier than [`READ_LATENCY`],
+    /// so no read starts before cycle 0; saturating keeps the boundary
+    /// well-defined.
+    fn start(&self, hop_starts: &[u64]) -> u64 {
+        hop_starts[self.hop].saturating_add_signed(self.offset)
     }
 }
 
-/// Expands `n`-vector `trains` into chip-unit busy windows, calling
-/// `f(hop, tsp, slot, start, end)` once per instruction, with the train's
-/// hop.
-///
-/// The windows come out in booking order: each resource's together and
-/// ascending, as [`UnitOccupancy::book`] requires. A train holds one
-/// resource, one window per vector slot. Two consecutive trains on one
-/// resource, which only a forwarder's stage and unstage trains are (both
-/// on Mem), are merged.
-fn for_each_unit_window(
-    path: &Path,
-    trains: &[Train],
-    n: u64,
-    f: &mut impl FnMut(usize, TspId, usize, u64, u64),
-) {
+/// Fills `out` with the trains of a transfer along `path`, chip by chip
+/// along the path. The source reads each vector [`READ_LATENCY`] before
+/// its hop sends it. Every other chip receives a vector a vector slot plus
+/// the link latency after the hop into it started, and writes it one cycle
+/// later: to the destination region at the destination; at a forwarder to
+/// scratch, from which it reads the vector back [`READ_LATENCY`] before
+/// its own hop sends it ("we use the local SRAM storage on each TSP to
+/// provide intermediate buffering", §2.3 — a stream register alone would
+/// be overwritten by the next arriving flit long before the forwarding
+/// point; this staging is what the per-hop overhead pays for).
+fn trains(topo: &Topology, path: &Path, out: &mut Vec<Train>) {
     let slot = vector_slot_cycles();
-    // `n` windows of `len` cycles, one vector slot apart from `start`.
-    let train =
-        |start: u64, len: u64| (0..n).map(move |v| (start + v * slot, start + v * slot + len));
-    let mut trains = trains.iter().map(|t| (t, t.op.hold())).peekable();
-    while let Some((a, (key, a_len))) = trains.next() {
-        let tsp = path.tsps[a.chip];
-        let Some((b, (_, b_len))) = trains.next_if(|(b, (k, _))| b.chip == a.chip && *k == key)
-        else {
-            for (s, e) in train(a.start, a_len) {
-                f(a.hop, tsp, key, s, e);
-            }
-            continue;
-        };
-        // One step serves both trains. Once the leading train's first `k`
-        // windows are out (those ordered before the other train's first),
-        // the two alternate. Computing `k` keeps the merge free of a
-        // comparison per window, which the search's conflict scan would
-        // pay on every trial.
-        let ((lead, lead_len), (lag, lag_len)) = if (a.start, a_len) <= (b.start, b_len) {
-            ((a, a_len), (b, b_len))
-        } else {
-            ((b, b_len), (a, a_len))
-        };
-        let gap = lag.start - lead.start;
-        let k = n.min(if lead_len <= lag_len {
-            gap / slot + 1
-        } else {
-            gap.div_ceil(slot)
+    let read = -(READ_LATENCY as i64);
+    let last = path.links.len();
+    let send = |h: usize| Op::Send(port_of(topo, path, h, path.tsps[h]));
+    out.clear();
+    let mut at = |chip: usize, hop: usize, offset: i64, op: Op| {
+        let (unit_slot, hold) = op.hold();
+        // The closed form in `UnitOccupancy::conflict` relies on it.
+        assert!(hold < slot, "{op:?} holds its unit for a whole vector slot");
+        out.push(Train {
+            chip,
+            hop,
+            offset,
+            op,
+            resource: UnitOccupancy::resource(path.tsps[chip], unit_slot),
+            hold,
         });
-        let mut lead_train = train(lead.start, lead_len);
-        for (s, e) in lead_train.by_ref().take(k as usize) {
-            f(lead.hop, tsp, key, s, e);
-        }
-        for (s, e) in train(lag.start, lag_len) {
-            f(lag.hop, tsp, key, s, e);
-            if let Some((s, e)) = lead_train.next() {
-                f(lead.hop, tsp, key, s, e);
-            }
+    };
+    at(0, 0, read, Op::Load);
+    at(0, 0, 0, send(0));
+    for (h, &link) in path.links.iter().enumerate() {
+        let chip = h + 1;
+        let arrive = (slot + scheduled_link_latency(topo, link)) as i64;
+        let port = port_of(topo, path, h, path.tsps[chip]);
+        at(chip, h, arrive, Op::Receive(port));
+        if chip == last {
+            at(chip, h, arrive + 1, Op::Store);
+        } else {
+            at(chip, h, arrive + 1, Op::Stage);
+            at(chip, chip, read, Op::Unstage);
+            at(chip, chip, 0, send(chip));
         }
     }
 }
@@ -564,15 +567,47 @@ fn check_region(tsp: TspId, transfer: usize, base: u64, vectors: u64) -> Result<
     Ok(())
 }
 
+/// A [`Train`] as lowered onto its chip: `count` instructions of `op`,
+/// one vector slot apart from `start`, the `v`-th moving vector `v` of
+/// `transfer` through `stream`, to or from SRAM `(slice, base + v)`.
+#[derive(Debug, Clone, Copy)]
+struct Lowered {
+    transfer: u32,
+    op: Op,
+    start: u64,
+    count: u32,
+    stream: StreamId,
+    slice: u8,
+    base: u16,
+    /// The link a receive train's vectors arrive over.
+    link: LinkId,
+}
+
+impl Lowered {
+    /// The vector the `v`-th instruction moves.
+    fn vec(&self, v: u64) -> VecRef {
+        VecRef {
+            transfer: self.transfer,
+            vector: v as u32,
+        }
+    }
+
+    /// The `v`-th instruction, which issues at `cycle`.
+    fn instr(&self, v: u64, cycle: u64) -> TimedInstruction {
+        TimedInstruction {
+            cycle,
+            instr: self.op.lower(self.stream, self.slice, self.base + v as u16),
+        }
+    }
+}
+
 /// Everything the lowering accumulates for one participating chip.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ChipBuild {
     tsp: TspId,
-    program: ChipProgram,
-    preloads: Vec<PlannedPreload>,
-    deliveries: Vec<PlannedDelivery>,
-    /// What the schedule promises the chip will emit.
-    emissions: Vec<PlannedEmission>,
+    /// The chip's lowered trains, transfer by transfer, each transfer's in
+    /// path order.
+    trains: Vec<Lowered>,
     /// Hop depth: the max position of the chip over its paths.
     depth: usize,
     streams: StreamAlloc,
@@ -597,10 +632,172 @@ impl ChipBuild {
         self.scratch_next += vectors;
         Ok(base as u16)
     }
+
+    /// Total instructions of the trains `keep` selects.
+    fn count(&self, keep: impl Fn(&Lowered) -> bool) -> usize {
+        self.trains
+            .iter()
+            .filter(|t| keep(t))
+            .map(|t| t.count as usize)
+            .sum()
+    }
+
+    /// Appends the chip's program to `slab` in issue order, `(cycle,
+    /// unit)`, and returns its preloads, deliveries and emissions, each
+    /// allocated at its exact size. Equal keys keep lowering order: by
+    /// transfer, then vector, then the train's place on the path, as a
+    /// stable sort of the instructions pushed in that order would.
+    fn assemble(
+        &self,
+        merge: &mut Merge,
+        slab: &mut Vec<TimedInstruction>,
+    ) -> (
+        Vec<PlannedPreload>,
+        Vec<PlannedDelivery>,
+        Vec<PlannedEmission>,
+    ) {
+        let trains = &self.trains;
+        let receive_port = |t: &Lowered| match t.op {
+            Op::Receive(port) => Some(port),
+            _ => None,
+        };
+        let send_port = |t: &Lowered| match t.op {
+            Op::Send(port) => Some(port),
+            _ => None,
+        };
+        let mut preloads = Vec::with_capacity(self.count(|t| t.op == Op::Load));
+        let mut deliveries = Vec::with_capacity(self.count(|t| receive_port(t).is_some()));
+        let mut emissions = Vec::with_capacity(self.count(|t| send_port(t).is_some()));
+
+        let unit = |t: &Lowered| t.op.lower(t.stream, t.slice, t.base).unit().index() as u8;
+        merge.run(
+            trains,
+            |t| Some((unit(t), t.transfer)),
+            |t, v, cycle| {
+                slab.push(t.instr(v, cycle));
+            },
+        );
+        for t in trains.iter().filter(|t| t.op == Op::Load) {
+            preloads.extend((0..u64::from(t.count)).map(|v| PlannedPreload {
+                slice: t.slice,
+                offset: t.base + v as u16,
+                vec: t.vec(v),
+            }));
+        }
+        // Deliveries by `(port, cycle)`, so the executor feeds each port's
+        // queue in order: the ports in turn, ascending.
+        let next_port = |after: Option<u8>| {
+            let ports = trains.iter().filter_map(receive_port);
+            ports.filter(|&p| after.is_none_or(|a| p > a)).min()
+        };
+        let mut port = next_port(None);
+        while let Some(p) = port {
+            let on_port = |t: &Lowered| (receive_port(t) == Some(p)).then_some((p, t.transfer));
+            merge.run(trains, on_port, |t, v, cycle| {
+                deliveries.push(PlannedDelivery {
+                    port: p,
+                    cycle,
+                    vec: t.vec(v),
+                    link: t.link,
+                });
+            });
+            port = next_port(port);
+        }
+        let sent = |t: &Lowered| send_port(t).map(|p| (p, t.transfer));
+        merge.run(trains, sent, |t, v, cycle| {
+            emissions.push(PlannedEmission {
+                cycle,
+                port: send_port(t).expect("a send train"),
+                vec: t.vec(v),
+            });
+        });
+        (preloads, deliveries, emissions)
+    }
+}
+
+/// A train in a [`Merge`].
+#[derive(Debug)]
+struct Run {
+    /// Its place in the per-period order: phase, key, the later start
+    /// first, then its index in the chip's trains.
+    order: (u64, (u8, u32), Reverse<u64>, usize),
+    /// The periods it issues in: `[first, end)`.
+    first: u64,
+    end: u64,
+}
+
+/// Merges a chip's trains into one stream in issue order, with buffers
+/// reused from chip to chip.
+#[derive(Debug, Default)]
+struct Merge {
+    /// The trains being merged, by first period.
+    runs: Vec<Run>,
+    /// The trains running in the current period, as indices into `runs`,
+    /// in per-period order.
+    running: Vec<usize>,
+}
+
+impl Merge {
+    /// Calls `f(train, v, cycle)` for the `v`-th instruction of each train
+    /// to which `pick` gives a key, in ascending `(cycle, key, v, j)`
+    /// order, where `j` is the train's index in `trains`: the order in
+    /// which a stable sort by `(cycle, key)` leaves the instructions if
+    /// those of one key were pushed vector by vector, each vector's in
+    /// train order.
+    ///
+    /// Every train has the same period, the vector slot, so within one
+    /// slot-long period each running train issues exactly once, at its
+    /// phase `start % slot`, and the running trains always issue in one
+    /// fixed order: by phase, then key, then the later-started train first
+    /// (its `v` is smaller), then `j`. The merge keeps the running trains
+    /// in that order and walks the periods, so it compares keys only when
+    /// a train starts.
+    fn run(
+        &mut self,
+        trains: &[Lowered],
+        pick: impl Fn(&Lowered) -> Option<(u8, u32)>,
+        mut f: impl FnMut(&Lowered, u64, u64),
+    ) {
+        let slot = vector_slot_cycles();
+        let (runs, running) = (&mut self.runs, &mut self.running);
+        runs.clear();
+        runs.extend(trains.iter().enumerate().filter_map(|(j, t)| {
+            let key = pick(t)?;
+            let first = t.start / slot;
+            Some(Run {
+                order: (t.start % slot, key, Reverse(first), j),
+                first,
+                end: first + u64::from(t.count),
+            })
+        }));
+        runs.sort_unstable_by_key(|r| r.first);
+        running.clear();
+        let (mut next, mut period) = (0, 0);
+        loop {
+            if running.is_empty() {
+                match runs.get(next) {
+                    Some(r) => period = r.first,
+                    None => return,
+                }
+            }
+            while runs.get(next).is_some_and(|r| r.first == period) {
+                let at = running.partition_point(|&a| runs[a].order < runs[next].order);
+                running.insert(at, next);
+                next += 1;
+            }
+            for &r in running.iter() {
+                let (t, v) = (&trains[runs[r].order.3], period - runs[r].first);
+                f(t, v, t.start + v * slot);
+            }
+            period += 1;
+            running.retain(|&r| runs[r].end > period);
+        }
+    }
 }
 
 /// The builders of the chips a plan touches, in first-touch order, with a
 /// dense per-TSP index into them.
+#[derive(Clone)]
 struct ChipBuilds {
     /// Per TSP: position in `chips`, or `u32::MAX` if untouched.
     index: Vec<u32>,
@@ -621,10 +818,7 @@ impl ChipBuilds {
             *i = self.chips.len() as u32;
             self.chips.push(ChipBuild {
                 tsp,
-                program: ChipProgram::default(),
-                preloads: Vec::new(),
-                deliveries: Vec::new(),
-                emissions: Vec::new(),
+                trains: Vec::new(),
                 depth: 0,
                 streams: StreamAlloc::default(),
                 scratch_next: 0,
@@ -632,23 +826,25 @@ impl ChipBuilds {
         }
         &mut self.chips[*i as usize]
     }
+
+    /// The builders in ascending [`TspId`] order, read off the index.
+    fn in_tsp_order(&self) -> impl Iterator<Item = &ChipBuild> {
+        let touched = self.index.iter().filter(|&&i| i != u32::MAX);
+        touched.map(|&i| &self.chips[i as usize])
+    }
 }
 
 /// The reservation tables a compile books into: link frontiers and
-/// chip-unit windows, with the trains and window buffer of the transfer
-/// being booked.
+/// chip-unit trains, with the trains of the transfer being booked.
 struct Occupancy {
     links: LinkOccupancy,
     units: UnitOccupancy,
-    /// The trains of the transfer being booked, reused across trials and
-    /// transfers: the search's last trial leaves the conflict-free ones,
-    /// which [`Occupancy::commit`] books and the lowering then reads.
+    /// The trains of the transfer being booked, as offsets from its hop
+    /// starts: computed once per transfer, into a buffer reused across
+    /// transfers. Each search trial adds its hop starts; then
+    /// [`Occupancy::commit`] and the lowering read them at the schedule
+    /// the search found.
     trains: Vec<Train>,
-    /// The unit windows of the transfer being booked, reused across
-    /// transfers. Filled at commit, not on every trial: a dense fabric
-    /// still retries (the 10,440-chip half-stride plan averages 3.9 trials
-    /// per transfer).
-    windows: Vec<(usize, u64, u64)>,
 }
 
 impl Occupancy {
@@ -657,14 +853,13 @@ impl Occupancy {
             links: LinkOccupancy::new(),
             units: UnitOccupancy::new(num_tsps),
             trains: Vec::new(),
-            windows: Vec::new(),
         }
     }
 
     /// Finds the least injection, no earlier than [`READ_LATENCY`], at
     /// which a transfer of `n` vectors along `path` is free on every link
     /// and at every chip unit it touches. Returns its schedule and the
-    /// trials (link plans and window scans) the search took.
+    /// trials (link plans and train scans) the search took.
     ///
     /// For injection `e`, hop `h` starts at `max(e + unpinned[h], K_h)`,
     /// where `unpinned[h]` is the hop's offset on an idle fabric and `K_h`
@@ -692,6 +887,7 @@ impl Occupancy {
             unpinned.push(offset);
             offset += slot + scheduled_link_latency(topo, link) + FORWARD_OVERHEAD_CYCLES;
         }
+        trains(topo, path, &mut self.trains);
         let mut earliest = READ_LATENCY;
         let mut sched = self
             .links
@@ -699,15 +895,15 @@ impl Occupancy {
             .map_err(CosimError::Schedule)?;
         let mut trials = 1;
         loop {
-            trains(topo, path, &sched.hop_starts, &mut self.trains);
             let mut next = earliest;
-            for_each_unit_window(path, &self.trains, n, &mut |h, tsp, key, s, e| {
-                if let Some(busy_until) = self.units.conflict(tsp, key, s, e) {
+            for t in &self.trains {
+                let start = t.start(&sched.hop_starts);
+                if let Some((busy_until, s)) = self.units.conflict(t.resource, start, n, t.hold) {
                     // In this order: a Read window starts before its hop,
                     // so `s - hop_starts[h]` would underflow.
-                    next = next.max((busy_until + sched.hop_starts[h]) - (s + unpinned[h]));
+                    next = next.max((busy_until + sched.hop_starts[t.hop]) - (s + unpinned[t.hop]));
                 }
-            });
+            }
             if next == earliest {
                 return Ok((sched, trials));
             }
@@ -720,25 +916,20 @@ impl Occupancy {
     }
 
     /// Books `sched`, which the last [`Occupancy::first_free_injection`]
-    /// found for `n` vectors along `path`, on its links, and the trains
-    /// that search left on its chip units. The trains stay for the
-    /// lowering.
+    /// found for `n` vectors along `path`, on its links, and one record per
+    /// train on its chip units. The trains stay for the lowering.
     fn commit(&mut self, path: &Path, n: u64, sched: &TransferSchedule) {
         debug_assert!(
             self.trains
                 .iter()
-                .filter(|t| matches!(t.op, Op::Send(_)))
-                .map(|t| t.start)
-                .eq(sched.hop_starts.iter().copied()),
-            "the trains are not the searched schedule's"
+                .all(|t| t.resource / UNIT_SLOTS == path.tsps[t.chip].index()),
+            "the trains are not the searched path's"
         );
         self.links.commit(path, sched);
-        let windows = &mut self.windows;
-        windows.clear();
-        for_each_unit_window(path, &self.trains, n, &mut |_, tsp, key, s, e| {
-            windows.push((UnitOccupancy::resource(tsp, key), s, e));
-        });
-        self.units.book(&self.windows);
+        for t in &self.trains {
+            let start = t.start(&sched.hop_starts);
+            self.units.book(t.resource, start, n, t.hold);
+        }
     }
 }
 
@@ -748,46 +939,24 @@ impl Occupancy {
 /// large repays its thread many times over.
 const ROUTE_GRAIN: usize = 256;
 
-/// Instructions per sort-stage thread. Sorting costs 10–20 ns per
-/// instruction, so a group this large takes several spawn-and-join times.
-const SORT_GRAIN: usize = 16_384;
-
-/// Runs `f` on every item, in contiguous groups of about equal `weight`:
-/// one group per `grain` of total weight, at most `width` groups, the
-/// first on the calling thread and each other on a scoped thread. `f`
-/// touches only its own item, so the result does not depend on the width.
+/// Runs `f` on every item, in contiguous groups of about equal length:
+/// one group per `grain` items, at most `width` groups, the first on the
+/// calling thread and each other on a scoped thread. `f` touches only its
+/// own item, so the result does not depend on the width.
 fn for_each_grouped<T: Send>(
     items: &mut [T],
     width: usize,
     grain: usize,
-    weight: impl Fn(&T) -> usize,
     f: impl Fn(&mut T) + Sync,
 ) {
-    let total: usize = items.iter().map(&weight).sum();
-    let groups = width.min(total / grain).max(1);
+    let groups = width.min(items.len() / grain).max(1);
     if groups == 1 {
         return items.iter_mut().for_each(f);
     }
-    let share = total.div_ceil(groups);
-    let mut parts = Vec::with_capacity(groups);
-    let mut rest = items;
-    while parts.len() + 1 < groups && !rest.is_empty() {
-        let mut acc = 0;
-        let len = rest
-            .iter()
-            .position(|t| {
-                acc += weight(t);
-                acc >= share
-            })
-            .map_or(rest.len(), |i| i + 1);
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        parts.push(head);
-        rest = tail;
-    }
-    parts.push(rest);
-    let (first, others) = parts.split_first_mut().expect("at least one group");
+    let mut parts = items.chunks_mut(items.len().div_ceil(groups));
+    let first = parts.next().expect("at least one group");
     std::thread::scope(|s| {
-        for part in others.iter_mut().filter(|p| !p.is_empty()) {
+        for part in parts {
             s.spawn(|| part.iter_mut().for_each(&f));
         }
         first.iter_mut().for_each(&f);
@@ -796,25 +965,36 @@ fn for_each_grouped<T: Send>(
 
 /// Compiles transfer shapes into a [`CompiledPlan`]: routes each transfer
 /// onto a minimal path, reserves conflict-free link slots, lowers per-TSP
-/// chip programs (pre-sorted into issue order), assigns stream registers,
-/// and materializes the full symbolic delivery/emission manifest. No
-/// payload bytes are consulted; the result is reusable across executions.
+/// chip programs in issue order, assigns stream registers, and
+/// materializes the full symbolic delivery/emission manifest. No payload
+/// bytes are consulted; the result is reusable across executions.
 ///
-/// Routing and the per-chip sorts run on up to the executor's automatic
-/// worker count of threads (`TSM_THREADS`, else the host's parallelism),
-/// once the plan is large enough to pay for them; the plan is the same
-/// at every width.
+/// Routing runs on up to the executor's automatic worker count of threads
+/// (`TSM_THREADS`, else the host's parallelism), once the plan has enough
+/// distinct pairs to pay for them; the plan is the same at every width.
 pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<CompiledPlan, CosimError> {
     compile_plan_on(topo, shapes, auto_threads()).map(|(plan, _)| plan)
 }
 
-/// [`compile_plan`] with its two parallel stages split across at most
-/// `width` threads, also returning the chip-unit windows it booked.
+/// [`compile_plan`] with its route stage split across at most `width`
+/// threads, also returning the chip-unit trains it booked.
 fn compile_plan_on(
     topo: &Topology,
     shapes: &[TransferShape],
     width: usize,
 ) -> Result<(CompiledPlan, UnitOccupancy), CosimError> {
+    let (builds, arrivals, units) = book_and_lower(topo, shapes, width)?;
+    Ok((assemble(shapes, arrivals, &builds), units))
+}
+
+/// Routes, books and lowers every transfer, in order: the chips' lowered
+/// trains, each transfer's scheduled last arrival and the chip-unit
+/// trains booked.
+fn book_and_lower(
+    topo: &Topology,
+    shapes: &[TransferShape],
+    width: usize,
+) -> Result<(ChipBuilds, Vec<u64>, UnitOccupancy), CosimError> {
     let mut occupancy = Occupancy::new(topo.num_tsps());
     let mut builds = ChipBuilds::new(topo.num_tsps());
     let mut arrivals = Vec::with_capacity(shapes.len());
@@ -833,13 +1013,9 @@ fn compile_plan_on(
             })
         })
         .collect();
-    for_each_grouped(
-        &mut routes,
-        width,
-        ROUTE_GRAIN,
-        |_| 1,
-        |((from, to), path)| *path = Some(shortest_path(topo, *from, *to)),
-    );
+    for_each_grouped(&mut routes, width, ROUTE_GRAIN, |((from, to), path)| {
+        *path = Some(shortest_path(topo, *from, *to))
+    });
 
     for (idx, tr) in shapes.iter().enumerate() {
         let path = routes[route_of[idx]]
@@ -868,138 +1044,111 @@ fn compile_plan_on(
         arrivals.push(sched.last_arrival);
         occupancy.commit(path, n, &sched);
         if n > 0 {
-            lower_transfer(topo, path, idx, tr, &occupancy.trains, &mut builds)?;
+            let trains = &occupancy.trains;
+            lower_transfer(topo, path, idx, tr, trains, &sched.hop_starts, &mut builds)?;
         }
     }
+    Ok((builds, arrivals, occupancy.units))
+}
 
-    // Issue-sort each chip's program once at compile time, so every
-    // execution runs its slab window without cloning or re-sorting it.
-    // Deliveries take a stable (port, cycle) order: each port's queue is
-    // fed nondecreasing, and equal keys keep transfer order. Every sort is
-    // stable and touches one chip, so the threads cannot reorder a tie.
-    let mut built = builds.chips;
-    built.sort_unstable_by_key(|c| c.tsp);
-    for_each_grouped(
-        &mut built,
-        width,
-        SORT_GRAIN,
-        |c| c.program.len(),
-        |c| {
-            c.program.sort_in_place();
-            c.deliveries.sort_by_key(|d| (d.port, d.cycle));
-            c.emissions.sort_by_key(|e| (e.cycle, e.port));
-        },
-    );
-
-    // Assemble per-chip plans in ascending TspId order and group them into
-    // hop-depth levels: a chip at depth d receives only from chips at
-    // depth < d, so levels form a topological order, the order in which
-    // the executor merges chip results.
-    let mut chips = Vec::with_capacity(built.len());
+/// Assembles the plan: per-chip plans in ascending TspId order, each
+/// chip's program written once into the slab by merging its trains and
+/// each manifest allocated at its exact size, grouped into hop-depth
+/// levels. A chip at depth d receives only from chips at depth < d, so
+/// levels form a topological order, the order in which the executor
+/// merges chip results.
+fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -> CompiledPlan {
+    let mut chips = Vec::with_capacity(builds.chips.len());
     let mut levels: Vec<Vec<u32>> = Vec::new();
-    let mut slab: Vec<TimedInstruction> =
-        Vec::with_capacity(built.iter().map(|c| c.program.len()).sum());
-    let mut instructions = 0usize;
-    for (i, c) in built.into_iter().enumerate() {
+    let mut slab = Vec::with_capacity(builds.chips.iter().map(|c| c.count(|_| true)).sum());
+    let mut merge = Merge::default();
+    for (i, c) in builds.in_tsp_order().enumerate() {
         if levels.len() <= c.depth {
             levels.resize(c.depth + 1, Vec::new());
         }
         levels[c.depth].push(i as u32);
-        instructions += c.program.len();
-        let prog_start = slab.len() as u32;
-        slab.extend_from_slice(c.program.instrs());
-        let prog_end = slab.len() as u32;
+        let prog_start = slab.len();
+        let (preloads, deliveries, emissions) = c.assemble(&mut merge, &mut slab);
+        debug_assert!(
+            slab[prog_start..].is_sorted_by_key(|ti| (ti.cycle, ti.instr.unit())),
+            "{}: program out of issue order",
+            c.tsp
+        );
         chips.push(ChipPlan {
             tsp: c.tsp,
             depth: c.depth as u32,
             shard: shard_key(c.tsp),
-            prog_start,
-            prog_end,
-            preloads: c.preloads,
-            deliveries: c.deliveries,
-            emissions: c.emissions,
+            prog_start: prog_start as u32,
+            prog_end: slab.len() as u32,
+            preloads,
+            deliveries,
+            emissions,
         });
     }
-
-    let plan = CompiledPlan {
+    CompiledPlan {
         shapes: shapes.to_vec(),
         chips,
+        instructions: slab.len(),
         slab,
         levels,
         arrivals,
-        instructions,
-    };
-    Ok((plan, occupancy.units))
+    }
 }
 
-/// Lowers transfer `idx`, `tr` of at least one vector booked as `trains`
-/// along `path`, into its chips' programs, stream registers, forwarding
-/// scratch, preloads, deliveries and emissions.
+/// Lowers transfer `idx`, `tr` of at least one vector, whose `trains`
+/// along `path` were booked at `hop_starts`, into its chips' lowered
+/// trains, stream registers and forwarding scratch.
 ///
 /// Chip by chip along the path, registers and scratch are allocated train
-/// by train and instructions pushed vector by vector in train order, which
-/// fixes the first error and the order of equal keys in the issue sort.
-/// The heap order is kept too: every program buffer of the transfer is
-/// reserved first and the deliveries and emissions are grown last, in path
-/// order. The manifests outlive compile and the program buffers do not, so
-/// this order decides how densely the manifests a warm execute walks lie
-/// in memory: growing each chip's manifest right after its program slows
-/// 10,440-chip warm executes measurably.
+/// by train and the trains recorded in train order, which fixes the first
+/// error and, through [`Merge::run`], the order of equal keys in each
+/// chip's program and manifests.
 fn lower_transfer(
     topo: &Topology,
     path: &Path,
     idx: usize,
     tr: &TransferShape,
     trains: &[Train],
+    hop_starts: &[u64],
     builds: &mut ChipBuilds,
 ) -> Result<(), CosimError> {
     let slot = vector_slot_cycles();
     let n = u64::from(tr.vectors);
-    let vref = |v: u64| VecRef {
-        transfer: idx as u32,
-        vector: v as u32,
-    };
-    let on_chips = || trains.chunk_by(|a, b| a.chip == b.chip);
-    for on_chip in on_chips() {
+    let start = |t: &Train| t.start(hop_starts);
+    for on_chip in trains.chunk_by(|a, b| a.chip == b.chip) {
         let position = on_chip[0].chip;
         let chip = builds.get(path.tsps[position]);
         chip.depth = chip.depth.max(position);
-        chip.program.reserve(on_chip.len() * n as usize);
-    }
-    for on_chip in on_chips() {
-        let chip = builds.get(path.tsps[on_chip[0].chip]);
-        if on_chip[0].op == Op::Load {
-            chip.preloads.extend((0..n).map(|v| PlannedPreload {
-                slice: tr.src_slice,
-                offset: tr.src_offset + v as u16,
-                vec: vref(v),
-            }));
-        }
         // Each consecutive pair of trains (load→send, receive→stage,
         // unstage→send, receive→store) passes its vectors through one
         // stream register, live from the first train's start to the
         // second train's last instruction.
         let mut streams = [None; 2];
         for (stream, pair) in streams.iter_mut().zip(on_chip.chunks(2)) {
-            *stream = Some(chip.stream(pair[0].start, pair[1].start + (n - 1) * slot)?);
+            *stream = Some(chip.stream(start(&pair[0]), start(&pair[1]) + (n - 1) * slot)?);
         }
         let scratch = if on_chip.iter().any(|t| t.op == Op::Stage) {
             chip.scratch(idx, n)?
         } else {
             0
         };
-        for v in 0..n {
-            for (i, t) in on_chip.iter().enumerate() {
-                let (slice, base) = match t.op {
-                    Op::Load => (tr.src_slice, tr.src_offset),
-                    Op::Stage | Op::Unstage => (SCRATCH_SLICE, scratch),
-                    Op::Store => (tr.dst_slice, tr.dst_offset),
-                    Op::Send(_) | Op::Receive(_) => (0, 0),
-                };
-                let stream = streams[i / 2].expect("every train is in a pair");
-                let instr = t.op.lower(stream, slice, base + v as u16);
-                chip.program.push(t.start + v * slot, instr);
-            }
+        for (i, t) in on_chip.iter().enumerate() {
+            let (slice, base) = match t.op {
+                Op::Load => (tr.src_slice, tr.src_offset),
+                Op::Stage | Op::Unstage => (SCRATCH_SLICE, scratch),
+                Op::Store => (tr.dst_slice, tr.dst_offset),
+                Op::Send(_) | Op::Receive(_) => (0, 0),
+            };
+            chip.trains.push(Lowered {
+                transfer: idx as u32,
+                op: t.op,
+                start: start(t),
+                count: tr.vectors,
+                stream: streams[i / 2].expect("every train is in a pair"),
+                slice,
+                base,
+                link: path.links[t.hop],
+            });
         }
     }
     // The port the previous chip on the path sends on.
@@ -1009,35 +1158,19 @@ fn lower_transfer(
         match t.op {
             Op::Send(port) => {
                 debug_assert!(
-                    t.start >= READ_LATENCY,
+                    start(t) >= READ_LATENCY,
                     "hop {} sends before the SRAM read pipeline could stage a vector",
                     t.hop
                 );
                 sent = port;
-                let emissions = (0..n).map(|v| PlannedEmission {
-                    cycle: t.start + v * slot,
-                    port,
-                    vec: vref(v),
-                });
-                builds.get(tsp).emissions.extend(emissions);
             }
-            Op::Receive(port) => {
-                let link = path.links[t.hop];
-                debug_assert_eq!(
-                    topo.port_peer(path.tsps[t.hop], sent),
-                    Some((link, tsp, port)),
-                    "the receive port is not the send port's peer"
-                );
-                let deliveries = (0..n).map(|v| PlannedDelivery {
-                    port,
-                    cycle: t.start + v * slot,
-                    vec: vref(v),
-                    link,
-                });
-                builds.get(tsp).deliveries.extend(deliveries);
-            }
+            Op::Receive(port) => debug_assert_eq!(
+                topo.port_peer(path.tsps[t.hop], sent),
+                Some((path.links[t.hop], tsp, port)),
+                "the receive port is not the send port's peer"
+            ),
             Op::Unstage => debug_assert!(
-                t.start > trains[i - 1].start,
+                start(t) > start(&trains[i - 1]),
                 "{tsp} unstages before it stages"
             ),
             Op::Load | Op::Stage | Op::Store => {}
@@ -1534,11 +1667,13 @@ mod json {
     }
 
     /// Rejects a parsed plan that indexes outside itself or lists its
-    /// manifest out of order, so an edited or corrupted document fails to
-    /// load instead of sending the executor out of bounds or past its
-    /// order checks: every chip's program window lies in the slab and
-    /// every payload reference in the shapes; each chip's deliveries
-    /// ascend by `(port, cycle)` and its emissions by `(cycle, port)`;
+    /// program or manifest out of order, so an edited or corrupted
+    /// document fails to load instead of sending the executor out of
+    /// bounds or past its order checks: every chip's program window lies
+    /// in the slab and every payload reference in the shapes; each chip's
+    /// program ascends by `(cycle, unit)`, the issue order the executor
+    /// runs it in, its deliveries by `(port, cycle)` and its emissions by
+    /// `(cycle, port)`;
     /// chips ascend by TSP and include each transfer's destination; levels
     /// list each chip at most once.
     fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
@@ -1566,7 +1701,10 @@ mod json {
                     plan.slab.len()
                 ));
             }
-            let out_of_order = if !chip.deliveries.is_sorted_by_key(|d| (d.port, d.cycle)) {
+            let issue_order = |ti: &TimedInstruction| (ti.cycle, ti.instr.unit());
+            let out_of_order = if !plan.program(chip).is_sorted_by_key(issue_order) {
+                Some("program out of (cycle, unit)")
+            } else if !chip.deliveries.is_sorted_by_key(|d| (d.port, d.cycle)) {
                 Some("deliveries out of (port, cycle)")
             } else if !chip.emissions.is_sorted_by_key(|e| (e.cycle, e.port)) {
                 Some("emissions out of (cycle, port)")
@@ -1615,84 +1753,233 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use tsm_chip::exec::ChipProgram;
     use tsm_isa::Vector;
 
     /// Chips in the synthetic occupancy tables.
     const CHIPS: usize = 3;
 
-    /// The per-window booking [`UnitOccupancy::book`] replaced, kept as its
-    /// oracle: one binary search and one `Vec::insert` per window.
-    fn reserve(units: &mut UnitOccupancy, resource: usize, start: u64, end: u64) {
-        let windows = &mut units.busy[resource];
-        let i = windows.partition_point(|&(s, _)| s < start);
-        assert!(
-            i == 0 || windows[i - 1].1 <= start,
-            "overlaps its predecessor"
-        );
-        assert!(
-            windows.get(i).is_none_or(|&(s, _)| end <= s),
-            "overlaps its successor"
-        );
-        windows.insert(i, (start, end));
+    /// The sorted-window table [`UnitOccupancy`] replaced, kept as its
+    /// oracle: each resource's booked windows `[start, end)`, sorted and
+    /// disjoint, booked one `Vec::insert` at a time.
+    struct WindowTable {
+        busy: Vec<Vec<(u64, u64)>>,
     }
 
-    /// The end of the last booked window overlapping `[start, end)`, by a
-    /// linear scan of the resource's windows.
-    fn conflict_by_scan(
-        units: &UnitOccupancy,
-        resource: usize,
-        start: u64,
-        end: u64,
-    ) -> Option<u64> {
-        units.busy[resource]
-            .iter()
-            .rfind(|&&(s, e)| s < end && start < e)
-            .map(|&(_, e)| e)
-    }
-
-    /// A few "transfers" of strided windows on the resources of
-    /// [`CHIPS`] chips, some resources left empty. On a touched resource,
-    /// the transfers share one period, each owns a phase of it and covers
-    /// a random range of periods at a stride of one or two: a transfer's
-    /// windows interleave with an earlier one's, land before, between or
-    /// after them, and abut them where a window fills its phase. The
-    /// windows are disjoint by construction.
-    fn transfers(rng: &mut StdRng) -> Vec<Vec<(usize, u64, u64)>> {
-        let count = rng.gen_range(2..=6usize);
-        let mut out = vec![Vec::new(); count];
-        for resource in 0..CHIPS * UNIT_SLOTS {
-            if rng.gen_bool(0.6) {
-                continue;
+    impl WindowTable {
+        fn new(num_tsps: usize) -> Self {
+            WindowTable {
+                busy: vec![Vec::new(); num_tsps * UNIT_SLOTS],
             }
-            let period = rng.gen_range(count as u64..=3 * count as u64);
-            let mut cuts: Vec<u64> = (1..period).collect();
-            cuts.shuffle(rng);
-            cuts.truncate(count - 1);
-            cuts.push(0);
-            cuts.push(period);
-            cuts.sort_unstable();
-            for (t, phase) in cuts.windows(2).enumerate() {
-                if rng.gen_bool(0.2) {
+        }
+
+        /// If `[start, end)` overlaps a booked window on `resource`,
+        /// returns the end of the latest overlapping window. The windows
+        /// are sorted and disjoint, so that is the last window to begin
+        /// before `end`, provided it ends after `start`: one binary search
+        /// finds it.
+        fn conflict(&self, resource: usize, start: u64, end: u64) -> Option<u64> {
+            let windows = &self.busy[resource];
+            let i = windows.partition_point(|&(s, _)| s < end);
+            match windows[..i].last() {
+                Some(&(_, e)) if e > start => Some(e),
+                _ => None,
+            }
+        }
+
+        /// [`WindowTable::conflict`] by a linear scan of the windows.
+        fn conflict_by_scan(&self, resource: usize, start: u64, end: u64) -> Option<u64> {
+            self.busy[resource]
+                .iter()
+                .rfind(|&&(s, e)| s < end && start < e)
+                .map(|&(_, e)| e)
+        }
+
+        /// Books `[start, end)` on `resource` with one binary search and
+        /// one `Vec::insert`; the window must be free.
+        fn reserve(&mut self, resource: usize, start: u64, end: u64) {
+            let windows = &mut self.busy[resource];
+            let i = windows.partition_point(|&(s, _)| s < start);
+            assert!(
+                i == 0 || windows[i - 1].1 <= start,
+                "overlaps its predecessor"
+            );
+            assert!(
+                windows.get(i).is_none_or(|&(s, _)| end <= s),
+                "overlaps its successor"
+            );
+            windows.insert(i, (start, end));
+        }
+
+        /// Books each window of a train of `n` windows of `hold` cycles
+        /// from `start`.
+        fn reserve_train(&mut self, resource: usize, start: u64, n: u64, hold: u64) {
+            let slot = vector_slot_cycles();
+            for v in 0..n {
+                self.reserve(resource, start + v * slot, start + v * slot + hold);
+            }
+        }
+
+        /// What the search took from a trial train of `n` windows of
+        /// `hold` cycles from `start` before the train table: window by
+        /// window, the latest booked end past the window's start, and the
+        /// largest of those.
+        fn train_conflict(&self, resource: usize, start: u64, n: u64, hold: u64) -> Option<u64> {
+            let slot = vector_slot_cycles();
+            (0..n)
+                .filter_map(|v| {
+                    let s = start + v * slot;
+                    self.conflict(resource, s, s + hold).map(|e| e - s)
+                })
+                .max()
+        }
+    }
+
+    /// End of the last window of booked train `b`.
+    fn end_of(b: &Booked) -> u64 {
+        b.start + (b.count - 1) * vector_slot_cycles() + b.hold
+    }
+
+    /// On one booked train, the closed form in [`UnitOccupancy::conflict`]
+    /// finds the bound the window table finds window by window, over
+    /// 10,000 random pairs of trains 1–64 windows long and 400 pairs up to
+    /// 3,000 long, with holds of 1 and 5 cycles and the trial starting
+    /// before and after the booked train, half of them in a phase where
+    /// windows overlap. The pair it returns is a real overlapping pair.
+    #[test]
+    fn closed_form_matches_the_window_scan() {
+        let slot = vector_slot_cycles();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut hits, mut before, mut after) = (0, 0, 0);
+        for case in 0..10_400 {
+            let longest = if case < 10_000 { 64 } else { 3_000 };
+            let (m, n) = (rng.gen_range(1..=longest), rng.gen_range(1..=longest));
+            let held = *[1, 5].choose(&mut rng).unwrap();
+            let hold = *[1, 5].choose(&mut rng).unwrap();
+            let b = (n + 1) * slot + rng.gen_range(0..slot);
+            // Start the trial in a random period from n + 1 before the
+            // booked train's first to one past its last.
+            let period = rng.gen_range(0..n + m + 2) * slot;
+            let phase = if rng.gen_bool(0.5) {
+                rng.gen_range(0..slot)
+            } else {
+                (slot + rng.gen_range(0..hold + held - 1) + 1 - hold) % slot
+            };
+            let t = b - (n + 1) * slot + period + phase;
+            let mut units = UnitOccupancy::new(1);
+            let mut table = WindowTable::new(1);
+            units.book(0, b, m, held);
+            table.reserve_train(0, b, m, held);
+            let got = units.conflict(0, t, n, hold);
+            let want = table.train_conflict(0, t, n, hold);
+            let case = format!("booked {m}x{held} at {b}, trial {n}x{hold} at {t}");
+            assert_eq!(got.map(|(e, s)| e - s), want, "{case}");
+            if let Some((busy_until, s)) = got {
+                let (v, u) = ((s - t) / slot, (busy_until - held - b) / slot);
+                assert_eq!(
+                    (s, busy_until),
+                    (t + v * slot, b + u * slot + held),
+                    "{case}"
+                );
+                assert!(v < n && u < m, "{case}");
+                assert!(busy_until - held < s + hold && s < busy_until, "{case}");
+                hits += 1;
+                before += usize::from(t < b);
+                after += usize::from(t > b);
+            }
+        }
+        assert!(
+            hits > 4_000 && before > 1_000 && after > 1_000,
+            "{hits} overlaps, {before} trials before, {after} after"
+        );
+    }
+
+    /// Booking trains gives the answers booking their windows one by one
+    /// gives. Per seed, random trains of 1–40 windows holding 1 or 5
+    /// cycles are booked on six resources wherever all their windows are
+    /// free, so they interleave with, nest in and abut earlier ones, as a
+    /// pipeline stage's staging writes and forwarding reads do. After each
+    /// booking every resource's trains are sorted by start, each with the
+    /// running maximum end, and random trial trains, some 1,000 windows
+    /// long, get from [`UnitOccupancy::conflict`] the bound the window
+    /// table finds window by window. The window table's binary search
+    /// agrees with a full scan on each trial's first and last window.
+    #[test]
+    fn train_table_matches_the_window_table() {
+        let slot = vector_slot_cycles();
+        let resources: Vec<usize> = (0..CHIPS as u32)
+            .flat_map(|c| [MEM_SLOT, c2c_slot(0)].map(|s| UnitOccupancy::resource(TspId(c), s)))
+            .collect();
+        let (mut nested, mut probed) = (0, 0);
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut units = UnitOccupancy::new(CHIPS);
+            let mut table = WindowTable::new(CHIPS);
+            for _ in 0..24 {
+                let r = *resources.choose(&mut rng).unwrap();
+                let hold = *[1, 5].choose(&mut rng).unwrap();
+                let n = rng.gen_range(1..=40u64);
+                let start = rng.gen_range(0..60 * slot);
+                if table.train_conflict(r, start, n, hold).is_some() {
                     continue;
                 }
-                let len = rng.gen_range(1..=phase[1] - phase[0]);
-                let first = rng.gen_range(0..40u64);
-                let periods = first..first + rng.gen_range(1..=30u64);
-                for k in periods.step_by(rng.gen_range(1..=2usize)) {
-                    let start = k * period + phase[0];
-                    out[t].push((resource, start, start + len));
+                nested += usize::from(
+                    units.busy[r]
+                        .iter()
+                        .any(|b| b.start < start && start < end_of(b)),
+                );
+                units.book(r, start, n, hold);
+                table.reserve_train(r, start, n, hold);
+                let trains = &units.busy[r];
+                assert!(
+                    trains.is_sorted_by_key(|b| b.start),
+                    "seed {seed}: unsorted"
+                );
+                let mut reach = 0;
+                for b in trains {
+                    reach = reach.max(end_of(b));
+                    assert_eq!(b.reach, reach, "seed {seed}: running maximum end");
+                }
+                for _ in 0..16 {
+                    let r = if rng.gen_bool(0.5) {
+                        r
+                    } else {
+                        *resources.choose(&mut rng).unwrap()
+                    };
+                    let hold = *[1, 5].choose(&mut rng).unwrap();
+                    let n = if rng.gen_bool(0.1) {
+                        rng.gen_range(1..=1_000)
+                    } else {
+                        rng.gen_range(1..=8)
+                    };
+                    let start = rng.gen_range(0..64 * slot);
+                    let (first, last) = (start, start + (n - 1) * slot);
+                    for s in [first, last] {
+                        assert_eq!(
+                            table.conflict(r, s, s + hold),
+                            table.conflict_by_scan(r, s, s + hold)
+                        );
+                    }
+                    let want = table.train_conflict(r, start, n, hold);
+                    assert_eq!(
+                        units.conflict(r, start, n, hold).map(|(e, s)| e - s),
+                        want,
+                        "seed {seed}: resource {r}, trial {n}x{hold} at {start}"
+                    );
+                    probed += usize::from(want.is_some());
                 }
             }
         }
-        for trial in &mut out {
-            trial.shuffle(rng);
-        }
-        out
+        assert!(
+            nested > 1_000 && probed > 10_000,
+            "{nested} trains booked inside an earlier one's span, {probed} probes conflicted"
+        );
     }
 
-    /// The per-vector enumeration [`for_each_unit_window`] replaced, kept
-    /// as its oracle: every window of vector `v` on every chip of the path,
-    /// vector by vector.
+    /// The per-vector enumeration the train list replaced, kept as its
+    /// oracle: every window `(resource, start, end, hop)` of vector `v` on
+    /// every chip of the path, vector by vector, each named with the hop
+    /// whose start it is computed from.
     fn unit_windows_per_vector(
         topo: &Topology,
         path: &Path,
@@ -1704,7 +1991,6 @@ mod tests {
         // their port engine 1.
         let (mem, c2c) = (5, 1);
         let mut out = Vec::new();
-        // Each window is named with the hop whose start it is computed from.
         let mut f = |hop, tsp: TspId, key, s, len| {
             out.push((UnitOccupancy::resource(tsp, key), s, s + len, hop));
         };
@@ -1743,20 +2029,17 @@ mod tests {
         out
     }
 
-    /// The enumerator yields booking order on random multi-hop paths of a
-    /// two-rack dragonfly at random hop starts: each resource's windows
-    /// come out together, ascending and disjoint, and they are exactly the
-    /// windows the per-vector enumeration yields, each named with the same
-    /// hop. Hop starts keep the
-    /// scheduler's causality (a hop starts at least the forwarding
-    /// overhead after its vector lands); a start that would make a
-    /// forwarder's staging writes and forwarding reads collide is redrawn,
-    /// since no chip could run that trial.
+    /// A transfer's trains hold exactly the windows the per-vector
+    /// enumeration yields, each named with the same hop, on random
+    /// multi-hop paths of a two-rack dragonfly at random hop starts that
+    /// keep the scheduler's causality (a hop starts at least the
+    /// forwarding overhead after its vector lands).
     #[test]
-    fn enumerator_yields_booking_order() {
+    fn trains_hold_the_per_vector_windows() {
         let topo = Topology::rack_dragonfly(2).unwrap();
         let slot = vector_slot_cycles();
         let mut rng = StdRng::seed_from_u64(7);
+        let mut path_trains = Vec::new();
         let mut paths = 0;
         while paths < 200 {
             let from = TspId(rng.gen_range(0..topo.num_tsps() as u32));
@@ -1770,83 +2053,73 @@ mod tests {
             for h in 1..path.links.len() {
                 let landed =
                     hop_starts[h - 1] + slot + scheduled_link_latency(&topo, path.links[h - 1]);
-                let start = loop {
-                    let start = landed + FORWARD_OVERHEAD_CYCLES + rng.gen_range(0..3 * slot);
-                    // Writes occupy [landed + 1, +5) mod slot, reads
-                    // [start - READ_LATENCY, +5): keep them apart.
-                    let gap = (start - READ_LATENCY - (landed + 1)) % slot;
-                    if (5..=slot - 5).contains(&gap) {
-                        break start;
-                    }
-                };
-                hop_starts.push(start);
+                hop_starts.push(landed + FORWARD_OVERHEAD_CYCLES + rng.gen_range(0..3 * slot));
             }
-            let mut booked = Vec::new();
-            trains(&topo, &path, &hop_starts, &mut booked);
+            trains(&topo, &path, &mut path_trains);
             for n in [1u64, 2, 3, 64] {
-                let mut got = Vec::new();
-                for_each_unit_window(&path, &booked, n, &mut |hop, tsp, key, s, e| {
-                    got.push((UnitOccupancy::resource(tsp, key), s, e, hop));
-                });
-                let mut seen = std::collections::HashSet::new();
-                for run in got.chunk_by(|a, b| a.0 == b.0) {
-                    assert!(seen.insert(run[0].0), "{from}->{to} n={n}: resource split");
-                    assert!(
-                        run.windows(2).all(|w| w[0].2 <= w[1].1),
-                        "{from}->{to} n={n}: resource {} out of order",
-                        run[0].0
-                    );
-                }
+                let mut held: Vec<_> = path_trains
+                    .iter()
+                    .flat_map(|t| {
+                        let first = t.start(&hop_starts);
+                        (0..n).map(move |v| {
+                            let s = first + v * slot;
+                            (t.resource, s, s + t.hold, t.hop)
+                        })
+                    })
+                    .collect();
                 let mut want = unit_windows_per_vector(&topo, &path, &hop_starts, n);
+                held.sort_unstable();
                 want.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, want, "{from}->{to} n={n}");
+                assert_eq!(held, want, "{from}->{to} n={n}");
             }
         }
     }
 
     /// The retry search [`Occupancy::first_free_injection`] replaced, kept
-    /// as its oracle: after a conflict the injection advances by the
-    /// largest `busy_until - start` over the conflicting windows, which on
-    /// a hop pinned by its link's frontier moves the window less than that.
+    /// as its oracle, on the window table: after a conflict the injection
+    /// advances by the largest `busy_until - start` over the conflicting
+    /// windows of the per-vector enumeration, which on a hop pinned by its
+    /// link's frontier moves the window less than that.
     fn first_free_injection_by_bump(
-        occupancy: &Occupancy,
+        links: &LinkOccupancy,
+        table: &WindowTable,
         topo: &Topology,
         path: &Path,
         n: u64,
     ) -> (TransferSchedule, usize) {
         let mut earliest = READ_LATENCY;
-        let mut sched = occupancy
-            .links
-            .plan_transfer(topo, path, n, earliest)
-            .unwrap();
+        let mut sched = links.plan_transfer(topo, path, n, earliest).unwrap();
         let mut trials = 1;
-        let mut trial = Vec::new();
         loop {
             let mut bump = 0u64;
-            trains(topo, path, &sched.hop_starts, &mut trial);
-            for_each_unit_window(path, &trial, n, &mut |_, tsp, key, s, e| {
-                if let Some(busy_until) = occupancy.units.conflict(tsp, key, s, e) {
+            for (r, s, e, _) in unit_windows_per_vector(topo, path, &sched.hop_starts, n) {
+                if let Some(busy_until) = table.conflict(r, s, e) {
                     bump = bump.max(busy_until - s);
                 }
-            });
+            }
             if bump == 0 {
                 return (sched, trials);
             }
             earliest += bump;
             trials += 1;
-            occupancy
-                .links
+            links
                 .plan_transfer_into(topo, path, n, earliest, &mut sched)
                 .unwrap();
         }
     }
 
+    /// Shape sets whose transfers are at most 64 vectors long.
+    const SHORT_SEEDS: std::ops::Range<u64> = 0..25;
+
+    /// Shape sets that also draw transfers of 500 and 2,458 vectors.
+    const LONG_SEEDS: std::ops::Range<u64> = 25..30;
+
     /// Random shape set number `seed`, on a 2-, 3- or 4-rack dragonfly or
-    /// on 2 or 4 fully connected nodes: 10 to 50 transfers of 1, 2, 3 or
-    /// 64 vectors between distinct TSPs, half of the endpoints drawn from
-    /// four hot TSPs, so the transfers collide at chips and queue behind
-    /// link frontiers.
+    /// on 2 or 4 fully connected nodes: 10 to 50 transfers between
+    /// distinct TSPs, half of the endpoints drawn from four hot TSPs, so
+    /// the transfers collide at chips and queue behind link frontiers.
+    /// Each transfer is 1, 2, 3 or 64 vectors long, or in a
+    /// [`LONG_SEEDS`] set also 500 or 2,458.
     fn random_shapes(seed: u64) -> (Topology, Vec<TransferShape>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = match seed % 5 {
@@ -1857,6 +2130,11 @@ mod tests {
             _ => Topology::fully_connected_nodes(4),
         }
         .unwrap();
+        let (lengths, transfers): (&[u32], _) = if LONG_SEEDS.contains(&seed) {
+            (&[1, 2, 3, 64, 500, 2_458], 10..=20)
+        } else {
+            (&[1, 2, 3, 64], 10..=50)
+        };
         let chips = topo.num_tsps() as u32;
         let hot: Vec<TspId> = (0..4).map(|_| TspId(rng.gen_range(0..chips))).collect();
         let endpoint = |rng: &mut StdRng| {
@@ -1867,7 +2145,7 @@ mod tests {
             }
         };
         let mut shapes = Vec::new();
-        for _ in 0..rng.gen_range(10..=50) {
+        for _ in 0..rng.gen_range(transfers) {
             let (from, to) = (endpoint(&mut rng), endpoint(&mut rng));
             if from == to {
                 continue;
@@ -1879,28 +2157,33 @@ mod tests {
                 src_offset: 0,
                 dst_slice: 1,
                 dst_offset: 0,
-                vectors: *[1, 2, 3, 64].choose(&mut rng).unwrap(),
+                vectors: *lengths.choose(&mut rng).unwrap(),
             });
         }
         (topo, shapes)
     }
 
-    /// The jumping search returns the bump search's injection and hop
-    /// starts for every transfer, in no more trials, and in strictly fewer
-    /// over all of them. Each state is a random prefix of a
-    /// [`random_shapes`] set, compiled transfer by transfer.
+    /// The jumping search on the train table returns the bump search's
+    /// injection and hop starts on the window table for every transfer,
+    /// in no more trials, and in strictly fewer over all of them. Each
+    /// state is a random prefix of a [`random_shapes`] set, compiled
+    /// transfer by transfer into both tables. Over the short-train sets
+    /// the two searches take the trials they took when the jump searched
+    /// the window table.
     #[test]
     fn jump_search_finds_what_the_bump_search_finds() {
         let (mut jumps, mut bumps, mut fewer) = (0, 0, 0);
-        for seed in 0..25u64 {
+        for seed in SHORT_SEEDS.chain(LONG_SEEDS) {
             let (topo, shapes) = random_shapes(seed);
             let topo = &topo;
             let mut occupancy = Occupancy::new(topo.num_tsps());
+            let mut table = WindowTable::new(topo.num_tsps());
             for (t, shape) in shapes.iter().enumerate() {
                 let (from, to, n) = (shape.from, shape.to, u64::from(shape.vectors));
                 let path = shortest_path(topo, from, to).unwrap();
                 let (got, jumped) = occupancy.first_free_injection(topo, &path, n).unwrap();
-                let (want, bumped) = first_free_injection_by_bump(&occupancy, topo, &path, n);
+                let (want, bumped) =
+                    first_free_injection_by_bump(&occupancy.links, &table, topo, &path, n);
                 assert_eq!(got, want, "seed {seed}, transfer {t}: {from}->{to} n={n}");
                 assert!(
                     jumped <= bumped,
@@ -1909,6 +2192,12 @@ mod tests {
                 (jumps, bumps) = (jumps + jumped, bumps + bumped);
                 fewer += usize::from(jumped < bumped);
                 occupancy.commit(&path, n, &got);
+                for (r, s, e, _) in unit_windows_per_vector(topo, &path, &got.hop_starts, n) {
+                    table.reserve(r, s, e);
+                }
+            }
+            if seed + 1 == SHORT_SEEDS.end {
+                assert_eq!((jumps, bumps), (9_938, 22_914), "short-train trial counts");
             }
         }
         assert!(jumps < bumps, "{jumps} trials, the bump search {bumps}");
@@ -1916,28 +2205,30 @@ mod tests {
     }
 
     /// What a compile books is what it lowers: over [`random_shapes`]
-    /// sets, the chip-unit windows left booked are, chip by chip, exactly
-    /// the windows its programs hold under `ChipSim`'s busy model, where
-    /// each instruction holds its unit, a C2C instruction its port's
-    /// engine, for its `min_latency` from its issue cycle.
+    /// sets, the windows of the chip-unit trains left booked are, chip by
+    /// chip, exactly the windows its programs hold under `ChipSim`'s busy
+    /// model, where each instruction holds its unit, a C2C instruction its
+    /// port's engine, for its `min_latency` from its issue cycle.
     #[test]
     fn booked_windows_are_the_lowered_windows() {
         use tsm_isa::instr::FunctionalUnit;
-        for seed in 0..25u64 {
+        let slot = vector_slot_cycles();
+        for seed in SHORT_SEEDS.chain(LONG_SEEDS) {
             let (topo, shapes) = random_shapes(seed);
             let (plan, units) = compile_plan_on(&topo, &shapes, 1).unwrap();
             let mut booked = Vec::new();
-            for (r, windows) in units.busy.iter().enumerate() {
+            for (r, trains) in units.busy.iter().enumerate() {
                 let tsp = TspId((r / UNIT_SLOTS) as u32);
                 let (unit, port) = match r % UNIT_SLOTS {
                     MEM_SLOT => (FunctionalUnit::Mem, 0),
                     slot => (FunctionalUnit::C2c, (slot - c2c_slot(0)) as u8),
                 };
-                booked.extend(
-                    windows
-                        .iter()
-                        .map(|&(s, e)| (tsp, unit.index(), port, s, e)),
-                );
+                for b in trains {
+                    booked.extend((0..b.count).map(|v| {
+                        let s = b.start + v * slot;
+                        (tsp, unit.index(), port, s, s + b.hold)
+                    }));
+                }
             }
             let mut lowered = Vec::new();
             for chip in &plan.chips {
@@ -1957,6 +2248,137 @@ mod tests {
             lowered.sort_unstable();
             assert_eq!(booked, lowered, "seed {seed}: {} transfers", shapes.len());
         }
+    }
+
+    /// The lowering [`Merge`] replaced, kept as its oracle: each
+    /// chip's instructions pushed into a [`ChipProgram`] vector by vector,
+    /// transfer by transfer, and stable-sorted into issue order, its
+    /// preloads, deliveries and emissions pushed likewise and the latter
+    /// two stable-sorted, and every program copied into the slab.
+    fn assemble_by_sort(
+        shapes: &[TransferShape],
+        arrivals: Vec<u64>,
+        builds: ChipBuilds,
+    ) -> CompiledPlan {
+        let slot = vector_slot_cycles();
+        let mut built = builds.chips;
+        built.sort_unstable_by_key(|c| c.tsp);
+        let mut chips = Vec::new();
+        let mut levels: Vec<Vec<u32>> = Vec::new();
+        let mut slab = Vec::new();
+        for (i, c) in built.iter().enumerate() {
+            if levels.len() <= c.depth {
+                levels.resize(c.depth + 1, Vec::new());
+            }
+            levels[c.depth].push(i as u32);
+            let mut program = ChipProgram::new();
+            let (mut preloads, mut deliveries, mut emissions) =
+                (Vec::new(), Vec::new(), Vec::new());
+            for on_transfer in c.trains.chunk_by(|a, b| a.transfer == b.transfer) {
+                for v in 0..u64::from(on_transfer[0].count) {
+                    for t in on_transfer {
+                        let ti = t.instr(v, t.start + v * slot);
+                        program.push(ti.cycle, ti.instr);
+                    }
+                }
+                for t in on_transfer {
+                    for v in 0..u64::from(t.count) {
+                        let cycle = t.start + v * slot;
+                        match t.op {
+                            Op::Load => preloads.push(PlannedPreload {
+                                slice: t.slice,
+                                offset: t.base + v as u16,
+                                vec: t.vec(v),
+                            }),
+                            Op::Receive(port) => deliveries.push(PlannedDelivery {
+                                port,
+                                cycle,
+                                vec: t.vec(v),
+                                link: t.link,
+                            }),
+                            Op::Send(port) => emissions.push(PlannedEmission {
+                                cycle,
+                                port,
+                                vec: t.vec(v),
+                            }),
+                            Op::Stage | Op::Unstage | Op::Store => {}
+                        }
+                    }
+                }
+            }
+            program.sort_in_place();
+            deliveries.sort_by_key(|d| (d.port, d.cycle));
+            emissions.sort_by_key(|e| (e.cycle, e.port));
+            let prog_start = slab.len() as u32;
+            slab.extend_from_slice(program.instrs());
+            chips.push(ChipPlan {
+                tsp: c.tsp,
+                depth: c.depth as u32,
+                shard: shard_key(c.tsp),
+                prog_start,
+                prog_end: slab.len() as u32,
+                preloads,
+                deliveries,
+                emissions,
+            });
+        }
+        CompiledPlan {
+            shapes: shapes.to_vec(),
+            chips,
+            instructions: slab.len(),
+            slab,
+            levels,
+            arrivals,
+        }
+    }
+
+    /// Lowering by merge writes the plan the push-then-sort lowering
+    /// writes: field for field on every [`random_shapes`] set, and byte
+    /// for byte in JSON on BERT-Large's batch-1 and batch-8 pipelines
+    /// (the JSON of the sets' long-train plans would take seconds in a
+    /// debug build).
+    #[test]
+    fn merged_lowering_is_the_sorted_lowering() {
+        let lower = |(topo, shapes): (Topology, Vec<TransferShape>)| {
+            let (builds, arrivals, _) = book_and_lower(&topo, &shapes, 1).unwrap();
+            let merged = assemble(&shapes, arrivals.clone(), &builds);
+            (merged, assemble_by_sort(&shapes, arrivals, builds))
+        };
+        for seed in SHORT_SEEDS.chain(LONG_SEEDS) {
+            let (merged, sorted) = lower(random_shapes(seed));
+            assert!(
+                merged == sorted,
+                "seed {seed}: the merge and the sort disagree"
+            );
+        }
+        for vectors in [2_458, 19_661] {
+            let (merged, sorted) = lower(pipeline(vectors));
+            assert!(
+                merged.to_json() == sorted.to_json(),
+                "pipeline of {vectors}: the merge and the sort disagree"
+            );
+        }
+    }
+
+    /// The chip-unit table grows with trains, not vectors: BERT-Large's
+    /// batch-1 and batch-8 pipelines, eight times longer, book the same
+    /// records, one per train, four per hop.
+    #[test]
+    fn booked_records_do_not_grow_with_transfer_length() {
+        let booked = |vectors| {
+            let (topo, shapes) = pipeline(vectors);
+            let hops: usize = shapes
+                .iter()
+                .map(|s| shortest_path(&topo, s.from, s.to).unwrap().hops())
+                .sum();
+            let (plan, units) = compile_plan_on(&topo, &shapes, 1).unwrap();
+            let records: usize = units.busy.iter().map(Vec::len).sum();
+            assert_eq!(records, 4 * hops, "{vectors} vectors");
+            (records, plan.instructions)
+        };
+        let ((short, short_instrs), (long, long_instrs)) = (booked(2_458), booked(19_661));
+        assert_eq!(short, long);
+        assert!(long_instrs > 7 * short_instrs);
     }
 
     /// TSP `i` of a `racks`-rack dragonfly streams two vectors to TSP
@@ -2003,17 +2425,15 @@ mod tests {
     }
 
     /// A plan is the same at every width: the 16-rack half-stride plan
-    /// routes 576 pairs, on two threads from width 2, and BERT-Large's
-    /// batch-1 and batch-2 pipelines (2,458 and 4,916 vectors per stage)
-    /// sort about 30k and 59k instructions, the latter on up to three.
+    /// routes 576 pairs, on two threads from width 2. Routing is the only
+    /// stage that runs on threads.
     #[test]
     fn plans_do_not_depend_on_the_width() {
-        for (topo, shapes) in [half_stride(16), pipeline(2_458), pipeline(4_916)] {
-            let want = compile_plan_on(&topo, &shapes, 1).unwrap().0.to_json();
-            for width in [2, 3, 7] {
-                let got = compile_plan_on(&topo, &shapes, width).unwrap().0.to_json();
-                assert!(got == want, "{} transfers at width {width}", shapes.len());
-            }
+        let (topo, shapes) = half_stride(16);
+        let want = compile_plan_on(&topo, &shapes, 1).unwrap().0.to_json();
+        for width in [2, 3, 7] {
+            let got = compile_plan_on(&topo, &shapes, width).unwrap().0.to_json();
+            assert!(got == want, "{} transfers at width {width}", shapes.len());
         }
     }
 
@@ -2028,25 +2448,17 @@ mod tests {
         for width in 1..=8 {
             for grain in [1, 16, 1_000] {
                 let len = rng.gen_range(0..60);
-                let mut items: Vec<(usize, Option<std::thread::ThreadId>)> =
-                    (0..len).map(|_| (rng.gen_range(0..40), None)).collect();
-                let total: usize = items.iter().map(|t| t.0).sum();
-                for_each_grouped(
-                    &mut items,
-                    width,
-                    grain,
-                    |t| t.0,
-                    |t| {
-                        assert!(t.1.is_none(), "visited twice");
-                        t.1 = Some(std::thread::current().id());
-                    },
-                );
-                let ran: Vec<_> = items.iter().map(|t| t.1.expect("visited")).collect();
+                let mut items: Vec<Option<std::thread::ThreadId>> = vec![None; len];
+                for_each_grouped(&mut items, width, grain, |t| {
+                    assert!(t.is_none(), "visited twice");
+                    *t = Some(std::thread::current().id());
+                });
+                let ran: Vec<_> = items.iter().map(|t| t.expect("visited")).collect();
                 let groups = ran.chunk_by(|a, b| a == b).count();
                 let threads: std::collections::HashSet<_> = ran.iter().collect();
                 assert_eq!(groups, threads.len(), "width {width}: a group split");
                 assert!(ran.first().is_none_or(|&t| t == caller));
-                assert!(groups <= width.min(total / grain).max(1));
+                assert!(groups <= width.min(len / grain).max(1));
                 split += usize::from(groups > 1);
             }
         }
@@ -2140,63 +2552,6 @@ mod tests {
         }
     }
 
-    /// Booking a transfer by merge gives the same per-resource lists as
-    /// booking it one window at a time, and the single-lookup
-    /// [`UnitOccupancy::conflict`] agrees with a full scan on random
-    /// probes and on probes abutting a booked window from either side.
-    #[test]
-    fn merge_booking_matches_per_window_inserts() {
-        let mut interleaved = 0;
-        for seed in 0..300 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut merged = UnitOccupancy::new(CHIPS);
-            let mut oracle = UnitOccupancy::new(CHIPS);
-            for mut trial in transfers(&mut rng) {
-                interleaved += usize::from(
-                    trial
-                        .iter()
-                        .any(|&(r, s, _)| oracle.busy[r].last().is_some_and(|&(_, e)| s < e)),
-                );
-                for &(r, s, e) in &trial {
-                    reserve(&mut oracle, r, s, e);
-                }
-                // `book` takes its windows in booking order, which the
-                // compiler's enumerator produces and these shuffled
-                // trials must be sorted into.
-                trial.sort_unstable();
-                merged.book(&trial);
-                for (r, (got, want)) in merged.busy.iter().zip(&oracle.busy).enumerate() {
-                    assert_eq!(got, want, "seed {seed}, resource {r}");
-                }
-
-                let horizon = oracle.busy.iter().filter_map(|w| w.last()).map(|w| w.1);
-                let horizon = horizon.max().unwrap_or(0) + 8;
-                for _ in 0..64 {
-                    let tsp = TspId(rng.gen_range(0..CHIPS as u32));
-                    let slot = rng.gen_range(0..UNIT_SLOTS);
-                    let r = UnitOccupancy::resource(tsp, slot);
-                    let len = rng.gen_range(1..=12u64);
-                    let mut probes = vec![rng.gen_range(0..horizon)];
-                    if let Some(&(s, e)) = oracle.busy[r].choose(&mut rng) {
-                        probes.extend([e, s.saturating_sub(len)]);
-                    }
-                    for start in probes {
-                        assert_eq!(
-                            merged.conflict(tsp, slot, start, start + len),
-                            conflict_by_scan(&oracle, r, start, start + len),
-                            "seed {seed}: {tsp} slot {slot} [{start}, {})",
-                            start + len
-                        );
-                    }
-                }
-            }
-        }
-        assert!(
-            interleaved > 300,
-            "only {interleaved} transfers interleaved"
-        );
-    }
-
     /// A parsed plan may index only inside itself: each hostile edit of a
     /// real plan is refused by `from_json` with an error naming what is
     /// wrong, where executing it would have indexed out of bounds or, for
@@ -2249,6 +2604,13 @@ mod tests {
             (
                 edited(|p| p.chips[0].emissions.reverse()),
                 "chip 0 lists its emissions out of (cycle, port) order",
+            ),
+            (
+                edited(|p| {
+                    let chip = &p.chips[0];
+                    p.slab[chip.prog_start as usize..chip.prog_end as usize].reverse();
+                }),
+                "chip 0 lists its program out of (cycle, unit) order",
             ),
         ];
         for (bad, says) in cases {

@@ -1,4 +1,4 @@
-//! Golden plan pins: `compile_plan` output is pinned byte for byte on four
+//! Golden plan pins: `compile_plan` output is pinned byte for byte on five
 //! fixed workloads, so any change to routing, link/unit reservation or
 //! lowering that alters a plan fails here rather than only in the
 //! benchmark. The digests are FNV-1a over `CompiledPlan::to_json()`.
@@ -66,12 +66,13 @@ fn half_stride(racks: usize) -> (Topology, Vec<TransferShape>) {
     (topo, shapes)
 }
 
-/// BERT-Large's batch-1 pipeline on four fully connected nodes: three
-/// stage-to-stage transfers of 2,458 vectors each, then a 100-vector
-/// offload to the next node. Chips 1 and 2 both receive one stage's
+/// BERT-Large's pipeline on four fully connected nodes: three
+/// stage-to-stage transfers of one batch's activations, `vectors` each
+/// (2,458 at batch 1, 19,661 at batch 8), then a 100-vector offload to the
+/// next node from just past them. Chips 1 and 2 both receive one stage's
 /// activations and send their own on, so their Mem windows from two long
 /// transfers interleave.
-fn bert_pipeline_with_offload() -> (Topology, Vec<TransferShape>) {
+fn bert_pipeline_with_offload(vectors: u32) -> (Topology, Vec<TransferShape>) {
     let topo = Topology::fully_connected_nodes(4).unwrap();
     let shape = |from, to, src_offset, vectors| TransferShape {
         from: TspId(from),
@@ -82,11 +83,12 @@ fn bert_pipeline_with_offload() -> (Topology, Vec<TransferShape>) {
         dst_offset: 0,
         vectors,
     };
+    let offload = u16::try_from(vectors).unwrap();
     let shapes = vec![
-        shape(0, 1, 0, 2_458),
-        shape(1, 2, 0, 2_458),
-        shape(2, 3, 0, 2_458),
-        shape(0, 12, 2_458, 100),
+        shape(0, 1, 0, vectors),
+        shape(1, 2, 0, vectors),
+        shape(2, 3, 0, vectors),
+        shape(0, 12, offload, 100),
     ];
     (topo, shapes)
 }
@@ -128,7 +130,7 @@ fn half_stride_1152_plan_is_pinned() {
 
 #[test]
 fn bert_pipeline_plan_is_pinned() {
-    let (topo, shapes) = bert_pipeline_with_offload();
+    let (topo, shapes) = bert_pipeline_with_offload(2_458);
     let plan = compile_plan(&topo, &shapes).unwrap();
     assert_eq!(plan.instructions, 30_296);
     assert_eq!(plan.arrivals, [59_225, 59_225, 59_225, 3_342]);
@@ -136,5 +138,21 @@ fn bert_pipeline_plan_is_pinned() {
         fnv1a(plan.to_json().as_bytes()),
         0x767e_f747_ff9a_d642,
         "BERT pipeline plan digest moved"
+    );
+}
+
+/// The batch-8 pipeline's trains are 19,661 vectors long, eight times the
+/// batch-1 pin's, so a chip-unit search or lowering that is exact only on
+/// short trains fails here.
+#[test]
+fn bert_batch8_pipeline_plan_is_pinned() {
+    let (topo, shapes) = bert_pipeline_with_offload(19_661);
+    let plan = compile_plan(&topo, &shapes).unwrap();
+    assert_eq!(plan.instructions, 236_732);
+    assert_eq!(plan.arrivals, [472_097, 472_097, 472_097, 3_342]);
+    assert_eq!(
+        fnv1a(plan.to_json().as_bytes()),
+        0x0df8_541f_e4a1_f44d,
+        "BERT batch-8 pipeline plan digest moved"
     );
 }

@@ -94,29 +94,35 @@ cargo test -p tsm-chip -q
 # (endpoints_outside_the_topology_have_no_route), next to the
 # bidirectional search's forward-BFS oracle.
 cargo test -p tsm-topology --lib route -q
-# Plan compiler unit tests: chip-unit booking by merge vs a per-window oracle,
-# the window order and hop indices of each transfer's train list (trains,
-# expanded by for_each_unit_window) vs a per-vector oracle on random
-# dragonfly paths (enumerator_yields_booking_order), the jumping chip-unit
-# search vs the one-step-at-a-time search it replaced: same schedule for
-# every next transfer of random prefixes, no more trials
-# (jump_search_finds_what_the_bump_search_finds), what a compile books is
+# Plan compiler unit tests: the train table's closed-form conflict vs the
+# sorted-window table it replaced, on random train pairs
+# (closed_form_matches_the_window_scan) and on random tables of
+# interleaved trains (train_table_matches_the_window_table); each
+# transfer's train list vs a per-vector oracle on random dragonfly paths
+# (trains_hold_the_per_vector_windows); the jumping chip-unit search on the
+# train table vs the one-step-at-a-time search on the window table: same
+# schedule for every next transfer of random prefixes, no more trials, the
+# short-train sets' trial totals unchanged
+# (jump_search_finds_what_the_bump_search_finds); what a compile books is
 # exactly what its programs hold under ChipSim's busy model
-# (booked_windows_are_the_lowered_windows), plans equal at widths 1, 2, 3
-# and 7 (plans_do_not_depend_on_the_width), route errors surfacing in
-# transfer order, a TSP outside the topology included, through compile_plan
-# and run_transfers (compile_errors_keep_transfer_order), the grouping helper
-# of the parallel stages, plan JSON that indexes outside itself or lists its
-# manifest out of order refused at parse, and a plan document that sends on
-# port 40 executing to a chip error.
+# (booked_windows_are_the_lowered_windows); lowering by merge vs the
+# push-then-stable-sort lowering (merged_lowering_is_the_sorted_lowering);
+# one booked record per train whatever the transfer length
+# (booked_records_do_not_grow_with_transfer_length); plans equal at widths
+# 1, 2, 3 and 7 (plans_do_not_depend_on_the_width), route errors surfacing
+# in transfer order, a TSP outside the topology included, through
+# compile_plan and run_transfers (compile_errors_keep_transfer_order), the
+# grouping helper of the route stage, plan JSON that indexes outside itself
+# or lists its program or manifest out of order refused at parse, and a
+# plan document that sends on port 40 executing to a chip error.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
 cargo test -p tsm-core --lib runtime -q
-# Plan compile is pinned byte for byte: plan_golden pins four compiled
+# Plan compile is pinned byte for byte: plan_golden pins five compiled
 # plans (cosim-16, the 288- and 1,152-chip half-stride plans, the BERT
-# pipeline), then the outside-in benchmark's own tests and one pass of each
-# co-simulation and serving workload. Each run exits 1 if its seed-1
+# pipeline at batch 1 and at batch 8), then the outside-in benchmark's own
+# tests and one pass of each co-simulation and serving workload. Each run exits 1 if its seed-1
 # result digest differs from the pinned one, so a routing, reservation or
 # serving-loop change fails the gate, not only the benchmark pipeline.
 cargo test -p tsm-core --test plan_golden -q
