@@ -15,10 +15,9 @@
 //! source, the outside-in benchmark under `benchmark/`.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use tsm::core::cosim::{
-    compile_plan, run_transfers, run_transfers_serial, CosimError, CosimTransfer, LinkFaultModel,
-    PlanExecutor, TransferShape,
+    compile_plan, run_transfers, run_transfers_serial, CosimError, CosimTransfer, ExecArgs,
+    LinkFaultModel, PlanExecutor, TransferShape,
 };
 use tsm::fault::inject::FecStats;
 use tsm::isa::Vector;
@@ -190,15 +189,14 @@ pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
             // byte-identical event streams.
             let capacity = (reference.instructions * 4 + chips * 8).next_power_of_two();
             let mut traced = |parallel: bool| {
-                let sink = Arc::new(RingSink::new(capacity));
-                exec.set_trace_sink(sink.clone());
-                let run = if parallel {
-                    exec.execute(&plan, &payloads)
-                } else {
-                    exec.execute_serial(&plan, &payloads)
+                let sink = RingSink::new(capacity);
+                let args = ExecArgs {
+                    threads: (!parallel).then_some(1),
+                    sink: Some(&sink),
+                    ..ExecArgs::default()
                 };
-                run.expect("traced scale run");
-                exec.clear_trace_sink();
+                exec.execute_with(&plan, &payloads, args)
+                    .expect("traced scale run");
                 assert_eq!(sink.dropped(), 0, "trace ring sized for the run");
                 sink.sorted_events()
             };
@@ -360,12 +358,15 @@ pub fn measure() -> CosimBenchResult {
 
     // One profiled execute: a lossless RingSink plus the plan-vs-actual
     // conformance join over its events.
-    let sink = Arc::new(RingSink::new(1 << 14));
-    executor.set_trace_sink(sink.clone());
+    let sink = RingSink::new(1 << 14);
+    let profiled = ExecArgs {
+        threads: Some(1),
+        sink: Some(&sink),
+        ..ExecArgs::default()
+    };
     executor
-        .execute_serial(&plan, &payloads)
+        .execute_with(&plan, &payloads, profiled)
         .expect("profiled execute");
-    executor.clear_trace_sink();
     let prof = profile(
         &plan.planned_timeline(&topo),
         &sink.sorted_events(),
@@ -385,7 +386,12 @@ pub fn measure() -> CosimBenchResult {
         let mut attempt = 0u64;
         loop {
             let faults = LinkFaultModel::uniform(FAULT_BER, (u64::from(inv) << 16) | attempt);
-            match executor.execute_with_faults_serial(&plan, &payloads, &faults) {
+            let serial = ExecArgs {
+                threads: Some(1),
+                faults: Some(&faults),
+                ..ExecArgs::default()
+            };
+            match executor.execute_with(&plan, &payloads, serial) {
                 Ok(rep) => {
                     fault_stats = fault_stats.merge(&rep.fec());
                     fault_bit_identical &= rep.dst_digests == reference.dst_digests;

@@ -1,10 +1,5 @@
 //! Property-based tests for the chip executor and VXM semantics.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the helpers and imports below look unused;
-// the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use tsm_chip::exec::{ChipProgram, ChipSim};
 use tsm_chip::vxm::{execute, from_f32_lanes, rsqrt_approx, to_f32_lanes, F32_LANES};

@@ -26,7 +26,6 @@
 
 pub mod balance;
 pub mod collective;
-pub mod collectives_ext;
 pub mod dump;
 pub mod gantt;
 pub mod graph;

@@ -1,10 +1,5 @@
 //! Property-based tests for partitioning and scheduling.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the helpers and imports below look unused;
-// the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use tsm_chip::mxm::GemmShape;
 use tsm_compiler::balance::{partition_stages, LayerCost};

@@ -28,7 +28,7 @@ use tsm_chip::exec::{ChipSim, Payload};
 use tsm_fault::inject::FecStats;
 use tsm_isa::packet::WirePacket;
 use tsm_link::channel::Channel;
-use tsm_link::fec::FecOutcome;
+use tsm_link::fec::{FecOutcome, PAYLOAD_BITS};
 use tsm_link::latency::LatencyModel;
 use tsm_link::meter::LinkMeter;
 use tsm_topology::LinkId;
@@ -39,9 +39,9 @@ use super::verify::{verify_destinations, verify_emissions};
 use super::{CosimError, CosimReport};
 
 /// Environment variable overriding the parallel worker count of executes
-/// and of plan compile (a positive integer). An explicit
-/// [`PlanExecutor::set_threads`] wins over it for that executor; an
-/// unset/invalid value falls back to `available_parallelism`.
+/// and of plan compile (a positive integer). A width passed to the call
+/// ([`ExecArgs::threads`]) wins over it for that execute; an unset/invalid
+/// value falls back to `available_parallelism`.
 pub const TSM_THREADS_ENV: &str = "TSM_THREADS";
 
 /// The automatic worker count, shared by parallel executes and plan
@@ -84,17 +84,18 @@ pub struct TargetedFlip {
 
 /// Per-link bit-error configuration for datapath fault injection.
 ///
-/// When a model is passed to [`PlanExecutor::execute_with_faults`], every
+/// When a model is passed to an execute ([`ExecArgs::faults`]), every
 /// inter-chip delivery traverses a [`Channel`] for its link: bit flips are
 /// sampled from the link's BER (Poisson over the 2560 payload bits); a
 /// delivery with none binds its payload untouched, and any other has them
 /// applied to a copy of the payload bytes and run through the receiver's
 /// FEC decoder. Every rate must lie in `[0, 1)`: an execute that would
-/// cross a link at any other rate fails with [`CosimError::BitErrorRate`].
-/// Corrected payloads continue downstream — and must still
-/// verify bit-for-bit against the emission/destination manifests, which is
-/// the paper's "constant-latency in-situ correction" claim exercised on
-/// real data. An uncorrectable error aborts the run with
+/// cross a link at any other rate fails with [`CosimError::BitErrorRate`],
+/// and one whose model holds a targeted flip past the payload's bits with
+/// [`CosimError::FlipOutOfRange`]. Corrected payloads continue downstream
+/// — and must still verify bit-for-bit against the emission/destination
+/// manifests, which is the paper's "constant-latency in-situ correction"
+/// claim exercised on real data. An uncorrectable error aborts the run with
 /// [`CosimError::Uncorrectable`].
 ///
 /// Every delivery's flip pattern is derived from `(seed, link, transfer,
@@ -186,6 +187,15 @@ impl LinkFaultModel {
             .find(|&(_, ber)| !Channel::valid_ber(ber))
     }
 
+    /// The first targeted flip, in the model's order, that names a bit at
+    /// or past the payload's [`PAYLOAD_BITS`], with that bit.
+    fn invalid_flip(&self) -> Option<(&TargetedFlip, usize)> {
+        self.targeted.iter().find_map(|t| {
+            let bit = t.bits.iter().copied().find(|&b| b >= PAYLOAD_BITS)?;
+            Some((t, bit))
+        })
+    }
+
     /// RNG for one delivery, keyed by (seed, link, transfer, vector) so the
     /// draw does not depend on the order deliveries are bound in.
     fn delivery_rng(&self, vec: VecRef, link: LinkId) -> StdRng {
@@ -254,14 +264,48 @@ struct ChipRun<'a> {
     result: Option<Result<u64, CosimError>>,
 }
 
+/// Everything about one execute besides its plan and payloads. Each call
+/// takes its own and the executor keeps none of it, so no setting outlives
+/// the call it was made for. The default is [`PlanExecutor::execute`]: the
+/// automatic width, no fault model, no trace sink, offset 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecArgs<'a> {
+    /// Worker count: `Some(n)` runs at `n` threads (0 clamped to 1)
+    /// whatever `TSM_THREADS` says; `None` resolves as
+    /// [`PlanExecutor::resolved_threads`] does.
+    pub threads: Option<usize>,
+    /// The datapath fault mode: every inter-chip delivery passes through
+    /// its link's BER channel per this model. Corruption happens in the
+    /// (serial) bind phase, so parallel and serial execution remain
+    /// bit-identical under injection.
+    pub faults: Option<&'a LinkFaultModel>,
+    /// Where trace events go; `None` costs one branch per emission point,
+    /// as does a [`tsm_trace::NullSink`]. Every execute numbers its events
+    /// from `seq` 0.
+    pub sink: Option<&'a dyn TraceSink>,
+    /// Added to every emitted event's cycle — the launch engine uses this
+    /// to place each replay epoch after the previous one on the launch
+    /// timeline. Metrics and reports are unaffected.
+    pub trace_offset: u64,
+}
+
+impl ExecArgs<'_> {
+    /// The worker count this execute runs at: the explicit width, clamped
+    /// to at least 1, else [`PlanExecutor::resolved_threads`]'s.
+    pub fn width(&self) -> usize {
+        self.threads.map_or_else(auto_threads, |n| n.max(1))
+    }
+}
+
 /// Reusable payload-binding executor.
 ///
 /// One `PlanExecutor` can run many plans and many payload sets; its chip
 /// simulators are reset (allocations retained) at the start of every
 /// execution, so no state leaks between invocations and no state is
-/// rebuilt. A parallel execution spawns its scoped threads for that call
-/// alone; none outlive it. Serial and parallel execution are
-/// bit-identical — see the module docs of [`super`].
+/// rebuilt. It holds nothing else: width, faults and trace placement come
+/// with each call ([`ExecArgs`]). A parallel execution spawns its scoped
+/// threads for that call alone; none outlive it. Serial and parallel
+/// execution are bit-identical — see the module docs of [`super`].
 #[derive(Debug, Default)]
 pub struct PlanExecutor {
     /// Per-chip simulators, aligned by index with the executing plan's
@@ -269,16 +313,6 @@ pub struct PlanExecutor {
     /// execution. Indexing by position instead of TSP id keeps the warm
     /// path free of hash lookups.
     sims: Vec<ChipSim>,
-    /// Where trace events go; `None` (the default) costs one branch per
-    /// emission point, as does an attached [`tsm_trace::NullSink`].
-    sink: Option<Arc<dyn TraceSink>>,
-    /// Added to every emitted event's cycle — the launch engine uses this
-    /// to place each replay epoch after the previous one on the launch
-    /// timeline. Metrics and reports are unaffected.
-    trace_offset: u64,
-    /// Explicit worker-count override (the `set_threads` knob); `None`
-    /// defers to `TSM_THREADS`, then to `available_parallelism`.
-    threads: Option<usize>,
 }
 
 impl PlanExecutor {
@@ -288,58 +322,22 @@ impl PlanExecutor {
         PlanExecutor::default()
     }
 
-    /// Routes trace events from subsequent executions into `sink`.
-    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detaches the trace sink (tracing back to zero-cost disabled).
-    pub fn clear_trace_sink(&mut self) {
-        self.sink = None;
-    }
-
-    /// Sets the cycle offset applied to subsequently emitted events.
-    pub fn set_trace_offset(&mut self, offset: u64) {
-        self.trace_offset = offset;
-    }
-
-    /// Pins the parallel worker count (clamped to at least 1). Overrides
-    /// the `TSM_THREADS` environment variable from the next parallel
-    /// execution on. Has no effect on the serial entry points.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = Some(threads.max(1));
-    }
-
-    /// Reverts to automatic worker-count resolution (`TSM_THREADS`, then
-    /// `available_parallelism`).
-    pub fn set_threads_auto(&mut self) {
-        self.threads = None;
-    }
-
-    /// The worker count a parallel execution would use right now:
-    /// explicit [`PlanExecutor::set_threads`] value, else a positive
-    /// integer in `TSM_THREADS`, else `available_parallelism`.
+    /// The worker count an execute at the automatic width would use right
+    /// now: a positive integer in `TSM_THREADS`, else
+    /// `available_parallelism`.
     pub fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(auto_threads)
+        auto_threads()
     }
 
-    /// Binds `payloads` to `plan` and executes it, its chips split by
-    /// shard across [`PlanExecutor::resolved_threads`] threads: the calling
-    /// thread and at most that many less one scoped threads, spawned for
-    /// this call and joined before it returns. A chip that runs after the
-    /// first failing one (in `(depth, TspId)` order) is discarded with the
-    /// execute's error and reset at the next.
-    ///
-    /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
-    /// plan's [`TransferShape`]s exactly.
-    ///
-    /// [`TransferShape`]: super::plan::TransferShape
+    /// [`PlanExecutor::execute_with`] at the defaults: no faults, no trace,
+    /// and the chips split by shard across
+    /// [`PlanExecutor::resolved_threads`] threads.
     pub fn execute(
         &mut self,
         plan: &CompiledPlan,
         payloads: &[Vec<Payload>],
     ) -> Result<CosimReport, CosimError> {
-        self.execute_impl(plan, payloads, true, None)
+        self.execute_with(plan, payloads, ExecArgs::default())
     }
 
     /// [`PlanExecutor::execute`] with all chips run on the calling thread,
@@ -350,39 +348,32 @@ impl PlanExecutor {
         plan: &CompiledPlan,
         payloads: &[Vec<Payload>],
     ) -> Result<CosimReport, CosimError> {
-        self.execute_impl(plan, payloads, false, None)
+        let serial = ExecArgs {
+            threads: Some(1),
+            ..ExecArgs::default()
+        };
+        self.execute_with(plan, payloads, serial)
     }
 
-    /// [`PlanExecutor::execute`] with every inter-chip delivery passed
-    /// through its link's BER channel per `faults` — the datapath fault
-    /// mode. Corruption happens in the (serial) bind phase, so parallel
-    /// and serial execution remain bit-identical under injection.
-    pub fn execute_with_faults(
+    /// Binds `payloads` to `plan` and executes it, its chips split by
+    /// shard across [`ExecArgs::width`] threads: the calling thread and at
+    /// most that many less one scoped threads, spawned for this call and
+    /// joined before it returns. A chip that runs after the first failing
+    /// one (in `(depth, TspId)` order) is discarded with the execute's
+    /// error and reset at the next.
+    ///
+    /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
+    /// plan's [`TransferShape`]s exactly. A fault model is checked before
+    /// anything is bound or traced: an out-of-range rate on a link the
+    /// plan crosses, or a targeted flip past the payload's bits, is an
+    /// error, never a panic.
+    ///
+    /// [`TransferShape`]: super::plan::TransferShape
+    pub fn execute_with(
         &mut self,
         plan: &CompiledPlan,
         payloads: &[Vec<Payload>],
-        faults: &LinkFaultModel,
-    ) -> Result<CosimReport, CosimError> {
-        self.execute_impl(plan, payloads, true, Some(faults))
-    }
-
-    /// [`PlanExecutor::execute_with_faults`], all chips on the calling
-    /// thread.
-    pub fn execute_with_faults_serial(
-        &mut self,
-        plan: &CompiledPlan,
-        payloads: &[Vec<Payload>],
-        faults: &LinkFaultModel,
-    ) -> Result<CosimReport, CosimError> {
-        self.execute_impl(plan, payloads, false, Some(faults))
-    }
-
-    fn execute_impl(
-        &mut self,
-        plan: &CompiledPlan,
-        payloads: &[Vec<Payload>],
-        parallel: bool,
-        faults: Option<&LinkFaultModel>,
+        args: ExecArgs<'_>,
     ) -> Result<CosimReport, CosimError> {
         // The payloads must match the shapes the plan was compiled for.
         if payloads.len() != plan.shapes.len() {
@@ -401,8 +392,17 @@ impl PlanExecutor {
             }
         }
 
+        let faults = args.faults;
         if let Some((link, ber)) = faults.and_then(|fm| fm.invalid_link(plan)) {
             return Err(CosimError::BitErrorRate { link, ber });
+        }
+        if let Some((flip, bit)) = faults.and_then(LinkFaultModel::invalid_flip) {
+            return Err(CosimError::FlipOutOfRange {
+                transfer: flip.transfer,
+                vector: flip.vector,
+                link: flip.link,
+                bit,
+            });
         }
 
         let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
@@ -412,7 +412,7 @@ impl PlanExecutor {
         // chips run), so the event sequence — not just the sorted set — is
         // identical between serial and parallel execution.
         let metrics = Metrics::default();
-        let mut tracer = Tracer::new(self.sink.as_deref()).with_offset(self.trace_offset);
+        let mut tracer = Tracer::new(args.sink).with_offset(args.trace_offset);
 
         // Reset-not-rebuild: each chip's simulator keeps its allocations
         // across invocations; preloads and deliveries bind the new
@@ -555,7 +555,7 @@ impl PlanExecutor {
         // the plan, so no chip waits on another's output and the levels are
         // not barriers: they fix only the order of the merge below, in
         // (depth, TspId), and with it which error is reported first.
-        let width = if parallel { self.resolved_threads() } else { 1 };
+        let width = args.width();
         let mut sims: Vec<Option<&mut ChipSim>> = self.sims.iter_mut().map(Some).collect();
         // Sized up front: `flatten` gives `collect` no length, and growing
         // would add allocations with the chip count.
@@ -617,7 +617,7 @@ impl PlanExecutor {
         // profiler refuses lossy traces) can see it without holding the
         // sink. Only set when nonzero: a clean instrumented run must report
         // metrics identical to a bare run.
-        let trace_dropped = self.sink.as_deref().map_or(0, TraceSink::dropped);
+        let trace_dropped = args.sink.map_or(0, TraceSink::dropped);
         if trace_dropped > 0 {
             metrics.set_gauge(names::TRACE_DROPPED, trace_dropped);
         }

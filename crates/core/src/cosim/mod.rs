@@ -72,7 +72,7 @@ pub mod exec;
 pub mod plan;
 mod verify;
 
-pub use exec::{LinkFaultModel, PlanExecutor, TargetedFlip};
+pub use exec::{ExecArgs, LinkFaultModel, PlanExecutor, TargetedFlip};
 pub use plan::{
     compile_plan, ChipPlan, CompiledPlan, PlannedDelivery, PlannedEmission, PlannedPreload,
     TransferShape, VecRef,
@@ -222,6 +222,20 @@ pub enum CosimError {
         /// The rate the model gives it.
         ber: f64,
     },
+    /// A fault model's targeted flip names a payload bit at or past the
+    /// vector's 2,560, which no wire carries. Refused before anything is
+    /// bound or traced; names the first such flip in the model's order and
+    /// its first such bit.
+    FlipOutOfRange {
+        /// The flip's transfer.
+        transfer: u32,
+        /// The flip's vector within the transfer.
+        vector: u32,
+        /// The flip's link.
+        link: LinkId,
+        /// The out-of-range bit position.
+        bit: usize,
+    },
 }
 
 impl std::fmt::Display for CosimError {
@@ -291,6 +305,19 @@ impl std::fmt::Display for CosimError {
                     f,
                     "link {} has bit error rate {ber}, outside [0, 1)",
                     link.0
+                )
+            }
+            CosimError::FlipOutOfRange {
+                transfer,
+                vector,
+                link,
+                bit,
+            } => {
+                write!(
+                    f,
+                    "targeted flip of bit {bit} (transfer {transfer}, vector {vector}, link {}) is past the payload's {} bits",
+                    link.0,
+                    tsm_link::fec::PAYLOAD_BITS
                 )
             }
         }

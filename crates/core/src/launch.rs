@@ -19,7 +19,7 @@
 //! ([`LaunchEngine::with_telemetry`]), so the launch's heatmaps are a fold
 //! of the trace its executor emits, owned by the launch.
 
-use crate::cosim::{CosimError, LinkFaultModel};
+use crate::cosim::{CosimError, ExecArgs, LinkFaultModel};
 use crate::runtime::{
     graph_fingerprint, mix64, CompiledCache, ExecMode, LaunchOutcome, Runtime, RuntimeError,
     EPOCH_GAP_CYCLES,
@@ -320,9 +320,9 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
         };
         // The executor traces into this launch's heatmap fold, which
         // forwards to the runtime's sink, or straight into that sink.
-        let exec_sink = match &self.telemetry {
-            Some(fold) => Some(Arc::clone(fold) as Arc<dyn TraceSink>),
-            None => rt.sink.clone(),
+        let exec_sink: Option<&dyn TraceSink> = match &self.telemetry {
+            Some(fold) => Some(fold.as_ref()),
+            None => rt.sink.as_deref(),
         };
         // Both modes blame from the attempts' lost links, each by its own
         // rule: statistical keeps the last attempt's deduplicated links,
@@ -369,22 +369,18 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
                         .datapath
                         .as_ref()
                         .expect("datapath artifacts compiled above");
-                    // The executor's events land inside this attempt's
-                    // window on the launch timeline. It holds a sink only
-                    // while an attempt runs, so none outlives its launch.
-                    if let Some(sink) = &exec_sink {
-                        rt.executor.set_trace_sink(Arc::clone(sink));
-                    }
-                    rt.executor.set_trace_offset(start);
                     // Each attempt corrupts independently; the flip pattern
                     // is a pure function of (launch seed, attempt, link,
-                    // vector).
+                    // vector). Its events land inside its window on the
+                    // launch timeline.
                     faults.seed = mix64(self.seed, self.attempts as u64);
-                    let result = rt
-                        .executor
-                        .execute_with_faults(&art.plan, &art.payloads, &faults);
-                    rt.executor.clear_trace_sink();
-                    match result {
+                    let attempt = ExecArgs {
+                        faults: Some(&faults),
+                        sink: exec_sink,
+                        trace_offset: start,
+                        ..ExecArgs::default()
+                    };
+                    match rt.executor.execute_with(&art.plan, &art.payloads, attempt) {
                         Ok(report) => {
                             self.attempt_metrics.absorb(&report.metrics);
                             return Ok(AttemptSuccess {
@@ -532,8 +528,8 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     pub fn run(mut self) -> Result<LaunchOutcome, RuntimeError> {
         // The launch timeline is virtual simulated time: the alignment
         // window first, then one window of `span_cycles` (plus a fixed
-        // presentation gap) per attempt. The executor's trace offset is
-        // re-aimed at each window so a replay's chip spans land after the
+        // presentation gap) per attempt. Each attempt's execute is offset
+        // to its window so a replay's chip spans land after the
         // aborted attempt's — one faulty launch reads left-to-right as
         // flip → blame → failover → recompile → bit-identical replay.
         let sink = self.rt.sink.clone();

@@ -34,7 +34,7 @@ pub mod system;
 
 pub use cosim::{
     compile_plan, run_transfers, run_transfers_serial, CompiledPlan, CosimError, CosimReport,
-    CosimTransfer, LinkFaultModel, PlanExecutor, TargetedFlip, TransferShape,
+    CosimTransfer, ExecArgs, LinkFaultModel, PlanExecutor, TargetedFlip, TransferShape,
 };
 pub use flight::{FlightConfig, FlightRecorder, IncidentReport, IncidentTrigger};
 pub use launch::{

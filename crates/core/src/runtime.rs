@@ -314,7 +314,8 @@ pub struct Runtime {
     pub(crate) residency: ResidencyManager,
     /// The payload-binding executor (datapath mode); chip simulators are
     /// reset, not rebuilt, across attempts and launches. The launch
-    /// engine sets its trace sink and offset before every execute.
+    /// engine passes each attempt's sink and trace offset with its
+    /// execute.
     pub(crate) executor: crate::cosim::PlanExecutor,
     /// Synthetic payload vectors shared by every datapath artifact this
     /// runtime compiles.
@@ -349,13 +350,6 @@ impl Runtime {
             payload_pool: PayloadPool::default(),
             sink: None,
         }
-    }
-
-    /// Routes trace events from subsequent launches into `sink` (builder
-    /// style).
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.set_trace_sink(sink);
-        self
     }
 
     /// Routes trace events from subsequent launches into `sink`: the

@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tsm_compiler::graph::{Graph, OpKind};
 use tsm_compiler::schedule::{compile, CompileError, CompileOptions, CompiledProgram};
-use tsm_fault::inject::{inject_schedule, InjectionConfig};
-use tsm_fault::replay::{run_with_replay, ReplayOutcome, ReplayPolicy};
+use tsm_fault::inject::inject_schedule_with;
 use tsm_sync::align::InitialAlignment;
 use tsm_topology::{Topology, TopologyError, TspId};
 use tsm_trace::{names, Metrics};
@@ -14,8 +13,6 @@ use tsm_trace::{names, Metrics};
 /// Configuration of a multi-TSP deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
-    /// Maximum clock error of any TSP's oscillator, ppm.
-    pub max_clock_ppm: f64,
     /// Bit error rate of every C2C link.
     pub bit_error_rate: f64,
     /// Replay budget for uncorrectable errors.
@@ -25,7 +22,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            max_clock_ppm: 100.0,
             bit_error_rate: 1e-9,
             max_replays: 2,
         }
@@ -187,26 +183,24 @@ impl System {
         };
 
         // Drive every scheduled wire packet through the FEC channel; on an
-        // uncorrectable error the runtime replays the inference.
-        let injection = InjectionConfig {
-            bit_error_rate: self.config.bit_error_rate,
-        };
+        // uncorrectable error the runtime replays the inference, up to
+        // `max_replays` times. A run that exhausts them reports no tally.
+        let ber = self.config.bit_error_rate;
         let reservations = program.occupancy.reservations();
         let mut attempts = 0u32;
-        let outcome = run_with_replay(
-            ReplayPolicy {
-                max_replays: self.config.max_replays,
-            },
-            |_| {
-                attempts += 1;
-                inject_schedule(&self.topo, reservations, injection, &mut rng)
-            },
-        );
-        let (fec, replays, succeeded) = match &outcome {
-            ReplayOutcome::CleanFirstTry { stats } => (*stats, 0, true),
-            ReplayOutcome::RecoveredAfterReplay { replays, stats } => (*stats, *replays, true),
-            ReplayOutcome::Persistent { attempts } => (Default::default(), attempts - 1, false),
+        let clean = loop {
+            attempts += 1;
+            let (stats, _) = inject_schedule_with(&self.topo, reservations, |_| ber, &mut rng);
+            if stats.is_clean_run() {
+                break Some(stats);
+            }
+            if attempts > self.config.max_replays {
+                break None;
+            }
         };
+        let succeeded = clean.is_some();
+        let fec = clean.unwrap_or_default();
+        let replays = attempts - 1;
         // A replay re-runs the whole inference.
         let measured = measured * (replays as u64 + 1);
 
@@ -327,7 +321,6 @@ mod tests {
         let sys = System::single_node().with_config(SystemConfig {
             bit_error_rate: 5e-4,
             max_replays: 1,
-            ..Default::default()
         });
         let mut g = Graph::new();
         g.add(

@@ -110,7 +110,8 @@ fn serve_traced(
     seed: u64,
 ) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = runtime().with_trace_sink(sink.clone());
+    let mut rt = runtime();
+    rt.set_trace_sink(sink.clone());
     if marginal {
         make_marginal(&mut rt, NodeId(1));
     }

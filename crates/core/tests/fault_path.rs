@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
 use tsm_core::cosim::{
-    compile_plan, CompiledPlan, CosimError, LinkFaultModel, PlanExecutor, TargetedFlip,
+    compile_plan, CompiledPlan, CosimError, ExecArgs, LinkFaultModel, PlanExecutor, TargetedFlip,
     TransferShape,
 };
 use tsm_core::runtime::{graph_fingerprint, ExecMode, Runtime, RuntimeError, SparePolicy};
@@ -62,6 +62,16 @@ fn two_hop_setup() -> (CompiledPlan, Vec<Vec<Payload>>) {
     (plan, payloads)
 }
 
+/// An execute in the datapath fault mode under `faults`, at `threads`
+/// workers (`None`: the automatic width).
+fn faulty(faults: &LinkFaultModel, threads: Option<usize>) -> ExecArgs<'_> {
+    ExecArgs {
+        threads,
+        faults: Some(faults),
+        ..ExecArgs::default()
+    }
+}
+
 /// Every scheduled hop of every vector: (transfer, vector, link).
 fn all_hops(plan: &CompiledPlan) -> Vec<(u32, u32, LinkId)> {
     plan.chips
@@ -97,7 +107,7 @@ fn single_flip_on_any_hop_of_a_multi_hop_route_is_invisible() {
                 bits: vec![bit],
             }]);
             let report = exec
-                .execute_with_faults(&plan, &payloads, &faults)
+                .execute_with(&plan, &payloads, faulty(&faults, None))
                 .unwrap_or_else(|e| {
                     panic!("flip bit {bit} of v{vector} on {link:?} not corrected: {e}")
                 });
@@ -127,7 +137,7 @@ fn double_flip_in_one_packet_is_deterministically_uncorrectable() {
             link,
             bits: vec![3, 1200],
         }]);
-        match exec.execute_with_faults(&plan, &payloads, &faults) {
+        match exec.execute_with(&plan, &payloads, faulty(&faults, None)) {
             Err(CosimError::Uncorrectable {
                 link: l,
                 transfer: t,
@@ -350,7 +360,7 @@ fn fec_tallies_count_every_delivery_once_per_link() {
         ];
         for faults in &models {
             let what = format!("seed {seed}, base {}", faults.base_ber);
-            match exec.execute_with_faults(&plan, &payloads, faults) {
+            match exec.execute_with(&plan, &payloads, faulty(faults, None)) {
                 Ok(report) => {
                     assert_tallies_cover_the_plan(&plan, &report.metrics, &what);
                     corrected += report.fec().corrected;
@@ -381,7 +391,9 @@ fn fec_tallies_count_every_delivery_once_per_link() {
         }],
         ..LinkFaultModel::uniform(1e-9, 5)
     };
-    let report = exec.execute_with_faults(&plan, &payloads, &faults).unwrap();
+    let report = exec
+        .execute_with(&plan, &payloads, faulty(&faults, None))
+        .unwrap();
     assert_tallies_cover_the_plan(&plan, &report.metrics, "targeted");
     assert_eq!(
         report.metrics.labeled(names::LINK_CORRECTED),
@@ -405,8 +417,9 @@ fn zero_ber_fault_mode_reports_what_execute_reports() {
     for seed in 0..8 {
         let faults = LinkFaultModel::uniform(0.0, seed);
         for report in [
-            exec.execute_with_faults(&plan, &payloads, &faults).unwrap(),
-            exec.execute_with_faults_serial(&plan, &payloads, &faults)
+            exec.execute_with(&plan, &payloads, faulty(&faults, None))
+                .unwrap(),
+            exec.execute_with(&plan, &payloads, faulty(&faults, Some(1)))
                 .unwrap(),
         ] {
             assert_tallies_cover_the_plan(&plan, &report.metrics, "BER 0");
@@ -443,8 +456,8 @@ fn out_of_range_link_rates_are_typed_errors() {
     let mut exec = PlanExecutor::new();
     for (faults, named) in &cases {
         for result in [
-            exec.execute_with_faults(&plan, &payloads, faults),
-            exec.execute_with_faults_serial(&plan, &payloads, faults),
+            exec.execute_with(&plan, &payloads, faulty(faults, None)),
+            exec.execute_with(&plan, &payloads, faulty(faults, Some(1))),
         ] {
             match result {
                 Err(CosimError::BitErrorRate { link, ber }) => {
@@ -456,8 +469,76 @@ fn out_of_range_link_rates_are_typed_errors() {
         }
     }
     // The executor is not left in a bad state.
-    exec.execute_with_faults(&plan, &payloads, &LinkFaultModel::uniform(1e-9, 0))
+    exec.execute_with(
+        &plan,
+        &payloads,
+        faulty(&LinkFaultModel::uniform(1e-9, 0), None),
+    )
+    .unwrap();
+}
+
+/// A targeted flip at or past the payload's 2,560 bits is refused with a
+/// typed error naming the flip and its first such bit, serially and in
+/// parallel, before anything is bound or traced, instead of panicking
+/// inside the channel. A flip past the payload is refused even where it
+/// names no delivery of the plan.
+#[test]
+fn out_of_range_targeted_flips_are_typed_errors() {
+    let (plan, payloads) = two_hop_setup();
+    let (transfer, vector, link) = all_hops(&plan)[0];
+    let flip = |bits: Vec<usize>| TargetedFlip {
+        transfer,
+        vector,
+        link,
+        bits,
+    };
+    let cases = [
+        (vec![flip(vec![PAYLOAD_BITS])], PAYLOAD_BITS),
+        (vec![flip(vec![7, usize::MAX, 5000])], usize::MAX),
+        (
+            vec![
+                flip(vec![3]),
+                TargetedFlip {
+                    vector: VECTORS,
+                    ..flip(vec![PAYLOAD_BITS + 1])
+                },
+            ],
+            PAYLOAD_BITS + 1,
+        ),
+    ];
+    let mut exec = PlanExecutor::new();
+    for (flips, bit) in cases {
+        let faults = LinkFaultModel::targeted_only(flips);
+        let named = faults.targeted.last().unwrap();
+        for threads in [Some(1), Some(2), None] {
+            let sink = RingSink::new(1 << 12);
+            let args = ExecArgs {
+                sink: Some(&sink),
+                ..faulty(&faults, threads)
+            };
+            match exec.execute_with(&plan, &payloads, args) {
+                Err(CosimError::FlipOutOfRange {
+                    transfer: t,
+                    vector: v,
+                    link: l,
+                    bit: b,
+                }) => {
+                    assert_eq!(
+                        (t, v, l, b),
+                        (named.transfer, named.vector, named.link, bit)
+                    );
+                }
+                other => panic!("{faults:?}: expected FlipOutOfRange, got {other:?}"),
+            }
+            assert!(sink.events().is_empty(), "refused execute traced");
+        }
+    }
+    // The executor is not left in a bad state.
+    let last = LinkFaultModel::targeted_only(vec![flip(vec![PAYLOAD_BITS - 1])]);
+    let report = exec
+        .execute_with(&plan, &payloads, faulty(&last, None))
         .unwrap();
+    assert_eq!(report.fec().corrected, 1);
 }
 
 /// `Runtime::set_ber` stores any value; a launch refuses an out-of-range
@@ -476,8 +557,8 @@ fn out_of_range_runtime_rates_are_refused_at_admission() {
         for (base, marginal, which) in cases {
             let sink = Arc::new(RingSink::new(1 << 12));
             let mut rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem)
-                .with_exec_mode(mode)
-                .with_trace_sink(sink.clone());
+                .with_exec_mode(mode);
+            rt.set_trace_sink(sink.clone());
             // The pipeline crosses node 1's cables, so a marginal rate
             // reaches a channel too.
             let victim: Vec<LinkId> = rt
@@ -521,7 +602,6 @@ mod proptests {
 
     /// Ops encoded as (device, kind selector, parameter); deps chain each
     /// node to its predecessor so every graph is valid.
-    #[allow(dead_code)] // referenced only inside proptest! bodies
     fn build_graph(ops: &[(u8, u8, u64)]) -> Graph {
         let mut g = Graph::new();
         let mut prev = None;
@@ -546,7 +626,6 @@ mod proptests {
     /// Canonical structural encoding (field-separated, unlike the old
     /// Debug-string concatenation) used to decide whether two generated
     /// graphs are actually distinct.
-    #[allow(dead_code)] // referenced only inside proptest! bodies
     fn canon(g: &Graph) -> String {
         g.nodes()
             .iter()
@@ -596,7 +675,7 @@ mod proptests {
             let single = LinkFaultModel::targeted_only(vec![TargetedFlip {
                 transfer, vector, link, bits: vec![bit],
             }]);
-            let report = exec.execute_with_faults(&plan, &payloads, &single).unwrap();
+            let report = exec.execute_with(&plan, &payloads, faulty(&single, None)).unwrap();
             prop_assert_eq!(report.fec().corrected, 1);
             prop_assert_eq!(report.dst_digests, reference.dst_digests);
 
@@ -604,7 +683,7 @@ mod proptests {
                 let double = LinkFaultModel::targeted_only(vec![TargetedFlip {
                     transfer, vector, link, bits: vec![bit, second],
                 }]);
-                match exec.execute_with_faults(&plan, &payloads, &double) {
+                match exec.execute_with(&plan, &payloads, faulty(&double, None)) {
                     Err(CosimError::Uncorrectable { link: l, transfer: t, .. }) => {
                         prop_assert_eq!(l, link);
                         prop_assert_eq!(t, transfer as usize);

@@ -3,11 +3,6 @@
 //! engine, reusable across payload sets without state leakage, and
 //! round-trippable through its JSON form.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, which makes the generator helpers (and an import
-// they use) look dead to lints; the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use std::sync::Arc;
 use tsm_core::cosim::{
     compile_plan, run_transfers, run_transfers_serial, CompiledPlan, CosimTransfer, PlanExecutor,

@@ -1,16 +1,15 @@
 //! Parallel-execution determinism contract: for ANY worker count — more
-//! workers than chips, fewer workers than chips, odd widths, width changes
-//! on a live executor, executes that fail in a chip — the parallel
-//! engine's report AND its trace event stream are bit-identical to the
-//! serial engine's. The compile-time shard partition, the scoped threads
-//! and the spine-side merge are the parallel executor; these tests are its
-//! oracle.
-
-#![allow(dead_code)]
+//! workers than chips, fewer workers than chips, odd widths, a different
+//! width on every call to one executor, executes that fail in a chip — the
+//! parallel engine's report AND its trace event stream are bit-identical to
+//! the serial engine's. The compile-time shard partition, the scoped
+//! threads and the spine-side merge are the parallel executor; these tests
+//! are its oracle.
 
 use std::sync::Arc;
+use tsm_core::cosim::exec::TSM_THREADS_ENV;
 use tsm_core::cosim::{
-    compile_plan, CompiledPlan, CosimError, CosimTransfer, LinkFaultModel, PlanExecutor,
+    compile_plan, CompiledPlan, CosimError, CosimTransfer, ExecArgs, LinkFaultModel, PlanExecutor,
     TransferShape,
 };
 use tsm_isa::Vector;
@@ -57,37 +56,37 @@ fn build_transfers(topo: &Topology, raw: &[RawTransfer]) -> Vec<CosimTransfer> {
         .collect()
 }
 
-/// One traced run at an explicit worker count; returns the report result
-/// and the canonical `(cycle, lane, seq)`-ordered event stream.
+/// One traced run at an explicit worker count (1 is the serial reference
+/// semantics); returns the report result and the canonical
+/// `(cycle, lane, seq)`-ordered event stream.
 #[allow(clippy::type_complexity)]
 fn traced_run_with_threads(
     plan: &CompiledPlan,
     payloads: &[Vec<Payload>],
-    threads: Option<usize>,
+    threads: usize,
     faults: Option<&LinkFaultModel>,
 ) -> (
     Result<tsm_core::cosim::CosimReport, tsm_core::cosim::CosimError>,
     Vec<TraceEvent>,
 ) {
-    let sink = Arc::new(RingSink::new(1 << 16));
-    let mut exec = PlanExecutor::new();
-    exec.set_trace_sink(sink.clone());
-    let report = match threads {
-        // Serial entry point: the reference semantics.
-        None => match faults {
-            None => exec.execute_serial(plan, payloads),
-            Some(f) => exec.execute_with_faults_serial(plan, payloads, f),
-        },
-        Some(t) => {
-            exec.set_threads(t);
-            match faults {
-                None => exec.execute(plan, payloads),
-                Some(f) => exec.execute_with_faults(plan, payloads, f),
-            }
-        }
+    let sink = RingSink::new(1 << 16);
+    let args = ExecArgs {
+        threads: Some(threads),
+        faults,
+        sink: Some(&sink),
+        ..ExecArgs::default()
     };
+    let report = PlanExecutor::new().execute_with(plan, payloads, args);
     assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
     (report, sink.sorted_events())
+}
+
+/// An execute at `threads` workers, nothing else set.
+fn at_width(threads: usize) -> ExecArgs<'static> {
+    ExecArgs {
+        threads: Some(threads),
+        ..ExecArgs::default()
+    }
 }
 
 proptest! {
@@ -110,8 +109,8 @@ proptest! {
         let Ok(plan) = compile_plan(&topo, &shapes) else { return Ok(()) };
         let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
 
-        let (want, want_events) = traced_run_with_threads(&plan, &payloads, None, None);
-        let (got, got_events) = traced_run_with_threads(&plan, &payloads, Some(threads), None);
+        let (want, want_events) = traced_run_with_threads(&plan, &payloads, 1, None);
+        let (got, got_events) = traced_run_with_threads(&plan, &payloads, threads, None);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(&got_events, &want_events);
         prop_assert!(!want_events.is_empty(), "instrumented run records events");
@@ -133,15 +132,15 @@ proptest! {
         let faults = LinkFaultModel::uniform(1e-6, ber_seed);
 
         let (want, want_events) =
-            traced_run_with_threads(&plan, &payloads, None, Some(&faults));
+            traced_run_with_threads(&plan, &payloads, 1, Some(&faults));
         let (got, got_events) =
-            traced_run_with_threads(&plan, &payloads, Some(threads), Some(&faults));
+            traced_run_with_threads(&plan, &payloads, threads, Some(&faults));
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got_events, want_events);
     }
 
-    /// One executor re-used across changing worker counts and repeated
-    /// runs stays bit-identical throughout.
+    /// One executor re-used across a different worker count on every call
+    /// stays bit-identical throughout.
     #[test]
     fn width_changes_on_a_live_executor_stay_identical(
         raw in prop::collection::vec(raw_transfer(), 1..=4),
@@ -157,8 +156,7 @@ proptest! {
         let want = reference.execute_serial(&plan, &payloads);
         let mut exec = PlanExecutor::new();
         for w in widths {
-            exec.set_threads(w);
-            prop_assert_eq!(&exec.execute(&plan, &payloads), &want);
+            prop_assert_eq!(&exec.execute_with(&plan, &payloads, at_width(w)), &want);
         }
     }
 }
@@ -186,10 +184,10 @@ fn dragonfly_workload() -> (CompiledPlan, Vec<Vec<Payload>>) {
 #[test]
 fn fixed_workload_all_widths_identical() {
     let (plan, payloads) = dragonfly_workload();
-    let (want, want_events) = traced_run_with_threads(&plan, &payloads, None, None);
+    let (want, want_events) = traced_run_with_threads(&plan, &payloads, 1, None);
     want.as_ref().expect("fixed workload executes");
     for threads in [1usize, 2, 3, 5, 8, 64, 1000] {
-        let (got, got_events) = traced_run_with_threads(&plan, &payloads, Some(threads), None);
+        let (got, got_events) = traced_run_with_threads(&plan, &payloads, threads, None);
         assert_eq!(got, want, "report diverged at {threads} workers");
         assert_eq!(
             got_events, want_events,
@@ -228,7 +226,7 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
         for &i in &corrupt {
             bad.chips[i].emissions[0].cycle += 1;
         }
-        let (want, want_events) = traced_run_with_threads(&bad, &payloads, None, None);
+        let (want, want_events) = traced_run_with_threads(&bad, &payloads, 1, None);
         match &want {
             Err(CosimError::EmissionMismatch { tsp, .. }) => {
                 assert_eq!(*tsp, plan.chips[culprit].tsp, "serial names the culprit")
@@ -236,7 +234,7 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
             other => panic!("expected an emission mismatch, got {other:?}"),
         }
         for threads in [1usize, 2, 3, 8, 1000] {
-            let (got, got_events) = traced_run_with_threads(&bad, &payloads, Some(threads), None);
+            let (got, got_events) = traced_run_with_threads(&bad, &payloads, threads, None);
             assert_eq!(got, want, "error diverged at {threads} workers");
             assert_eq!(
                 got_events, want_events,
@@ -246,37 +244,36 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
     }
 }
 
-/// Worker-count resolution precedence: explicit `set_threads` beats the
-/// `TSM_THREADS` environment variable, which beats auto-detection;
+/// Worker-count resolution precedence: an execute's explicit width is
+/// used as given, zero clamped to 1, whatever `TSM_THREADS` says; the
+/// automatic width follows `TSM_THREADS`, else auto-detection, and
 /// malformed and zero env values fall through to auto. The only test in
 /// this binary that touches the environment.
 #[test]
 fn thread_resolution_precedence() {
-    let auto = {
-        std::env::remove_var(tsm_core::cosim::exec::TSM_THREADS_ENV);
-        PlanExecutor::new().resolved_threads()
-    };
+    std::env::remove_var(TSM_THREADS_ENV);
+    let exec = PlanExecutor::new();
+    let auto = exec.resolved_threads();
     assert!(auto >= 1);
+    assert_eq!(ExecArgs::default().width(), auto);
 
-    std::env::set_var(tsm_core::cosim::exec::TSM_THREADS_ENV, "7");
-    let mut exec = PlanExecutor::new();
+    std::env::set_var(TSM_THREADS_ENV, "7");
     assert_eq!(exec.resolved_threads(), 7);
-    exec.set_threads(3);
-    assert_eq!(exec.resolved_threads(), 3);
-    exec.set_threads(0); // clamped
-    assert_eq!(exec.resolved_threads(), 1);
-    exec.set_threads_auto();
-    assert_eq!(exec.resolved_threads(), 7);
+    assert_eq!(ExecArgs::default().width(), 7);
+    assert_eq!(at_width(3).width(), 3);
+    assert_eq!(at_width(0).width(), 1, "zero clamps to 1");
 
     for bad in ["0", "-4", "lots", ""] {
-        std::env::set_var(tsm_core::cosim::exec::TSM_THREADS_ENV, bad);
+        std::env::set_var(TSM_THREADS_ENV, bad);
         assert_eq!(
             exec.resolved_threads(),
             auto,
             "env value {bad:?} must fall back to auto"
         );
+        assert_eq!(ExecArgs::default().width(), auto);
+        assert_eq!(at_width(3).width(), 3);
     }
-    std::env::remove_var(tsm_core::cosim::exec::TSM_THREADS_ENV);
+    std::env::remove_var(TSM_THREADS_ENV);
     assert_eq!(exec.resolved_threads(), auto);
 }
 
@@ -306,9 +303,8 @@ fn pool_lifecycle_smoke() {
 
     for _ in 0..3 {
         let mut exec = PlanExecutor::new();
-        exec.set_threads(2);
-        let a = exec.execute(&plan, &payloads).unwrap();
-        let b = exec.execute(&plan, &payloads).unwrap();
+        let a = exec.execute_with(&plan, &payloads, at_width(2)).unwrap();
+        let b = exec.execute_with(&plan, &payloads, at_width(2)).unwrap();
         assert_eq!(a, b, "warm re-execution is bit-identical");
         drop(exec); // no thread outlives an execute; must not hang
     }

@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::cosim::{compile_plan, CompiledPlan, CosimTransfer, PlanExecutor, TransferShape};
+use tsm_core::cosim::{
+    compile_plan, CompiledPlan, CosimTransfer, ExecArgs, PlanExecutor, TransferShape,
+};
 use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::serving::{Request, ServeConfig, Server};
 use tsm_core::system::System;
@@ -60,14 +62,15 @@ fn fault_free_runs_certify_with_zero_skew_serial_and_parallel() {
     assert!(!planned.hops.is_empty(), "workload crosses links");
 
     for parallel in [false, true] {
-        let sink = Arc::new(RingSink::new(1 << 16));
-        let mut exec = PlanExecutor::new();
-        exec.set_trace_sink(sink.clone());
-        if parallel {
-            exec.execute(&plan, &payloads).unwrap();
-        } else {
-            exec.execute_serial(&plan, &payloads).unwrap();
-        }
+        let sink = RingSink::new(1 << 16);
+        let args = ExecArgs {
+            threads: (!parallel).then_some(1),
+            sink: Some(&sink),
+            ..ExecArgs::default()
+        };
+        PlanExecutor::new()
+            .execute_with(&plan, &payloads, args)
+            .unwrap();
 
         let prof = profile(&planned, &sink.sorted_events(), sink.dropped()).unwrap();
         assert!(
@@ -133,7 +136,8 @@ fn datapath_runtime() -> Runtime {
 #[test]
 fn clean_datapath_launch_certifies_end_to_end() {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = datapath_runtime().with_trace_sink(sink.clone());
+    let mut rt = datapath_runtime();
+    rt.set_trace_sink(sink.clone());
     let out = rt.launch(&logical_pipeline(), 1).unwrap();
     assert_eq!(out.attempts(), 1);
 
@@ -173,7 +177,8 @@ fn marginal_runtime(ber: f64) -> Runtime {
 
 fn replay_profile(seed: u64) -> Option<tsm_trace::LaunchProfile> {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = marginal_runtime(2e-5).with_trace_sink(sink.clone());
+    let mut rt = marginal_runtime(2e-5);
+    rt.set_trace_sink(sink.clone());
     let out = rt.launch(&logical_pipeline(), seed).ok()?;
     // Replay-only recovery: a second attempt on the *same* plan, no
     // failover, so the final plan is also attempt 0's plan.
@@ -234,10 +239,14 @@ fn lossy_traces_are_refused_and_surfaced_in_metrics() {
     let (plan, payloads) = compiled(&topo, &transfers);
     let planned = plan.planned_timeline(&topo);
 
-    let sink = Arc::new(RingSink::new(4)); // far too small for this run
-    let mut exec = PlanExecutor::new();
-    exec.set_trace_sink(sink.clone());
-    let report = exec.execute(&plan, &payloads).unwrap();
+    let sink = RingSink::new(4); // far too small for this run
+    let args = ExecArgs {
+        sink: Some(&sink),
+        ..ExecArgs::default()
+    };
+    let report = PlanExecutor::new()
+        .execute_with(&plan, &payloads, args)
+        .unwrap();
 
     let dropped = sink.dropped();
     assert!(dropped > 0, "the tiny ring must evict");

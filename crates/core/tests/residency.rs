@@ -120,7 +120,8 @@ fn budget_zero_matches_the_old_single_entry_cache() {
 fn single_model_launches_keep_the_pre_residency_trace_shape() {
     let g = pipeline(32_000);
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = runtime(ExecMode::Datapath).with_trace_sink(sink.clone());
+    let mut rt = runtime(ExecMode::Datapath);
+    rt.set_trace_sink(sink.clone());
     let cold = rt.launch(&g, 7).unwrap();
     let cold_kinds: Vec<EventKind> = sink
         .sorted_events()

@@ -144,8 +144,8 @@ fn offered() -> Vec<Request> {
 fn serve(certify: bool, marginal: bool) -> (ServeReport, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 18));
     let mut rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem)
-        .with_exec_mode(ExecMode::Datapath)
-        .with_trace_sink(sink.clone());
+        .with_exec_mode(ExecMode::Datapath);
+    rt.set_trace_sink(sink.clone());
     if marginal {
         rt.set_ber(0.0, 2e-5);
         let bad: Vec<LinkId> = rt

@@ -65,7 +65,8 @@ fn make_marginal(rt: &mut Runtime, victim: NodeId) {
 /// non-serving trace events.
 fn serve_one(mode: ExecMode, cfg_seed: u64, marginal: bool) -> (BatchRecord, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = runtime(mode).with_trace_sink(sink.clone());
+    let mut rt = runtime(mode);
+    rt.set_trace_sink(sink.clone());
     if marginal {
         make_marginal(&mut rt, NodeId(1));
     }
@@ -107,7 +108,8 @@ fn launch_standalone(
     marginal: bool,
 ) -> (LaunchOutcome, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = runtime(mode).with_trace_sink(sink.clone());
+    let mut rt = runtime(mode);
+    rt.set_trace_sink(sink.clone());
     if marginal {
         make_marginal(&mut rt, NodeId(1));
     }

@@ -83,7 +83,8 @@ fn launch_traced(
     fabric: fn(&mut Runtime),
 ) -> (LaunchOutcome, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = runtime().with_trace_sink(sink.clone());
+    let mut rt = runtime();
+    rt.set_trace_sink(sink.clone());
     fabric(&mut rt);
     let out = launch(&mut rt, tel).unwrap();
     assert_eq!(sink.dropped(), 0);
@@ -244,7 +245,9 @@ fn serve_with(tel: Option<TelemetryConfig>) -> (ServeReport, Vec<TraceEvent>) {
 /// emission order.
 fn serve_traced(tel: Option<TelemetryConfig>) -> (ServeReport, Arc<RingSink>) {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut server = server(runtime().with_trace_sink(sink.clone()), tel);
+    let mut rt = runtime();
+    rt.set_trace_sink(sink.clone());
+    let mut server = server(rt, tel);
     let report = server.serve(&offered_mixed()).unwrap();
     assert_eq!(sink.dropped(), 0);
     (report, sink)
@@ -419,7 +422,8 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
     // runtime-lane events emitted after it may evict a little more, so
     // the gauge lower-bounds the sink's final counter.
     let sink = Arc::new(RingSink::new(4)); // far too small for this run
-    let mut rt = runtime().with_trace_sink(sink.clone());
+    let mut rt = runtime();
+    rt.set_trace_sink(sink.clone());
     let out = launch(&mut rt, Some(TEL)).unwrap();
 
     let dropped = sink.dropped();
@@ -447,7 +451,8 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
 fn hostile_tenant_names_round_trip_through_both_exports() {
     let hostile = "ten\"ant\\zero\n\u{1}[end]";
     let sink = Arc::new(RingSink::new(1 << 16));
-    let rt = runtime().with_trace_sink(sink.clone());
+    let mut rt = runtime();
+    rt.set_trace_sink(sink.clone());
     let cfg = ServeConfig {
         seed: 3,
         telemetry: Some(TEL),

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::cosim::{compile_plan, LinkFaultModel, PlanExecutor, TargetedFlip, TransferShape};
+use tsm_core::cosim::{
+    compile_plan, ExecArgs, LinkFaultModel, PlanExecutor, TargetedFlip, TransferShape,
+};
 use tsm_core::runtime::{Runtime, SparePolicy};
 use tsm_core::system::System;
 use tsm_isa::Vector;
@@ -61,7 +63,8 @@ fn count(events: &[tsm_trace::TraceEvent], pred: impl Fn(&EventKind) -> bool) ->
 fn faulty_launch_traces_one_blame_one_failover_and_every_epoch() {
     let victim = NodeId(1);
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = marginal_runtime(victim).with_trace_sink(sink.clone());
+    let mut rt = marginal_runtime(victim);
+    rt.set_trace_sink(sink.clone());
     let out = rt.launch(&logical_pipeline(), 2).unwrap();
     assert_eq!(out.failovers, vec![victim], "scenario must fail over");
     assert!(out.attempts() > 1, "scenario must replay first");
@@ -142,8 +145,8 @@ fn faulty_launch_traces_one_blame_one_failover_and_every_epoch() {
 #[test]
 fn clean_launch_traces_no_blame_and_a_single_epoch() {
     let sink = Arc::new(RingSink::new(1 << 16));
-    let mut rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem)
-        .with_trace_sink(sink.clone());
+    let mut rt = Runtime::new(System::with_nodes(4).unwrap(), SparePolicy::PerSystem);
+    rt.set_trace_sink(sink.clone());
     let out = rt.launch(&logical_pipeline(), 1).unwrap();
     assert_eq!(out.attempts(), 1);
 
@@ -210,9 +213,13 @@ fn targeted_flips_trace_the_struck_link() {
         .next()
         .expect("the route has at least one hop");
 
-    let sink = Arc::new(RingSink::new(1 << 14));
+    let sink = RingSink::new(1 << 14);
     let mut exec = PlanExecutor::new();
-    exec.set_trace_sink(sink.clone());
+    let traced = |faults| ExecArgs {
+        faults: Some(faults),
+        sink: Some(&sink),
+        ..ExecArgs::default()
+    };
 
     let single = LinkFaultModel::targeted_only(vec![TargetedFlip {
         transfer,
@@ -220,7 +227,8 @@ fn targeted_flips_trace_the_struck_link() {
         link,
         bits: vec![997],
     }]);
-    exec.execute_with_faults(&plan, &payloads, &single).unwrap();
+    exec.execute_with(&plan, &payloads, traced(&single))
+        .unwrap();
     let corrected: Vec<_> = sink
         .sorted_events()
         .iter()
@@ -238,7 +246,7 @@ fn targeted_flips_trace_the_struck_link() {
         link,
         bits: vec![3, 1200],
     }]);
-    exec.execute_with_faults(&plan, &payloads, &double)
+    exec.execute_with(&plan, &payloads, traced(&double))
         .unwrap_err();
     let uncorrectable: Vec<_> = sink
         .sorted_events()

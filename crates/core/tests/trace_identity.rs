@@ -3,18 +3,14 @@
 //! and parallel execution — and attaching a disabled sink leaves the
 //! simulation bit-identical to an uninstrumented run.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, which makes the generator helpers (and an import
-// they use) look dead to lints; the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use std::sync::Arc;
 use tsm_core::cosim::{
-    compile_plan, CompiledPlan, CosimTransfer, LinkFaultModel, PlanExecutor, TransferShape,
+    compile_plan, CompiledPlan, CosimError, CosimReport, CosimTransfer, ExecArgs, LinkFaultModel,
+    PlanExecutor, TransferShape,
 };
 use tsm_isa::Vector;
 use tsm_topology::{Topology, TspId};
-use tsm_trace::{EventKind, NullSink, RingSink, TraceEvent};
+use tsm_trace::{EventKind, NullSink, RingSink, TraceEvent, TraceSink};
 
 use proptest::prelude::*;
 
@@ -71,17 +67,29 @@ fn traced_run(
     parallel: bool,
     faults: Option<&LinkFaultModel>,
 ) -> Vec<TraceEvent> {
-    let sink = Arc::new(RingSink::new(1 << 16));
-    let mut exec = PlanExecutor::new();
-    exec.set_trace_sink(sink.clone());
-    let _ = match (parallel, faults) {
-        (true, None) => exec.execute(plan, payloads),
-        (false, None) => exec.execute_serial(plan, payloads),
-        (true, Some(f)) => exec.execute_with_faults(plan, payloads, f),
-        (false, Some(f)) => exec.execute_with_faults_serial(plan, payloads, f),
+    let sink = RingSink::new(1 << 16);
+    let args = ExecArgs {
+        threads: (!parallel).then_some(1),
+        faults,
+        sink: Some(&sink),
+        ..ExecArgs::default()
     };
+    let _ = PlanExecutor::new().execute_with(plan, payloads, args);
     assert_eq!(sink.dropped(), 0, "ring must be large enough for the run");
     sink.sorted_events()
+}
+
+/// Executes `plan`+`payloads` on a fresh executor, tracing into `sink`.
+fn execute_into(
+    plan: &CompiledPlan,
+    payloads: &[Vec<Payload>],
+    sink: &dyn TraceSink,
+) -> Result<CosimReport, CosimError> {
+    let args = ExecArgs {
+        sink: Some(sink),
+        ..ExecArgs::default()
+    };
+    PlanExecutor::new().execute_with(plan, payloads, args)
 }
 
 proptest! {
@@ -126,12 +134,8 @@ proptest! {
         let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
 
         let bare = PlanExecutor::new().execute(&plan, &payloads);
-        let mut with_null = PlanExecutor::new();
-        with_null.set_trace_sink(Arc::new(NullSink));
-        prop_assert_eq!(&with_null.execute(&plan, &payloads), &bare);
-        let mut with_ring = PlanExecutor::new();
-        with_ring.set_trace_sink(Arc::new(RingSink::new(1 << 16)));
-        prop_assert_eq!(&with_ring.execute(&plan, &payloads), &bare);
+        prop_assert_eq!(&execute_into(&plan, &payloads, &NullSink), &bare);
+        prop_assert_eq!(&execute_into(&plan, &payloads, &RingSink::new(1 << 16)), &bare);
     }
 }
 
@@ -201,13 +205,10 @@ fn fixed_workload_null_sink_is_invisible() {
     let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
 
     let bare = PlanExecutor::new().execute(&plan, &payloads).unwrap();
-    let mut with_null = PlanExecutor::new();
-    with_null.set_trace_sink(Arc::new(NullSink));
-    let nulled = with_null.execute(&plan, &payloads).unwrap();
+    let nulled = execute_into(&plan, &payloads, &NullSink).unwrap();
     assert_eq!(nulled, bare);
     assert_eq!(nulled.dst_digests, bare.dst_digests);
 
-    let mut with_ring = PlanExecutor::new();
-    with_ring.set_trace_sink(Arc::new(RingSink::new(1 << 16)));
-    assert_eq!(with_ring.execute(&plan, &payloads).unwrap(), bare);
+    let ringed = execute_into(&plan, &payloads, &RingSink::new(1 << 16));
+    assert_eq!(ringed.unwrap(), bare);
 }

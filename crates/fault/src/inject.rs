@@ -13,24 +13,6 @@ use tsm_link::{Channel, FecOutcome, LatencyModel};
 use tsm_net::ssn::Reservation;
 use tsm_topology::Topology;
 
-/// Injection parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionConfig {
-    /// Bit error rate applied to every link.
-    pub bit_error_rate: f64,
-}
-
-impl Default for InjectionConfig {
-    fn default() -> Self {
-        // A pessimistic serdes BER; real links with FEC budget for 1e-12
-        // or better. The default exists to exercise the machinery, not to
-        // claim a field failure rate.
-        InjectionConfig {
-            bit_error_rate: 1e-9,
-        }
-    }
-}
-
 /// Tally of FEC outcomes over a set of transmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FecStats {
@@ -100,8 +82,11 @@ impl FecStats {
 /// sampling with identical per-packet statistics.
 const EXACT_PACKET_LIMIT: u64 = 2048;
 
-/// Pushes each reservation's flit train through a BER-afflicted channel
-/// and tallies the FEC outcomes.
+/// Pushes each reservation's flit train through a channel at its link's
+/// bit error rate and tallies the FEC outcomes; a per-link rate models
+/// the "marginal cable" scenario of paper §4.5. Also returns the links on
+/// which uncorrectable errors were observed, which is exactly the signal
+/// the runtime's health monitor uses to blame hardware.
 ///
 /// Small trains exercise the real codec packet by packet (payloads are
 /// synthetic — the FEC layer's behaviour depends only on the error
@@ -110,19 +95,6 @@ const EXACT_PACKET_LIMIT: u64 = 2048;
 /// (k = 1) and uncorrectable (k ≥ 2) packets over `n` packets are Poisson
 /// with means `n·λe^{−λ}` and `n·(1 − e^{−λ} − λe^{−λ})` — the same
 /// distribution the per-packet path draws, at O(1) per train.
-pub fn inject_schedule<R: Rng>(
-    topo: &Topology,
-    reservations: &[Reservation],
-    config: InjectionConfig,
-    rng: &mut R,
-) -> FecStats {
-    inject_schedule_with(topo, reservations, |_| config.bit_error_rate, rng).0
-}
-
-/// Like [`inject_schedule`], but with a per-link bit error rate — the
-/// "marginal cable" scenario of paper §4.5 — and returning the links on
-/// which uncorrectable errors were observed, which is exactly the signal
-/// the runtime's health monitor uses to blame hardware.
 pub fn inject_schedule_with<R: Rng>(
     topo: &Topology,
     reservations: &[Reservation],
@@ -149,38 +121,33 @@ fn inject_one<R: Rng>(
     rng: &mut R,
     stats: &mut FecStats,
 ) {
-    {
-        let config = InjectionConfig {
-            bit_error_rate: ber,
-        };
-        if config.bit_error_rate == 0.0 {
-            stats.clean += r.vectors;
-            return;
-        }
-        if r.vectors <= EXACT_PACKET_LIMIT {
-            let model = LatencyModel::for_class(topo.link(r.link).class);
-            let channel = Channel::new(model, config.bit_error_rate);
-            for v in 0..r.vectors {
-                let payload = Vector::splat((r.transfer as u8) ^ (v as u8));
-                let packet = WirePacket::data(v as u16, payload);
-                let delivery = channel.transmit(&packet, r.start, rng);
-                match delivery.outcome {
-                    FecOutcome::Clean => stats.clean += 1,
-                    FecOutcome::Corrected { .. } => stats.corrected += 1,
-                    FecOutcome::Uncorrectable => stats.uncorrectable += 1,
-                }
+    if ber == 0.0 {
+        stats.clean += r.vectors;
+        return;
+    }
+    if r.vectors <= EXACT_PACKET_LIMIT {
+        let model = LatencyModel::for_class(topo.link(r.link).class);
+        let channel = Channel::new(model, ber);
+        for v in 0..r.vectors {
+            let payload = Vector::splat((r.transfer as u8) ^ (v as u8));
+            let packet = WirePacket::data(v as u16, payload);
+            let delivery = channel.transmit(&packet, r.start, rng);
+            match delivery.outcome {
+                FecOutcome::Clean => stats.clean += 1,
+                FecOutcome::Corrected { .. } => stats.corrected += 1,
+                FecOutcome::Uncorrectable => stats.uncorrectable += 1,
             }
-        } else {
-            let lambda = config.bit_error_rate * tsm_link::fec::PAYLOAD_BITS as f64;
-            let p_single = lambda * (-lambda).exp();
-            let p_multi = 1.0 - (-lambda).exp() - p_single;
-            let corrected = sample_poisson(r.vectors as f64 * p_single, rng).min(r.vectors);
-            let uncorrectable =
-                sample_poisson(r.vectors as f64 * p_multi, rng).min(r.vectors - corrected);
-            stats.corrected += corrected;
-            stats.uncorrectable += uncorrectable;
-            stats.clean += r.vectors - corrected - uncorrectable;
         }
+    } else {
+        let lambda = ber * tsm_link::fec::PAYLOAD_BITS as f64;
+        let p_single = lambda * (-lambda).exp();
+        let p_multi = 1.0 - (-lambda).exp() - p_single;
+        let corrected = sample_poisson(r.vectors as f64 * p_single, rng).min(r.vectors);
+        let uncorrectable =
+            sample_poisson(r.vectors as f64 * p_multi, rng).min(r.vectors - corrected);
+        stats.corrected += corrected;
+        stats.uncorrectable += uncorrectable;
+        stats.clean += r.vectors - corrected - uncorrectable;
     }
 }
 
@@ -228,18 +195,15 @@ mod tests {
         (topo, r)
     }
 
+    /// The tally of one injection at a uniform `ber` from `seed`.
+    fn inject(topo: &Topology, res: &[Reservation], ber: f64, seed: u64) -> FecStats {
+        inject_schedule_with(topo, res, |_| ber, &mut StdRng::seed_from_u64(seed)).0
+    }
+
     #[test]
     fn zero_ber_is_always_clean() {
         let (topo, res) = schedule(500);
-        let mut rng = StdRng::seed_from_u64(1);
-        let stats = inject_schedule(
-            &topo,
-            &res,
-            InjectionConfig {
-                bit_error_rate: 0.0,
-            },
-            &mut rng,
-        );
+        let stats = inject(&topo, &res, 0.0, 1);
         assert_eq!(stats.clean, 500);
         assert_eq!(stats.total(), 500);
         assert!(stats.is_clean_run());
@@ -249,16 +213,8 @@ mod tests {
     #[test]
     fn moderate_ber_mostly_corrected() {
         let (topo, res) = schedule(3000);
-        let mut rng = StdRng::seed_from_u64(2);
         // λ ≈ 2560e-6 ≈ 0.0026 errors/packet: singles dominate.
-        let stats = inject_schedule(
-            &topo,
-            &res,
-            InjectionConfig {
-                bit_error_rate: 1e-6,
-            },
-            &mut rng,
-        );
+        let stats = inject(&topo, &res, 1e-6, 2);
         assert!(stats.corrected > 0, "{stats:?}");
         assert!(stats.corrected > stats.uncorrectable * 10, "{stats:?}");
     }
@@ -266,15 +222,7 @@ mod tests {
     #[test]
     fn harsh_ber_forces_replay() {
         let (topo, res) = schedule(500);
-        let mut rng = StdRng::seed_from_u64(3);
-        let stats = inject_schedule(
-            &topo,
-            &res,
-            InjectionConfig {
-                bit_error_rate: 1e-3,
-            },
-            &mut rng,
-        );
+        let stats = inject(&topo, &res, 1e-3, 3);
         assert!(!stats.is_clean_run(), "{stats:?}");
     }
 
@@ -325,11 +273,6 @@ mod tests {
     #[test]
     fn injection_is_seed_deterministic() {
         let (topo, res) = schedule(200);
-        let cfg = InjectionConfig {
-            bit_error_rate: 1e-5,
-        };
-        let a = inject_schedule(&topo, &res, cfg, &mut StdRng::seed_from_u64(9));
-        let b = inject_schedule(&topo, &res, cfg, &mut StdRng::seed_from_u64(9));
-        assert_eq!(a, b);
+        assert_eq!(inject(&topo, &res, 1e-5, 9), inject(&topo, &res, 1e-5, 9));
     }
 }

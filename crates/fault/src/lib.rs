@@ -1,5 +1,5 @@
-//! Fault tolerance: FEC statistics, N+1 hot-spare failover, and software
-//! replay (paper §4.5, Fig 6).
+//! Fault tolerance: FEC statistics and N+1 hot-spare failover (paper
+//! §4.5, Fig 6).
 //!
 //! The paper's reliability strategy has three tiers:
 //!
@@ -7,8 +7,9 @@
 //!    multi-bit bursts ([`inject`] drives a whole schedule's worth of
 //!    transmissions through the `tsm-link` codec and tallies outcomes);
 //! 2. **software replay**: on an uncorrectable error the runtime replays
-//!    the inference to distinguish transient from persistent faults
-//!    ([`replay`]);
+//!    the inference to distinguish transient from persistent faults (the
+//!    replay loops live in `tsm-core`'s `System::execute` and launch
+//!    engine, which call [`inject`] once per attempt);
 //! 3. **N+1 hot spares**: a spare node per rack (11 % overhead) or per
 //!    system (3 %) replaces a failed node, exploiting the Dragonfly's
 //!    edge/node symmetry so the network stays fully connected
@@ -17,9 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod inject;
-pub mod replay;
 pub mod spare;
 
-pub use inject::{FecStats, InjectionConfig};
-pub use replay::{ReplayOutcome, ReplayPolicy};
+pub use inject::FecStats;
 pub use spare::SparePlan;

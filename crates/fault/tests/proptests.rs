@@ -1,15 +1,9 @@
 //! Property-based tests for fault handling.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the helpers and imports below look unused;
-// the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tsm_fault::inject::{inject_schedule, FecStats, InjectionConfig};
-use tsm_fault::replay::{run_with_replay, ReplayOutcome, ReplayPolicy};
+use tsm_fault::inject::inject_schedule_with;
 use tsm_fault::spare::SparePlan;
 use tsm_net::ssn::LinkOccupancy;
 use tsm_topology::route::shortest_path;
@@ -27,41 +21,9 @@ proptest! {
         occ.schedule_transfer(&topo, &path, vectors, 0).unwrap();
         let ber = if ber_exp == 0 { 0.0 } else { 10f64.powi(-(ber_exp as i32 + 2)) };
         let mut rng = StdRng::seed_from_u64(seed);
-        let stats = inject_schedule(
-            &topo,
-            occ.reservations(),
-            InjectionConfig { bit_error_rate: ber },
-            &mut rng,
-        );
+        let (stats, _) = inject_schedule_with(&topo, occ.reservations(), |_| ber, &mut rng);
         prop_assert_eq!(stats.total(), vectors);
         prop_assert!(stats.packet_error_rate() <= 1.0);
-    }
-
-    /// The replay policy always terminates within max_replays + 1 attempts
-    /// and classifies outcomes exhaustively.
-    #[test]
-    fn replay_terminates(outcomes in prop::collection::vec(prop::bool::ANY, 1..10), budget in 0u32..8) {
-        let mut calls = 0usize;
-        let out = run_with_replay(ReplayPolicy { max_replays: budget }, |attempt| {
-            calls += 1;
-            let clean = outcomes.get(attempt as usize).copied().unwrap_or(true);
-            FecStats {
-                clean: 10,
-                corrected: 0,
-                uncorrectable: if clean { 0 } else { 1 },
-            }
-        });
-        prop_assert!(calls <= budget as usize + 1);
-        match out {
-            ReplayOutcome::CleanFirstTry { .. } => prop_assert!(outcomes[0]),
-            ReplayOutcome::RecoveredAfterReplay { replays, .. } => {
-                prop_assert!(!outcomes[0]);
-                prop_assert!(replays <= budget);
-            }
-            ReplayOutcome::Persistent { attempts } => {
-                prop_assert_eq!(attempts, budget + 1);
-            }
-        }
     }
 
     /// Any sequence of distinct failovers within the spare budget keeps

@@ -1,10 +1,5 @@
 //! Property-based tests for the ISA layer.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making these imports look unused; the real
-// proptest uses all of them.
-#![allow(unused_imports)]
-
 use proptest::prelude::*;
 use tsm_isa::packet::{payload_check_symbols, WirePacket, WIRE_BYTES};
 use tsm_isa::vector::{vectors_for_bytes, Vector, VECTOR_BYTES};

@@ -1,10 +1,5 @@
 //! Property-based tests for the global address space and allocators.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the imports below look unused; the real
-// proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use tsm_mem::{DeviceAllocator, DistributedTensor, GlobalAddress, VECTORS_PER_DEVICE};
 use tsm_topology::TspId;

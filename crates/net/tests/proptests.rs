@@ -1,10 +1,5 @@
 //! Property-based tests for the software-scheduled network.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the helpers and imports below look unused;
-// the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use tsm_net::ssn::{completion, validate, vector_slot_cycles, waterfill, LinkOccupancy};
 use tsm_topology::route::{edge_disjoint_paths, shortest_path};

@@ -1,10 +1,5 @@
 //! Property-based tests for topology construction and routing.
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, making the helpers and imports below look unused;
-// the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use proptest::prelude::*;
 use std::collections::HashSet;
 use tsm_topology::route::{diameter_bound, edge_disjoint_paths, shortest_path};

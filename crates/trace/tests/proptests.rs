@@ -6,13 +6,8 @@
 //! generates gauge names from disjoint pools, mirroring how the workspace
 //! actually uses gauges (each layer owns its own names).
 
-// In offline dev environments the proptest stub's `proptest!` macro
-// expands to nothing, which makes the generator helpers look dead to
-// lints; the real proptest uses all of them.
-#![allow(dead_code, unused_imports)]
-
 use tsm_trace::telemetry::{SeriesKind, Telemetry, TelemetryConfig, TimeSeries};
-use tsm_trace::{names, CounterEntry, CycleHistogram, GaugeEntry, Metrics, RunMetrics};
+use tsm_trace::{names, CycleHistogram, Metrics, RunMetrics};
 
 use proptest::prelude::*;
 

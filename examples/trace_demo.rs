@@ -69,7 +69,8 @@ fn main() {
     let mut best: Option<(u64, Arc<RingSink>, tsm::core::LaunchOutcome, Runtime)> = None;
     for seed in 0..16u64 {
         let sink = Arc::new(RingSink::new(1 << 16));
-        let mut rt = faulty_runtime(victim).with_trace_sink(sink.clone());
+        let mut rt = faulty_runtime(victim);
+        rt.set_trace_sink(sink.clone());
         let Ok(out) = rt.launch(&graph, seed) else {
             continue;
         };

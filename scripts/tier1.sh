@@ -18,10 +18,13 @@ cargo test --workspace -q
 cargo test -p tsm-core --test plan_reuse -q
 # The parallel engine, one std::thread::scope per execute: serial≡parallel
 # bit-identity and trace identity across randomized workloads and worker
-# counts, width changes on a live executor, chip-phase errors that must
-# give the serial error and trace at every width although deeper chips run
-# after the failing one (chip_errors_are_identical_serially_and_at_every_width),
-# TSM_THREADS resolution.
+# counts, a different width passed on every call to one executor,
+# chip-phase errors that must give the serial error and trace at every
+# width although deeper chips run after the failing one
+# (chip_errors_are_identical_serially_and_at_every_width), and width
+# resolution: an explicit per-call width is used as given (zero clamped to
+# 1), else TSM_THREADS, else the detected parallelism
+# (thread_resolution_precedence).
 cargo test -p tsm-core --test pool_determinism -q
 # Likewise the fault path: datapath BER injection, FEC bit-for-bit
 # verification, and the replay/blame/failover recovery loop. Clean
@@ -29,8 +32,9 @@ cargo test -p tsm-core --test pool_determinism -q
 # the plan's deliveries (fec_tallies_count_every_delivery_once_per_link),
 # and BER 0 must report what execute reports
 # (zero_ber_fault_mode_reports_what_execute_reports). Out-of-range BERs
-# are typed errors, never panics
-# (out_of_range_link_rates_are_typed_errors,
+# and targeted flips past the payload's bits are typed errors, never
+# panics (out_of_range_link_rates_are_typed_errors,
+# out_of_range_targeted_flips_are_typed_errors,
 # out_of_range_runtime_rates_are_refused_at_admission).
 cargo test -p tsm-core --test fault_path -q
 # The observability layer: the trace crate itself, the serial≡parallel

@@ -61,7 +61,6 @@ fn uncorrectable_errors_consume_replays() {
     let sys = System::single_node().with_config(SystemConfig {
         bit_error_rate: 2e-4,
         max_replays: 2,
-        ..Default::default()
     });
     let g = transfer_graph(1 << 20);
     let p = sys.compile(&g, CompileOptions::default()).unwrap();
@@ -69,6 +68,38 @@ fn uncorrectable_errors_consume_replays() {
     // At this BER every run sees multi-bit errors: the budget exhausts.
     assert!(!r.succeeded);
     assert_eq!(r.replays(), 2);
+}
+
+/// A transient fault: an uncorrectable packet in one run that a replay
+/// runs clean. Scanned over seeds, since no single seed is portable
+/// between RNGs: some seed must recover, and every recovery reports the
+/// clean replay's tally, 1 ≤ replays ≤ the budget, and one whole
+/// inference of measured time per attempt.
+#[test]
+fn transient_faults_recover_on_a_replay() {
+    let budget = 3;
+    let sys = System::single_node().with_config(SystemConfig {
+        bit_error_rate: 1e-5,
+        max_replays: budget,
+    });
+    let g = transfer_graph(1 << 20);
+    let p = sys.compile(&g, CompileOptions::default()).unwrap();
+    let mut recovered = 0;
+    for seed in 0..32 {
+        let r = sys.execute_with_graph(&p, &g, seed);
+        if r.succeeded && r.replays() > 0 {
+            assert!(r.replays() <= budget, "seed {seed}: {}", r.replays());
+            assert_eq!(r.fec().uncorrectable, 0, "seed {seed}");
+            assert!(r.fec().corrected > 0, "seed {seed}: the clean run corrects");
+            assert_eq!(
+                r.measured_cycles,
+                r.estimated_cycles * (u64::from(r.replays()) + 1),
+                "seed {seed}"
+            );
+            recovered += 1;
+        }
+    }
+    assert!(recovered >= 1, "no seed recovered on a replay");
 }
 
 #[test]
