@@ -150,8 +150,9 @@ pub struct ScalePoint {
     ///
     /// [`CompiledPlan::to_json`]: tsm::core::cosim::CompiledPlan::to_json
     pub plan_digest: u64,
-    /// Whether a reused serial execute and a parallel execute both matched
-    /// the first serial report bit for bit.
+    /// Whether a reused serial execute and a parallel execute (at the
+    /// automatic worker count, below the grain too) both matched the
+    /// first serial report bit for bit.
     pub bit_identical: bool,
     /// Whether the serial and parallel trace event streams were
     /// byte-identical at this scale.
@@ -162,7 +163,9 @@ pub struct ScalePoint {
 /// full 10,440-chip ladder, a smaller bound for a fast pass). Each point
 /// compiles its plan once, executes it serially, serially again on the
 /// reused executor and in parallel, and records report bit-identity and
-/// serial≡parallel trace identity at that scale.
+/// serial≡parallel trace identity at that scale. The parallel executes
+/// pass the automatic worker count as an explicit width, so a plan below
+/// the executor's grain still splits.
 pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
     SCALING_CHIPS
         .iter()
@@ -182,7 +185,14 @@ pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
             let reused = exec
                 .execute_serial(&plan, &payloads)
                 .expect("reused serial scale run");
-            let parallel = exec.execute(&plan, &payloads).expect("parallel scale run");
+            let width = exec.resolved_threads();
+            let split = ExecArgs {
+                threads: Some(width),
+                ..ExecArgs::default()
+            };
+            let parallel = exec
+                .execute_with(&plan, &payloads, split)
+                .expect("parallel scale run");
             let bit_identical = reused == reference && parallel == reference;
 
             // Trace identity at this scale: both engines must record
@@ -191,7 +201,7 @@ pub fn measure_scaling(max_chips: usize) -> Vec<ScalePoint> {
             let mut traced = |parallel: bool| {
                 let sink = RingSink::new(capacity);
                 let args = ExecArgs {
-                    threads: (!parallel).then_some(1),
+                    threads: Some(if parallel { width } else { 1 }),
                     sink: Some(&sink),
                     ..ExecArgs::default()
                 };

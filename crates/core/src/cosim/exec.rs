@@ -7,18 +7,23 @@
 //! lowering or stream allocation happens here. This is the runtime half of
 //! the paper's compile-once / execute-many contract (§5, Fig 17).
 //!
-//! Every delivery is bound from the plan before any chip runs, and no chip
-//! reads another chip's output, so the chips of one execute need no
-//! barrier between them. A parallel execute opens one
-//! [`std::thread::scope`]: chips are partitioned once by their
-//! compile-time [`ChipPlan::shard`] (a hash of the TSP id) modulo the
-//! width, the lowest non-empty shard runs on the calling thread and every
-//! other non-empty shard on a scoped thread of its own. Which thread runs
-//! which chip therefore depends on the plan and the width alone, never on
-//! OS scheduling. Every observable (results, traces, metrics, the first
-//! error) is merged on the calling thread in the plan's level order —
-//! ascending `(depth, TspId)` — which is what makes serial and parallel
-//! execution bit-identical.
+//! Every delivery is bound from the plan, and no chip reads another
+//! chip's output, so the chips of one execute need no barrier between
+//! them and each chip is one job: reset, bind (each delivery through its
+//! link's channel in fault mode), run, emission verify, and the
+//! destination check of every transfer that ends at it. A parallel
+//! execute opens one [`std::thread::scope`] and deals the jobs out by
+//! their compile-time [`ChipPlan::shard`], a rank by work, modulo the
+//! width: the lowest non-empty shard runs on the calling thread and every
+//! other non-empty shard on a scoped thread of its own. At the automatic
+//! width, a plan of fewer than [`EXEC_GRAIN`] instructions runs on the
+//! calling thread with no scope at all. Which thread runs which chip
+//! therefore depends on the plan and the width alone, never on OS
+//! scheduling. No job emits anything: every observable (results, traces,
+//! metrics, the first error) is replayed on the calling thread afterwards,
+//! the bind chip by chip in plan order and the runs in the plan's level
+//! order — ascending `(depth, TspId)` — which is what makes serial and
+//! parallel execution bit-identical.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,10 +37,10 @@ use tsm_link::fec::{FecOutcome, PAYLOAD_BITS};
 use tsm_link::latency::LatencyModel;
 use tsm_link::meter::LinkMeter;
 use tsm_topology::LinkId;
-use tsm_trace::{names, EventKind, Metrics, TraceSink, Tracer};
+use tsm_trace::{names, CycleHistogram, EventKind, Metrics, TraceSink, Tracer};
 
 use super::plan::{ChipPlan, CompiledPlan, PlannedDelivery, VecRef};
-use super::verify::{verify_destinations, verify_emissions};
+use super::verify::{check_destination, verify_emissions, EMPTY_DIGEST};
 use super::{CosimError, CosimReport};
 
 /// Environment variable overriding the parallel worker count of executes
@@ -247,21 +252,201 @@ fn transmit_delivery(
     }
 }
 
-/// One link's state across a fault-mode bind: its channel, built once per
-/// execute, and how many of its deliveries crossed clean. Clean outcomes
-/// are tallied here and folded into the metrics once per link.
-struct LinkBind {
-    link: LinkId,
-    channel: Channel,
-    clean: u64,
+/// A delivery that did not cross its link clean, as its chip's job saw
+/// it: the merge replays its tally and events in bind order.
+struct Struck {
+    /// Index into the chip's deliveries.
+    delivery: u32,
+    outcome: FecOutcome,
+    demoted: bool,
 }
 
-/// One chip's turn in an execute: its plan, its simulator and, once it
-/// has run, its retire cycle or error.
+/// One transfer's destination check, made by its destination chip's job
+/// and read by the merge: the digest of the delivered vectors, or the
+/// index of the first that did not arrive intact.
+struct DstCheck {
+    /// Index of the destination chip in the plan.
+    chip: usize,
+    transfer: usize,
+    digest: Result<u64, usize>,
+}
+
+/// One chip's job in an execute and what it leaves for the merge. The job
+/// resets the chip's simulator, binds its preloads and deliveries (each
+/// delivery through its link's channel in fault mode), runs its program,
+/// verifies its emissions and checks every transfer that ends at it.
 struct ChipRun<'a> {
     chip: &'a ChipPlan,
     sim: &'a mut ChipSim,
+    /// Whether [`CompiledPlan::levels`] lists the chip: an unlisted chip
+    /// is bound and checked but does not run.
+    listed: bool,
+    /// The deliveries that did not cross clean, in delivery order. Empty,
+    /// and so never allocated, on a clean fabric.
+    struck: Vec<Struck>,
+    /// Its retire cycle or error, once run.
     result: Option<Result<u64, CosimError>>,
+    /// The checks of the transfers that end at this chip, ascending.
+    dests: &'a mut [DstCheck],
+}
+
+impl ChipRun<'_> {
+    /// Runs the chip's whole job. This is the entire per-chip body, the
+    /// same on the calling thread and on every scoped one; the widths
+    /// differ only in which thread calls it. Every fault draw is keyed by
+    /// `(seed, link, transfer, vector)`, so no job depends on another's
+    /// order, and nothing here is observable until the merge reads it.
+    fn run(
+        &mut self,
+        plan: &CompiledPlan,
+        payloads: &[Vec<Payload>],
+        faults: Option<&LinkFaultModel>,
+    ) {
+        let (chip, sim) = (self.chip, &mut *self.sim);
+        let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
+        // Reset-not-rebuild: the simulator keeps its allocations, and the
+        // payloads bind by `Arc` clone.
+        sim.reset();
+        for p in &chip.preloads {
+            sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
+        }
+        // The channel of the link the current run of deliveries crosses:
+        // a port's deliveries all cross one link.
+        let mut channel: Option<(LinkId, Channel)> = None;
+        for (k, d) in chip.deliveries.iter().enumerate() {
+            let original = payload(&d.vec);
+            let bound = match faults {
+                None => Arc::clone(original),
+                Some(fm) => {
+                    if channel.as_ref().is_none_or(|(link, _)| *link != d.link) {
+                        let ber = fm.ber_for(d.link);
+                        channel = Some((d.link, Channel::new(LatencyModel::fixed(0), ber)));
+                    }
+                    let (_, ch) = channel.as_ref().expect("the run's channel is built above");
+                    // The common case binds the pool handle as is: its
+                    // keyed draw alone decides, with no packet built.
+                    if fm.crosses_clean(ch, d) {
+                        Arc::clone(original)
+                    } else {
+                        let (bound, outcome, demoted) = transmit_delivery(fm, ch, d, original);
+                        self.struck.push(Struck {
+                            delivery: k as u32,
+                            outcome,
+                            demoted,
+                        });
+                        bound
+                    }
+                }
+            };
+            // Deliveries are stored sorted by (port, cycle), so each port
+            // queue is fed in order.
+            sim.deliver_in_order(d.port, d.cycle, bound);
+        }
+        if self.listed {
+            let result = sim
+                .run_sorted(plan.program(chip))
+                .map_err(|error| CosimError::Chip {
+                    tsp: chip.tsp,
+                    error,
+                })
+                .and_then(|retire| {
+                    verify_emissions(chip.tsp, sim, &chip.emissions, payloads)?;
+                    Ok(retire)
+                });
+            self.result = Some(result);
+        }
+        for d in self.dests.iter_mut() {
+            d.digest = check_destination(&plan.shapes[d.transfer], &payloads[d.transfer], sim);
+        }
+    }
+}
+
+/// The bind as the merge replays it, chip by chip in plan order: per-link
+/// clean tallies, the earliest lost delivery and the culprit links.
+#[derive(Default)]
+struct BindReplay {
+    clean: HashMap<LinkId, u64>,
+    /// Earliest uncorrectable delivery in (cycle, link, transfer) order.
+    lost: Option<(u64, LinkId, usize)>,
+    culprits: Vec<LinkId>,
+}
+
+impl BindReplay {
+    /// Emits what binding `run`'s chip observed, in the order the bind
+    /// made it: for each delivery its fault event, if any, then its
+    /// `Delivery` instant if it landed, then the chip's `Deliveries`
+    /// span. `Delivery` events come from the plan's manifest; only the
+    /// struck deliveries were recorded by the job.
+    fn chip(&mut self, run: &ChipRun, fault_mode: bool, tracer: &mut Tracer, metrics: &Metrics) {
+        let chip = run.chip;
+        let lane = chip.tsp.0;
+        let mut struck = run.struck.iter().peekable();
+        for (k, d) in chip.deliveries.iter().enumerate() {
+            let mut landed = true;
+            match struck.next_if(|s| s.delivery as usize == k) {
+                None if fault_mode => *self.clean.entry(d.link).or_default() += 1,
+                None => {}
+                Some(s) => {
+                    LinkMeter::new(metrics, d.link.0).record(&s.outcome, s.demoted);
+                    match s.outcome {
+                        FecOutcome::Clean => {}
+                        FecOutcome::Corrected { bit } => tracer.instant(
+                            d.cycle,
+                            lane,
+                            EventKind::LinkCorrected {
+                                link: d.link.0,
+                                bit: bit as u32,
+                            },
+                        ),
+                        // A vector struck uncorrectable never arrived, so
+                        // it emits no Delivery event: the conformance
+                        // profiler sees the aborted window's gap instead
+                        // of a phantom arrival.
+                        FecOutcome::Uncorrectable => {
+                            let kind = if s.demoted {
+                                EventKind::LinkDemoted { link: d.link.0 }
+                            } else {
+                                EventKind::LinkUncorrectable { link: d.link.0 }
+                            };
+                            tracer.instant(d.cycle, lane, kind);
+                            self.culprits.push(d.link);
+                            landed = false;
+                            let key = (d.cycle, d.link, d.vec.transfer as usize);
+                            if self.lost.is_none_or(|worst| key < worst) {
+                                self.lost = Some(key);
+                            }
+                        }
+                    }
+                }
+            }
+            if landed {
+                // The cycle-coordinate ground truth the conformance
+                // profiler joins against the plan's delivery manifest,
+                // and the arrival a launch's link heatmap counts.
+                tracer.instant(
+                    d.cycle,
+                    lane,
+                    EventKind::Delivery {
+                        link: d.link.0,
+                        transfer: d.vec.transfer,
+                        vector: d.vec.vector,
+                    },
+                );
+            }
+        }
+        if tracer.enabled() && !chip.deliveries.is_empty() {
+            let first = chip.deliveries.iter().map(|d| d.cycle).min().unwrap();
+            let last = chip.deliveries.iter().map(|d| d.cycle).max().unwrap();
+            tracer.span(
+                first,
+                (last - first).max(1),
+                lane,
+                EventKind::Deliveries {
+                    count: chip.deliveries.len() as u32,
+                },
+            );
+        }
+    }
 }
 
 /// Everything about one execute besides its plan and payloads. Each call
@@ -271,13 +456,14 @@ struct ChipRun<'a> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecArgs<'a> {
     /// Worker count: `Some(n)` runs at `n` threads (0 clamped to 1)
-    /// whatever `TSM_THREADS` says; `None` resolves as
-    /// [`PlanExecutor::resolved_threads`] does.
+    /// whatever `TSM_THREADS` says or the plan's size; `None` resolves as
+    /// [`ExecArgs::width`] does.
     pub threads: Option<usize>,
     /// The datapath fault mode: every inter-chip delivery passes through
-    /// its link's BER channel per this model. Corruption happens in the
-    /// (serial) bind phase, so parallel and serial execution remain
-    /// bit-identical under injection.
+    /// its link's BER channel per this model. Each delivery's corruption
+    /// is keyed by `(seed, link, transfer, vector)`, not by which thread
+    /// binds it, so parallel and serial execution remain bit-identical
+    /// under injection.
     pub faults: Option<&'a LinkFaultModel>,
     /// Where trace events go; `None` costs one branch per emission point,
     /// as does a [`tsm_trace::NullSink`]. Every execute numbers its events
@@ -289,11 +475,35 @@ pub struct ExecArgs<'a> {
     pub trace_offset: u64,
 }
 
+/// Plan instructions below which an execute at the automatic width runs
+/// on the calling thread, with no scope and no spawn: a scoped thread's
+/// spawn and join cost more than such a plan's chips save by running
+/// beside it.
+///
+/// Measured on a 2-vCPU host, release build, as warm width-2 over serial
+/// execute time, the median of five alternating rounds. Plans of six
+/// two-hop transfers, about 300 instructions per chip, break even near
+/// 4,500 instructions (0.97 at 4,800, 0.85 at 7,200). Half-stride
+/// dragonflies, about 20 instructions per chip, break even near 7,200
+/// (1.07 at 5,520 with 288 chips, 1.01 at 7,152, 0.95 at 8,848). The
+/// grain is the first power of two past both. cosim-16's plan (1,216
+/// instructions, split 1.3–2.0× slower) stays below it; the smallest
+/// plan the serving workloads execute (29,496 instructions, split 0.62–
+/// 0.66) splits.
+pub const EXEC_GRAIN: usize = 8_192;
+
 impl ExecArgs<'_> {
-    /// The worker count this execute runs at: the explicit width, clamped
-    /// to at least 1, else [`PlanExecutor::resolved_threads`]'s.
-    pub fn width(&self) -> usize {
-        self.threads.map_or_else(auto_threads, |n| n.max(1))
+    /// The worker count an execute of `plan` runs at: the explicit width,
+    /// clamped to at least 1; else 1 for a plan of fewer than
+    /// [`EXEC_GRAIN`] instructions; else
+    /// [`PlanExecutor::resolved_threads`]'s. Of the plan it reads only the
+    /// instruction count, which compile fixes, never a timing.
+    pub fn width(&self, plan: &CompiledPlan) -> usize {
+        match self.threads {
+            Some(n) => n.max(1),
+            None if plan.instructions < EXEC_GRAIN => 1,
+            None => auto_threads(),
+        }
     }
 }
 
@@ -323,15 +533,14 @@ impl PlanExecutor {
     }
 
     /// The worker count an execute at the automatic width would use right
-    /// now: a positive integer in `TSM_THREADS`, else
-    /// `available_parallelism`.
+    /// now for a plan of at least [`EXEC_GRAIN`] instructions: a positive
+    /// integer in `TSM_THREADS`, else `available_parallelism`.
     pub fn resolved_threads(&self) -> usize {
         auto_threads()
     }
 
     /// [`PlanExecutor::execute_with`] at the defaults: no faults, no trace,
-    /// and the chips split by shard across
-    /// [`PlanExecutor::resolved_threads`] threads.
+    /// and the chips split by shard across [`ExecArgs::width`] threads.
     pub fn execute(
         &mut self,
         plan: &CompiledPlan,
@@ -340,9 +549,9 @@ impl PlanExecutor {
         self.execute_with(plan, payloads, ExecArgs::default())
     }
 
-    /// [`PlanExecutor::execute`] with all chips run on the calling thread,
-    /// in ascending (depth, TspId) order. Bit-identical to the parallel
-    /// path — the determinism tests and benches compare the two.
+    /// [`PlanExecutor::execute`] with every chip's job on the calling
+    /// thread, in plan order. Bit-identical to the parallel path — the
+    /// determinism tests and benches compare the two.
     pub fn execute_serial(
         &mut self,
         plan: &CompiledPlan,
@@ -355,12 +564,12 @@ impl PlanExecutor {
         self.execute_with(plan, payloads, serial)
     }
 
-    /// Binds `payloads` to `plan` and executes it, its chips split by
-    /// shard across [`ExecArgs::width`] threads: the calling thread and at
-    /// most that many less one scoped threads, spawned for this call and
-    /// joined before it returns. A chip that runs after the first failing
-    /// one (in `(depth, TspId)` order) is discarded with the execute's
-    /// error and reset at the next.
+    /// Binds `payloads` to `plan` and executes it, one job per chip, the
+    /// jobs split by shard across [`ExecArgs::width`] threads: the calling
+    /// thread and at most that many less one scoped threads, spawned for
+    /// this call and joined before it returns. Every job runs to its end;
+    /// the merge then reports the first failure, and discards every result
+    /// after it, in the order of a serial execute.
     ///
     /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
     /// plan's [`TransferShape`]s exactly. A fault model is checked before
@@ -405,180 +614,87 @@ impl PlanExecutor {
             });
         }
 
-        let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
-
-        // Per-run observability state. All emission points below sit on
-        // the serial spine (this bind loop and the merge loop after the
-        // chips run), so the event sequence — not just the sorted set — is
-        // identical between serial and parallel execution.
-        let metrics = Metrics::default();
-        let mut tracer = Tracer::new(args.sink).with_offset(args.trace_offset);
-
-        // Reset-not-rebuild: each chip's simulator keeps its allocations
-        // across invocations; preloads and deliveries bind the new
-        // payloads by Arc clone (pointer copies, no byte copies). In fault
-        // mode each delivery additionally crosses its link's channel here,
-        // in the serial bind phase — so injection cannot perturb the
-        // parallel-vs-serial determinism contract. Its keyed draw decides
-        // first whether it crosses clean; only one that does not is built
-        // into a packet and decoded.
         if self.sims.len() < plan.chips.len() {
             self.sims.resize_with(plan.chips.len(), ChipSim::default);
         }
-        // Fault mode's per-link channels and clean tallies, indexed through
-        // `link_index`; `run` is the entry of the link the current run of
-        // deliveries crosses.
-        let mut links: Vec<LinkBind> = Vec::new();
-        let mut link_index: HashMap<LinkId, usize> = HashMap::new();
-        let mut run = usize::MAX;
-        // Earliest uncorrectable delivery in (cycle, link, transfer) order;
-        // the whole bind completes first so the FEC tally covers every
-        // packet of the aborted attempt.
-        let mut lost: Option<(u64, LinkId, usize)> = None;
-        let mut culprits: Vec<LinkId> = Vec::new();
-        let mut delivered: u64 = 0;
-        for (chip, sim) in plan.chips.iter().zip(&mut self.sims) {
-            sim.reset();
-            let lane = chip.tsp.0;
-            for p in &chip.preloads {
-                sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
-            }
-            delivered += chip.deliveries.len() as u64;
-            for d in &chip.deliveries {
-                // Deliveries are stored sorted by (port, cycle), so each
-                // port queue is fed in order — no per-delivery re-sort.
-                // A vector struck uncorrectable never arrived, so it emits
-                // no Delivery event — the conformance profiler sees the
-                // aborted window's gap instead of a phantom arrival.
-                let mut landed = true;
-                let original = payload(&d.vec);
-                let payload = match faults {
-                    None => Arc::clone(original),
-                    Some(fm) => {
-                        // A port's deliveries all cross one link, so the
-                        // channel is looked up once per run of them.
-                        if links.get(run).is_none_or(|l| l.link != d.link) {
-                            run = *link_index.entry(d.link).or_insert_with(|| {
-                                links.push(LinkBind {
-                                    link: d.link,
-                                    channel: Channel::new(
-                                        LatencyModel::fixed(0),
-                                        fm.ber_for(d.link),
-                                    ),
-                                    clean: 0,
-                                });
-                                links.len() - 1
-                            });
-                        }
-                        let link = &mut links[run];
-                        // The common case binds the pool handle as is: no
-                        // packet, no byte copy, no metrics lock.
-                        if fm.crosses_clean(&link.channel, d) {
-                            link.clean += 1;
-                            Arc::clone(original)
-                        } else {
-                            let (payload, outcome, demoted) =
-                                transmit_delivery(fm, &link.channel, d, original);
-                            LinkMeter::new(&metrics, d.link.0).record(&outcome, demoted);
-                            match outcome {
-                                FecOutcome::Clean => {}
-                                FecOutcome::Corrected { bit } => tracer.instant(
-                                    d.cycle,
-                                    lane,
-                                    EventKind::LinkCorrected {
-                                        link: d.link.0,
-                                        bit: bit as u32,
-                                    },
-                                ),
-                                FecOutcome::Uncorrectable => {
-                                    let kind = if demoted {
-                                        EventKind::LinkDemoted { link: d.link.0 }
-                                    } else {
-                                        EventKind::LinkUncorrectable { link: d.link.0 }
-                                    };
-                                    tracer.instant(d.cycle, lane, kind);
-                                    culprits.push(d.link);
-                                    landed = false;
-                                    let key = (d.cycle, d.link, d.vec.transfer as usize);
-                                    if lost.is_none_or(|worst| key < worst) {
-                                        lost = Some(key);
-                                    }
-                                }
-                            }
-                            payload
-                        }
-                    }
-                };
-                if landed {
-                    // The cycle-coordinate ground truth the conformance
-                    // profiler joins against the plan's delivery manifest,
-                    // and the arrival a launch's link heatmap counts.
-                    tracer.instant(
-                        d.cycle,
-                        lane,
-                        EventKind::Delivery {
-                            link: d.link.0,
-                            transfer: d.vec.transfer,
-                            vector: d.vec.vector,
-                        },
-                    );
-                }
-                sim.deliver_in_order(d.port, d.cycle, payload);
-            }
-            if tracer.enabled() && !chip.deliveries.is_empty() {
-                let first = chip.deliveries.iter().map(|d| d.cycle).min().unwrap();
-                let last = chip.deliveries.iter().map(|d| d.cycle).max().unwrap();
-                tracer.span(
-                    first,
-                    (last - first).max(1),
-                    lane,
-                    EventKind::Deliveries {
-                        count: chip.deliveries.len() as u32,
-                    },
-                );
+        // Each transfer that moves a vector is checked by the job of its
+        // destination chip, which gets its checks as one slice.
+        let mut dests: Vec<DstCheck> = plan
+            .shapes
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.vectors > 0)
+            .map(|(transfer, s)| DstCheck {
+                chip: plan
+                    .chips
+                    .binary_search_by_key(&s.to, |c| c.tsp)
+                    .expect("destination simulated"),
+                transfer,
+                digest: Ok(0),
+            })
+            .collect();
+        dests.sort_unstable_by_key(|d| (d.chip, d.transfer));
+        let mut runs = Vec::with_capacity(plan.chips.len());
+        let mut rest = dests.as_mut_slice();
+        for (i, (chip, sim)) in plan.chips.iter().zip(&mut self.sims).enumerate() {
+            let here = rest.iter().take_while(|d| d.chip == i).count();
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(here);
+            rest = tail;
+            runs.push(ChipRun {
+                chip,
+                sim,
+                listed: false,
+                struck: Vec::new(),
+                result: None,
+                dests: mine,
+            });
+        }
+        for &i in plan.levels.iter().flatten() {
+            runs[i as usize].listed = true;
+        }
+        run_jobs(&mut runs, args.width(plan), |run| {
+            run.run(plan, payloads, faults)
+        });
+
+        // The merge, on the calling thread. Every emission point sits here,
+        // after the jobs, so the event sequence — not just the sorted set —
+        // is the same at every width: first the bind, chip by chip in plan
+        // order, ...
+        let metrics = Metrics::default();
+        let mut tracer = Tracer::new(args.sink).with_offset(args.trace_offset);
+        let mut bind = BindReplay::default();
+        if faults.is_some() || tracer.enabled() {
+            for run in &runs {
+                bind.chip(run, faults.is_some(), &mut tracer, &metrics);
             }
         }
-        for l in &links {
-            metrics.inc_labeled(names::LINK_CLEAN, l.link.0, l.clean);
+        for (link, clean) in bind.clean {
+            metrics.inc_labeled(names::LINK_CLEAN, link.0, clean);
         }
-        if let Some((cycle, link, transfer)) = lost {
+        // ... aborting on a lost delivery, with the FEC tally of every
+        // packet of the attempt and whatever its chips did discarded, ...
+        if let Some((cycle, link, transfer)) = bind.lost {
             return Err(CosimError::Uncorrectable {
                 link,
                 transfer,
                 cycle,
                 fec: FecStats::from_metrics(&metrics.snapshot()),
-                culprits,
+                culprits: bind.culprits,
             });
         }
 
-        // Each chip runs exactly once. Every delivery is bound above, from
-        // the plan, so no chip waits on another's output and the levels are
-        // not barriers: they fix only the order of the merge below, in
-        // (depth, TspId), and with it which error is reported first.
-        let width = args.width();
-        let mut sims: Vec<Option<&mut ChipSim>> = self.sims.iter_mut().map(Some).collect();
-        // Sized up front: `flatten` gives `collect` no length, and growing
-        // would add allocations with the chip count.
-        let mut runs = Vec::with_capacity(plan.chips.len());
-        runs.extend(plan.levels.iter().flatten().map(|&i| {
-            ChipRun {
-                chip: &plan.chips[i as usize],
-                sim: sims[i as usize]
-                    .take()
-                    .expect("levels list each chip at most once"),
-                result: None,
-            }
-        }));
-        run_shards(plan, payloads, &mut runs, width);
-
-        // Merge on the calling thread, in level order.
+        // ... then each chip's run in level order, (depth, TspId), which
+        // decides which chip error is reported first, ...
         let mut retire_cycles = HashMap::with_capacity(runs.len());
-        for run in runs {
+        let mut retires = CycleHistogram::default();
+        for &i in plan.levels.iter().flatten() {
+            let run = &mut runs[i as usize];
             let chip = run.chip;
             let retire = run
                 .result
-                .expect("every chip before the first failure has run")?;
-            metrics.observe_cycles(names::COSIM_RETIRE_CYCLES, retire);
+                .take()
+                .expect("levels list each chip at most once")?;
+            retires.observe(retire);
             retire_cycles.insert(chip.tsp, retire);
             if tracer.enabled() {
                 let lane = chip.tsp.0;
@@ -606,11 +722,29 @@ impl PlanExecutor {
                 }
             }
         }
+        drop(runs);
+        metrics.merge_histogram(names::COSIM_RETIRE_CYCLES, &retires);
 
-        // Verify destination SRAM contents bit-for-bit and fingerprint them.
-        let dst_digests = verify_destinations(plan, payloads, &self.sims)?;
+        // ... then the destinations: the first mismatch in transfer order,
+        // else every transfer's fingerprint.
+        let mut dst_digests = vec![EMPTY_DIGEST; plan.shapes.len()];
+        let mut mismatch: Option<(usize, usize)> = None;
+        for d in &dests {
+            match d.digest {
+                Ok(digest) => dst_digests[d.transfer] = digest,
+                Err(vector) => {
+                    if mismatch.is_none_or(|first| (d.transfer, vector) < first) {
+                        mismatch = Some((d.transfer, vector));
+                    }
+                }
+            }
+        }
+        if let Some((transfer, vector)) = mismatch {
+            return Err(CosimError::DataMismatch { transfer, vector });
+        }
 
         metrics.inc(names::COSIM_INSTRUCTIONS, plan.instructions as u64);
+        let delivered = plan.chips.iter().map(|c| c.deliveries.len() as u64).sum();
         metrics.inc(names::COSIM_DELIVERIES, delivered);
         metrics.set_gauge(names::COSIM_CHIPS, plan.chips.len() as u64);
         // Surface trace loss so downstream consumers (the conformance
@@ -632,57 +766,31 @@ impl PlanExecutor {
     }
 }
 
-/// Runs every chip of `runs` once, split by compile-time shard across
-/// `width` threads: the lowest non-empty shard on the calling thread, each
-/// other non-empty shard on a scoped thread of its own. Within a shard
-/// chips run in `runs` order, so a shard stops at its own first failure.
-fn run_shards(plan: &CompiledPlan, payloads: &[Vec<Payload>], runs: &mut [ChipRun], width: usize) {
-    if width <= 1 {
-        return run_shard(plan, payloads, runs.iter_mut());
+/// Runs `job` on every chip once, split by work rank across at most
+/// `width` threads: with `threads` the width capped at the chip count,
+/// chip `c` runs in shard `c.shard % threads`, the lowest non-empty shard
+/// on the calling thread and each other non-empty one on a scoped thread
+/// of its own. At one thread every job runs on the calling thread, in
+/// plan order, with no scope at all.
+fn run_jobs(runs: &mut [ChipRun], width: usize, job: impl Fn(&mut ChipRun) + Sync) {
+    let threads = width.min(runs.len());
+    if threads <= 1 {
+        return runs.iter_mut().for_each(job);
     }
-    let shard = |r: &&mut ChipRun| r.chip.shard as usize % width;
-    // A stable sort keeps each shard's chips in `runs` order.
-    let mut by_shard: Vec<&mut ChipRun> = runs.iter_mut().collect();
-    by_shard.sort_by_key(shard);
-    let mut shards = by_shard.chunk_by_mut(|a, b| shard(a) == shard(b));
+    let mut shards: Vec<Vec<&mut ChipRun>> = (0..threads)
+        .map(|_| Vec::with_capacity(runs.len().div_ceil(threads)))
+        .collect();
+    for run in runs.iter_mut() {
+        shards[run.chip.shard as usize % threads].push(run);
+    }
+    let mut shards = shards.into_iter().filter(|s| !s.is_empty());
     let first = shards.next();
     std::thread::scope(|s| {
-        for chunk in shards {
-            s.spawn(|| run_shard(plan, payloads, chunk.iter_mut().map(|r| &mut **r)));
+        for shard in shards {
+            s.spawn(|| shard.into_iter().for_each(&job));
         }
-        if let Some(chunk) = first {
-            run_shard(plan, payloads, chunk.iter_mut().map(|r| &mut **r));
+        if let Some(shard) = first {
+            shard.into_iter().for_each(&job);
         }
     });
-}
-
-/// Runs a shard's chips in order, stopping at the first that fails: each
-/// executes its slab window and has its emission manifest verified.
-///
-/// This is the *entire* per-chip body, shared verbatim by the serial path
-/// and every thread of a parallel one — the two modes differ only in which
-/// thread calls it, which is exactly the determinism argument.
-fn run_shard<'r, 'a: 'r>(
-    plan: &CompiledPlan,
-    payloads: &[Vec<Payload>],
-    runs: impl Iterator<Item = &'r mut ChipRun<'a>>,
-) {
-    for run in runs {
-        let result = run
-            .sim
-            .run_sorted(plan.program(run.chip))
-            .map_err(|error| CosimError::Chip {
-                tsp: run.chip.tsp,
-                error,
-            })
-            .and_then(|retire| {
-                verify_emissions(run.chip.tsp, run.sim, &run.chip.emissions, payloads)?;
-                Ok(retire)
-            });
-        let failed = result.is_err();
-        run.result = Some(result);
-        if failed {
-            break;
-        }
-    }
 }

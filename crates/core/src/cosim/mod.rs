@@ -55,18 +55,22 @@
 //!
 //! # Determinism contract
 //!
-//! Every delivery is materialized from the schedule before any chip runs,
-//! so no chip reads another chip's output and all chips of an execute are
-//! independent. A parallel execute runs them on one
-//! [`std::thread::scope`], split across threads by a shard key fixed at
-//! plan-compile time; the serial path runs the same per-chip code on the
-//! calling thread. Parallel and serial runs are **bit-identical**: every
-//! chip's execution is a pure function of its program and materialized
-//! deliveries, and results are merged on the calling thread in the plan's
-//! level order, ascending (depth, [`TspId`]), regardless of thread
-//! completion order. Levels are that merge order, not barriers: the first
-//! error in (depth, TspId) order is the one reported, in both modes, and
-//! any chip that ran after it is discarded with the execute.
+//! Every delivery is materialized from the schedule, never from another
+//! chip's output, so all chips of an execute are independent and each is
+//! one job: reset, bind, run, emission verify and the destination check of
+//! the transfers that end at it. A parallel execute runs the jobs on one
+//! [`std::thread::scope`], dealt out by a work rank fixed at plan-compile
+//! time ([`ChipPlan::shard`]); the serial path runs the same per-chip code
+//! on the calling thread, as does the automatic width for a plan of fewer
+//! than [`exec::EXEC_GRAIN`] instructions. Parallel and serial runs are
+//! **bit-identical**: every chip's job is a pure function of its program,
+//! its materialized deliveries and its keyed fault draws, and everything
+//! observable is replayed on the calling thread afterwards — the bind
+//! chip by chip in plan order, then the results in the plan's level order,
+//! ascending (depth, [`TspId`]) — regardless of thread completion order.
+//! Levels are that merge order, not barriers: the first error in (depth,
+//! TspId) order is the one reported, in both modes, and any chip that ran
+//! after it is discarded with the execute.
 
 pub mod exec;
 pub mod plan;

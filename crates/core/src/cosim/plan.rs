@@ -121,11 +121,13 @@ pub struct ChipPlan {
     /// Hop depth (0 = pure source): the chip's level in
     /// [`CompiledPlan::levels`], which orders the executor's merge.
     pub depth: u32,
-    /// Stable shard key (FNV-1a over the TSP id), fixed at compile time.
-    /// The parallel executor puts this chip in partition
-    /// `shard % workers` and runs each non-empty partition on a thread of
-    /// its own, so the chip→thread mapping is a pure function of the plan
-    /// and the thread count — never of scheduling order.
+    /// The chip's work rank, fixed at compile time: its position when the
+    /// plan's chips are ordered by descending [`ChipPlan::work`], ties by
+    /// ascending TSP. A parallel execute at width `w` runs this chip's
+    /// job on thread `shard % w`, which deals the chips out round-robin by
+    /// work: no thread holds more than an even share of the plan's work
+    /// plus one chip's. The chip→thread mapping is a pure function of the
+    /// plan and the width, never of scheduling order.
     pub shard: u32,
     /// Start of this chip's issue-sorted instruction window in the slab.
     pub prog_start: u32,
@@ -172,14 +174,24 @@ pub struct CompiledPlan {
     pub instructions: usize,
 }
 
-/// Stable chip→shard key: FNV-1a over the little-endian TSP id, folded to
-/// 32 bits. Fixed here, at compile time, so a plan pins its own sharding.
-pub(super) fn shard_key(tsp: TspId) -> u32 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in tsp.0.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+impl ChipPlan {
+    /// What one execute asks of this chip, in plan units known at compile
+    /// time: its instruction window plus its deliveries and preloads.
+    pub fn work(&self) -> usize {
+        self.prog_end.saturating_sub(self.prog_start) as usize
+            + self.deliveries.len()
+            + self.preloads.len()
     }
-    (h ^ (h >> 32)) as u32
+}
+
+/// Sets every chip's [`ChipPlan::shard`] to its work rank: heaviest
+/// first, ties by ascending TSP.
+fn rank_shards(chips: &mut [ChipPlan]) {
+    let mut order: Vec<usize> = (0..chips.len()).collect();
+    order.sort_by_key(|&i| (Reverse(chips[i].work()), chips[i].tsp));
+    for (rank, i) in order.into_iter().enumerate() {
+        chips[i].shard = rank as u32;
+    }
 }
 
 impl CompiledPlan {
@@ -1054,9 +1066,9 @@ fn book_and_lower(
 /// Assembles the plan: per-chip plans in ascending TspId order, each
 /// chip's program written once into the slab by merging its trains and
 /// each manifest allocated at its exact size, grouped into hop-depth
-/// levels. A chip at depth d receives only from chips at depth < d, so
-/// levels form a topological order, the order in which the executor
-/// merges chip results.
+/// levels and ranked by work into shards. A chip at depth d receives only
+/// from chips at depth < d, so levels form a topological order, the order
+/// in which the executor merges chip results.
 fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -> CompiledPlan {
     let mut chips = Vec::with_capacity(builds.chips.len());
     let mut levels: Vec<Vec<u32>> = Vec::new();
@@ -1077,7 +1089,7 @@ fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -
         chips.push(ChipPlan {
             tsp: c.tsp,
             depth: c.depth as u32,
-            shard: shard_key(c.tsp),
+            shard: 0,
             prog_start: prog_start as u32,
             prog_end: slab.len() as u32,
             preloads,
@@ -1085,6 +1097,7 @@ fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -
             emissions,
         });
     }
+    rank_shards(&mut chips);
     CompiledPlan {
         shapes: shapes.to_vec(),
         chips,
@@ -1198,7 +1211,7 @@ fn port_of(topo: &Topology, path: &Path, h: usize, tsp: TspId) -> u8 {
 mod json {
     use super::{
         ChipPlan, CompiledPlan, PlannedDelivery, PlannedEmission, PlannedPreload, TransferShape,
-        VecRef,
+        VecRef, SRAM_OFFSETS,
     };
     use tsm_chip::exec::TimedInstruction;
     use tsm_isa::instr::{Instruction, VectorOpcode};
@@ -1674,8 +1687,10 @@ mod json {
     /// program ascends by `(cycle, unit)`, the issue order the executor
     /// runs it in, its deliveries by `(port, cycle)` and its emissions by
     /// `(cycle, port)`;
-    /// chips ascend by TSP and include each transfer's destination; levels
-    /// list each chip at most once.
+    /// chips ascend by TSP and include each transfer's destination; each
+    /// transfer's source and destination regions end by offset 65,535, as
+    /// compile requires, so no region wraps onto offset 0; levels list
+    /// each chip at most once.
     fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
         if let Some(w) = plan.chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
             return Err(format!(
@@ -1688,6 +1703,16 @@ mod json {
                 return Err(format!(
                     "transfer {t} delivers to TSP {} with no chip plan",
                     s.to.0
+                ));
+            }
+            let wraps = |offset: u16| u64::from(offset) + u64::from(s.vectors) > SRAM_OFFSETS;
+            if let Some((end, offset)) = [("source", s.src_offset), ("destination", s.dst_offset)]
+                .into_iter()
+                .find(|&(_, offset)| wraps(offset))
+            {
+                return Err(format!(
+                    "transfer {t} {end} region of {} vectors from offset {offset} runs past offset 65535",
+                    s.vectors
                 ));
             }
         }
@@ -2314,7 +2339,7 @@ mod tests {
             chips.push(ChipPlan {
                 tsp: c.tsp,
                 depth: c.depth as u32,
-                shard: shard_key(c.tsp),
+                shard: 0,
                 prog_start,
                 prog_end: slab.len() as u32,
                 preloads,
@@ -2322,6 +2347,7 @@ mod tests {
                 emissions,
             });
         }
+        rank_shards(&mut chips);
         CompiledPlan {
             shapes: shapes.to_vec(),
             chips,
@@ -2422,6 +2448,59 @@ mod tests {
             shape(0, 12, offset, 100),
         ];
         (topo, shapes)
+    }
+
+    /// Shards deal the chips out by work. Each chip's shard is its rank
+    /// by descending work, ties by TSP, so at every width from 2 to 8 no
+    /// `shard % width` class holds more than an even share of the plan's
+    /// work plus its heaviest chip's: on serve-steady's batch-8 pipeline
+    /// (the pipeline without its offload), whose two middle stages carry
+    /// twice the work of the ends and which splits evenly at width 2, and
+    /// on half-stride dragonflies of 2, 4 and 16 racks.
+    #[test]
+    fn shards_split_the_work_evenly() {
+        let (topo, mut shapes) = pipeline(19_661);
+        shapes.truncate(3);
+        let steady = compile_plan(&topo, &shapes).unwrap();
+        let work: Vec<usize> = steady.chips.iter().map(ChipPlan::work).collect();
+        assert_eq!(work, [58_983, 117_966, 117_966, 58_983]);
+        let at_two = |shard| -> Vec<u32> {
+            (steady.chips.iter())
+                .filter(|c| c.shard % 2 == shard)
+                .map(|c| c.tsp.0)
+                .collect()
+        };
+        assert_eq!((at_two(0), at_two(1)), (vec![0, 1], vec![2, 3]));
+        let mut plans = vec![steady.clone()];
+        for racks in [2, 4, 16] {
+            let (topo, shapes) = half_stride(racks);
+            plans.push(compile_plan(&topo, &shapes).unwrap());
+        }
+        for plan in &plans {
+            let mut ranked: Vec<&ChipPlan> = plan.chips.iter().collect();
+            ranked.sort_by_key(|c| c.shard);
+            assert!(ranked
+                .iter()
+                .enumerate()
+                .all(|(r, c)| c.shard as usize == r));
+            assert!(ranked
+                .windows(2)
+                .all(|w| (Reverse(w[0].work()), w[0].tsp) < (Reverse(w[1].work()), w[1].tsp)));
+            let total: usize = plan.chips.iter().map(ChipPlan::work).sum();
+            let heaviest = ranked[0].work();
+            for width in 2..=8 {
+                let mut shards = vec![0; width];
+                for c in &plan.chips {
+                    shards[c.shard as usize % width] += c.work();
+                }
+                let most = *shards.iter().max().unwrap();
+                assert!(
+                    most <= total / width + heaviest,
+                    "{} chips at width {width}: {most} of {total}",
+                    plan.chips.len()
+                );
+            }
+        }
     }
 
     /// A plan is the same at every width: the 16-rack half-stride plan
@@ -2621,6 +2700,37 @@ mod tests {
         assert_ne!(wide, json);
         let err = CompiledPlan::from_json(&wide).unwrap_err();
         assert!(err.contains("stream 256 out of range"), "{err}");
+
+        // Two vectors stored at offsets 65535 and 0, passed off as one
+        // region from 65535: compile refuses that region, and so must the
+        // parse, before the executor adds past `u16::MAX`.
+        let edge = TransferShape {
+            to: TspId(1),
+            dst_offset: 65_534,
+            vectors: 2,
+            ..plan.shapes[0].clone()
+        };
+        let mut wrapped = compile_plan(&Topology::single_node(), &[edge]).unwrap();
+        wrapped.shapes[0].dst_offset = 65_535;
+        let dst = &wrapped.chips[1];
+        let stores = wrapped.slab[dst.prog_start as usize..dst.prog_end as usize]
+            .iter_mut()
+            .filter_map(|ti| match &mut ti.instr {
+                Instruction::Write { offset, .. } => Some(offset),
+                _ => None,
+            });
+        for (offset, to) in stores.zip([65_535, 0]) {
+            *offset = to;
+        }
+        let err = CompiledPlan::from_json(&wrapped.to_json()).unwrap_err();
+        assert!(
+            err.contains("transfer 0 destination region of 2 vectors from offset 65535"),
+            "{err}"
+        );
+        wrapped.shapes[0].dst_offset = 65_534;
+        wrapped.shapes[0].src_offset = 65_535;
+        let err = CompiledPlan::from_json(&wrapped.to_json()).unwrap_err();
+        assert!(err.contains("transfer 0 source region"), "{err}");
     }
 
     /// A plan document may name any port its field holds. One whose source

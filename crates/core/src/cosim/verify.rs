@@ -4,13 +4,14 @@
 //! The plan promises, per chip, exactly which vector leaves which port on
 //! which cycle; after a chip executes, its real emissions are compared
 //! bit-for-bit against that promise before any downstream chip's inputs
-//! are trusted. Destination SRAM is additionally checked bit-for-bit at
-//! the end of the run and fingerprinted for the determinism tests.
+//! are trusted. Each destination's SRAM is additionally checked
+//! bit-for-bit once its chip has run, and fingerprinted for the
+//! determinism tests.
 
 use tsm_chip::exec::{ChipSim, Emission, Payload};
 use tsm_topology::TspId;
 
-use super::plan::{CompiledPlan, PlannedEmission};
+use super::plan::{PlannedEmission, TransferShape};
 use super::CosimError;
 
 fn emission_key(e: &Emission) -> (u64, u8) {
@@ -92,43 +93,35 @@ fn check_emissions<'a>(
     Ok(())
 }
 
-/// Checks every destination's SRAM region bit-for-bit against the bound
-/// payloads and returns the per-transfer FNV fingerprints of the delivered
-/// bytes (the serial-vs-parallel determinism tests compare these).
+/// The fingerprint of a transfer that moves no vector: FNV-1a's offset
+/// basis, folded over nothing.
+pub(super) const EMPTY_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Checks one transfer's destination SRAM region bit-for-bit against its
+/// bound payload, `data`, and fingerprints it: the FNV fold of the
+/// delivered vectors' digests in vector order (the serial-vs-parallel
+/// determinism tests compare these), or the index of the first vector
+/// that did not arrive intact.
 ///
-/// `sims` is aligned by index with `plan.chips`; destinations resolve by
-/// binary search over the plan's (TspId-ascending) chip list.
-pub(super) fn verify_destinations(
-    plan: &CompiledPlan,
-    payloads: &[Vec<Payload>],
-    sims: &[ChipSim],
-) -> Result<Vec<u64>, CosimError> {
-    let mut dst_digests = Vec::with_capacity(plan.shapes.len());
-    for (idx, (shape, data)) in plan.shapes.iter().zip(payloads).enumerate() {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        if !data.is_empty() {
-            let chip = plan
-                .chips
-                .binary_search_by_key(&shape.to, |c| c.tsp)
-                .expect("destination simulated");
-            let sim = &sims[chip];
-            for (v, expected) in data.iter().enumerate() {
-                match sim.sram_handle(shape.dst_slice, shape.dst_offset + v as u16) {
-                    Some(got)
-                        if Payload::ptr_eq(got, expected) || got.as_ref() == expected.as_ref() =>
-                    {
-                        acc = (acc ^ got.digest()).wrapping_mul(0x100_0000_01b3);
-                    }
-                    _ => {
-                        return Err(CosimError::DataMismatch {
-                            transfer: idx,
-                            vector: v,
-                        })
-                    }
-                }
+/// `sim` is the destination chip's. Offsets are added in `usize`, so a
+/// region that runs past offset 65535 is a mismatch there instead of
+/// wrapping onto offset 0.
+pub(super) fn check_destination(
+    shape: &TransferShape,
+    data: &[Payload],
+    sim: &ChipSim,
+) -> Result<u64, usize> {
+    let mut acc = EMPTY_DIGEST;
+    for (v, expected) in data.iter().enumerate() {
+        let got = u16::try_from(usize::from(shape.dst_offset) + v)
+            .ok()
+            .and_then(|offset| sim.sram_handle(shape.dst_slice, offset));
+        match got {
+            Some(got) if Payload::ptr_eq(got, expected) || got.as_ref() == expected.as_ref() => {
+                acc = (acc ^ got.digest()).wrapping_mul(0x100_0000_01b3);
             }
+            _ => return Err(v),
         }
-        dst_digests.push(acc);
     }
-    Ok(dst_digests)
+    Ok(acc)
 }

@@ -184,22 +184,19 @@ impl System {
 
         // Drive every scheduled wire packet through the FEC channel; on an
         // uncorrectable error the runtime replays the inference, up to
-        // `max_replays` times. A run that exhausts them reports no tally.
+        // `max_replays` times. The report carries the final attempt's
+        // tally: the clean run's, or the last failed one's.
         let ber = self.config.bit_error_rate;
         let reservations = program.occupancy.reservations();
         let mut attempts = 0u32;
-        let clean = loop {
+        let (fec, succeeded) = loop {
             attempts += 1;
             let (stats, _) = inject_schedule_with(&self.topo, reservations, |_| ber, &mut rng);
-            if stats.is_clean_run() {
-                break Some(stats);
-            }
-            if attempts > self.config.max_replays {
-                break None;
+            let clean = stats.is_clean_run();
+            if clean || attempts > self.config.max_replays {
+                break (stats, clean);
             }
         };
-        let succeeded = clean.is_some();
-        let fec = clean.unwrap_or_default();
         let replays = attempts - 1;
         // A replay re-runs the whole inference.
         let measured = measured * (replays as u64 + 1);

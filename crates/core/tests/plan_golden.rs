@@ -1,10 +1,13 @@
 //! Golden plan pins: `compile_plan` output is pinned byte for byte on five
-//! fixed workloads, so any change to routing, link/unit reservation or
-//! lowering that alters a plan fails here rather than only in the
-//! benchmark. The digests are FNV-1a over `CompiledPlan::to_json()`.
+//! fixed workloads, so any change to routing, link/unit reservation,
+//! lowering or shard ranking that alters a plan fails here rather than
+//! only in the benchmark. The digests are FNV-1a over
+//! `CompiledPlan::to_json()`. The same workloads fix which side of the
+//! executor's grain the benchmark's plans fall on.
 
 use std::collections::HashSet;
-use tsm_core::cosim::{compile_plan, TransferShape};
+use tsm_core::cosim::exec::EXEC_GRAIN;
+use tsm_core::cosim::{compile_plan, ExecArgs, PlanExecutor, TransferShape};
 use tsm_topology::{Topology, TspId};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -101,7 +104,7 @@ fn plan_digest((topo, shapes): (Topology, Vec<TransferShape>)) -> u64 {
 fn cosim16_plan_is_pinned() {
     assert_eq!(
         plan_digest(cosim16()),
-        0x9f76_64d6_1556_1334,
+        0x2933_7da3_1c06_4602,
         "cosim-16 plan digest moved"
     );
 }
@@ -110,7 +113,7 @@ fn cosim16_plan_is_pinned() {
 fn half_stride_288_plan_is_pinned() {
     assert_eq!(
         plan_digest(half_stride(4)),
-        0x8454_d5d6_5e35_f71d,
+        0xdb48_7308_3ee1_96c2,
         "288-chip half-stride plan digest moved"
     );
 }
@@ -123,7 +126,7 @@ fn half_stride_288_plan_is_pinned() {
 fn half_stride_1152_plan_is_pinned() {
     assert_eq!(
         plan_digest(half_stride(16)),
-        0x5f17_01a9_3ef2_9448,
+        0xa798_4ba6_152b_c993,
         "1,152-chip half-stride plan digest moved"
     );
 }
@@ -136,7 +139,7 @@ fn bert_pipeline_plan_is_pinned() {
     assert_eq!(plan.arrivals, [59_225, 59_225, 59_225, 3_342]);
     assert_eq!(
         fnv1a(plan.to_json().as_bytes()),
-        0x767e_f747_ff9a_d642,
+        0xb8bd_c611_8de5_7ecb,
         "BERT pipeline plan digest moved"
     );
 }
@@ -152,7 +155,29 @@ fn bert_batch8_pipeline_plan_is_pinned() {
     assert_eq!(plan.arrivals, [472_097, 472_097, 472_097, 3_342]);
     assert_eq!(
         fnv1a(plan.to_json().as_bytes()),
-        0x0df8_541f_e4a1_f44d,
+        0x233d_4603_87b3_ed8e,
         "BERT batch-8 pipeline plan digest moved"
+    );
+}
+
+/// Dispatch by plan work: at the automatic width, cosim-16's plan runs on
+/// the calling thread, with no scope, while the BERT pipelines the serving
+/// workloads execute split, down to the smallest, batch 1 without the
+/// offload.
+#[test]
+fn only_plans_of_a_grain_or_more_split_at_the_automatic_width() {
+    let (topo, shapes) = cosim16();
+    let small = compile_plan(&topo, &shapes).unwrap();
+    assert_eq!(small.instructions, 1_216);
+    assert_eq!(ExecArgs::default().width(&small), 1);
+
+    let (topo, mut shapes) = bert_pipeline_with_offload(2_458);
+    shapes.truncate(3);
+    let smallest_served = compile_plan(&topo, &shapes).unwrap();
+    assert_eq!(smallest_served.instructions, 29_496);
+    assert!(smallest_served.instructions >= EXEC_GRAIN);
+    assert_eq!(
+        ExecArgs::default().width(&smallest_served),
+        PlanExecutor::new().resolved_threads()
     );
 }

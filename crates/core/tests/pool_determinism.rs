@@ -1,13 +1,14 @@
 //! Parallel-execution determinism contract: for ANY worker count — more
 //! workers than chips, fewer workers than chips, odd widths, a different
-//! width on every call to one executor, executes that fail in a chip — the
+//! width on every call to one executor, the automatic width on either side
+//! of the grain, executes that fail in a chip or lose a delivery — the
 //! parallel engine's report AND its trace event stream are bit-identical to
-//! the serial engine's. The compile-time shard partition, the scoped
-//! threads and the spine-side merge are the parallel executor; these tests
-//! are its oracle.
+//! the serial engine's. The compile-time work-rank shards, the per-chip
+//! jobs on scoped threads and the spine-side replay are the parallel
+//! executor; these tests are its oracle.
 
 use std::sync::Arc;
-use tsm_core::cosim::exec::TSM_THREADS_ENV;
+use tsm_core::cosim::exec::{EXEC_GRAIN, TSM_THREADS_ENV};
 use tsm_core::cosim::{
     compile_plan, CompiledPlan, CosimError, CosimTransfer, ExecArgs, LinkFaultModel, PlanExecutor,
     TransferShape,
@@ -56,14 +57,14 @@ fn build_transfers(topo: &Topology, raw: &[RawTransfer]) -> Vec<CosimTransfer> {
         .collect()
 }
 
-/// One traced run at an explicit worker count (1 is the serial reference
-/// semantics); returns the report result and the canonical
-/// `(cycle, lane, seq)`-ordered event stream.
+/// One traced run at a worker count (`Some(1)` is the serial reference
+/// semantics, `None` the automatic width); returns the report result and
+/// the canonical `(cycle, lane, seq)`-ordered event stream.
 #[allow(clippy::type_complexity)]
 fn traced_run_with_threads(
     plan: &CompiledPlan,
     payloads: &[Vec<Payload>],
-    threads: usize,
+    threads: Option<usize>,
     faults: Option<&LinkFaultModel>,
 ) -> (
     Result<tsm_core::cosim::CosimReport, tsm_core::cosim::CosimError>,
@@ -71,7 +72,7 @@ fn traced_run_with_threads(
 ) {
     let sink = RingSink::new(1 << 16);
     let args = ExecArgs {
-        threads: Some(threads),
+        threads,
         faults,
         sink: Some(&sink),
         ..ExecArgs::default()
@@ -109,15 +110,16 @@ proptest! {
         let Ok(plan) = compile_plan(&topo, &shapes) else { return Ok(()) };
         let payloads: Vec<_> = transfers.iter().map(CosimTransfer::payload).collect();
 
-        let (want, want_events) = traced_run_with_threads(&plan, &payloads, 1, None);
-        let (got, got_events) = traced_run_with_threads(&plan, &payloads, threads, None);
+        let (want, want_events) = traced_run_with_threads(&plan, &payloads, Some(1), None);
+        let (got, got_events) = traced_run_with_threads(&plan, &payloads, Some(threads), None);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(&got_events, &want_events);
         prop_assert!(!want_events.is_empty(), "instrumented run records events");
     }
 
-    /// The same contract under datapath BER injection: corruption happens
-    /// in the serial bind phase, so no worker count may perturb it.
+    /// The same contract under datapath BER injection: every delivery's
+    /// corruption is keyed by (seed, link, transfer, vector), whichever
+    /// thread binds it, so no worker count may perturb it.
     #[test]
     fn any_worker_count_matches_serial_under_faults(
         raw in prop::collection::vec(raw_transfer(), 1..=4),
@@ -132,9 +134,9 @@ proptest! {
         let faults = LinkFaultModel::uniform(1e-6, ber_seed);
 
         let (want, want_events) =
-            traced_run_with_threads(&plan, &payloads, 1, Some(&faults));
+            traced_run_with_threads(&plan, &payloads, Some(1), Some(&faults));
         let (got, got_events) =
-            traced_run_with_threads(&plan, &payloads, threads, Some(&faults));
+            traced_run_with_threads(&plan, &payloads, Some(threads), Some(&faults));
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(got_events, want_events);
     }
@@ -184,10 +186,10 @@ fn dragonfly_workload() -> (CompiledPlan, Vec<Vec<Payload>>) {
 #[test]
 fn fixed_workload_all_widths_identical() {
     let (plan, payloads) = dragonfly_workload();
-    let (want, want_events) = traced_run_with_threads(&plan, &payloads, 1, None);
+    let (want, want_events) = traced_run_with_threads(&plan, &payloads, Some(1), None);
     want.as_ref().expect("fixed workload executes");
     for threads in [1usize, 2, 3, 5, 8, 64, 1000] {
-        let (got, got_events) = traced_run_with_threads(&plan, &payloads, threads, None);
+        let (got, got_events) = traced_run_with_threads(&plan, &payloads, Some(threads), None);
         assert_eq!(got, want, "report diverged at {threads} workers");
         assert_eq!(
             got_events, want_events,
@@ -226,7 +228,7 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
         for &i in &corrupt {
             bad.chips[i].emissions[0].cycle += 1;
         }
-        let (want, want_events) = traced_run_with_threads(&bad, &payloads, 1, None);
+        let (want, want_events) = traced_run_with_threads(&bad, &payloads, Some(1), None);
         match &want {
             Err(CosimError::EmissionMismatch { tsp, .. }) => {
                 assert_eq!(*tsp, plan.chips[culprit].tsp, "serial names the culprit")
@@ -234,7 +236,7 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
             other => panic!("expected an emission mismatch, got {other:?}"),
         }
         for threads in [1usize, 2, 3, 8, 1000] {
-            let (got, got_events) = traced_run_with_threads(&bad, &payloads, threads, None);
+            let (got, got_events) = traced_run_with_threads(&bad, &payloads, Some(threads), None);
             assert_eq!(got, want, "error diverged at {threads} workers");
             assert_eq!(
                 got_events, want_events,
@@ -244,24 +246,148 @@ fn chip_errors_are_identical_serially_and_at_every_width() {
     }
 }
 
+/// Six two-hop transfers across two nodes, `vectors` long each, every
+/// chip sending or receiving at most one: a plan whose instruction count
+/// grows by a fixed step per vector.
+fn six_transfers(vectors: usize) -> (CompiledPlan, Vec<Vec<Payload>>) {
+    let topo = Topology::fully_connected_nodes(2).expect("topology builds");
+    let transfers: Vec<CosimTransfer> = (0..6u32)
+        .map(|i| CosimTransfer {
+            from: TspId(i),
+            to: TspId(9 + i),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            data: (0..vectors)
+                .map(|v| Vector::from_fn(|b| (b as u8) ^ (i as u8).wrapping_mul(37) ^ v as u8))
+                .collect(),
+        })
+        .collect();
+    let shapes: Vec<TransferShape> = transfers.iter().map(TransferShape::from).collect();
+    let plan = compile_plan(&topo, &shapes).expect("six transfers compile");
+    let payloads = transfers.iter().map(CosimTransfer::payload).collect();
+    (plan, payloads)
+}
+
+/// [`six_transfers`] as long as it can be and stay under [`EXEC_GRAIN`]
+/// instructions, or as short as it can be and reach it.
+fn grain_plan(over: bool) -> (CompiledPlan, Vec<Vec<Payload>>) {
+    let step = six_transfers(1).0.instructions;
+    let vectors = if over {
+        EXEC_GRAIN.div_ceil(step)
+    } else {
+        (EXEC_GRAIN - 1) / step
+    };
+    let (plan, payloads) = six_transfers(vectors);
+    assert_eq!(plan.instructions, step * vectors, "a fixed step per vector");
+    assert_eq!(plan.instructions >= EXEC_GRAIN, over);
+    (plan, payloads)
+}
+
+/// Runs `plan` at the automatic width and at explicit widths 1–5, each
+/// into its own ring, and asserts each run's report or error — metrics,
+/// FEC tally and culprits included — and trace, `seq` included, equal the
+/// serial run's, which it returns.
+fn assert_every_width_is_serial(
+    plan: &CompiledPlan,
+    payloads: &[Vec<Payload>],
+    faults: Option<&LinkFaultModel>,
+) -> Result<tsm_core::cosim::CosimReport, CosimError> {
+    let (want, want_events) = traced_run_with_threads(plan, payloads, Some(1), faults);
+    assert!(!want_events.is_empty(), "the serial run records events");
+    for threads in [None, Some(1), Some(2), Some(3), Some(4), Some(5)] {
+        let (got, got_events) = traced_run_with_threads(plan, payloads, threads, faults);
+        assert_eq!(got, want, "report diverged at {threads:?} workers");
+        assert!(
+            got_events == want_events,
+            "trace diverged at {threads:?} workers"
+        );
+    }
+    want
+}
+
+/// Plans either side of the grain — serial at the automatic width below
+/// it, split at and above it — give the serial run's report, error and
+/// trace at the automatic width and at widths 1–5: clean; at a BER that
+/// loses deliveries and so aborts the attempt; and with one emitting chip
+/// moved off schedule, in the first shard of each width and again in the
+/// last.
+#[test]
+fn plans_either_side_of_the_grain_match_serial_at_every_width() {
+    for over in [false, true] {
+        let (plan, payloads) = grain_plan(over);
+        let clean = assert_every_width_is_serial(&plan, &payloads, None);
+        clean.expect("the clean plan executes");
+
+        let lossy = LinkFaultModel::uniform(1e-4, 11);
+        match assert_every_width_is_serial(&plan, &payloads, Some(&lossy)) {
+            Err(CosimError::Uncorrectable { fec, culprits, .. }) => {
+                assert!(fec.uncorrectable > 0 && fec.corrected > 0, "{fec:?}");
+                assert!(!culprits.is_empty());
+            }
+            other => panic!("expected a lost delivery, got {other:?}"),
+        }
+
+        let emitting: Vec<usize> = (0..plan.chips.len())
+            .filter(|&i| !plan.chips[i].emissions.is_empty())
+            .collect();
+        for width in 1..=5u32 {
+            let in_shard = |shard: u32| {
+                let mut chips = emitting
+                    .iter()
+                    .copied()
+                    .filter(|&i| plan.chips[i].shard % width == shard);
+                chips.next().expect("every shard holds an emitting chip")
+            };
+            for culprit in [in_shard(0), in_shard(width - 1)] {
+                let mut bad = plan.clone();
+                bad.chips[culprit].emissions[0].cycle += 1;
+                let (want, want_events) = traced_run_with_threads(&bad, &payloads, Some(1), None);
+                match &want {
+                    Err(CosimError::EmissionMismatch { tsp, .. }) => {
+                        assert_eq!(*tsp, plan.chips[culprit].tsp)
+                    }
+                    other => panic!("expected an emission mismatch, got {other:?}"),
+                }
+                for threads in [None, Some(width as usize)] {
+                    let (got, got_events) = traced_run_with_threads(&bad, &payloads, threads, None);
+                    assert_eq!(got, want, "error diverged at {threads:?} workers");
+                    assert!(
+                        got_events == want_events,
+                        "trace diverged at {threads:?} workers"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Worker-count resolution precedence: an execute's explicit width is
-/// used as given, zero clamped to 1, whatever `TSM_THREADS` says; the
-/// automatic width follows `TSM_THREADS`, else auto-detection, and
-/// malformed and zero env values fall through to auto. The only test in
-/// this binary that touches the environment.
+/// used as given, zero clamped to 1, whatever `TSM_THREADS` says or the
+/// plan's size; the automatic width runs a plan below [`EXEC_GRAIN`]
+/// instructions on one thread, and any other at `TSM_THREADS`, else
+/// auto-detection, malformed and zero env values falling through to auto.
+/// The only test in this binary that touches the environment.
 #[test]
 fn thread_resolution_precedence() {
+    let (small, _) = grain_plan(false);
+    let (large, _) = grain_plan(true);
     std::env::remove_var(TSM_THREADS_ENV);
     let exec = PlanExecutor::new();
     let auto = exec.resolved_threads();
     assert!(auto >= 1);
-    assert_eq!(ExecArgs::default().width(), auto);
+    assert_eq!(ExecArgs::default().width(&large), auto);
+    assert_eq!(ExecArgs::default().width(&small), 1);
 
     std::env::set_var(TSM_THREADS_ENV, "7");
     assert_eq!(exec.resolved_threads(), 7);
-    assert_eq!(ExecArgs::default().width(), 7);
-    assert_eq!(at_width(3).width(), 3);
-    assert_eq!(at_width(0).width(), 1, "zero clamps to 1");
+    assert_eq!(ExecArgs::default().width(&large), 7);
+    assert_eq!(ExecArgs::default().width(&small), 1, "too small to split");
+    for plan in [&small, &large] {
+        assert_eq!(at_width(3).width(plan), 3);
+        assert_eq!(at_width(0).width(plan), 1, "zero clamps to 1");
+    }
 
     for bad in ["0", "-4", "lots", ""] {
         std::env::set_var(TSM_THREADS_ENV, bad);
@@ -270,8 +396,9 @@ fn thread_resolution_precedence() {
             auto,
             "env value {bad:?} must fall back to auto"
         );
-        assert_eq!(ExecArgs::default().width(), auto);
-        assert_eq!(at_width(3).width(), 3);
+        assert_eq!(ExecArgs::default().width(&large), auto);
+        assert_eq!(ExecArgs::default().width(&small), 1);
+        assert_eq!(at_width(3).width(&small), 3);
     }
     std::env::remove_var(TSM_THREADS_ENV);
     assert_eq!(exec.resolved_threads(), auto);

@@ -24,6 +24,7 @@
 //! feature (sampling is observation-only; regression tests in `tsm-core`
 //! pin this).
 
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{EventKind, TraceEvent};
@@ -470,15 +471,38 @@ impl Telemetry {
 /// stream even when that sink is lossy.
 #[derive(Debug)]
 pub struct TelemetrySink {
-    fold: Mutex<Telemetry>,
+    fold: Mutex<Fold>,
     inner: Option<Arc<dyn TraceSink>>,
+}
+
+/// The record a [`TelemetrySink`] folds into, and the buffer each event's
+/// series label is written into: a sample on an existing series allocates
+/// nothing.
+#[derive(Debug)]
+struct Fold {
+    record: Telemetry,
+    label: String,
+}
+
+impl Fold {
+    /// The record, and `label` written into the fold's buffer.
+    fn labeled(&mut self, label: fmt::Arguments) -> (&mut Telemetry, &str) {
+        self.label.clear();
+        (self.label)
+            .write_fmt(label)
+            .expect("a String takes every write");
+        (&mut self.record, &self.label)
+    }
 }
 
 impl TelemetrySink {
     /// A fold on `cfg`'s window, forwarding to `inner`.
     pub fn new(cfg: TelemetryConfig, inner: Option<Arc<dyn TraceSink>>) -> TelemetrySink {
         TelemetrySink {
-            fold: Mutex::new(Telemetry::empty(cfg)),
+            fold: Mutex::new(Fold {
+                record: Telemetry::empty(cfg),
+                label: String::new(),
+            }),
             inner,
         }
     }
@@ -488,12 +512,12 @@ impl TelemetrySink {
     pub fn seal(&self) -> Telemetry {
         let mut fold = self.fold();
         Telemetry {
-            series: std::mem::take(&mut fold.series),
-            ..*fold
+            series: std::mem::take(&mut fold.record.series),
+            ..fold.record
         }
     }
 
-    fn fold(&self) -> MutexGuard<'_, Telemetry> {
+    fn fold(&self) -> MutexGuard<'_, Fold> {
         self.fold
             .lock()
             .expect("no fold panics while it holds the record")
@@ -503,18 +527,16 @@ impl TelemetrySink {
 impl TraceSink for TelemetrySink {
     fn record(&self, event: TraceEvent) {
         match event.kind {
-            EventKind::Delivery { link, .. } => self.fold().count(
-                series::LINK_DELIVERIES,
-                &format!("link{link}"),
-                event.cycle,
-                1,
-            ),
-            EventKind::ChipExec { .. } => self.fold().count_span(
-                series::CHIP_BUSY,
-                &format!("chip{}", event.lane),
-                event.cycle,
-                event.dur,
-            ),
+            EventKind::Delivery { link, .. } => {
+                let mut fold = self.fold();
+                let (record, label) = fold.labeled(format_args!("link{link}"));
+                record.count(series::LINK_DELIVERIES, label, event.cycle, 1);
+            }
+            EventKind::ChipExec { .. } => {
+                let mut fold = self.fold();
+                let (record, label) = fold.labeled(format_args!("chip{}", event.lane));
+                record.count_span(series::CHIP_BUSY, label, event.cycle, event.dur);
+            }
             _ => {}
         }
         if let Some(inner) = &self.inner {

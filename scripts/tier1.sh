@@ -16,15 +16,20 @@ cargo test --workspace -q
 # the plan JSON round trip) has its own integration suite; run it by name so a
 # filtered `cargo test` invocation can never silently skip it.
 cargo test -p tsm-core --test plan_reuse -q
-# The parallel engine, one std::thread::scope per execute: serial≡parallel
-# bit-identity and trace identity across randomized workloads and worker
-# counts, a different width passed on every call to one executor,
-# chip-phase errors that must give the serial error and trace at every
-# width although deeper chips run after the failing one
-# (chip_errors_are_identical_serially_and_at_every_width), and width
+# The parallel engine, one job per chip on at most one std::thread::scope
+# per execute: serial≡parallel bit-identity and trace identity across
+# randomized workloads and worker counts, a different width passed on every
+# call to one executor, chip-phase errors that must give the serial error
+# and trace at every width although deeper chips run after the failing one
+# (chip_errors_are_identical_serially_and_at_every_width), plans just under
+# and just at EXEC_GRAIN instructions run at the automatic width and at
+# widths 1-5, clean, at a BER that aborts the attempt, and with a chip off
+# schedule in the first shard and in the last, each giving the serial
+# report or error and trace
+# (plans_either_side_of_the_grain_match_serial_at_every_width), and width
 # resolution: an explicit per-call width is used as given (zero clamped to
-# 1), else TSM_THREADS, else the detected parallelism
-# (thread_resolution_precedence).
+# 1), else a plan below the grain runs on one thread, else TSM_THREADS,
+# else the detected parallelism (thread_resolution_precedence).
 cargo test -p tsm-core --test pool_determinism -q
 # Likewise the fault path: datapath BER injection, FEC bit-for-bit
 # verification, and the replay/blame/failover recovery loop. Clean
@@ -116,17 +121,21 @@ cargo test -p tsm-topology --lib route -q
 # 1, 2, 3 and 7 (plans_do_not_depend_on_the_width), route errors surfacing
 # in transfer order, a TSP outside the topology included, through
 # compile_plan and run_transfers (compile_errors_keep_transfer_order), the
-# grouping helper of the route stage, plan JSON that indexes outside itself
-# or lists its program or manifest out of order refused at parse, and a
-# plan document that sends on port 40 executing to a chip error.
+# grouping helper of the route stage, shards ranked by work that split it
+# evenly at widths 2-8 (shards_split_the_work_evenly), plan JSON that
+# indexes outside itself, lists its program or manifest out of order, or
+# names an SRAM region that wraps past offset 65535 refused at parse, and
+# a plan document that sends on port 40 executing to a chip error.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
 cargo test -p tsm-core --lib runtime -q
 # Plan compile is pinned byte for byte: plan_golden pins five compiled
 # plans (cosim-16, the 288- and 1,152-chip half-stride plans, the BERT
-# pipeline at batch 1 and at batch 8), then the outside-in benchmark's own
-# tests and one pass of each co-simulation and serving workload. Each run exits 1 if its seed-1
+# pipeline at batch 1 and at batch 8) and checks which side of EXEC_GRAIN
+# cosim-16 and the smallest serving plan fall on, then the outside-in
+# benchmark's own tests and one pass of each co-simulation and serving
+# workload. Each run exits 1 if its seed-1
 # result digest differs from the pinned one, so a routing, reservation or
 # serving-loop change fails the gate, not only the benchmark pipeline.
 cargo test -p tsm-core --test plan_golden -q

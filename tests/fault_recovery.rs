@@ -68,6 +68,10 @@ fn uncorrectable_errors_consume_replays() {
     // At this BER every run sees multi-bit errors: the budget exhausts.
     assert!(!r.succeeded);
     assert_eq!(r.replays(), 2);
+    // The report carries the tally of the final, failed attempt: the
+    // uncorrectable packets that failed it, among all it sent.
+    assert!(r.fec().uncorrectable > 0, "{:?}", r.fec());
+    assert!(r.fec().total() > 0);
 }
 
 /// A transient fault: an uncorrectable packet in one run that a replay
