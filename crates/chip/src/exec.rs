@@ -292,8 +292,10 @@ impl PortQueue {
 ///
 /// A `ChipSim` is reusable: [`ChipSim::reset`] returns it to the
 /// just-constructed state while keeping every internal allocation, so an
-/// execute-many driver (the co-simulation [`PlanExecutor`]) pays no
-/// rebuild cost between invocations.
+/// execute-many caller pays no rebuild cost between chips. The
+/// co-simulation [`PlanExecutor`] keeps one per worker thread and resets
+/// it before each chip that worker runs, so a reset must leave nothing of
+/// the previous chip behind.
 ///
 /// [`PlanExecutor`]: ../../tsm_core/cosim/exec/struct.PlanExecutor.html
 #[derive(Debug, Clone)]

@@ -1,11 +1,12 @@
 //! Execute stage of the co-simulation pipeline: binding payload vectors to
 //! a [`CompiledPlan`] and running every chip exactly once.
 //!
-//! The executor owns the per-chip simulators and *resets* them between
-//! invocations instead of rebuilding them, so the marginal cost of one
-//! more execution is the chip passes themselves — no routing, scheduling,
-//! lowering or stream allocation happens here. This is the runtime half of
-//! the paper's compile-once / execute-many contract (§5, Fig 17).
+//! The executor owns one chip simulator per worker thread and *resets* it
+//! before each chip's job instead of rebuilding it, so the marginal cost of
+//! one more execution is the chip passes themselves — no routing,
+//! scheduling, lowering or stream allocation happens here — and its memory
+//! follows the width, not the chip count. This is the runtime half of the
+//! paper's compile-once / execute-many contract (§5, Fig 17).
 //!
 //! Every delivery is bound from the plan, and no chip reads another
 //! chip's output, so the chips of one execute need no barrier between
@@ -272,12 +273,13 @@ struct DstCheck {
 }
 
 /// One chip's job in an execute and what it leaves for the merge. The job
-/// resets the chip's simulator, binds its preloads and deliveries (each
-/// delivery through its link's channel in fault mode), runs its program,
-/// verifies its emissions and checks every transfer that ends at it.
+/// resets its worker's simulator, binds the chip's preloads and
+/// deliveries (each delivery through its link's channel in fault mode),
+/// runs its program, verifies its emissions and checks every transfer
+/// that ends at it. The worker's next chip reuses the simulator, so
+/// everything the merge reads is recorded here.
 struct ChipRun<'a> {
     chip: &'a ChipPlan,
-    sim: &'a mut ChipSim,
     /// Whether [`CompiledPlan::levels`] lists the chip: an unlisted chip
     /// is bound and checked but does not run.
     listed: bool,
@@ -298,14 +300,16 @@ impl ChipRun<'_> {
     /// order, and nothing here is observable until the merge reads it.
     fn run(
         &mut self,
+        sim: &mut ChipSim,
         plan: &CompiledPlan,
         payloads: &[Vec<Payload>],
         faults: Option<&LinkFaultModel>,
     ) {
-        let (chip, sim) = (self.chip, &mut *self.sim);
+        let chip = self.chip;
         let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
         // Reset-not-rebuild: the simulator keeps its allocations, and the
-        // payloads bind by `Arc` clone.
+        // payloads bind by `Arc` clone. Nothing of the worker's previous
+        // chip survives the reset.
         sim.reset();
         for p in &chip.preloads {
             sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
@@ -509,19 +513,20 @@ impl ExecArgs<'_> {
 
 /// Reusable payload-binding executor.
 ///
-/// One `PlanExecutor` can run many plans and many payload sets; its chip
-/// simulators are reset (allocations retained) at the start of every
-/// execution, so no state leaks between invocations and no state is
-/// rebuilt. It holds nothing else: width, faults and trace placement come
-/// with each call ([`ExecArgs`]). A parallel execution spawns its scoped
-/// threads for that call alone; none outlive it. Serial and parallel
-/// execution are bit-identical — see the module docs of [`super`].
+/// One `PlanExecutor` can run many plans and many payload sets. It keeps
+/// one chip simulator per worker thread and resets it (allocations
+/// retained) at the start of every chip's job, so no state leaks between
+/// chips or invocations and none is rebuilt. It holds nothing else: width,
+/// faults and trace placement come with each call ([`ExecArgs`]). A
+/// parallel execution spawns its scoped threads for that call alone; none
+/// outlive it. Serial and parallel execution are bit-identical — see the
+/// module docs of [`super`].
 #[derive(Debug, Default)]
 pub struct PlanExecutor {
-    /// Per-chip simulators, aligned by index with the executing plan's
-    /// chip list (grown on demand), reset and re-bound on every
-    /// execution. Indexing by position instead of TSP id keeps the warm
-    /// path free of hash lookups.
+    /// One simulator per worker, indexed by shard: `min(width, chips)` of
+    /// them, at least one, grown to the widest execute run so far and
+    /// never with the chip count. Each of a worker's jobs resets it before
+    /// binding its chip.
     sims: Vec<ChipSim>,
 }
 
@@ -614,8 +619,9 @@ impl PlanExecutor {
             });
         }
 
-        if self.sims.len() < plan.chips.len() {
-            self.sims.resize_with(plan.chips.len(), ChipSim::default);
+        let threads = args.width(plan).min(plan.chips.len()).max(1);
+        if self.sims.len() < threads {
+            self.sims.resize_with(threads, ChipSim::default);
         }
         // Each transfer that moves a vector is checked by the job of its
         // destination chip, which gets its checks as one slice.
@@ -636,13 +642,12 @@ impl PlanExecutor {
         dests.sort_unstable_by_key(|d| (d.chip, d.transfer));
         let mut runs = Vec::with_capacity(plan.chips.len());
         let mut rest = dests.as_mut_slice();
-        for (i, (chip, sim)) in plan.chips.iter().zip(&mut self.sims).enumerate() {
+        for (i, chip) in plan.chips.iter().enumerate() {
             let here = rest.iter().take_while(|d| d.chip == i).count();
             let (mine, tail) = std::mem::take(&mut rest).split_at_mut(here);
             rest = tail;
             runs.push(ChipRun {
                 chip,
-                sim,
                 listed: false,
                 struck: Vec::new(),
                 result: None,
@@ -652,8 +657,8 @@ impl PlanExecutor {
         for &i in plan.levels.iter().flatten() {
             runs[i as usize].listed = true;
         }
-        run_jobs(&mut runs, args.width(plan), |run| {
-            run.run(plan, payloads, faults)
+        run_jobs(&mut runs, &mut self.sims[..threads], |run, sim| {
+            run.run(sim, plan, payloads, faults)
         });
 
         // The merge, on the calling thread. Every emission point sits here,
@@ -766,16 +771,21 @@ impl PlanExecutor {
     }
 }
 
-/// Runs `job` on every chip once, split by work rank across at most
-/// `width` threads: with `threads` the width capped at the chip count,
-/// chip `c` runs in shard `c.shard % threads`, the lowest non-empty shard
-/// on the calling thread and each other non-empty one on a scoped thread
-/// of its own. At one thread every job runs on the calling thread, in
-/// plan order, with no scope at all.
-fn run_jobs(runs: &mut [ChipRun], width: usize, job: impl Fn(&mut ChipRun) + Sync) {
-    let threads = width.min(runs.len());
-    if threads <= 1 {
-        return runs.iter_mut().for_each(job);
+/// Runs `job` on every chip once, split by work rank across one thread
+/// per simulator in `sims`, as many as the width capped at the chip count:
+/// with `threads` of them, chip `c` runs in shard `c.shard % threads` on
+/// simulator `shard`, the lowest non-empty shard on the calling thread and
+/// each other non-empty one on a scoped thread of its own. At one thread
+/// every job runs on the calling thread, in plan order, with no scope at
+/// all.
+fn run_jobs(
+    runs: &mut [ChipRun],
+    sims: &mut [ChipSim],
+    job: impl Fn(&mut ChipRun, &mut ChipSim) + Sync,
+) {
+    let threads = sims.len();
+    if let [sim] = sims {
+        return runs.iter_mut().for_each(|run| job(run, sim));
     }
     let mut shards: Vec<Vec<&mut ChipRun>> = (0..threads)
         .map(|_| Vec::with_capacity(runs.len().div_ceil(threads)))
@@ -783,14 +793,114 @@ fn run_jobs(runs: &mut [ChipRun], width: usize, job: impl Fn(&mut ChipRun) + Syn
     for run in runs.iter_mut() {
         shards[run.chip.shard as usize % threads].push(run);
     }
-    let mut shards = shards.into_iter().filter(|s| !s.is_empty());
+    let mut shards = shards.into_iter().zip(sims).filter(|(s, _)| !s.is_empty());
     let first = shards.next();
+    let job = &job;
     std::thread::scope(|s| {
-        for shard in shards {
-            s.spawn(|| shard.into_iter().for_each(&job));
+        for (shard, sim) in shards {
+            s.spawn(move || shard.into_iter().for_each(|run| job(run, sim)));
         }
-        if let Some(shard) = first {
-            shard.into_iter().for_each(&job);
+        if let Some((shard, sim)) = first {
+            shard.into_iter().for_each(|run| job(run, sim));
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cosim::plan::{compile_plan, TransferShape};
+    use tsm_isa::Vector;
+    use tsm_topology::{Topology, TspId};
+
+    /// A zeroed payload set for `plan`.
+    fn payloads(plan: &CompiledPlan) -> Vec<Vec<Payload>> {
+        let vector = Arc::new(Vector::zeroed());
+        let set = |s: &TransferShape| vec![Arc::clone(&vector); s.vectors as usize];
+        plan.shapes.iter().map(set).collect()
+    }
+
+    fn at_width(threads: usize) -> ExecArgs<'static> {
+        ExecArgs {
+            threads: Some(threads),
+            ..ExecArgs::default()
+        }
+    }
+
+    /// The simulators follow the width, never the chip count: the 16-rack
+    /// half-stride plan's 1,152 chips run at widths 1, 3 and 2 on one
+    /// executor, which then holds 1, 3 and 3 simulators, and a 2-chip
+    /// plan at width 8 gets one per chip.
+    #[test]
+    fn an_executor_holds_one_simulator_per_worker() {
+        let topo = Topology::rack_dragonfly(16).unwrap();
+        let half = (topo.num_tsps() / 2) as u32;
+        let shapes: Vec<TransferShape> = (0..half)
+            .map(|i| TransferShape {
+                from: TspId(i),
+                to: TspId(i + half),
+                src_slice: 0,
+                src_offset: 0,
+                dst_slice: 2,
+                dst_offset: 0,
+                vectors: 2,
+            })
+            .collect();
+        let plan = compile_plan(&topo, &shapes).unwrap();
+        assert_eq!(plan.chips.len(), 1_152);
+        let data = payloads(&plan);
+        let mut executor = PlanExecutor::new();
+        let want = executor.execute_serial(&plan, &data).unwrap();
+        for (width, held) in [(1, 1), (3, 3), (2, 3)] {
+            let got = executor.execute_with(&plan, &data, at_width(width));
+            assert_eq!(got.unwrap(), want, "width {width}");
+            assert_eq!(executor.sims.len(), held, "width {width}");
+        }
+
+        let shape = TransferShape {
+            to: TspId(1),
+            ..shapes[0].clone()
+        };
+        let small = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        assert_eq!(small.chips.len(), 2);
+        let mut fresh = PlanExecutor::new();
+        fresh
+            .execute_with(&small, &payloads(&small), at_width(8))
+            .unwrap();
+        assert_eq!(fresh.sims.len(), 2);
+    }
+
+    /// A worker's simulator carries nothing from one chip's job into the
+    /// next. TSP 0 preloads the transfer's vectors at the very SRAM
+    /// cells that TSP 1, its destination, is checked at; with TSP 1 taken
+    /// out of the levels it is bound and checked but never runs, so only
+    /// the reset stands between its check and TSP 0's preloads.
+    #[test]
+    fn a_chip_job_sees_nothing_of_the_previous_job() {
+        let shape = TransferShape {
+            from: TspId(0),
+            to: TspId(1),
+            src_slice: 1,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        let dst = plan.chips.iter().position(|c| c.tsp == TspId(1)).unwrap();
+        for level in &mut plan.levels {
+            level.retain(|&i| i as usize != dst);
+        }
+        let data = payloads(&plan);
+        let mut executor = PlanExecutor::new();
+        for args in [at_width(1), ExecArgs::default()] {
+            assert_eq!(
+                executor.execute_with(&plan, &data, args),
+                Err(CosimError::DataMismatch {
+                    transfer: 0,
+                    vector: 0
+                })
+            );
+        }
+    }
 }

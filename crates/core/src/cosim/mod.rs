@@ -20,8 +20,10 @@
 //!    [`CompiledPlan`]. Payload bytes are referenced symbolically as
 //!    `(transfer, vector)` coordinates.
 //! 2. **Bind + execute** ([`exec::PlanExecutor`]): each invocation binds a
-//!    concrete payload set to the plan by `Arc` handle and replays it;
-//!    chip simulators are reset, not rebuilt, between invocations.
+//!    concrete payload set to the plan by `Arc` handle and replays it.
+//!    The executor keeps one chip simulator per worker thread and resets
+//!    it, not rebuilds it, before each chip's job, so its memory follows
+//!    the width, not the chip count.
 //! 3. **Verify** (the private `verify` module): actual C2C emissions and
 //!    destination SRAM
 //!    are compared bit-for-bit against the plan's promises on every
@@ -690,6 +692,16 @@ mod tests {
         assert!(a.alloc(50, 60).is_none());
         // but once the live ranges end, registers recycle
         assert_eq!(a.alloc(101, 200), StreamId::new(0).ok());
+
+        let mut b = StreamAlloc::default();
+        assert_eq!(b.alloc(0, 10), StreamId::new(0).ok());
+        assert_eq!(b.alloc(5, 20), StreamId::new(1).ok());
+        // an expired register is reused before a never-used higher one
+        assert_eq!(b.alloc(11, 30), StreamId::new(0).ok());
+        // a fresh register gets the lowest never-used number
+        assert_eq!(b.alloc(15, 40), StreamId::new(2).ok());
+        assert_eq!(b.alloc(21, 50), StreamId::new(1).ok());
+        assert_eq!(b.alloc(30, 60), StreamId::new(3).ok());
     }
 
     /// Executing a plan with payloads that disagree with its compiled

@@ -276,8 +276,10 @@ impl CompiledPlan {
 #[derive(Debug, Clone, Default)]
 pub(super) struct StreamAlloc {
     /// `live_until[s]` = last cycle on which stream `s` still carries a
-    /// live value, or `None` if it was never used.
-    live_until: [Option<u64>; MAX_STREAMS],
+    /// live value. A never-used stream is taken only when every lower one
+    /// is live, so the streams used so far are always `0..len`: a chip
+    /// keeps one entry per stream it has used.
+    live_until: Vec<u64>,
 }
 
 impl StreamAlloc {
@@ -287,16 +289,18 @@ impl StreamAlloc {
     /// order-dependent, so it is not allowed).
     pub(super) fn alloc(&mut self, start: u64, end: u64) -> Option<StreamId> {
         debug_assert!(start <= end);
-        for (s, slot) in self.live_until.iter_mut().enumerate() {
-            match *slot {
-                Some(until) if until >= start => continue,
-                _ => {
-                    *slot = Some(end);
-                    return Some(StreamId::new(s as u8).expect("stream id in range"));
-                }
+        let s = match self.live_until.iter().position(|&until| until < start) {
+            Some(s) => {
+                self.live_until[s] = end;
+                s
             }
-        }
-        None
+            None if self.live_until.len() < MAX_STREAMS => {
+                self.live_until.push(end);
+                self.live_until.len() - 1
+            }
+            None => return None,
+        };
+        Some(StreamId::new(s as u8).expect("stream id in range"))
     }
 }
 
@@ -985,18 +989,20 @@ fn for_each_grouped<T: Send>(
 /// (`TSM_THREADS`, else the host's parallelism), once the plan has enough
 /// distinct pairs to pay for them; the plan is the same at every width.
 pub fn compile_plan(topo: &Topology, shapes: &[TransferShape]) -> Result<CompiledPlan, CosimError> {
-    compile_plan_on(topo, shapes, auto_threads()).map(|(plan, _)| plan)
+    compile_plan_on(topo, shapes, auto_threads())
 }
 
 /// [`compile_plan`] with its route stage split across at most `width`
-/// threads, also returning the chip-unit trains it booked.
+/// threads. The booking tables are freed before assembly allocates the
+/// plan, so the two are never live at once.
 fn compile_plan_on(
     topo: &Topology,
     shapes: &[TransferShape],
     width: usize,
-) -> Result<(CompiledPlan, UnitOccupancy), CosimError> {
+) -> Result<CompiledPlan, CosimError> {
     let (builds, arrivals, units) = book_and_lower(topo, shapes, width)?;
-    Ok((assemble(shapes, arrivals, &builds), units))
+    drop(units);
+    Ok(assemble(shapes, arrivals, &builds))
 }
 
 /// Routes, books and lowers every transfer, in order: the chips' lowered
@@ -1239,7 +1245,7 @@ mod json {
             }
             Instruction::RuntimeDeskew { target_cycles } => {
                 w.field_str("op", "runtime_deskew");
-                w.field_u64("target_cycles", *target_cycles);
+                w.field_u64("target_cycles", (*target_cycles).into());
             }
             Instruction::Transmit { port } => {
                 w.field_str("op", "transmit");
@@ -2229,6 +2235,13 @@ mod tests {
         assert!(fewer > 0);
     }
 
+    /// [`compile_plan_on`] at width 1, also returning the chip-unit trains
+    /// it booked, which the production path frees before assembly.
+    fn compile_booked(topo: &Topology, shapes: &[TransferShape]) -> (CompiledPlan, UnitOccupancy) {
+        let (builds, arrivals, units) = book_and_lower(topo, shapes, 1).unwrap();
+        (assemble(shapes, arrivals, &builds), units)
+    }
+
     /// What a compile books is what it lowers: over [`random_shapes`]
     /// sets, the windows of the chip-unit trains left booked are, chip by
     /// chip, exactly the windows its programs hold under `ChipSim`'s busy
@@ -2240,7 +2253,7 @@ mod tests {
         let slot = vector_slot_cycles();
         for seed in SHORT_SEEDS.chain(LONG_SEEDS) {
             let (topo, shapes) = random_shapes(seed);
-            let (plan, units) = compile_plan_on(&topo, &shapes, 1).unwrap();
+            let (plan, units) = compile_booked(&topo, &shapes);
             let mut booked = Vec::new();
             for (r, trains) in units.busy.iter().enumerate() {
                 let tsp = TspId((r / UNIT_SLOTS) as u32);
@@ -2397,7 +2410,7 @@ mod tests {
                 .iter()
                 .map(|s| shortest_path(&topo, s.from, s.to).unwrap().hops())
                 .sum();
-            let (plan, units) = compile_plan_on(&topo, &shapes, 1).unwrap();
+            let (plan, units) = compile_booked(&topo, &shapes);
             let records: usize = units.busy.iter().map(Vec::len).sum();
             assert_eq!(records, 4 * hops, "{vectors} vectors");
             (records, plan.instructions)
@@ -2509,9 +2522,9 @@ mod tests {
     #[test]
     fn plans_do_not_depend_on_the_width() {
         let (topo, shapes) = half_stride(16);
-        let want = compile_plan_on(&topo, &shapes, 1).unwrap().0.to_json();
+        let want = compile_plan_on(&topo, &shapes, 1).unwrap().to_json();
         for width in [2, 3, 7] {
-            let got = compile_plan_on(&topo, &shapes, width).unwrap().0.to_json();
+            let got = compile_plan_on(&topo, &shapes, width).unwrap().to_json();
             assert!(got == want, "{} transfers at width {width}", shapes.len());
         }
     }
@@ -2731,6 +2744,19 @@ mod tests {
         wrapped.shapes[0].src_offset = 65_535;
         let err = CompiledPlan::from_json(&wrapped.to_json()).unwrap_err();
         assert!(err.contains("transfer 0 source region"), "{err}");
+
+        // A RUNTIME_DESKEW target is the 32 bits its instruction word
+        // holds: a wider one is refused, never narrowed.
+        let mut deskew = plan.clone();
+        deskew.slab[0].instr = Instruction::RuntimeDeskew { target_cycles: 7 };
+        let json = deskew.to_json();
+        let wide = json.replacen("\"target_cycles\": 7", "\"target_cycles\": 4294967303", 1);
+        assert_ne!(wide, json);
+        let err = CompiledPlan::from_json(&wide).unwrap_err();
+        assert!(
+            err.contains("instruction target_cycles 4294967303 out of range"),
+            "{err}"
+        );
     }
 
     /// A plan document may name any port its field holds. One whose source

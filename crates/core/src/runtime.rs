@@ -312,10 +312,10 @@ pub struct Runtime {
     /// `(graph fingerprint, mapping epoch)` under a configurable byte
     /// budget — multi-model streams reuse instead of thrashing.
     pub(crate) residency: ResidencyManager,
-    /// The payload-binding executor (datapath mode); chip simulators are
-    /// reset, not rebuilt, across attempts and launches. The launch
-    /// engine passes each attempt's sink and trace offset with its
-    /// execute.
+    /// The payload-binding executor (datapath mode); its chip simulators,
+    /// one per worker, are reset, not rebuilt, across chips, attempts and
+    /// launches. The launch engine passes each attempt's sink and trace
+    /// offset with its execute.
     pub(crate) executor: crate::cosim::PlanExecutor,
     /// Synthetic payload vectors shared by every datapath artifact this
     /// runtime compiles.

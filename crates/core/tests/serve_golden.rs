@@ -14,7 +14,11 @@
 //! when the serving loop observed each event, which is the part a change
 //! to the loop may legitimately alter. Everything pinned here is what the
 //! loop *decides* — a digest change is a behaviour change, never a
-//! re-pin.
+//! re-pin, with one exception. The report's metrics carry the residency
+//! layer's `residency.resident_bytes`, an estimate built from `size_of`,
+//! so a change to the layout of a plan type (the instruction record, say)
+//! moves the report pin while every decision stays the same. Such a
+//! re-pin must show that the digested text differs in that field alone.
 //!
 //! Certification only observes, so the certified run is pinned by
 //! identity with the uncertified one rather than by digests of its own:
@@ -34,8 +38,8 @@ use tsm_trace::telemetry::TelemetryConfig;
 use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
 
 /// Uncertified pins per fabric: (report without incidents, launch trace).
-const CLEAN: (u64, u64) = (10767313771079705818, 11349179071343632474);
-const MARGINAL: (u64, u64) = (16795044075802140433, 12054163327429677918);
+const CLEAN: (u64, u64) = (15541281865574586008, 11349179071343632474);
+const MARGINAL: (u64, u64) = (17728532744050193851, 12054163327429677918);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

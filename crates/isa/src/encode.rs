@@ -65,7 +65,7 @@ pub fn encode(instr: &Instruction) -> [u8; WORD_BYTES] {
         Instruction::Deskew => w[0] = Opcode::Deskew as u8,
         Instruction::RuntimeDeskew { target_cycles } => {
             w[0] = Opcode::RuntimeDeskew as u8;
-            w[4..8].copy_from_slice(&(*target_cycles as u32).to_le_bytes());
+            w[4..8].copy_from_slice(&target_cycles.to_le_bytes());
         }
         Instruction::Transmit { port } => {
             w[0] = Opcode::Transmit as u8;
@@ -137,7 +137,7 @@ pub fn decode(w: &[u8; WORD_BYTES]) -> Result<Instruction, IsaError> {
         x if x == Opcode::Notify as u8 => Instruction::Notify,
         x if x == Opcode::Deskew as u8 => Instruction::Deskew,
         x if x == Opcode::RuntimeDeskew as u8 => Instruction::RuntimeDeskew {
-            target_cycles: u32::from_le_bytes(w[4..8].try_into().expect("4 bytes")) as u64,
+            target_cycles: u32::from_le_bytes(w[4..8].try_into().expect("4 bytes")),
         },
         x if x == Opcode::Transmit as u8 => Instruction::Transmit { port: w[1] },
         x if x == Opcode::Receive as u8 => Instruction::Receive {
@@ -226,6 +226,9 @@ mod tests {
             Instruction::Deskew,
             Instruction::RuntimeDeskew {
                 target_cycles: 123_456,
+            },
+            Instruction::RuntimeDeskew {
+                target_cycles: u32::MAX,
             },
             Instruction::Transmit { port: 10 },
             Instruction::Receive {

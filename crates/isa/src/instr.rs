@@ -72,7 +72,8 @@ pub enum Instruction {
     /// local time with global time (paper §3.3).
     RuntimeDeskew {
         /// Nominal stall length in cycles; the actual stall absorbs drift.
-        target_cycles: u64,
+        /// 32 bits, as the instruction word's immediate holds it.
+        target_cycles: u32,
     },
     /// Send a notification vector to a child TSP over a C2C link.
     Transmit {
@@ -197,7 +198,7 @@ impl Instruction {
             Instruction::Sync => 1,
             Instruction::Notify => 8, // chip-wide control propagation, known latency
             Instruction::Deskew => 1,
-            Instruction::RuntimeDeskew { target_cycles } => *target_cycles,
+            Instruction::RuntimeDeskew { target_cycles } => u64::from(*target_cycles),
             Instruction::Transmit { .. } => 1,
             Instruction::Receive { .. } => 1,
             Instruction::Send { .. } => 1,
@@ -217,7 +218,7 @@ impl Instruction {
             // DESKEW waits at most one full epoch.
             Instruction::Deskew => HAC_PERIOD,
             // RUNTIME_DESKEW absorbs at most ±1 epoch of drift.
-            Instruction::RuntimeDeskew { target_cycles } => target_cycles + HAC_PERIOD,
+            Instruction::RuntimeDeskew { target_cycles } => u64::from(*target_cycles) + HAC_PERIOD,
             // SYNC waits for a NOTIFY; bounded by the program, not the ISA.
             Instruction::Sync => u64::MAX,
             other => other.min_latency(),

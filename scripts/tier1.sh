@@ -63,7 +63,10 @@ cargo test -p tsm-core --test serving_queue -q
 # fabric): the uncertified report and launch trace must match the pinned
 # digests byte for byte, and the certified run must be the uncertified
 # one plus the verdicts (Some(attempts == 1)) and one Deviant incident
-# per batch that did not certify.
+# per batch that did not certify. The one legitimate report re-pin is the
+# residency layer's resident_bytes, a size_of estimate that a plan type's
+# layout moves (the instruction record's included); the launch-trace pins
+# never move for it.
 cargo test -p tsm-core --test serve_golden -q
 # The plan-residency layer: multi-model reuse, budget-0 single-entry
 # equivalence, pre-residency trace-shape pinning, failover epoch drops,
@@ -130,6 +133,18 @@ cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
 cargo test -p tsm-core --lib runtime -q
+# Executor unit tests: an executor holds one chip simulator per worker,
+# min(width, chips) of them, grown to the widest execute and never with the
+# chip count (an_executor_holds_one_simulator_per_worker), and a worker's
+# reset leaves the next chip's job nothing of the previous one: a chip that
+# is checked but not run must not find its predecessor's SRAM
+# (a_chip_job_sees_nothing_of_the_previous_job).
+cargo test -p tsm-core --lib cosim::exec -q
+# The ISA: every instruction's binary encoding round-trips exactly, a
+# RUNTIME_DESKEW target of u32::MAX included, since the target is the 32
+# bits the instruction word stores (every_instruction_roundtrips,
+# assemble_disassemble_roundtrip).
+cargo test -p tsm-isa -q
 # Plan compile is pinned byte for byte: plan_golden pins five compiled
 # plans (cosim-16, the 288- and 1,152-chip half-stride plans, the BERT
 # pipeline at batch 1 and at batch 8) and checks which side of EXEC_GRAIN
@@ -152,8 +167,9 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 # two widths, and each scaling point's plan_digest pins its plan, the
 # 10,440-chip one included, compiled at both widths. A change that moves a simulated number must commit
 # the regenerated file. The residency block's plan bytes are an estimate
-# built from `size_of`, so a toolchain that changes a type's layout moves
-# them too and also calls for a regeneration.
+# built from `size_of`, so a change to a plan type's layout (the
+# instruction record's among them) or a toolchain that changes a type's
+# layout moves them too and also calls for a regeneration.
 TSM_THREADS=1 cargo run --release -p tsm-bench --bin repro bench-cosim
 git diff --exit-code -- BENCH_cosim.json
 TSM_THREADS=3 cargo run --release -p tsm-bench --bin repro bench-cosim
