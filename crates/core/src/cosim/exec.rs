@@ -280,9 +280,6 @@ struct DstCheck {
 /// everything the merge reads is recorded here.
 struct ChipRun<'a> {
     chip: &'a ChipPlan,
-    /// Whether [`CompiledPlan::levels`] lists the chip: an unlisted chip
-    /// is bound and checked but does not run.
-    listed: bool,
     /// The deliveries that did not cross clean, in delivery order. Empty,
     /// and so never allocated, on a clean fabric.
     struck: Vec<Struck>,
@@ -346,19 +343,17 @@ impl ChipRun<'_> {
             // queue is fed in order.
             sim.deliver_in_order(d.port, d.cycle, bound);
         }
-        if self.listed {
-            let result = sim
-                .run_sorted(plan.program(chip))
-                .map_err(|error| CosimError::Chip {
-                    tsp: chip.tsp,
-                    error,
-                })
-                .and_then(|retire| {
-                    verify_emissions(chip.tsp, sim, &chip.emissions, payloads)?;
-                    Ok(retire)
-                });
-            self.result = Some(result);
-        }
+        let result = sim
+            .run_sorted(plan.program(chip))
+            .map_err(|error| CosimError::Chip {
+                tsp: chip.tsp,
+                error,
+            })
+            .and_then(|retire| {
+                verify_emissions(chip.tsp, sim, &chip.emissions, payloads)?;
+                Ok(retire)
+            });
+        self.result = Some(result);
         for d in self.dests.iter_mut() {
             d.digest = check_destination(&plan.shapes[d.transfer], &payloads[d.transfer], sim);
         }
@@ -648,14 +643,10 @@ impl PlanExecutor {
             rest = tail;
             runs.push(ChipRun {
                 chip,
-                listed: false,
                 struck: Vec::new(),
                 result: None,
                 dests: mine,
             });
-        }
-        for &i in plan.levels.iter().flatten() {
-            runs[i as usize].listed = true;
         }
         run_jobs(&mut runs, &mut self.sims[..threads], |run, sim| {
             run.run(sim, plan, payloads, faults)
@@ -695,10 +686,7 @@ impl PlanExecutor {
         for &i in plan.levels.iter().flatten() {
             let run = &mut runs[i as usize];
             let chip = run.chip;
-            let retire = run
-                .result
-                .take()
-                .expect("levels list each chip at most once")?;
+            let retire = run.result.take().expect("levels list each chip once")?;
             retires.observe(retire);
             retire_cycles.insert(chip.tsp, retire);
             if tracer.enabled() {
@@ -872,9 +860,9 @@ mod tests {
 
     /// A worker's simulator carries nothing from one chip's job into the
     /// next. TSP 0 preloads the transfer's vectors at the very SRAM
-    /// cells that TSP 1, its destination, is checked at; with TSP 1 taken
-    /// out of the levels it is bound and checked but never runs, so only
-    /// the reset stands between its check and TSP 0's preloads.
+    /// cells that TSP 1, its destination, is checked at; with TSP 1's
+    /// program window emptied it is bound and checked but runs nothing,
+    /// so only the reset stands between its check and TSP 0's preloads.
     #[test]
     fn a_chip_job_sees_nothing_of_the_previous_job() {
         let shape = TransferShape {
@@ -887,10 +875,8 @@ mod tests {
             vectors: 4,
         };
         let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
-        let dst = plan.chips.iter().position(|c| c.tsp == TspId(1)).unwrap();
-        for level in &mut plan.levels {
-            level.retain(|&i| i as usize != dst);
-        }
+        let dst = plan.chips.iter_mut().find(|c| c.tsp == TspId(1)).unwrap();
+        dst.prog_end = dst.prog_start;
         let data = payloads(&plan);
         let mut executor = PlanExecutor::new();
         for args in [at_width(1), ExecArgs::default()] {

@@ -121,13 +121,14 @@ pub struct ChipPlan {
     /// Hop depth (0 = pure source): the chip's level in
     /// [`CompiledPlan::levels`], which orders the executor's merge.
     pub depth: u32,
-    /// The chip's work rank, fixed at compile time: its position when the
-    /// plan's chips are ordered by descending [`ChipPlan::work`], ties by
-    /// ascending TSP. A parallel execute at width `w` runs this chip's
-    /// job on thread `shard % w`, which deals the chips out round-robin by
-    /// work: no thread holds more than an even share of the plan's work
-    /// plus one chip's. The chip→thread mapping is a pure function of the
-    /// plan and the width, never of scheduling order.
+    /// The chip's work rank: its position when the plan's chips are
+    /// ordered by descending [`ChipPlan::work`], ties by ascending TSP,
+    /// derived from the chips by compile and again by
+    /// [`CompiledPlan::from_json`]. A parallel execute at width `w` runs
+    /// this chip's job on thread `shard % w`, which deals the chips out
+    /// round-robin by work: no thread holds more than an even share of the
+    /// plan's work plus one chip's. The chip→thread mapping is a pure
+    /// function of the plan and the width, never of scheduling order.
     pub shard: u32,
     /// Start of this chip's issue-sorted instruction window in the slab.
     pub prog_start: u32,
@@ -148,7 +149,13 @@ pub struct ChipPlan {
 /// Payload-independent — compile once, execute with as many different
 /// payload sets as you like — and JSON-serializable, so a plan can be
 /// built offline and shipped to the runtime like the paper's machine-code
-/// binaries.
+/// binaries: [`CompiledPlan::to_json`] writes each chip's program as the
+/// binary [`tsm_isa::encode::assemble`] emits.
+///
+/// What compile decided (the shapes, the arrivals and each chip's depth,
+/// program and manifests) is all a document stores. The program windows,
+/// `levels`, the shards and `instructions` are derived from it, by the same
+/// function at compile and at [`CompiledPlan::from_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     /// The transfer shapes the plan was compiled for; execution payloads
@@ -161,12 +168,12 @@ pub struct CompiledPlan {
     /// executing a chip walks its window of this slab linearly instead of
     /// chasing a heap vector of its own.
     pub slab: Vec<TimedInstruction>,
-    /// Hop-depth levels: indices into `chips`, each level in ascending
-    /// [`TspId`] order. Every delivery is bound from the plan, so no chip
-    /// waits on another and levels are not barriers: they are the order
-    /// in which the executor merges results, and so decide which error
-    /// it reports first. Each chip is listed at most once; an unlisted
-    /// chip does not run.
+    /// Hop-depth levels: indices into `chips`, each chip listed once, at
+    /// its [`ChipPlan::depth`], each level in ascending [`TspId`] order.
+    /// Every delivery is bound from the plan, so no chip waits on another
+    /// and levels are not barriers: they are the order in which the
+    /// executor merges results, and so decide which error it reports
+    /// first.
     pub levels: Vec<Vec<u32>>,
     /// Per-transfer scheduled arrival cycle of the last vector.
     pub arrivals: Vec<u64>,
@@ -195,22 +202,74 @@ fn rank_shards(chips: &mut [ChipPlan]) {
 }
 
 impl CompiledPlan {
+    /// The plan of `chips`, in ascending TSP order, whose programs lie
+    /// back to back in `slab` at their windows: groups the chips into
+    /// levels by depth, ranks their shards and counts the instructions.
+    /// Compile and the parse both build their plans here, so a document
+    /// derives what compile derived. Every depth must lie below the chip
+    /// count, as every compiled one does.
+    fn derive(
+        shapes: Vec<TransferShape>,
+        mut chips: Vec<ChipPlan>,
+        slab: Vec<TimedInstruction>,
+        arrivals: Vec<u64>,
+    ) -> CompiledPlan {
+        let depths = chips
+            .iter()
+            .map(|c| c.depth as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut levels = vec![Vec::new(); depths];
+        for (i, c) in chips.iter().enumerate() {
+            levels[c.depth as usize].push(i as u32);
+        }
+        rank_shards(&mut chips);
+        CompiledPlan {
+            shapes,
+            chips,
+            instructions: slab.len(),
+            slab,
+            levels,
+            arrivals,
+        }
+    }
+
     /// The issue-sorted instruction stream of `chip` (its window into the
     /// plan's contiguous slab).
     pub fn program<'a>(&'a self, chip: &ChipPlan) -> &'a [TimedInstruction] {
         &self.slab[chip.prog_start as usize..chip.prog_end as usize]
     }
 
+    /// Whether every TSP and link the plan names exists in `topo`. A
+    /// parsed plan is checked only against itself, so a runtime asks this
+    /// before it adopts one.
+    pub fn fits(&self, topo: &Topology) -> bool {
+        self.chips.iter().all(|c| {
+            c.tsp.index() < topo.num_tsps()
+                && c.deliveries
+                    .iter()
+                    .all(|d| d.link.index() < topo.links().len())
+        })
+    }
+
     /// Serializes the plan as pretty-printed JSON (same conventions as
     /// `tsm-compiler::dump`: hand-rolled emitter, fixed field order,
-    /// strings escaped through [`tsm_trace::escape_json`]).
+    /// strings escaped through [`tsm_trace::escape_json`]). It writes what
+    /// compile decided: the shapes, the arrivals and, per chip, its TSP,
+    /// depth, manifests and program, the program as one hex string of
+    /// [`tsm_isa::encode::assemble`]'s 16-byte records (issue cycle, then
+    /// instruction word).
     pub fn to_json(&self) -> String {
         json::emit(self)
     }
 
-    /// Deserializes a plan previously produced by [`CompiledPlan::to_json`].
-    /// Field order is not significant; unknown keys and malformed
-    /// instructions are rejected with a descriptive error.
+    /// Deserializes a plan previously produced by [`CompiledPlan::to_json`]
+    /// and derives its program windows, levels, shards and instruction
+    /// count as compile does. Field order is not significant. Unknown keys,
+    /// a program that is not whole hex records or whose records do not
+    /// re-assemble to the same bytes, a depth at or past the chip count,
+    /// and a plan that indexes outside itself or lists its program or
+    /// manifests out of order are rejected with a descriptive error.
     pub fn from_json(s: &str) -> Result<Self, String> {
         json::parse(s)
     }
@@ -1071,20 +1130,15 @@ fn book_and_lower(
 
 /// Assembles the plan: per-chip plans in ascending TspId order, each
 /// chip's program written once into the slab by merging its trains and
-/// each manifest allocated at its exact size, grouped into hop-depth
-/// levels and ranked by work into shards. A chip at depth d receives only
-/// from chips at depth < d, so levels form a topological order, the order
-/// in which the executor merges chip results.
+/// each manifest allocated at its exact size, then grouped into hop-depth
+/// levels and ranked by work into shards ([`CompiledPlan::derive`]). A
+/// chip at depth d receives only from chips at depth < d, so levels form a
+/// topological order, the order in which the executor merges chip results.
 fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -> CompiledPlan {
     let mut chips = Vec::with_capacity(builds.chips.len());
-    let mut levels: Vec<Vec<u32>> = Vec::new();
     let mut slab = Vec::with_capacity(builds.chips.iter().map(|c| c.count(|_| true)).sum());
     let mut merge = Merge::default();
-    for (i, c) in builds.in_tsp_order().enumerate() {
-        if levels.len() <= c.depth {
-            levels.resize(c.depth + 1, Vec::new());
-        }
-        levels[c.depth].push(i as u32);
+    for c in builds.in_tsp_order() {
         let prog_start = slab.len();
         let (preloads, deliveries, emissions) = c.assemble(&mut merge, &mut slab);
         debug_assert!(
@@ -1103,15 +1157,7 @@ fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -
             emissions,
         });
     }
-    rank_shards(&mut chips);
-    CompiledPlan {
-        shapes: shapes.to_vec(),
-        chips,
-        instructions: slab.len(),
-        slab,
-        levels,
-        arrivals,
-    }
+    CompiledPlan::derive(shapes.to_vec(), chips, slab, arrivals)
 }
 
 /// Lowers transfer `idx`, `tr` of at least one vector, whose `trains`
@@ -1213,15 +1259,15 @@ fn port_of(topo: &Topology, path: &Path, h: usize, tsp: TspId) -> u8 {
 /// no JSON library). Emitter and parser share the
 /// [`tsm_trace::JsonWriter`] / [`tsm_trace::Cursor`] combinators, so the
 /// escaping and structure rules match every other serializer in the
-/// workspace.
+/// workspace. Programs travel as the ISA's own binary
+/// ([`tsm_isa::encode`]), so the instruction format has one codec.
 mod json {
     use super::{
         ChipPlan, CompiledPlan, PlannedDelivery, PlannedEmission, PlannedPreload, TransferShape,
         VecRef, SRAM_OFFSETS,
     };
     use tsm_chip::exec::TimedInstruction;
-    use tsm_isa::instr::{Instruction, VectorOpcode};
-    use tsm_isa::{Direction, StreamId};
+    use tsm_isa::encode::{assemble, disassemble};
     use tsm_topology::{LinkId, TspId};
     use tsm_trace::{Cursor, JsonWriter};
 
@@ -1230,100 +1276,17 @@ mod json {
         w.field_u64("vector", v.vector.into());
     }
 
-    fn emit_instr(w: &mut JsonWriter, ti: &TimedInstruction) {
-        w.begin_object();
-        w.field_u64("cycle", ti.cycle);
-        match &ti.instr {
-            Instruction::Sync => {
-                w.field_str("op", "sync");
-            }
-            Instruction::Notify => {
-                w.field_str("op", "notify");
-            }
-            Instruction::Deskew => {
-                w.field_str("op", "deskew");
-            }
-            Instruction::RuntimeDeskew { target_cycles } => {
-                w.field_str("op", "runtime_deskew");
-                w.field_u64("target_cycles", (*target_cycles).into());
-            }
-            Instruction::Transmit { port } => {
-                w.field_str("op", "transmit");
-                w.field_u64("port", (*port).into());
-            }
-            Instruction::Receive { port, stream } => {
-                w.field_str("op", "receive");
-                w.field_u64("port", (*port).into());
-                w.field_u64("stream", stream.index() as u64);
-            }
-            Instruction::Send { port, stream } => {
-                w.field_str("op", "send");
-                w.field_u64("port", (*port).into());
-                w.field_u64("stream", stream.index() as u64);
-            }
-            Instruction::Read {
-                slice,
-                offset,
-                stream,
-                dir,
-            } => {
-                w.field_str("op", "read");
-                w.field_u64("slice", (*slice).into());
-                w.field_u64("offset", (*offset).into());
-                w.field_u64("stream", stream.index() as u64);
-                w.field_str(
-                    "dir",
-                    match dir {
-                        Direction::East => "east",
-                        Direction::West => "west",
-                    },
-                );
-            }
-            Instruction::Write {
-                slice,
-                offset,
-                stream,
-            } => {
-                w.field_str("op", "write");
-                w.field_u64("slice", (*slice).into());
-                w.field_u64("offset", (*offset).into());
-                w.field_u64("stream", stream.index() as u64);
-            }
-            Instruction::InstallWeight { stream } => {
-                w.field_str("op", "install_weight");
-                w.field_u64("stream", stream.index() as u64);
-            }
-            Instruction::MatMul { input, output } => {
-                w.field_str("op", "matmul");
-                w.field_u64("input", input.index() as u64);
-                w.field_u64("output", output.index() as u64);
-            }
-            Instruction::VectorOp { op, a, b, dest } => {
-                w.field_str("op", "vector_op");
-                w.field_str(
-                    "vop",
-                    match op {
-                        VectorOpcode::Add => "add",
-                        VectorOpcode::Sub => "sub",
-                        VectorOpcode::Mul => "mul",
-                        VectorOpcode::Rsqrt => "rsqrt",
-                        VectorOpcode::Splat => "splat",
-                    },
-                );
-                w.field_u64("a", a.index() as u64);
-                w.field_u64("b", b.index() as u64);
-                w.field_u64("dest", dest.index() as u64);
-            }
-            Instruction::Permute { input, output } => {
-                w.field_str("op", "permute");
-                w.field_u64("input", input.index() as u64);
-                w.field_u64("output", output.index() as u64);
-            }
-            Instruction::Nop => {
-                w.field_str("op", "nop");
-            }
-        }
-        w.end_object();
+    /// `program` as [`assemble`]'s binary, two lowercase hex digits a byte.
+    fn hex(program: &[TimedInstruction]) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let records: Vec<_> = program
+            .iter()
+            .map(|ti| (ti.cycle, ti.instr.clone()))
+            .collect();
+        (assemble(&records).into_iter())
+            .flat_map(|b| [DIGITS[usize::from(b >> 4)], DIGITS[usize::from(b & 15)]])
+            .map(char::from)
+            .collect()
     }
 
     pub(super) fn emit(plan: &CompiledPlan) -> String {
@@ -1347,9 +1310,7 @@ mod json {
             w.begin_object();
             w.field_u64("tsp", c.tsp.0.into());
             w.field_u64("depth", c.depth.into());
-            w.field_u64("shard", c.shard.into());
-            w.field_u64("prog_start", c.prog_start.into());
-            w.field_u64("prog_end", c.prog_end.into());
+            w.field_str("program", &hex(plan.program(c)));
             w.key("preloads").begin_array();
             for p in &c.preloads {
                 w.begin_object();
@@ -1381,142 +1342,43 @@ mod json {
             w.end_object();
         }
         w.end_array();
-        w.key("slab").begin_array();
-        for ti in &plan.slab {
-            emit_instr(&mut w, ti);
-        }
-        w.end_array();
-        w.key("levels").begin_array();
-        for level in &plan.levels {
-            w.begin_array();
-            for &i in level {
-                w.u64(i.into());
-            }
-            w.end_array();
-        }
-        w.end_array();
         w.key("arrivals").begin_array();
         for &a in &plan.arrivals {
             w.u64(a);
         }
         w.end_array();
-        w.field_u64("instructions", plan.instructions as u64);
         w.end_object();
         w.finish()
     }
 
-    fn stream(v: u8) -> Result<StreamId, String> {
-        StreamId::new(v).map_err(|_| format!("stream id {v} out of range"))
-    }
-
-    /// A required instruction field, narrowed to its type.
-    fn require<T: TryFrom<u64>>(v: Option<u64>, what: &str) -> Result<T, String> {
-        let v = v.ok_or_else(|| format!("instruction missing {what:?}"))?;
-        T::try_from(v).map_err(|_| format!("instruction {what} {v} out of range"))
-    }
-
-    /// Parses one slab entry. Fields are collected order-independently,
-    /// then assembled according to the `op` tag; missing required fields
-    /// and unknown ops/fields are errors.
-    fn parse_instr(c: &mut Cursor) -> Result<TimedInstruction, String> {
-        let mut cycle = None;
-        let (mut op, mut dir, mut vop) = (None, None, None);
-        let mut num: [Option<u64>; 10] = [None; 10];
-        const TARGET: usize = 0;
-        const PORT: usize = 1;
-        const STREAM: usize = 2;
-        const SLICE: usize = 3;
-        const OFFSET: usize = 4;
-        const INPUT: usize = 5;
-        const OUTPUT: usize = 6;
-        const A: usize = 7;
-        const B: usize = 8;
-        const DEST: usize = 9;
-        c.object(|c, key| {
-            match key {
-                "cycle" => cycle = Some(c.u64()?),
-                "op" => op = Some(c.string()?),
-                "dir" => dir = Some(c.string()?),
-                "vop" => vop = Some(c.string()?),
-                "target_cycles" => num[TARGET] = Some(c.u64()?),
-                "port" => num[PORT] = Some(c.u64()?),
-                "stream" => num[STREAM] = Some(c.u64()?),
-                "slice" => num[SLICE] = Some(c.u64()?),
-                "offset" => num[OFFSET] = Some(c.u64()?),
-                "input" => num[INPUT] = Some(c.u64()?),
-                "output" => num[OUTPUT] = Some(c.u64()?),
-                "a" => num[A] = Some(c.u64()?),
-                "b" => num[B] = Some(c.u64()?),
-                "dest" => num[DEST] = Some(c.u64()?),
-                other => return Err(format!("unknown instruction field {other:?}")),
-            }
-            Ok(())
-        })?;
-        let op = op.ok_or("instruction missing \"op\"")?;
-        let instr = match op.as_str() {
-            "sync" => Instruction::Sync,
-            "notify" => Instruction::Notify,
-            "deskew" => Instruction::Deskew,
-            "nop" => Instruction::Nop,
-            "runtime_deskew" => Instruction::RuntimeDeskew {
-                target_cycles: require(num[TARGET], "target_cycles")?,
-            },
-            "transmit" => Instruction::Transmit {
-                port: require(num[PORT], "port")?,
-            },
-            "receive" => Instruction::Receive {
-                port: require(num[PORT], "port")?,
-                stream: stream(require(num[STREAM], "stream")?)?,
-            },
-            "send" => Instruction::Send {
-                port: require(num[PORT], "port")?,
-                stream: stream(require(num[STREAM], "stream")?)?,
-            },
-            "read" => Instruction::Read {
-                slice: require(num[SLICE], "slice")?,
-                offset: require(num[OFFSET], "offset")?,
-                stream: stream(require(num[STREAM], "stream")?)?,
-                dir: match dir.as_deref() {
-                    Some("east") => Direction::East,
-                    Some("west") => Direction::West,
-                    other => return Err(format!("bad read direction {other:?}")),
-                },
-            },
-            "write" => Instruction::Write {
-                slice: require(num[SLICE], "slice")?,
-                offset: require(num[OFFSET], "offset")?,
-                stream: stream(require(num[STREAM], "stream")?)?,
-            },
-            "install_weight" => Instruction::InstallWeight {
-                stream: stream(require(num[STREAM], "stream")?)?,
-            },
-            "matmul" => Instruction::MatMul {
-                input: stream(require(num[INPUT], "input")?)?,
-                output: stream(require(num[OUTPUT], "output")?)?,
-            },
-            "permute" => Instruction::Permute {
-                input: stream(require(num[INPUT], "input")?)?,
-                output: stream(require(num[OUTPUT], "output")?)?,
-            },
-            "vector_op" => Instruction::VectorOp {
-                op: match vop.as_deref() {
-                    Some("add") => VectorOpcode::Add,
-                    Some("sub") => VectorOpcode::Sub,
-                    Some("mul") => VectorOpcode::Mul,
-                    Some("rsqrt") => VectorOpcode::Rsqrt,
-                    Some("splat") => VectorOpcode::Splat,
-                    other => return Err(format!("bad vector opcode {other:?}")),
-                },
-                a: stream(require(num[A], "a")?)?,
-                b: stream(require(num[B], "b")?)?,
-                dest: stream(require(num[DEST], "dest")?)?,
-            },
-            other => return Err(format!("unknown instruction op {other:?}")),
+    /// Appends the program `hex` holds to `slab`: whole records of
+    /// [`assemble`]'s binary, each of which re-assembles to exactly its
+    /// own bytes. Decoded byte by byte, so a character of any width is
+    /// refused, never sliced.
+    fn parse_program(hex: &str, slab: &mut Vec<TimedInstruction>) -> Result<(), String> {
+        let digit = |b: u8| match b {
+            b'0'..=b'9' => Some(b - b'0'),
+            b'a'..=b'f' => Some(b - b'a' + 10),
+            _ => None,
         };
-        Ok(TimedInstruction {
-            cycle: cycle.ok_or("instruction missing \"cycle\"")?,
-            instr,
-        })
+        let byte = |pair: &[u8]| match *pair {
+            [hi, lo] => Some(digit(hi)? << 4 | digit(lo)?),
+            _ => None,
+        };
+        let binary = (hex.as_bytes().chunks(2).enumerate())
+            .map(|(i, pair)| {
+                byte(pair)
+                    .ok_or_else(|| format!("program byte {i} is not two lowercase hex digits"))
+            })
+            .collect::<Result<Vec<u8>, String>>()?;
+        let records = disassemble(&binary).map_err(|e| format!("program: {e}"))?;
+        let again = assemble(&records);
+        if let Some(r) = (binary.chunks(16).zip(again.chunks(16))).position(|(a, b)| a != b) {
+            return Err(format!("program record {r} does not re-assemble to itself"));
+        }
+        let timed = |(cycle, instr)| TimedInstruction { cycle, instr };
+        slab.extend(records.into_iter().map(timed));
+        Ok(())
     }
 
     fn parse_shape(c: &mut Cursor) -> Result<TransferShape, String> {
@@ -1545,7 +1407,10 @@ mod json {
         Ok(s)
     }
 
-    fn parse_chip(c: &mut Cursor) -> Result<ChipPlan, String> {
+    /// Parses one chip, appending its program to `slab` and setting its
+    /// window there.
+    fn parse_chip(c: &mut Cursor, slab: &mut Vec<TimedInstruction>) -> Result<ChipPlan, String> {
+        let start = slab.len();
         let mut chip = ChipPlan {
             tsp: TspId(0),
             depth: 0,
@@ -1560,9 +1425,10 @@ mod json {
             match key {
                 "tsp" => chip.tsp = TspId(c.narrow("chip tsp")?),
                 "depth" => chip.depth = c.narrow("chip depth")?,
-                "shard" => chip.shard = c.narrow("chip shard")?,
-                "prog_start" => chip.prog_start = c.narrow("chip prog_start")?,
-                "prog_end" => chip.prog_end = c.narrow("chip prog_end")?,
+                "program" => {
+                    slab.truncate(start);
+                    parse_program(&c.string()?, slab)?;
+                }
                 "preloads" => c.array(|c| {
                     let mut p = PlannedPreload {
                         slice: 0,
@@ -1635,52 +1501,46 @@ mod json {
             }
             Ok(())
         })?;
+        let window =
+            |at: usize| u32::try_from(at).map_err(|_| "program slab past 2^32".to_string());
+        (chip.prog_start, chip.prog_end) = (window(start)?, window(slab.len())?);
         Ok(chip)
     }
 
     pub(super) fn parse(s: &str) -> Result<CompiledPlan, String> {
-        let mut plan = CompiledPlan {
-            shapes: Vec::new(),
-            chips: Vec::new(),
-            slab: Vec::new(),
-            levels: Vec::new(),
-            arrivals: Vec::new(),
-            instructions: 0,
-        };
+        let (mut shapes, mut chips, mut slab, mut arrivals) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut c = Cursor::new(s);
         c.object(|c, key| match key {
             "shapes" => c.array(|c| {
-                plan.shapes.push(parse_shape(c)?);
+                shapes.push(parse_shape(c)?);
                 Ok(())
             }),
             "chips" => c.array(|c| {
-                plan.chips.push(parse_chip(c)?);
-                Ok(())
-            }),
-            "slab" => c.array(|c| {
-                plan.slab.push(parse_instr(c)?);
-                Ok(())
-            }),
-            "levels" => c.array(|c| {
-                let mut level = Vec::new();
-                c.array(|c| {
-                    level.push(c.narrow("level entry")?);
-                    Ok(())
-                })?;
-                plan.levels.push(level);
+                let chip =
+                    parse_chip(c, &mut slab).map_err(|e| format!("chip {}: {e}", chips.len()))?;
+                chips.push(chip);
                 Ok(())
             }),
             "arrivals" => c.array(|c| {
-                plan.arrivals.push(c.u64()?);
+                arrivals.push(c.u64()?);
                 Ok(())
             }),
-            "instructions" => {
-                plan.instructions = c.narrow("instructions")?;
-                Ok(())
-            }
             other => Err(format!("unknown plan field {other:?}")),
         })?;
         c.expect_end()?;
+        // A chip at depth d ends a path through d + 1 chips of the plan, so
+        // no compiled depth reaches the chip count. Refused before a level
+        // is allocated for it.
+        if let Some(deep) = chips.iter().find(|chip| chip.depth as usize >= chips.len()) {
+            return Err(format!(
+                "chip {} at depth {}: no path through a plan of {} chips is that deep",
+                deep.tsp.0,
+                deep.depth,
+                chips.len()
+            ));
+        }
+        let plan = CompiledPlan::derive(shapes, chips, slab, arrivals);
         check_indices(&plan)?;
         Ok(plan)
     }
@@ -1688,15 +1548,13 @@ mod json {
     /// Rejects a parsed plan that indexes outside itself or lists its
     /// program or manifest out of order, so an edited or corrupted
     /// document fails to load instead of sending the executor out of
-    /// bounds or past its order checks: every chip's program window lies
-    /// in the slab and every payload reference in the shapes; each chip's
-    /// program ascends by `(cycle, unit)`, the issue order the executor
-    /// runs it in, its deliveries by `(port, cycle)` and its emissions by
-    /// `(cycle, port)`;
-    /// chips ascend by TSP and include each transfer's destination; each
-    /// transfer's source and destination regions end by offset 65,535, as
-    /// compile requires, so no region wraps onto offset 0; levels list
-    /// each chip at most once.
+    /// bounds or past its order checks: every payload reference lies in
+    /// the shapes; each chip's program ascends by `(cycle, unit)`, the
+    /// issue order the executor runs it in, its deliveries by `(port,
+    /// cycle)` and its emissions by `(cycle, port)`; chips ascend by TSP
+    /// and include each transfer's destination; each transfer's source and
+    /// destination regions end by offset 65,535, as compile requires, so
+    /// no region wraps onto offset 0.
     fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
         if let Some(w) = plan.chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
             return Err(format!(
@@ -1723,15 +1581,6 @@ mod json {
             }
         }
         for chip in &plan.chips {
-            if chip.prog_start > chip.prog_end || chip.prog_end as usize > plan.slab.len() {
-                return Err(format!(
-                    "chip {} program window [{}, {}) exceeds slab of {}",
-                    chip.tsp.0,
-                    chip.prog_start,
-                    chip.prog_end,
-                    plan.slab.len()
-                ));
-            }
             let issue_order = |ti: &TimedInstruction| (ti.cycle, ti.instr.unit());
             let out_of_order = if !plan.program(chip).is_sorted_by_key(issue_order) {
                 Some("program out of (cycle, unit)")
@@ -1758,19 +1607,6 @@ mod json {
                         r.transfer,
                         plan.shapes.len()
                     ));
-                }
-            }
-        }
-        let mut listed = vec![false; plan.chips.len()];
-        for &i in plan.levels.iter().flatten() {
-            match listed.get_mut(i as usize) {
-                Some(seen) if !*seen => *seen = true,
-                Some(_) => return Err(format!("chip index {i} listed in two level slots")),
-                None => {
-                    return Err(format!(
-                        "level entry {i} exceeds the plan's {} chips",
-                        plan.chips.len()
-                    ))
                 }
             }
         }
@@ -2644,10 +2480,103 @@ mod tests {
         }
     }
 
+    /// A plan document holds what compile decided and derives the rest:
+    /// the parse of a plan's JSON is the plan, field for field, and the
+    /// JSON of the parsed plan is the document, byte for byte, over every
+    /// [`random_shapes`] set, half-stride dragonflies of 2, 4 and 16 racks,
+    /// and BERT-Large's batch-1 and batch-8 pipelines.
+    #[test]
+    fn plan_documents_round_trip() {
+        let sets = (SHORT_SEEDS.chain(LONG_SEEDS).map(random_shapes))
+            .chain([2, 4, 16].map(half_stride))
+            .chain([2_458, 19_661].map(pipeline));
+        for (topo, shapes) in sets {
+            let plan = compile_plan(&topo, &shapes).unwrap();
+            let json = plan.to_json();
+            let parsed = CompiledPlan::from_json(&json).unwrap();
+            let what = format!("{} transfers on {} TSPs", shapes.len(), topo.num_tsps());
+            assert!(parsed == plan, "{what}: the parse is not the plan");
+            assert!(
+                parsed.to_json() == json,
+                "{what}: the JSON is not the document"
+            );
+        }
+    }
+
+    /// `json` with its first chip's program string passed through `edit`.
+    fn edit_program(json: &str, edit: impl FnOnce(&mut String)) -> String {
+        let start = json.find("\"program\": \"").unwrap() + "\"program\": \"".len();
+        let end = start + json[start..].find('"').unwrap();
+        let mut program = json[start..end].to_string();
+        edit(&mut program);
+        format!("{}{program}{}", &json[..start], &json[end..])
+    }
+
+    /// `program` with byte `at` of record `record`'s instruction word set
+    /// to `hex`.
+    fn set_word_byte(program: &mut String, record: usize, at: usize, hex: &str) {
+        let byte = 16 * record + 8 + at;
+        program.replace_range(2 * byte..2 * byte + 2, hex);
+    }
+
+    /// A program string is whole hex records of the ISA's binary, each of
+    /// which re-assembles to itself: every other string is refused with
+    /// an error naming what is wrong, never a panic, a character wider
+    /// than a byte included.
+    #[test]
+    fn from_json_refuses_hostile_programs() {
+        let shape = TransferShape {
+            from: TspId(0),
+            to: TspId(5),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        let json = plan.to_json();
+        let program = plan.program(&plan.chips[0]);
+        let read = (program.iter())
+            .position(|ti| matches!(ti.instr, Instruction::Read { .. }))
+            .unwrap();
+        type Edit = fn(&mut String);
+        let cases: [(Edit, &str); 6] = [
+            (|p| _ = p.pop(), "is not two lowercase hex digits"),
+            (|p| p.replace_range(4..5, "g"), "program byte 2 is not two"),
+            (|p| p.insert(1, 'é'), "program byte 0 is not two"),
+            (|p| p.truncate(p.len() - 2), "is not whole 16-byte records"),
+            (
+                |p| set_word_byte(p, 0, 0, "ff"),
+                "opcode 0xff names no operation",
+            ),
+            (
+                |p| set_word_byte(p, 0, 2, "20"),
+                "stream id 32 out of range",
+            ),
+        ];
+        for (edit, says) in cases {
+            let err = CompiledPlan::from_json(&edit_program(&json, edit)).unwrap_err();
+            assert!(err.starts_with("chip 0: program"), "{err}");
+            assert!(err.contains(says), "want {says:?}, got {err:?}");
+        }
+        // Words that decode but that the assembler would not have written:
+        // a Read's direction byte of 2, and a nonzero byte the word leaves
+        // unused.
+        for (at, hex) in [(3, "02"), (7, "01")] {
+            let doc = edit_program(&json, |p| set_word_byte(p, read, at, hex));
+            let err = CompiledPlan::from_json(&doc).unwrap_err();
+            let says = format!("program record {read} does not re-assemble to itself");
+            assert!(err.contains(&says), "byte {at}: {err}");
+        }
+    }
+
     /// A parsed plan may index only inside itself: each hostile edit of a
     /// real plan is refused by `from_json` with an error naming what is
     /// wrong, where executing it would have indexed out of bounds or, for
-    /// a too-wide stream id, silently run a different stream.
+    /// a too-wide stream id, silently run a different stream. A depth at or
+    /// past the chip count, which no path reaches, is refused before any
+    /// level is allocated for it, however deep.
     #[test]
     fn from_json_refuses_plans_that_index_outside_themselves() {
         let shape = TransferShape {
@@ -2681,12 +2610,12 @@ mod tests {
                 "emission names",
             ),
             (
-                edited(|p| p.levels[0].push(p.chips.len() as u32)),
-                "exceeds the plan's",
+                edited(|p| p.chips[1].depth = 2),
+                "chip 5 at depth 2: no path through a plan of 2 chips",
             ),
             (
-                edited(|p| p.levels.push(vec![p.levels[0][0]])),
-                "two level slots",
+                edited(|p| p.chips[1].depth = u32::MAX),
+                "chip 5 at depth 4294967295: no path",
             ),
             (edited(|p| p.chips.swap(0, 1)), "must ascend by TSP"),
             (
@@ -2709,10 +2638,9 @@ mod tests {
             let err = CompiledPlan::from_json(&bad.to_json()).unwrap_err();
             assert!(err.contains(says), "want {says:?}, got {err:?}");
         }
-        let wide = json.replacen("\"stream\": 0", "\"stream\": 256", 1);
-        assert_ne!(wide, json);
+        let wide = edit_program(&json, |p| set_word_byte(p, 0, 2, "ff"));
         let err = CompiledPlan::from_json(&wide).unwrap_err();
-        assert!(err.contains("stream 256 out of range"), "{err}");
+        assert!(err.contains("stream id 255 out of range"), "{err}");
 
         // Two vectors stored at offsets 65535 and 0, passed off as one
         // region from 65535: compile refuses that region, and so must the
@@ -2744,19 +2672,6 @@ mod tests {
         wrapped.shapes[0].src_offset = 65_535;
         let err = CompiledPlan::from_json(&wrapped.to_json()).unwrap_err();
         assert!(err.contains("transfer 0 source region"), "{err}");
-
-        // A RUNTIME_DESKEW target is the 32 bits its instruction word
-        // holds: a wider one is refused, never narrowed.
-        let mut deskew = plan.clone();
-        deskew.slab[0].instr = Instruction::RuntimeDeskew { target_cycles: 7 };
-        let json = deskew.to_json();
-        let wide = json.replacen("\"target_cycles\": 7", "\"target_cycles\": 4294967303", 1);
-        assert_ne!(wide, json);
-        let err = CompiledPlan::from_json(&wide).unwrap_err();
-        assert!(
-            err.contains("instruction target_cycles 4294967303 out of range"),
-            "{err}"
-        );
     }
 
     /// A plan document may name any port its field holds. One whose source

@@ -35,7 +35,12 @@
 use crate::cosim::{CompiledPlan, TransferShape};
 use crate::runtime::CompiledCache;
 use std::collections::HashMap;
+use tsm_topology::Topology;
 use tsm_trace::{names, JsonWriter, Metrics, RunMetrics};
+
+/// Version of the warm-tier document. Version 2 stores each chip's
+/// program as the ISA's binary and no value compile derives.
+const WARM_VERSION: u64 = 2;
 
 /// A resident compiled artifact plus its residency bookkeeping.
 #[derive(Debug)]
@@ -279,18 +284,22 @@ impl ResidencyManager {
     /// Takes a plan out of the warm-start tier if one matches the key
     /// *and* the freshly lowered transfer shapes (a shape mismatch means
     /// the stored plan belongs to a different lowering and must not be
-    /// adopted). The plan moves into the launch's new resident entry, so
-    /// it leaves the tier on use.
+    /// adopted) and names no TSP or link outside `topo` (a document is
+    /// checked at import only against itself). The plan moves into the
+    /// launch's new resident entry, so it leaves the tier on use.
     pub(crate) fn take_warm(
         &mut self,
         graph_fp: u64,
         epoch: u64,
         shapes: &[TransferShape],
+        topo: &Topology,
     ) -> Option<CompiledPlan> {
-        let at = self
-            .warm
-            .iter()
-            .position(|w| w.graph_fp == graph_fp && w.epoch == epoch && w.plan.shapes == shapes)?;
+        let at = self.warm.iter().position(|w| {
+            w.graph_fp == graph_fp
+                && w.epoch == epoch
+                && w.plan.shapes == shapes
+                && w.plan.fits(topo)
+        })?;
         let entry = self.warm.swap_remove(at);
         self.warm_starts += 1;
         Some(entry.plan)
@@ -310,7 +319,7 @@ impl ResidencyManager {
         keys.sort_unstable();
         let mut w = JsonWriter::pretty();
         w.begin_object();
-        w.field_u64("version", 1);
+        w.field_u64("version", WARM_VERSION);
         w.key("plans").begin_array();
         for key in keys {
             let r = &self.entries[&key];
@@ -335,7 +344,7 @@ impl ResidencyManager {
         cur.object(|cur, key| match key {
             "version" => {
                 let v = cur.u64()?;
-                if v != 1 {
+                if v != WARM_VERSION {
                     return Err(format!("unsupported warm-tier version {v}"));
                 }
                 Ok(())
@@ -610,8 +619,11 @@ mod tests {
     fn import_rejects_malformed_and_wrong_version() {
         let mut mgr = ResidencyManager::new();
         assert!(mgr.import_warm("not json").is_err());
-        assert!(mgr.import_warm("{\"version\": 2, \"plans\": []}").is_err());
+        for v in [1, 3] {
+            let err = mgr.import_warm(&format!("{{\"version\": {v}, \"plans\": []}}"));
+            assert_eq!(err, Err(format!("unsupported warm-tier version {v}")));
+        }
         assert_eq!(mgr.warm_len(), 0);
-        assert_eq!(mgr.import_warm("{\"version\": 1, \"plans\": []}"), Ok(0));
+        assert_eq!(mgr.import_warm("{\"version\": 2, \"plans\": []}"), Ok(0));
     }
 }

@@ -525,13 +525,15 @@ impl Runtime {
         physical: &Graph,
     ) -> Result<DatapathArtifact, RuntimeError> {
         let shapes = datapath_shapes(physical)?;
-        let plan = match self
+        let topo = self.system.topology();
+        let warm = self
             .residency
-            .take_warm(graph_fp, self.mapping_epoch, &shapes)
-        {
+            .take_warm(graph_fp, self.mapping_epoch, &shapes, topo);
+        let plan = match warm {
             Some(plan) => plan,
-            None => compile_plan(self.system.topology(), &shapes)
-                .map_err(|e| RuntimeError::Execution(e.to_string()))?,
+            None => {
+                compile_plan(topo, &shapes).map_err(|e| RuntimeError::Execution(e.to_string()))?
+            }
         };
         let payloads = shapes
             .iter()

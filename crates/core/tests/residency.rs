@@ -276,12 +276,13 @@ fn shared_payloads_launch_like_private_ones() {
     assert_eq!(shared_bytes, private_bytes);
 }
 
-/// `doc` with the value of `key` in the first preload replaced by `value`.
-fn edit_first_preload(doc: &str, key: &str, value: u64) -> String {
-    let preloads = doc
-        .find("\"preloads\": [")
-        .expect("the source chip preloads");
-    let at = preloads + doc[preloads..].find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
+/// `doc` with the value of the first `key` after the first `list` array
+/// replaced by `value`.
+fn edit_first(doc: &str, list: &str, key: &str, value: u64) -> String {
+    let list = doc
+        .find(&format!("\"{list}\": ["))
+        .expect("the list is there");
+    let at = list + doc[list..].find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
     let end = at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
     format!("{}{value}{}", &doc[..at], &doc[end..])
 }
@@ -301,7 +302,7 @@ fn warm_tier_refuses_plans_that_index_outside_themselves() {
         ("offset", 70_000, "offset 70000"),
         ("vector", 99, "vector 99"),
     ] {
-        let hostile = edit_first_preload(&exported, key, value);
+        let hostile = edit_first(&exported, "preloads", key, value);
         let mut rt = runtime(ExecMode::Datapath);
         assert_eq!(rt.residency_mut().import_warm(&exported), Ok(1));
         let err = rt.residency_mut().import_warm(&hostile).unwrap_err();
@@ -310,6 +311,48 @@ fn warm_tier_refuses_plans_that_index_outside_themselves() {
         assert_eq!(rt.launch(&g, 7).unwrap(), cold, "{key}");
         assert_eq!(rt.residency().stats().warm_starts, 1, "{key}");
     }
+}
+
+/// A warm-tier plan is adopted only if every TSP and link it names is in
+/// the runtime's topology. A delivery naming link 999999 parses, since a
+/// document is checked only against itself, but the launch compiles cold:
+/// it equals a cold launch, counts no warm start and plans the cold
+/// plan's timeline, where the adopted plan's timeline would look the link
+/// up out of bounds. On a lossy fabric with no replays, where recovery
+/// blames the links of lost vectors, it fails over as the cold runtime
+/// does.
+#[test]
+fn warm_tier_refuses_plans_that_name_links_outside_the_topology() {
+    let g = pipeline(3_200);
+    let mut rt1 = runtime(ExecMode::Datapath);
+    let cold = rt1.launch(&g, 7).unwrap();
+    let cold_timeline = rt1.planned_timeline().expect("a datapath plan is resident");
+    let hostile = edit_first(
+        &rt1.residency().export_warm(),
+        "deliveries",
+        "link",
+        999_999,
+    );
+
+    let mut rt = runtime(ExecMode::Datapath);
+    assert_eq!(rt.residency_mut().import_warm(&hostile), Ok(1));
+    let launched = rt.launch(&g, 7).unwrap();
+    assert_eq!(rt.planned_timeline(), Some(cold_timeline));
+    assert_eq!(launched, cold);
+    assert_eq!(rt.residency().stats().warm_starts, 0);
+
+    let lossy = |warm: Option<&str>| {
+        let mut rt = runtime(ExecMode::Datapath);
+        if let Some(doc) = warm {
+            assert_eq!(rt.residency_mut().import_warm(doc), Ok(1));
+        }
+        rt.set_ber(1e-2, 1e-2);
+        rt.set_max_replays(0);
+        let out = rt.launch(&g, 7);
+        (out, rt.residency().stats().warm_starts)
+    };
+    let (want, _) = lossy(None);
+    assert_eq!(lossy(Some(&hostile)), (want, 0));
 }
 
 /// Reference model for the through-the-runtime proptest: entry-count

@@ -51,7 +51,7 @@ fn vop_decode(code: u8) -> Result<VectorOpcode, IsaError> {
         2 => VectorOpcode::Mul,
         3 => VectorOpcode::Rsqrt,
         4 => VectorOpcode::Splat,
-        _ => return Err(IsaError::CorruptHeader),
+        got => return Err(IsaError::BadOpcode { got }),
     })
 }
 
@@ -180,7 +180,7 @@ pub fn decode(w: &[u8; WORD_BYTES]) -> Result<Instruction, IsaError> {
             input: stream(w[1])?,
             output: stream(w[2])?,
         },
-        _ => return Err(IsaError::CorruptHeader),
+        got => return Err(IsaError::BadOpcode { got }),
     })
 }
 
@@ -198,7 +198,7 @@ pub fn assemble(program: &[(u64, Instruction)]) -> Vec<u8> {
 /// Disassembles a binary produced by [`assemble`].
 pub fn disassemble(binary: &[u8]) -> Result<Vec<(u64, Instruction)>, IsaError> {
     if !binary.len().is_multiple_of(16) {
-        return Err(IsaError::BadPacketLength { got: binary.len() });
+        return Err(IsaError::PartialRecord { got: binary.len() });
     }
     binary
         .chunks_exact(16)
@@ -281,7 +281,7 @@ mod tests {
     fn unknown_opcode_rejected() {
         let mut w = [0u8; WORD_BYTES];
         w[0] = 0xFF;
-        assert!(decode(&w).is_err());
+        assert_eq!(decode(&w), Err(IsaError::BadOpcode { got: 0xFF }));
     }
 
     #[test]
@@ -309,6 +309,9 @@ mod tests {
     #[test]
     fn truncated_binary_rejected() {
         let binary = assemble(&[(0, Instruction::Nop)]);
-        assert!(disassemble(&binary[..10]).is_err());
+        assert_eq!(
+            disassemble(&binary[..10]),
+            Err(IsaError::PartialRecord { got: 10 })
+        );
     }
 }

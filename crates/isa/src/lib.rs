@@ -44,6 +44,17 @@ pub enum IsaError {
         /// The offending stream number.
         got: u8,
     },
+    /// An instruction word's opcode, or its vector opcode, names no
+    /// operation.
+    BadOpcode {
+        /// The offending opcode byte.
+        got: u8,
+    },
+    /// An assembled binary that is not a whole number of 16-byte records.
+    PartialRecord {
+        /// Length of the binary in bytes.
+        got: usize,
+    },
 }
 
 impl core::fmt::Display for IsaError {
@@ -63,6 +74,10 @@ impl core::fmt::Display for IsaError {
                     "stream id {got} out of range (max {})",
                     vector::MAX_STREAMS - 1
                 )
+            }
+            IsaError::BadOpcode { got } => write!(f, "opcode {got:#04x} names no operation"),
+            IsaError::PartialRecord { got } => {
+                write!(f, "binary of {got} bytes is not whole 16-byte records")
             }
         }
     }

@@ -70,7 +70,9 @@ cargo test -p tsm-core --test serving_queue -q
 cargo test -p tsm-core --test serve_golden -q
 # The plan-residency layer: multi-model reuse, budget-0 single-entry
 # equivalence, pre-residency trace-shape pinning, failover epoch drops,
-# the warm-start tier round trip and its refusal of hostile plans,
+# the warm-start tier round trip and its refusal of hostile plans (at
+# import; at adoption, a plan naming a link outside the topology, which
+# the launch then compiles cold),
 # shared-vs-private payload identity, and the LRU-vs-reference proptest.
 cargo test -p tsm-core --test residency -q
 # The windowed telemetry layer: launch/serve off-identity (sampling off is
@@ -125,10 +127,21 @@ cargo test -p tsm-topology --lib route -q
 # in transfer order, a TSP outside the topology included, through
 # compile_plan and run_transfers (compile_errors_keep_transfer_order), the
 # grouping helper of the route stage, shards ranked by work that split it
-# evenly at widths 2-8 (shards_split_the_work_evenly), plan JSON that
-# indexes outside itself, lists its program or manifest out of order, or
-# names an SRAM region that wraps past offset 65535 refused at parse, and
-# a plan document that sends on port 40 executing to a chip error.
+# evenly at widths 2-8 (shards_split_the_work_evenly), plan documents that
+# parse to their plan and write back to themselves byte for byte, windows,
+# levels, shards and instruction count derived on load as compile derives
+# them (plan_documents_round_trip), and, refused at parse with an error
+# naming what is wrong: a program string of odd length, with a byte that
+# is not lowercase hex or a character wider than a byte, that is not
+# whole 16-byte records, or whose records name an unknown opcode, a
+# stream of 32 or more, or do not re-assemble to their own bytes (a Read
+# direction byte of 2, a nonzero unused byte)
+# (from_json_refuses_hostile_programs); a chip depth at or past the chip
+# count, before any level is allocated, and plan JSON that indexes outside
+# itself, lists its program or manifest out of order, or names an SRAM
+# region that wraps past offset 65535
+# (from_json_refuses_plans_that_index_outside_themselves). Then a plan
+# document that sends on port 40 executing to a chip error.
 cargo test -p tsm-core --lib cosim::plan -q
 # Runtime unit tests: the payload pool synthesizes each (transfer, vector)
 # once per runtime and every residency entry binds the same handles.
@@ -136,14 +149,17 @@ cargo test -p tsm-core --lib runtime -q
 # Executor unit tests: an executor holds one chip simulator per worker,
 # min(width, chips) of them, grown to the widest execute and never with the
 # chip count (an_executor_holds_one_simulator_per_worker), and a worker's
-# reset leaves the next chip's job nothing of the previous one: a chip that
-# is checked but not run must not find its predecessor's SRAM
-# (a_chip_job_sees_nothing_of_the_previous_job).
+# reset leaves the next chip's job nothing of the previous one: a chip whose
+# program window is emptied is bound and checked but runs nothing, and must
+# not find its predecessor's SRAM (a_chip_job_sees_nothing_of_the_previous_job).
 cargo test -p tsm-core --lib cosim::exec -q
 # The ISA: every instruction's binary encoding round-trips exactly, a
 # RUNTIME_DESKEW target of u32::MAX included, since the target is the 32
 # bits the instruction word stores (every_instruction_roundtrips,
-# assemble_disassemble_roundtrip).
+# assemble_disassemble_roundtrip), and an unknown opcode or a binary of
+# partial records is a typed error (unknown_opcode_rejected,
+# truncated_binary_rejected). Plan documents carry programs in this
+# binary, so this is their instruction codec.
 cargo test -p tsm-isa -q
 # Plan compile is pinned byte for byte: plan_golden pins five compiled
 # plans (cosim-16, the 288- and 1,152-chip half-stride plans, the BERT
@@ -159,6 +175,11 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-10440 --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-churn --seconds 0
+# One traced serve-steady pass: the only run that exports the warm tier,
+# parses every resident plan back and requires compile_plan(shapes) to
+# equal it, i.e. that a plan document derives on load what compile
+# derived. It exits 1 on any failed check.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0 --trace 1
 # BENCH_cosim.json is a golden record: every field is simulated (host time
 # is measured by benchmark/ alone), so the file is a pure function of the
 # code. Regenerate it at one and at three worker threads and fail on any
