@@ -14,7 +14,7 @@ use tsm::compiler::graph::{Graph, OpKind};
 use tsm::core::{ExecMode, Runtime, SparePolicy, System};
 use tsm::topology::{LinkId, NodeId, TspId};
 use tsm::trace::profile::profile;
-use tsm::trace::{chrome_trace_json_overlay, LaunchProfile, RingSink};
+use tsm::trace::{chrome_trace_json, ChromeExtras, LaunchProfile, RingSink};
 
 /// The demo workload: compute on TSP 0, a cross-node transfer, compute on
 /// the far chip — the same pipeline `examples/trace_demo.rs` renders.
@@ -134,7 +134,11 @@ fn lines_impl(write_overlay: bool) -> Vec<String> {
     if let Some((prof, events, planned)) = launch_and_profile(datapath_runtime(), 1, &mut out) {
         out.extend(prof.render().lines().map(str::to_string));
         if write_overlay {
-            let overlay = chrome_trace_json_overlay(&events, &planned, 0);
+            let extras = ChromeExtras {
+                planned: Some(&planned),
+                ..ChromeExtras::default()
+            };
+            let overlay = chrome_trace_json(&events, extras);
             let path = "trace_profile.trace.json";
             match std::fs::write(path, &overlay) {
                 Ok(()) => out.push(format!(

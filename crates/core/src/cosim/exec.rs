@@ -22,7 +22,7 @@
 //! therefore depends on the plan and the width alone, never on OS
 //! scheduling. No job emits anything: every observable (results, traces,
 //! metrics, the first error) is replayed on the calling thread afterwards,
-//! the bind chip by chip in plan order and the runs in the plan's level
+//! the bind chip by chip in plan order and the runs in the plan's merge
 //! order — ascending `(depth, TspId)` — which is what makes serial and
 //! parallel execution bit-identical.
 
@@ -186,9 +186,8 @@ impl LinkFaultModel {
         {
             return None;
         }
-        plan.chips
-            .iter()
-            .flat_map(|c| &c.deliveries)
+        (plan.chips().iter())
+            .flat_map(|c| plan.deliveries(c))
             .map(|d| (d.link, self.ber_for(d.link)))
             .find(|&(_, ber)| !Channel::valid_ber(ber))
     }
@@ -262,16 +261,6 @@ struct Struck {
     demoted: bool,
 }
 
-/// One transfer's destination check, made by its destination chip's job
-/// and read by the merge: the digest of the delivered vectors, or the
-/// index of the first that did not arrive intact.
-struct DstCheck {
-    /// Index of the destination chip in the plan.
-    chip: usize,
-    transfer: usize,
-    digest: Result<u64, usize>,
-}
-
 /// One chip's job in an execute and what it leaves for the merge. The job
 /// resets its worker's simulator, binds the chip's preloads and
 /// deliveries (each delivery through its link's channel in fault mode),
@@ -285,8 +274,10 @@ struct ChipRun<'a> {
     struck: Vec<Struck>,
     /// Its retire cycle or error, once run.
     result: Option<Result<u64, CosimError>>,
-    /// The checks of the transfers that end at this chip, ascending.
-    dests: &'a mut [DstCheck],
+    /// The destination checks of the transfers that end at this chip, in
+    /// the plan's order: each transfer's digest, or the index of its first
+    /// vector that did not arrive intact.
+    digests: &'a mut [Result<u64, usize>],
 }
 
 impl ChipRun<'_> {
@@ -308,13 +299,13 @@ impl ChipRun<'_> {
         // payloads bind by `Arc` clone. Nothing of the worker's previous
         // chip survives the reset.
         sim.reset();
-        for p in &chip.preloads {
+        for p in plan.preloads(chip) {
             sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
         }
         // The channel of the link the current run of deliveries crosses:
         // a port's deliveries all cross one link.
         let mut channel: Option<(LinkId, Channel)> = None;
-        for (k, d) in chip.deliveries.iter().enumerate() {
+        for (k, d) in plan.deliveries(chip).iter().enumerate() {
             let original = payload(&d.vec);
             let bound = match faults {
                 None => Arc::clone(original),
@@ -350,12 +341,13 @@ impl ChipRun<'_> {
                 error,
             })
             .and_then(|retire| {
-                verify_emissions(chip.tsp, sim, &chip.emissions, payloads)?;
+                verify_emissions(chip.tsp, sim, plan.emissions(chip), payloads)?;
                 Ok(retire)
             });
         self.result = Some(result);
-        for d in self.dests.iter_mut() {
-            d.digest = check_destination(&plan.shapes[d.transfer], &payloads[d.transfer], sim);
+        for (digest, &t) in self.digests.iter_mut().zip(plan.dests(chip)) {
+            let t = t as usize;
+            *digest = check_destination(&plan.shapes[t], &payloads[t], sim);
         }
     }
 }
@@ -376,11 +368,19 @@ impl BindReplay {
     /// `Delivery` instant if it landed, then the chip's `Deliveries`
     /// span. `Delivery` events come from the plan's manifest; only the
     /// struck deliveries were recorded by the job.
-    fn chip(&mut self, run: &ChipRun, fault_mode: bool, tracer: &mut Tracer, metrics: &Metrics) {
+    fn chip(
+        &mut self,
+        plan: &CompiledPlan,
+        run: &ChipRun,
+        fault_mode: bool,
+        tracer: &mut Tracer,
+        metrics: &Metrics,
+    ) {
         let chip = run.chip;
+        let deliveries = plan.deliveries(chip);
         let lane = chip.tsp.0;
         let mut struck = run.struck.iter().peekable();
-        for (k, d) in chip.deliveries.iter().enumerate() {
+        for (k, d) in deliveries.iter().enumerate() {
             let mut landed = true;
             match struck.next_if(|s| s.delivery as usize == k) {
                 None if fault_mode => *self.clean.entry(d.link).or_default() += 1,
@@ -433,15 +433,15 @@ impl BindReplay {
                 );
             }
         }
-        if tracer.enabled() && !chip.deliveries.is_empty() {
-            let first = chip.deliveries.iter().map(|d| d.cycle).min().unwrap();
-            let last = chip.deliveries.iter().map(|d| d.cycle).max().unwrap();
+        if tracer.enabled() && !deliveries.is_empty() {
+            let first = deliveries.iter().map(|d| d.cycle).min().unwrap();
+            let last = deliveries.iter().map(|d| d.cycle).max().unwrap();
             tracer.span(
                 first,
                 (last - first).max(1),
                 lane,
                 EventKind::Deliveries {
-                    count: chip.deliveries.len() as u32,
+                    count: deliveries.len() as u32,
                 },
             );
         }
@@ -614,38 +614,25 @@ impl PlanExecutor {
             });
         }
 
-        let threads = args.width(plan).min(plan.chips.len()).max(1);
+        let chips = plan.chips();
+        let threads = args.width(plan).min(chips.len()).max(1);
         if self.sims.len() < threads {
             self.sims.resize_with(threads, ChipSim::default);
         }
-        // Each transfer that moves a vector is checked by the job of its
-        // destination chip, which gets its checks as one slice.
-        let mut dests: Vec<DstCheck> = plan
-            .shapes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.vectors > 0)
-            .map(|(transfer, s)| DstCheck {
-                chip: plan
-                    .chips
-                    .binary_search_by_key(&s.to, |c| c.tsp)
-                    .expect("destination simulated"),
-                transfer,
-                digest: Ok(0),
-            })
-            .collect();
-        dests.sort_unstable_by_key(|d| (d.chip, d.transfer));
-        let mut runs = Vec::with_capacity(plan.chips.len());
-        let mut rest = dests.as_mut_slice();
-        for (i, chip) in plan.chips.iter().enumerate() {
-            let here = rest.iter().take_while(|d| d.chip == i).count();
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(here);
+        // Each chip's job records the checks of the transfers that end at
+        // it, which the plan lists chip by chip, in its part of one buffer.
+        let checks = chips.iter().map(|c| plan.dests(c).len()).sum();
+        let mut digests = vec![Ok(0); checks];
+        let mut rest = digests.as_mut_slice();
+        let mut runs = Vec::with_capacity(chips.len());
+        for chip in chips {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(plan.dests(chip).len());
             rest = tail;
             runs.push(ChipRun {
                 chip,
                 struck: Vec::new(),
                 result: None,
-                dests: mine,
+                digests: mine,
             });
         }
         run_jobs(&mut runs, &mut self.sims[..threads], |run, sim| {
@@ -661,7 +648,7 @@ impl PlanExecutor {
         let mut bind = BindReplay::default();
         if faults.is_some() || tracer.enabled() {
             for run in &runs {
-                bind.chip(run, faults.is_some(), &mut tracer, &metrics);
+                bind.chip(plan, run, faults.is_some(), &mut tracer, &metrics);
             }
         }
         for (link, clean) in bind.clean {
@@ -679,14 +666,14 @@ impl PlanExecutor {
             });
         }
 
-        // ... then each chip's run in level order, (depth, TspId), which
-        // decides which chip error is reported first, ...
+        // ... then each chip's run in the plan's merge order, (depth,
+        // TspId), which decides which chip error is reported first, ...
         let mut retire_cycles = HashMap::with_capacity(runs.len());
         let mut retires = CycleHistogram::default();
-        for &i in plan.levels.iter().flatten() {
+        for &i in plan.merge_order() {
             let run = &mut runs[i as usize];
             let chip = run.chip;
-            let retire = run.result.take().expect("levels list each chip once")?;
+            let retire = (run.result.take()).expect("the merge order lists each chip once")?;
             retires.observe(retire);
             retire_cycles.insert(chip.tsp, retire);
             if tracer.enabled() {
@@ -702,14 +689,15 @@ impl PlanExecutor {
                         instructions: instrs.len() as u32,
                     },
                 );
-                if let (Some(first), Some(last)) = (chip.emissions.first(), chip.emissions.last()) {
+                let emissions = plan.emissions(chip);
+                if let (Some(first), Some(last)) = (emissions.first(), emissions.last()) {
                     // Emissions are stored sorted by (cycle, port).
                     tracer.span(
                         first.cycle,
                         (last.cycle - first.cycle).max(1),
                         lane,
                         EventKind::Emissions {
-                            count: chip.emissions.len() as u32,
+                            count: emissions.len() as u32,
                         },
                     );
                 }
@@ -722,12 +710,14 @@ impl PlanExecutor {
         // else every transfer's fingerprint.
         let mut dst_digests = vec![EMPTY_DIGEST; plan.shapes.len()];
         let mut mismatch: Option<(usize, usize)> = None;
-        for d in &dests {
-            match d.digest {
-                Ok(digest) => dst_digests[d.transfer] = digest,
+        let transfers = chips.iter().flat_map(|c| plan.dests(c));
+        for (&t, &digest) in transfers.zip(&digests) {
+            let t = t as usize;
+            match digest {
+                Ok(digest) => dst_digests[t] = digest,
                 Err(vector) => {
-                    if mismatch.is_none_or(|first| (d.transfer, vector) < first) {
-                        mismatch = Some((d.transfer, vector));
+                    if mismatch.is_none_or(|first| (t, vector) < first) {
+                        mismatch = Some((t, vector));
                     }
                 }
             }
@@ -737,9 +727,9 @@ impl PlanExecutor {
         }
 
         metrics.inc(names::COSIM_INSTRUCTIONS, plan.instructions as u64);
-        let delivered = plan.chips.iter().map(|c| c.deliveries.len() as u64).sum();
+        let delivered = chips.iter().map(|c| plan.deliveries(c).len() as u64).sum();
         metrics.inc(names::COSIM_DELIVERIES, delivered);
-        metrics.set_gauge(names::COSIM_CHIPS, plan.chips.len() as u64);
+        metrics.set_gauge(names::COSIM_CHIPS, chips.len() as u64);
         // Surface trace loss so downstream consumers (the conformance
         // profiler refuses lossy traces) can see it without holding the
         // sink. Only set when nonzero: a clean instrumented run must report
@@ -779,7 +769,7 @@ fn run_jobs(
         .map(|_| Vec::with_capacity(runs.len().div_ceil(threads)))
         .collect();
     for run in runs.iter_mut() {
-        shards[run.chip.shard as usize % threads].push(run);
+        shards[run.chip.shard() as usize % threads].push(run);
     }
     let mut shards = shards.into_iter().zip(sims).filter(|(s, _)| !s.is_empty());
     let first = shards.next();
@@ -835,7 +825,7 @@ mod tests {
             })
             .collect();
         let plan = compile_plan(&topo, &shapes).unwrap();
-        assert_eq!(plan.chips.len(), 1_152);
+        assert_eq!(plan.chips().len(), 1_152);
         let data = payloads(&plan);
         let mut executor = PlanExecutor::new();
         let want = executor.execute_serial(&plan, &data).unwrap();
@@ -850,7 +840,7 @@ mod tests {
             ..shapes[0].clone()
         };
         let small = compile_plan(&Topology::single_node(), &[shape]).unwrap();
-        assert_eq!(small.chips.len(), 2);
+        assert_eq!(small.chips().len(), 2);
         let mut fresh = PlanExecutor::new();
         fresh
             .execute_with(&small, &payloads(&small), at_width(8))
@@ -861,8 +851,9 @@ mod tests {
     /// A worker's simulator carries nothing from one chip's job into the
     /// next. TSP 0 preloads the transfer's vectors at the very SRAM
     /// cells that TSP 1, its destination, is checked at; with TSP 1's
-    /// program window emptied it is bound and checked but runs nothing,
-    /// so only the reset stands between its check and TSP 0's preloads.
+    /// program emptied in the plan's document it is bound and checked but
+    /// runs nothing, so only the reset stands between its check and TSP
+    /// 0's preloads.
     #[test]
     fn a_chip_job_sees_nothing_of_the_previous_job() {
         let shape = TransferShape {
@@ -874,9 +865,16 @@ mod tests {
             dst_offset: 0,
             vectors: 4,
         };
-        let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
-        let dst = plan.chips.iter_mut().find(|c| c.tsp == TspId(1)).unwrap();
-        dst.prog_end = dst.prog_start;
+        let json = compile_plan(&Topology::single_node(), &[shape])
+            .unwrap()
+            .to_json();
+        // The chips ascend by TSP, so TSP 1's program is the second.
+        let key = "\"program\": \"";
+        let start = json.match_indices(key).nth(1).unwrap().0 + key.len();
+        let end = start + json[start..].find('"').unwrap();
+        let plan = CompiledPlan::from_json(&format!("{}{}", &json[..start], &json[end..])).unwrap();
+        assert_eq!(plan.chips()[1].tsp, TspId(1));
+        assert!(plan.program(&plan.chips()[1]).is_empty());
         let data = payloads(&plan);
         let mut executor = PlanExecutor::new();
         for args in [at_width(1), ExecArgs::default()] {

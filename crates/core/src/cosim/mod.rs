@@ -17,8 +17,12 @@
 //! 1. **Plan** ([`plan::compile_plan`]): routing, link scheduling,
 //!    lowering and stream-register allocation run once over the transfer
 //!    *shapes*, producing a payload-independent, serializable
-//!    [`CompiledPlan`]. Payload bytes are referenced symbolically as
-//!    `(transfer, vector)` coordinates.
+//!    [`CompiledPlan`]: every chip's program and manifests lie in
+//!    plan-wide slabs, one per kind, and each chip holds a window into
+//!    each. Payload bytes are referenced symbolically as `(transfer,
+//!    vector)` coordinates. Only compile and the parse write a plan, and
+//!    what they derive (the merge order, the shards, each chip's
+//!    destination checks) is private to this module.
 //! 2. **Bind + execute** ([`exec::PlanExecutor`]): each invocation binds a
 //!    concrete payload set to the plan by `Arc` handle and replays it.
 //!    The executor keeps one chip simulator per worker thread and resets
@@ -39,21 +43,20 @@
 //!
 //! Because the network is statically scheduled, every delivery — the cycle
 //! a vector lands on a port, and which vector it is — is known before any
-//! chip runs. The driver therefore materializes all deliveries directly
-//! from the schedule and executes **each chip exactly once**, merging the
-//! results in ascending hop-depth order (sources first, then first-hop
-//! forwarders, …). There is no fixpoint, no event loop and no
-//! re-execution: a cluster-wide run costs one pass over the lowered
-//! instructions.
+//! chip runs. The executor therefore binds all deliveries directly from the
+//! plan and executes **each chip exactly once**, merging the results in
+//! ascending hop-depth order (sources first, then first-hop forwarders,
+//! …). There is no fixpoint, no event loop and no re-execution: a
+//! cluster-wide run costs one pass over the lowered instructions.
 //!
 //! The schedule's *claim* that an intermediate chip forwards the right
 //! bytes at the right cycle is still verified, not assumed: after a chip
 //! executes, its actual C2C emissions are compared bit-for-bit against the
 //! emissions the schedule promised. A chip that emits the wrong payload,
 //! at the wrong cycle, or on the wrong port fails the run with
-//! [`CosimError::EmissionMismatch`], and no downstream chip's result is
-//! reported; destination SRAM is additionally checked bit-for-bit at the
-//! end.
+//! [`CosimError::EmissionMismatch`], and no deeper chip's result is
+//! reported; each destination's SRAM is additionally checked bit-for-bit
+//! by its chip's job, and the first mismatch reported after the chips.
 //!
 //! # Determinism contract
 //!
@@ -68,11 +71,11 @@
 //! **bit-identical**: every chip's job is a pure function of its program,
 //! its materialized deliveries and its keyed fault draws, and everything
 //! observable is replayed on the calling thread afterwards — the bind
-//! chip by chip in plan order, then the results in the plan's level order,
-//! ascending (depth, [`TspId`]) — regardless of thread completion order.
-//! Levels are that merge order, not barriers: the first error in (depth,
-//! TspId) order is the one reported, in both modes, and any chip that ran
-//! after it is discarded with the execute.
+//! chip by chip in plan order, then the results in the plan's merge
+//! order, ascending (depth, [`TspId`]) — regardless of thread completion
+//! order. Depth orders the merge and is no barrier: the first error in
+//! (depth, TspId) order is the one reported, in both modes, and any chip
+//! that ran after it is discarded with the execute.
 
 pub mod exec;
 pub mod plan;
@@ -370,7 +373,8 @@ pub(crate) const READ_LATENCY: u64 = 5;
 pub(crate) const SCRATCH_SLICE: u8 = 80;
 
 /// One-shot co-simulation: compiles the transfers into a [`CompiledPlan`]
-/// and executes it once with their payloads, depth levels in parallel.
+/// and executes it once with their payloads, at the automatic width
+/// ([`PlanExecutor::execute`]).
 ///
 /// Callers that run the same transfer shapes repeatedly should hold on to
 /// the plan ([`compile_plan`]) and a [`PlanExecutor`] instead — this
@@ -382,9 +386,9 @@ pub fn run_transfers(
     run_transfers_impl(topo, transfers, true)
 }
 
-/// [`run_transfers`] with all chips executed on the calling thread, in
-/// ascending (depth, TspId) order. Bit-identical to the parallel engine —
-/// the determinism tests and benches compare the two.
+/// [`run_transfers`] with every chip's job on the calling thread, in plan
+/// order. Bit-identical to the parallel engine — the determinism tests and
+/// benches compare the two.
 pub fn run_transfers_serial(
     topo: &Topology,
     transfers: &[CosimTransfer],
@@ -598,7 +602,7 @@ mod tests {
         };
         let shapes = [TransferShape::from(&tr)];
         let plan = compile_plan(&topo, &shapes).unwrap();
-        let src = plan.chips.iter().find(|c| c.tsp == tr.from).unwrap();
+        let src = plan.chips().iter().find(|c| c.tsp == tr.from).unwrap();
         let first_read = plan
             .program(src)
             .iter()

@@ -12,6 +12,7 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 use tsm_chip::exec::TimedInstruction;
 use tsm_isa::instr::Instruction;
 use tsm_isa::vector::MAX_STREAMS;
@@ -63,7 +64,7 @@ impl From<&CosimTransfer> for TransferShape {
 
 /// Symbolic reference to one payload vector: `vector` within `transfer`.
 /// The executor resolves it against the payloads bound at invocation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VecRef {
     /// Index into the plan's transfer list.
     pub transfer: u32,
@@ -109,18 +110,72 @@ pub struct PlannedEmission {
     pub vec: VecRef,
 }
 
-/// Everything one chip needs across every execution of the plan.
-///
-/// The instruction stream itself lives in the plan's contiguous
-/// [`CompiledPlan::slab`]; each chip holds only its `[prog_start,
-/// prog_end)` window — resolve it with [`CompiledPlan::program`].
+/// The records of `slab` in `window`, one chip's part of the slab.
+fn part<'a, T>(slab: &'a [T], window: &Range<u32>) -> &'a [T] {
+    &slab[window.start as usize..window.end as usize]
+}
+
+/// Everything one chip needs across every execution of the plan: its
+/// windows into the plan's slabs, which [`CompiledPlan::program`] and the
+/// manifest accessors resolve. Only compile and the parse build one, so
+/// its windows and shard are always its plan's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipPlan {
     /// The chip.
     pub tsp: TspId,
-    /// Hop depth (0 = pure source): the chip's level in
-    /// [`CompiledPlan::levels`], which orders the executor's merge.
+    /// Hop depth (0 = pure source): with the TSP, the chip's place in the
+    /// order in which the executor merges results.
     pub depth: u32,
+    shard: u32,
+    program: Range<u32>,
+    preloads: Range<u32>,
+    deliveries: Range<u32>,
+    emissions: Range<u32>,
+    /// The transfers whose destination check this chip's job makes: each
+    /// one that moves a vector to the chip, ascending.
+    dests: Range<u32>,
+}
+
+/// The reusable compile artifact: per-chip windows into one contiguous
+/// instruction slab and three manifest slabs, the merge order, and
+/// scheduled arrivals. Payload-independent — compile once, execute with as
+/// many different payload sets as you like — and JSON-serializable, so a
+/// plan can be built offline and shipped to the runtime like the paper's
+/// machine-code binaries: [`CompiledPlan::to_json`] writes each chip's
+/// program as the binary [`tsm_isa::encode::assemble`] emits.
+///
+/// What compile decided (the shapes, the arrivals and each chip's depth,
+/// program and manifests) is all a document stores. The merge order, the
+/// shards, the destination checks and `instructions` are derived from it,
+/// by the same function at compile and at [`CompiledPlan::from_json`].
+/// Only compile and the parse write a plan's chips, slabs and derived
+/// indices, so those always agree; `shapes`, `arrivals` and
+/// `instructions` stay public fields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledPlan {
+    /// The transfer shapes the plan was compiled for; execution payloads
+    /// must match them exactly.
+    pub shapes: Vec<TransferShape>,
+    /// Per-chip plans, in ascending [`TspId`] order.
+    chips: Vec<ChipPlan>,
+    /// Every chip's issue-sorted instruction stream, back to back in chip
+    /// order, in one allocation, as are the manifest slabs below: a chip's
+    /// job walks its windows linearly instead of chasing heap vectors.
+    slab: Vec<TimedInstruction>,
+    preloads: Vec<PlannedPreload>,
+    deliveries: Vec<PlannedDelivery>,
+    emissions: Vec<PlannedEmission>,
+    /// See [`CompiledPlan::merge_order`].
+    merge_order: Vec<u32>,
+    /// Every chip's destination checks, back to back in chip order.
+    dests: Vec<u32>,
+    /// Per-transfer scheduled arrival cycle of the last vector.
+    pub arrivals: Vec<u64>,
+    /// Total instructions lowered across all chips.
+    pub instructions: usize,
+}
+
+impl ChipPlan {
     /// The chip's work rank: its position when the plan's chips are
     /// ordered by descending [`ChipPlan::work`], ties by ascending TSP,
     /// derived from the chips by compile and again by
@@ -129,127 +184,164 @@ pub struct ChipPlan {
     /// round-robin by work: no thread holds more than an even share of the
     /// plan's work plus one chip's. The chip→thread mapping is a pure
     /// function of the plan and the width, never of scheduling order.
-    pub shard: u32,
-    /// Start of this chip's issue-sorted instruction window in the slab.
-    pub prog_start: u32,
-    /// End (exclusive) of the instruction window.
-    pub prog_end: u32,
-    /// Source-SRAM preloads.
-    pub preloads: Vec<PlannedPreload>,
-    /// Inbound deliveries, sorted by (port, cycle) so the executor can
-    /// feed each port queue in order.
-    pub deliveries: Vec<PlannedDelivery>,
-    /// Promised emissions, sorted by (cycle, port) — the canonical order
-    /// emission verification compares in.
-    pub emissions: Vec<PlannedEmission>,
-}
+    pub fn shard(&self) -> u32 {
+        self.shard
+    }
 
-/// The reusable compile artifact: per-chip manifests, one contiguous
-/// instruction slab, the level structure, and scheduled arrivals.
-/// Payload-independent — compile once, execute with as many different
-/// payload sets as you like — and JSON-serializable, so a plan can be
-/// built offline and shipped to the runtime like the paper's machine-code
-/// binaries: [`CompiledPlan::to_json`] writes each chip's program as the
-/// binary [`tsm_isa::encode::assemble`] emits.
-///
-/// What compile decided (the shapes, the arrivals and each chip's depth,
-/// program and manifests) is all a document stores. The program windows,
-/// `levels`, the shards and `instructions` are derived from it, by the same
-/// function at compile and at [`CompiledPlan::from_json`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledPlan {
-    /// The transfer shapes the plan was compiled for; execution payloads
-    /// must match them exactly.
-    pub shapes: Vec<TransferShape>,
-    /// Per-chip plans, in ascending [`TspId`] order.
-    pub chips: Vec<ChipPlan>,
-    /// Every chip's issue-sorted instruction stream, laid out
-    /// back-to-back in chip order. One allocation for the whole plan:
-    /// executing a chip walks its window of this slab linearly instead of
-    /// chasing a heap vector of its own.
-    pub slab: Vec<TimedInstruction>,
-    /// Hop-depth levels: indices into `chips`, each chip listed once, at
-    /// its [`ChipPlan::depth`], each level in ascending [`TspId`] order.
-    /// Every delivery is bound from the plan, so no chip waits on another
-    /// and levels are not barriers: they are the order in which the
-    /// executor merges results, and so decide which error it reports
-    /// first.
-    pub levels: Vec<Vec<u32>>,
-    /// Per-transfer scheduled arrival cycle of the last vector.
-    pub arrivals: Vec<u64>,
-    /// Total instructions lowered across all chips.
-    pub instructions: usize,
-}
-
-impl ChipPlan {
     /// What one execute asks of this chip, in plan units known at compile
     /// time: its instruction window plus its deliveries and preloads.
     pub fn work(&self) -> usize {
-        self.prog_end.saturating_sub(self.prog_start) as usize
-            + self.deliveries.len()
-            + self.preloads.len()
-    }
-}
-
-/// Sets every chip's [`ChipPlan::shard`] to its work rank: heaviest
-/// first, ties by ascending TSP.
-fn rank_shards(chips: &mut [ChipPlan]) {
-    let mut order: Vec<usize> = (0..chips.len()).collect();
-    order.sort_by_key(|&i| (Reverse(chips[i].work()), chips[i].tsp));
-    for (rank, i) in order.into_iter().enumerate() {
-        chips[i].shard = rank as u32;
+        self.program.len() + self.deliveries.len() + self.preloads.len()
     }
 }
 
 impl CompiledPlan {
-    /// The plan of `chips`, in ascending TSP order, whose programs lie
-    /// back to back in `slab` at their windows: groups the chips into
-    /// levels by depth, ranks their shards and counts the instructions.
-    /// Compile and the parse both build their plans here, so a document
-    /// derives what compile derived. Every depth must lie below the chip
-    /// count, as every compiled one does.
-    fn derive(
-        shapes: Vec<TransferShape>,
-        mut chips: Vec<ChipPlan>,
-        slab: Vec<TimedInstruction>,
-        arrivals: Vec<u64>,
-    ) -> CompiledPlan {
-        let depths = chips
-            .iter()
-            .map(|c| c.depth as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut levels = vec![Vec::new(); depths];
-        for (i, c) in chips.iter().enumerate() {
-            levels[c.depth as usize].push(i as u32);
-        }
-        rank_shards(&mut chips);
+    /// A plan of `shapes` and their `arrivals` with no chips yet, for
+    /// assembly or the parse to append them.
+    fn new(shapes: Vec<TransferShape>, arrivals: Vec<u64>) -> CompiledPlan {
         CompiledPlan {
             shapes,
-            chips,
-            instructions: slab.len(),
-            slab,
-            levels,
+            chips: Vec::new(),
+            slab: Vec::new(),
+            preloads: Vec::new(),
+            deliveries: Vec::new(),
+            emissions: Vec::new(),
+            merge_order: Vec::new(),
+            dests: Vec::new(),
             arrivals,
+            instructions: 0,
         }
+    }
+
+    /// The slabs' lengths: where the windows of the next chip appended
+    /// to them start.
+    fn slab_ends(&self) -> [usize; 4] {
+        [
+            self.slab.len(),
+            self.preloads.len(),
+            self.deliveries.len(),
+            self.emissions.len(),
+        ]
+    }
+
+    /// The plan of chip `tsp` at `depth`, whose records were appended to
+    /// the slabs since they ended at `starts`.
+    fn appended_chip(&self, tsp: TspId, depth: u32, starts: [usize; 4]) -> ChipPlan {
+        let ends = self.slab_ends();
+        let window = |k: usize| starts[k] as u32..ends[k] as u32;
+        ChipPlan {
+            tsp,
+            depth,
+            shard: 0,
+            program: window(0),
+            preloads: window(1),
+            deliveries: window(2),
+            emissions: window(3),
+            dests: 0..0,
+        }
+    }
+
+    /// Derives each chip's shard, the merge order, each chip's destination
+    /// checks and the instruction count from the chips appended. Compile
+    /// and the parse both end here, so a document derives what compile
+    /// derived. The chips must ascend by TSP and include every transfer's
+    /// destination, as compiled ones do; the parse refuses other documents.
+    fn derive(mut self) -> CompiledPlan {
+        let chips = &mut self.chips;
+        let mut order: Vec<u32> = (0..chips.len() as u32).collect();
+        // Shards: ranks by work, heaviest first, ties by ascending TSP.
+        order.sort_unstable_by_key(|&i| {
+            let c = &chips[i as usize];
+            (Reverse(c.work()), c.tsp)
+        });
+        for (rank, &i) in order.iter().enumerate() {
+            chips[i as usize].shard = rank as u32;
+        }
+        order.sort_unstable_by_key(|&i| (chips[i as usize].depth, i));
+        self.merge_order = order;
+        let mut dests: Vec<(u32, u32)> = (self.shapes.iter().enumerate())
+            .filter(|(_, s)| s.vectors > 0)
+            .map(|(t, s)| {
+                let chip = (chips.binary_search_by_key(&s.to, |c| c.tsp))
+                    .expect("every transfer ends at a chip of the plan");
+                (chip as u32, t as u32)
+            })
+            .collect();
+        dests.sort_unstable();
+        let mut start = 0;
+        for (i, chip) in chips.iter_mut().enumerate() {
+            let end = dests.partition_point(|d| d.0 <= i as u32);
+            chip.dests = start as u32..end as u32;
+            start = end;
+        }
+        self.dests = dests.into_iter().map(|(_, t)| t).collect();
+        self.instructions = self.slab.len();
+        self
+    }
+
+    /// Per-chip plans, in ascending [`TspId`] order.
+    pub fn chips(&self) -> &[ChipPlan] {
+        &self.chips
     }
 
     /// The issue-sorted instruction stream of `chip` (its window into the
     /// plan's contiguous slab).
     pub fn program<'a>(&'a self, chip: &ChipPlan) -> &'a [TimedInstruction] {
-        &self.slab[chip.prog_start as usize..chip.prog_end as usize]
+        part(&self.slab, &chip.program)
+    }
+
+    /// The source-SRAM preloads of `chip`.
+    pub fn preloads<'a>(&'a self, chip: &ChipPlan) -> &'a [PlannedPreload] {
+        part(&self.preloads, &chip.preloads)
+    }
+
+    /// The inbound deliveries of `chip`, sorted by (port, cycle) so the
+    /// executor can feed each port queue in order.
+    pub fn deliveries<'a>(&'a self, chip: &ChipPlan) -> &'a [PlannedDelivery] {
+        part(&self.deliveries, &chip.deliveries)
+    }
+
+    /// The emissions `chip` promises, sorted by (cycle, port) — the
+    /// canonical order emission verification compares in.
+    pub fn emissions<'a>(&'a self, chip: &ChipPlan) -> &'a [PlannedEmission] {
+        part(&self.emissions, &chip.emissions)
+    }
+
+    /// The transfers whose destination check `chip`'s job makes.
+    pub(super) fn dests<'a>(&'a self, chip: &ChipPlan) -> &'a [u32] {
+        part(&self.dests, &chip.dests)
+    }
+
+    /// Every chip once, as an index into [`CompiledPlan::chips`], by
+    /// ascending `(depth, TspId)`. Every delivery is bound from the plan, so
+    /// no chip waits on another: this is only the order in which the
+    /// executor merges results, and so decides which error it reports
+    /// first.
+    pub(super) fn merge_order(&self) -> &[u32] {
+        &self.merge_order
+    }
+
+    /// The heap bytes the plan's records take, counted from its lengths:
+    /// the residency layer's estimate of a resident plan.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.shapes[..])
+            + size_of_val(&self.chips[..])
+            + size_of_val(&self.slab[..])
+            + size_of_val(&self.preloads[..])
+            + size_of_val(&self.deliveries[..])
+            + size_of_val(&self.emissions[..])
+            + size_of_val(&self.merge_order[..])
+            + size_of_val(&self.dests[..])
+            + size_of_val(&self.arrivals[..])
     }
 
     /// Whether every TSP and link the plan names exists in `topo`. A
     /// parsed plan is checked only against itself, so a runtime asks this
     /// before it adopts one.
     pub fn fits(&self, topo: &Topology) -> bool {
-        self.chips.iter().all(|c| {
-            c.tsp.index() < topo.num_tsps()
-                && c.deliveries
-                    .iter()
-                    .all(|d| d.link.index() < topo.links().len())
-        })
+        self.chips.iter().all(|c| c.tsp.index() < topo.num_tsps())
+            && (self.deliveries.iter()).all(|d| d.link.index() < topo.links().len())
     }
 
     /// Serializes the plan as pretty-printed JSON (same conventions as
@@ -264,12 +356,13 @@ impl CompiledPlan {
     }
 
     /// Deserializes a plan previously produced by [`CompiledPlan::to_json`]
-    /// and derives its program windows, levels, shards and instruction
-    /// count as compile does. Field order is not significant. Unknown keys,
-    /// a program that is not whole hex records or whose records do not
-    /// re-assemble to the same bytes, a depth at or past the chip count,
-    /// and a plan that indexes outside itself or lists its program or
-    /// manifests out of order are rejected with a descriptive error.
+    /// and derives its merge order, shards, destination checks and
+    /// instruction count as compile does. Field order is not significant.
+    /// Unknown keys, a program that is not whole hex records or whose
+    /// records do not re-assemble to the same bytes, a depth at or past the
+    /// chip count, and a plan that indexes outside itself or lists its
+    /// program or manifests out of order are rejected with a descriptive
+    /// error, before anything is derived.
     pub fn from_json(s: &str) -> Result<Self, String> {
         json::parse(s)
     }
@@ -291,7 +384,7 @@ impl CompiledPlan {
         let mut chips = Vec::with_capacity(self.chips.len());
         let mut span = self.arrivals.iter().copied().max().unwrap_or(0);
         for chip in &self.chips {
-            for d in &chip.deliveries {
+            for d in self.deliveries(chip) {
                 let latency = scheduled_link_latency(topo, d.link);
                 let wire_end = d.cycle.saturating_sub(latency);
                 hops.push(PlannedHop {
@@ -708,94 +801,88 @@ impl ChipBuild {
         Ok(base as u16)
     }
 
-    /// Total instructions of the trains `keep` selects.
-    fn count(&self, keep: impl Fn(&Lowered) -> bool) -> usize {
-        self.trains
-            .iter()
-            .filter(|t| keep(t))
-            .map(|t| t.count as usize)
-            .sum()
-    }
-
-    /// Appends the chip's program to `slab` in issue order, `(cycle,
-    /// unit)`, and returns its preloads, deliveries and emissions, each
-    /// allocated at its exact size. Equal keys keep lowering order: by
-    /// transfer, then vector, then the train's place on the path, as a
-    /// stable sort of the instructions pushed in that order would.
-    fn assemble(
-        &self,
-        merge: &mut Merge,
-        slab: &mut Vec<TimedInstruction>,
-    ) -> (
-        Vec<PlannedPreload>,
-        Vec<PlannedDelivery>,
-        Vec<PlannedEmission>,
-    ) {
-        let trains = &self.trains;
-        let receive_port = |t: &Lowered| match t.op {
-            Op::Receive(port) => Some(port),
-            _ => None,
-        };
-        let send_port = |t: &Lowered| match t.op {
-            Op::Send(port) => Some(port),
-            _ => None,
-        };
-        let mut preloads = Vec::with_capacity(self.count(|t| t.op == Op::Load));
-        let mut deliveries = Vec::with_capacity(self.count(|t| receive_port(t).is_some()));
-        let mut emissions = Vec::with_capacity(self.count(|t| send_port(t).is_some()));
-
-        let unit = |t: &Lowered| t.op.lower(t.stream, t.slice, t.base).unit().index() as u8;
-        merge.run(
-            trains,
-            |t| Some((unit(t), t.transfer)),
-            |t, v, cycle| {
-                slab.push(t.instr(v, cycle));
-            },
-        );
-        for t in trains.iter().filter(|t| t.op == Op::Load) {
-            preloads.extend((0..u64::from(t.count)).map(|v| PlannedPreload {
-                slice: t.slice,
-                offset: t.base + v as u16,
-                vec: t.vec(v),
-            }));
-        }
-        // Deliveries by `(port, cycle)`, so the executor feeds each port's
-        // queue in order: the ports in turn, ascending.
-        let next_port = |after: Option<u8>| {
-            let ports = trains.iter().filter_map(receive_port);
-            ports.filter(|&p| after.is_none_or(|a| p > a)).min()
-        };
-        let mut port = next_port(None);
-        while let Some(p) = port {
-            let on_port = |t: &Lowered| (receive_port(t) == Some(p)).then_some((p, t.transfer));
-            merge.run(trains, on_port, |t, v, cycle| {
-                deliveries.push(PlannedDelivery {
-                    port: p,
-                    cycle,
+    /// Appends the chip's program to `plan`'s slab in issue order,
+    /// `(cycle, unit)`, equal keys in lowering order (by transfer, vector,
+    /// then the train's place on the path, as a stable sort of the
+    /// instructions pushed in that order would leave them), its preloads
+    /// in lowering order and its manifests to their slabs.
+    ///
+    /// One merge writes the program and both C2C manifests in their own
+    /// orders, because no two sends and no two receives of a chip share a
+    /// cycle: each send follows a Mem read by [`READ_LATENCY`], each
+    /// receive precedes a Mem write by one cycle, and compile books the
+    /// chip's one Mem unit for a read's or write's five cycles. So the
+    /// emissions come out by `(cycle, port)`, and each port's deliveries
+    /// by cycle into the port's bucket, the buckets in port order.
+    fn assemble(&self, merge: &mut Merge, plan: &mut CompiledPlan) -> ChipPlan {
+        let starts = plan.slab_ends();
+        for t in self.trains.iter().filter(|t| t.op == Op::Load) {
+            plan.preloads
+                .extend((0..u64::from(t.count)).map(|v| PlannedPreload {
+                    slice: t.slice,
+                    offset: t.base + v as u16,
                     vec: t.vec(v),
-                    link: t.link,
-                });
-            });
-            port = next_port(port);
+                }));
         }
-        let sent = |t: &Lowered| send_port(t).map(|p| (p, t.transfer));
-        merge.run(trains, sent, |t, v, cycle| {
-            emissions.push(PlannedEmission {
-                cycle,
-                port: send_port(t).expect("a send train"),
-                vec: t.vec(v),
-            });
+        // Each port's bucket starts where the lower ports' deliveries end.
+        let mut bucket = [0; PORTS_PER_TSP];
+        for t in &self.trains {
+            if let Op::Receive(port) = t.op {
+                bucket[usize::from(port)] += t.count as usize;
+            }
+        }
+        let mut end = plan.deliveries.len();
+        for b in &mut bucket {
+            (*b, end) = (end, end + *b);
+        }
+        let unfilled = PlannedDelivery {
+            port: 0,
+            cycle: 0,
+            vec: VecRef::default(),
+            link: LinkId(0),
+        };
+        plan.deliveries.resize(end, unfilled);
+        let (mut received, mut sent) = (None, None);
+        merge.run(&self.trains, |t, v, cycle| {
+            plan.slab.push(t.instr(v, cycle));
+            let (tsp, vec) = (self.tsp, t.vec(v));
+            match t.op {
+                Op::Receive(port) => {
+                    debug_assert!(received < Some(cycle), "{tsp}: two receives at {cycle}");
+                    received = Some(cycle);
+                    let at = &mut bucket[usize::from(port)];
+                    plan.deliveries[*at] = PlannedDelivery {
+                        port,
+                        cycle,
+                        vec,
+                        link: t.link,
+                    };
+                    *at += 1;
+                }
+                Op::Send(port) => {
+                    debug_assert!(sent < Some(cycle), "{tsp}: two sends at {cycle}");
+                    sent = Some(cycle);
+                    plan.emissions.push(PlannedEmission { cycle, port, vec });
+                }
+                Op::Load | Op::Stage | Op::Unstage | Op::Store => {}
+            }
         });
-        (preloads, deliveries, emissions)
+        let chip = plan.appended_chip(self.tsp, self.depth as u32, starts);
+        debug_assert!(
+            (plan.program(&chip)).is_sorted_by_key(|ti| (ti.cycle, ti.instr.unit())),
+            "{}: program out of issue order",
+            self.tsp
+        );
+        chip
     }
 }
 
 /// A train in a [`Merge`].
 #[derive(Debug)]
 struct Run {
-    /// Its place in the per-period order: phase, key, the later start
-    /// first, then its index in the chip's trains.
-    order: (u64, (u8, u32), Reverse<u64>, usize),
+    /// Its place in the per-period order: phase, unit, transfer, the later
+    /// start first, then its index in the chip's trains.
+    order: (u64, u8, u32, Reverse<u64>, usize),
     /// The periods it issues in: `[first, end)`.
     first: u64,
     end: u64,
@@ -814,36 +901,31 @@ struct Merge {
 
 impl Merge {
     /// Calls `f(train, v, cycle)` for the `v`-th instruction of each train
-    /// to which `pick` gives a key, in ascending `(cycle, key, v, j)`
-    /// order, where `j` is the train's index in `trains`: the order in
-    /// which a stable sort by `(cycle, key)` leaves the instructions if
-    /// those of one key were pushed vector by vector, each vector's in
-    /// train order.
+    /// in ascending `(cycle, unit, transfer, v, j)` order, where `unit` is
+    /// the functional unit of the train's instructions and `j` the train's
+    /// index in `trains`: the order in which a stable sort by `(cycle,
+    /// unit)` leaves the instructions if they were pushed transfer by
+    /// transfer, vector by vector, each vector's in train order.
     ///
     /// Every train has the same period, the vector slot, so within one
     /// slot-long period each running train issues exactly once, at its
     /// phase `start % slot`, and the running trains always issue in one
-    /// fixed order: by phase, then key, then the later-started train first
-    /// (its `v` is smaller), then `j`. The merge keeps the running trains
-    /// in that order and walks the periods, so it compares keys only when
-    /// a train starts.
-    fn run(
-        &mut self,
-        trains: &[Lowered],
-        pick: impl Fn(&Lowered) -> Option<(u8, u32)>,
-        mut f: impl FnMut(&Lowered, u64, u64),
-    ) {
+    /// fixed order: by phase, unit and transfer, then the later-started
+    /// train first (its `v` is smaller), then `j`. The merge keeps the
+    /// running trains in that order and walks the periods, so it compares
+    /// keys only when a train starts.
+    fn run(&mut self, trains: &[Lowered], mut f: impl FnMut(&Lowered, u64, u64)) {
         let slot = vector_slot_cycles();
         let (runs, running) = (&mut self.runs, &mut self.running);
         runs.clear();
-        runs.extend(trains.iter().enumerate().filter_map(|(j, t)| {
-            let key = pick(t)?;
+        runs.extend(trains.iter().enumerate().map(|(j, t)| {
+            let unit = t.op.lower(t.stream, t.slice, t.base).unit().index() as u8;
             let first = t.start / slot;
-            Some(Run {
-                order: (t.start % slot, key, Reverse(first), j),
+            Run {
+                order: (t.start % slot, unit, t.transfer, Reverse(first), j),
                 first,
                 end: first + u64::from(t.count),
-            })
+            }
         }));
         runs.sort_unstable_by_key(|r| r.first);
         running.clear();
@@ -861,7 +943,7 @@ impl Merge {
                 next += 1;
             }
             for &r in running.iter() {
-                let (t, v) = (&trains[runs[r].order.3], period - runs[r].first);
+                let (t, v) = (&trains[runs[r].order.4], period - runs[r].first);
                 f(t, v, t.start + v * slot);
             }
             period += 1;
@@ -1129,35 +1211,29 @@ fn book_and_lower(
 }
 
 /// Assembles the plan: per-chip plans in ascending TspId order, each
-/// chip's program written once into the slab by merging its trains and
-/// each manifest allocated at its exact size, then grouped into hop-depth
-/// levels and ranked by work into shards ([`CompiledPlan::derive`]). A
-/// chip at depth d receives only from chips at depth < d, so levels form a
-/// topological order, the order in which the executor merges chip results.
+/// chip's program and manifests written once into the plan's slabs, sized
+/// exactly up front, by one merge of its trains; then the merge order,
+/// shards and destination checks are derived ([`CompiledPlan::derive`]).
+/// A chip at depth d receives only from chips at depth < d, so ascending
+/// depth is a topological order, the order in which the executor merges
+/// chip results.
 fn assemble(shapes: &[TransferShape], arrivals: Vec<u64>, builds: &ChipBuilds) -> CompiledPlan {
-    let mut chips = Vec::with_capacity(builds.chips.len());
-    let mut slab = Vec::with_capacity(builds.chips.iter().map(|c| c.count(|_| true)).sum());
+    let trains = || builds.chips.iter().flat_map(|c| &c.trains);
+    let total = |keep: fn(&Lowered) -> bool| -> usize {
+        trains().filter(|t| keep(t)).map(|t| t.count as usize).sum()
+    };
+    let mut plan = CompiledPlan::new(shapes.to_vec(), arrivals);
+    plan.chips.reserve_exact(builds.chips.len());
+    plan.slab.reserve_exact(total(|_| true));
+    plan.preloads.reserve_exact(total(|t| t.op == Op::Load));
+    (plan.deliveries).reserve_exact(total(|t| matches!(t.op, Op::Receive(_))));
+    (plan.emissions).reserve_exact(total(|t| matches!(t.op, Op::Send(_))));
     let mut merge = Merge::default();
     for c in builds.in_tsp_order() {
-        let prog_start = slab.len();
-        let (preloads, deliveries, emissions) = c.assemble(&mut merge, &mut slab);
-        debug_assert!(
-            slab[prog_start..].is_sorted_by_key(|ti| (ti.cycle, ti.instr.unit())),
-            "{}: program out of issue order",
-            c.tsp
-        );
-        chips.push(ChipPlan {
-            tsp: c.tsp,
-            depth: c.depth as u32,
-            shard: 0,
-            prog_start: prog_start as u32,
-            prog_end: slab.len() as u32,
-            preloads,
-            deliveries,
-            emissions,
-        });
+        let chip = c.assemble(&mut merge, &mut plan);
+        plan.chips.push(chip);
     }
-    CompiledPlan::derive(shapes.to_vec(), chips, slab, arrivals)
+    plan.derive()
 }
 
 /// Lowers transfer `idx`, `tr` of at least one vector, whose `trains`
@@ -1312,7 +1388,7 @@ mod json {
             w.field_u64("depth", c.depth.into());
             w.field_str("program", &hex(plan.program(c)));
             w.key("preloads").begin_array();
-            for p in &c.preloads {
+            for p in plan.preloads(c) {
                 w.begin_object();
                 w.field_u64("slice", p.slice.into());
                 w.field_u64("offset", p.offset.into());
@@ -1321,7 +1397,7 @@ mod json {
             }
             w.end_array();
             w.key("deliveries").begin_array();
-            for d in &c.deliveries {
+            for d in plan.deliveries(c) {
                 w.begin_object();
                 w.field_u64("port", d.port.into());
                 w.field_u64("cycle", d.cycle);
@@ -1331,7 +1407,7 @@ mod json {
             }
             w.end_array();
             w.key("emissions").begin_array();
-            for e in &c.emissions {
+            for e in plan.emissions(c) {
                 w.begin_object();
                 w.field_u64("cycle", e.cycle);
                 w.field_u64("port", e.port.into());
@@ -1407,36 +1483,24 @@ mod json {
         Ok(s)
     }
 
-    /// Parses one chip, appending its program to `slab` and setting its
-    /// window there.
-    fn parse_chip(c: &mut Cursor, slab: &mut Vec<TimedInstruction>) -> Result<ChipPlan, String> {
-        let start = slab.len();
-        let mut chip = ChipPlan {
-            tsp: TspId(0),
-            depth: 0,
-            shard: 0,
-            prog_start: 0,
-            prog_end: 0,
-            preloads: Vec::new(),
-            deliveries: Vec::new(),
-            emissions: Vec::new(),
-        };
+    /// Parses one chip, appending its program and manifests to `plan`'s
+    /// slabs, and returns its plan.
+    fn parse_chip(c: &mut Cursor, plan: &mut CompiledPlan) -> Result<ChipPlan, String> {
+        let starts = plan.slab_ends();
+        let (mut tsp, mut depth) = (TspId(0), 0);
         c.object(|c, key| {
             match key {
-                "tsp" => chip.tsp = TspId(c.narrow("chip tsp")?),
-                "depth" => chip.depth = c.narrow("chip depth")?,
+                "tsp" => tsp = TspId(c.narrow("chip tsp")?),
+                "depth" => depth = c.narrow("chip depth")?,
                 "program" => {
-                    slab.truncate(start);
-                    parse_program(&c.string()?, slab)?;
+                    plan.slab.truncate(starts[0]);
+                    parse_program(&c.string()?, &mut plan.slab)?;
                 }
                 "preloads" => c.array(|c| {
                     let mut p = PlannedPreload {
                         slice: 0,
                         offset: 0,
-                        vec: VecRef {
-                            transfer: 0,
-                            vector: 0,
-                        },
+                        vec: VecRef::default(),
                     };
                     c.object(|c, key| {
                         match key {
@@ -1448,17 +1512,14 @@ mod json {
                         }
                         Ok(())
                     })?;
-                    chip.preloads.push(p);
+                    plan.preloads.push(p);
                     Ok(())
                 })?,
                 "deliveries" => c.array(|c| {
                     let mut d = PlannedDelivery {
                         port: 0,
                         cycle: 0,
-                        vec: VecRef {
-                            transfer: 0,
-                            vector: 0,
-                        },
+                        vec: VecRef::default(),
                         link: LinkId(0),
                     };
                     c.object(|c, key| {
@@ -1472,17 +1533,14 @@ mod json {
                         }
                         Ok(())
                     })?;
-                    chip.deliveries.push(d);
+                    plan.deliveries.push(d);
                     Ok(())
                 })?,
                 "emissions" => c.array(|c| {
                     let mut e = PlannedEmission {
                         cycle: 0,
                         port: 0,
-                        vec: VecRef {
-                            transfer: 0,
-                            vector: 0,
-                        },
+                        vec: VecRef::default(),
                     };
                     c.object(|c, key| {
                         match key {
@@ -1494,44 +1552,60 @@ mod json {
                         }
                         Ok(())
                     })?;
-                    chip.emissions.push(e);
+                    plan.emissions.push(e);
                     Ok(())
                 })?,
                 other => return Err(format!("unknown chip field {other:?}")),
             }
             Ok(())
         })?;
-        let window =
-            |at: usize| u32::try_from(at).map_err(|_| "program slab past 2^32".to_string());
-        (chip.prog_start, chip.prog_end) = (window(start)?, window(slab.len())?);
-        Ok(chip)
+        Ok(plan.appended_chip(tsp, depth, starts))
     }
 
     pub(super) fn parse(s: &str) -> Result<CompiledPlan, String> {
-        let (mut shapes, mut chips, mut slab, mut arrivals) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut plan = CompiledPlan::new(Vec::new(), Vec::new());
         let mut c = Cursor::new(s);
         c.object(|c, key| match key {
             "shapes" => c.array(|c| {
-                shapes.push(parse_shape(c)?);
+                plan.shapes.push(parse_shape(c)?);
                 Ok(())
             }),
             "chips" => c.array(|c| {
-                let chip =
-                    parse_chip(c, &mut slab).map_err(|e| format!("chip {}: {e}", chips.len()))?;
-                chips.push(chip);
+                let chip = parse_chip(c, &mut plan)
+                    .map_err(|e| format!("chip {}: {e}", plan.chips.len()))?;
+                plan.chips.push(chip);
                 Ok(())
             }),
             "arrivals" => c.array(|c| {
-                arrivals.push(c.u64()?);
+                plan.arrivals.push(c.u64()?);
                 Ok(())
             }),
             other => Err(format!("unknown plan field {other:?}")),
         })?;
         c.expect_end()?;
+        check_indices(&plan)?;
+        Ok(plan.derive())
+    }
+
+    /// Rejects a parsed plan that indexes outside itself or lists its
+    /// program or manifest out of order, before anything is derived from
+    /// it, so an edited or corrupted document fails to load instead of
+    /// sending the derivation or the executor out of bounds or past its
+    /// order checks: every depth lies below the chip count; chips ascend
+    /// by TSP and include each transfer's destination; every payload
+    /// reference lies in the shapes; each chip's program ascends by
+    /// `(cycle, unit)`, the issue order the executor runs it in, its
+    /// deliveries by `(port, cycle)` and its emissions by `(cycle, port)`;
+    /// each transfer's source and destination regions end by offset
+    /// 65,535, as compile requires, so no region wraps onto offset 0.
+    fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
+        let ends = plan.slab_ends();
+        if ends.into_iter().any(|len| len > u32::MAX as usize) {
+            return Err("a slab past 2^32 records".to_string());
+        }
         // A chip at depth d ends a path through d + 1 chips of the plan, so
-        // no compiled depth reaches the chip count. Refused before a level
-        // is allocated for it.
+        // no compiled depth reaches the chip count.
+        let chips = &plan.chips;
         if let Some(deep) = chips.iter().find(|chip| chip.depth as usize >= chips.len()) {
             return Err(format!(
                 "chip {} at depth {}: no path through a plan of {} chips is that deep",
@@ -1540,23 +1614,7 @@ mod json {
                 chips.len()
             ));
         }
-        let plan = CompiledPlan::derive(shapes, chips, slab, arrivals);
-        check_indices(&plan)?;
-        Ok(plan)
-    }
-
-    /// Rejects a parsed plan that indexes outside itself or lists its
-    /// program or manifest out of order, so an edited or corrupted
-    /// document fails to load instead of sending the executor out of
-    /// bounds or past its order checks: every payload reference lies in
-    /// the shapes; each chip's program ascends by `(cycle, unit)`, the
-    /// issue order the executor runs it in, its deliveries by `(port,
-    /// cycle)` and its emissions by `(cycle, port)`; chips ascend by TSP
-    /// and include each transfer's destination; each transfer's source and
-    /// destination regions end by offset 65,535, as compile requires, so
-    /// no region wraps onto offset 0.
-    fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
-        if let Some(w) = plan.chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
+        if let Some(w) = chips.windows(2).find(|w| w[0].tsp >= w[1].tsp) {
             return Err(format!(
                 "chip {} follows chip {}: chips must ascend by TSP",
                 w[1].tsp.0, w[0].tsp.0
@@ -1581,12 +1639,13 @@ mod json {
             }
         }
         for chip in &plan.chips {
+            let (deliveries, emissions) = (plan.deliveries(chip), plan.emissions(chip));
             let issue_order = |ti: &TimedInstruction| (ti.cycle, ti.instr.unit());
             let out_of_order = if !plan.program(chip).is_sorted_by_key(issue_order) {
                 Some("program out of (cycle, unit)")
-            } else if !chip.deliveries.is_sorted_by_key(|d| (d.port, d.cycle)) {
+            } else if !deliveries.is_sorted_by_key(|d| (d.port, d.cycle)) {
                 Some("deliveries out of (port, cycle)")
-            } else if !chip.emissions.is_sorted_by_key(|e| (e.cycle, e.port)) {
+            } else if !emissions.is_sorted_by_key(|e| (e.cycle, e.port)) {
                 Some("emissions out of (cycle, port)")
             } else {
                 None
@@ -1594,9 +1653,9 @@ mod json {
             if let Some(what) = out_of_order {
                 return Err(format!("chip {} lists its {what} order", chip.tsp.0));
             }
-            let refs = (chip.preloads.iter().map(|p| ("preload", p.vec)))
-                .chain(chip.deliveries.iter().map(|d| ("delivery", d.vec)))
-                .chain(chip.emissions.iter().map(|e| ("emission", e.vec)));
+            let refs = (plan.preloads(chip).iter().map(|p| ("preload", p.vec)))
+                .chain(deliveries.iter().map(|d| ("delivery", d.vec)))
+                .chain(emissions.iter().map(|e| ("emission", e.vec)));
             for (what, r) in refs {
                 let shape = plan.shapes.get(r.transfer as usize);
                 if shape.is_none_or(|s| r.vector >= s.vectors) {
@@ -2128,7 +2187,8 @@ mod tests {
     /// chip's instructions pushed into a [`ChipProgram`] vector by vector,
     /// transfer by transfer, and stable-sorted into issue order, its
     /// preloads, deliveries and emissions pushed likewise and the latter
-    /// two stable-sorted, and every program copied into the slab.
+    /// two stable-sorted, each copied into its slab, and the chips merged
+    /// level by level, each level in TSP order.
     fn assemble_by_sort(
         shapes: &[TransferShape],
         arrivals: Vec<u64>,
@@ -2137,9 +2197,8 @@ mod tests {
         let slot = vector_slot_cycles();
         let mut built = builds.chips;
         built.sort_unstable_by_key(|c| c.tsp);
-        let mut chips = Vec::new();
+        let mut plan = CompiledPlan::new(shapes.to_vec(), arrivals);
         let mut levels: Vec<Vec<u32>> = Vec::new();
-        let mut slab = Vec::new();
         for (i, c) in built.iter().enumerate() {
             if levels.len() <= c.depth {
                 levels.resize(c.depth + 1, Vec::new());
@@ -2183,28 +2242,17 @@ mod tests {
             program.sort_in_place();
             deliveries.sort_by_key(|d| (d.port, d.cycle));
             emissions.sort_by_key(|e| (e.cycle, e.port));
-            let prog_start = slab.len() as u32;
-            slab.extend_from_slice(program.instrs());
-            chips.push(ChipPlan {
-                tsp: c.tsp,
-                depth: c.depth as u32,
-                shard: 0,
-                prog_start,
-                prog_end: slab.len() as u32,
-                preloads,
-                deliveries,
-                emissions,
-            });
+            let starts = plan.slab_ends();
+            plan.slab.extend_from_slice(program.instrs());
+            plan.preloads.extend(preloads);
+            plan.deliveries.extend(deliveries);
+            plan.emissions.extend(emissions);
+            let chip = plan.appended_chip(c.tsp, c.depth as u32, starts);
+            plan.chips.push(chip);
         }
-        rank_shards(&mut chips);
-        CompiledPlan {
-            shapes: shapes.to_vec(),
-            chips,
-            instructions: slab.len(),
-            slab,
-            levels,
-            arrivals,
-        }
+        let mut plan = plan.derive();
+        plan.merge_order = levels.concat();
+        plan
     }
 
     /// Lowering by merge writes the plan the push-then-sort lowering
@@ -2571,12 +2619,17 @@ mod tests {
         }
     }
 
+    /// `window` as an index range into its slab.
+    fn at(window: &Range<u32>) -> Range<usize> {
+        window.start as usize..window.end as usize
+    }
+
     /// A parsed plan may index only inside itself: each hostile edit of a
     /// real plan is refused by `from_json` with an error naming what is
     /// wrong, where executing it would have indexed out of bounds or, for
     /// a too-wide stream id, silently run a different stream. A depth at or
-    /// past the chip count, which no path reaches, is refused before any
-    /// level is allocated for it, however deep.
+    /// past the chip count, which no path reaches, is refused before
+    /// anything is derived from it, however deep.
     #[test]
     fn from_json_refuses_plans_that_index_outside_themselves() {
         let shape = TransferShape {
@@ -2598,15 +2651,15 @@ mod tests {
         };
         let cases = [
             (
-                edited(|p| p.chips[0].preloads[0].vec.vector = 4),
+                edited(|p| p.preloads[at(&p.chips[0].preloads)][0].vec.vector = 4),
                 "preload names vector 4",
             ),
             (
-                edited(|p| p.chips[1].deliveries[0].vec.transfer = 1),
+                edited(|p| p.deliveries[at(&p.chips[1].deliveries)][0].vec.transfer = 1),
                 "delivery names vector",
             ),
             (
-                edited(|p| p.chips[0].emissions[0].vec.vector = u32::MAX),
+                edited(|p| p.emissions[at(&p.chips[0].emissions)][0].vec.vector = u32::MAX),
                 "emission names",
             ),
             (
@@ -2619,18 +2672,15 @@ mod tests {
             ),
             (edited(|p| p.chips.swap(0, 1)), "must ascend by TSP"),
             (
-                edited(|p| p.chips[1].deliveries.reverse()),
+                edited(|p| p.deliveries[at(&p.chips[1].deliveries)].reverse()),
                 "chip 5 lists its deliveries out of (port, cycle) order",
             ),
             (
-                edited(|p| p.chips[0].emissions.reverse()),
+                edited(|p| p.emissions[at(&p.chips[0].emissions)].reverse()),
                 "chip 0 lists its emissions out of (cycle, port) order",
             ),
             (
-                edited(|p| {
-                    let chip = &p.chips[0];
-                    p.slab[chip.prog_start as usize..chip.prog_end as usize].reverse();
-                }),
+                edited(|p| p.slab[at(&p.chips[0].program)].reverse()),
                 "chip 0 lists its program out of (cycle, unit) order",
             ),
         ];
@@ -2653,8 +2703,8 @@ mod tests {
         };
         let mut wrapped = compile_plan(&Topology::single_node(), &[edge]).unwrap();
         wrapped.shapes[0].dst_offset = 65_535;
-        let dst = &wrapped.chips[1];
-        let stores = wrapped.slab[dst.prog_start as usize..dst.prog_end as usize]
+        let dst = at(&wrapped.chips[1].program);
+        let stores = wrapped.slab[dst]
             .iter_mut()
             .filter_map(|ti| match &mut ti.instr {
                 Instruction::Write { offset, .. } => Some(offset),
@@ -2672,6 +2722,29 @@ mod tests {
         wrapped.shapes[0].src_offset = 65_535;
         let err = CompiledPlan::from_json(&wrapped.to_json()).unwrap_err();
         assert!(err.contains("transfer 0 source region"), "{err}");
+    }
+
+    /// A document whose transfer ends at a TSP with no chip plan is
+    /// refused by name before the destination lists are derived, which
+    /// would find no chip to check it.
+    #[test]
+    fn from_json_refuses_a_transfer_that_ends_at_no_chip() {
+        let shape = TransferShape {
+            from: TspId(0),
+            to: TspId(5),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
+        plan.shapes[0].to = TspId(6);
+        let err = CompiledPlan::from_json(&plan.to_json()).unwrap_err();
+        assert!(
+            err.contains("transfer 0 delivers to TSP 6 with no chip plan"),
+            "{err}"
+        );
     }
 
     /// A plan document may name any port its field holds. One whose source

@@ -3,10 +3,11 @@
 //!
 //! The plan promises, per chip, exactly which vector leaves which port on
 //! which cycle; after a chip executes, its real emissions are compared
-//! bit-for-bit against that promise before any downstream chip's inputs
-//! are trusted. Each destination's SRAM is additionally checked
-//! bit-for-bit once its chip has run, and fingerprinted for the
-//! determinism tests.
+//! bit-for-bit against that promise. No chip reads another's emissions —
+//! every chip's inputs are bound from the plan — so this check is what
+//! holds each forwarder to the deliveries the plan hands the next chip.
+//! Each destination's SRAM is additionally checked bit-for-bit once its
+//! chip has run, and fingerprinted for the determinism tests.
 
 use tsm_chip::exec::{ChipSim, Emission, Payload};
 use tsm_topology::TspId;

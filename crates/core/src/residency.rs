@@ -415,7 +415,8 @@ impl ResidencyManager {
 
 /// Estimated heap footprint of one compiled artifact: the program's
 /// per-op timing vectors and link reservations, the datapath plan's
-/// shapes/slab/chip manifests, and the synthetic payload vectors. An
+/// records ([`CompiledPlan`]'s own estimate), and the synthetic payload
+/// vectors. An
 /// estimate, not an exact allocator tally — what matters is that it is
 /// deterministic and proportional, so budget arithmetic is reproducible.
 ///
@@ -433,19 +434,7 @@ fn cache_bytes(cache: &CompiledCache) -> u64 {
         + program.compute_busy.len() * size_of::<(tsm_topology::TspId, u64)>()
         + size_of_val(program.occupancy.reservations());
     if let Some(a) = &cache.datapath {
-        let plan = &a.plan;
-        bytes += size_of_val(&plan.shapes[..])
-            + size_of_val(&plan.slab[..])
-            + size_of_val(&plan.arrivals[..]);
-        for chip in &plan.chips {
-            bytes += size_of::<crate::cosim::ChipPlan>()
-                + size_of_val(&chip.preloads[..])
-                + size_of_val(&chip.deliveries[..])
-                + size_of_val(&chip.emissions[..]);
-        }
-        for level in &plan.levels {
-            bytes += size_of_val(&level[..]);
-        }
+        bytes += a.plan.heap_bytes();
         for payloads in &a.payloads {
             bytes += payloads.len() * tsm_isa::vector::VECTOR_BYTES;
         }

@@ -74,13 +74,9 @@ fn faulty(faults: &LinkFaultModel, threads: Option<usize>) -> ExecArgs<'_> {
 
 /// Every scheduled hop of every vector: (transfer, vector, link).
 fn all_hops(plan: &CompiledPlan) -> Vec<(u32, u32, LinkId)> {
-    plan.chips
-        .iter()
-        .flat_map(|c| {
-            c.deliveries
-                .iter()
-                .map(|d| (d.vec.transfer, d.vec.vector, d.link))
-        })
+    (plan.chips().iter())
+        .flat_map(|c| plan.deliveries(c))
+        .map(|d| (d.vec.transfer, d.vec.vector, d.link))
         .collect()
 }
 
@@ -439,13 +435,7 @@ fn zero_ber_fault_mode_reports_what_execute_reports() {
 #[test]
 fn out_of_range_link_rates_are_typed_errors() {
     let (plan, payloads) = two_hop_setup();
-    let first = plan
-        .chips
-        .iter()
-        .flat_map(|c| &c.deliveries)
-        .next()
-        .unwrap()
-        .link;
+    let (_, _, first) = all_hops(&plan)[0];
     let (_, _, last) = *all_hops(&plan).last().unwrap();
     let cases = [
         (LinkFaultModel::uniform(1.0, 0), first),

@@ -198,6 +198,27 @@ fn fixed_workload_all_widths_identical() {
     }
 }
 
+/// `plan` with the first emission each chip in `late` promises moved one
+/// cycle later, as its plan document edited and loaded.
+fn with_late_emissions(plan: &CompiledPlan, late: &[usize]) -> CompiledPlan {
+    let mut doc = plan.to_json();
+    // Each chip's object has one emissions array, in chip order.
+    let starts: Vec<usize> = (doc.match_indices("\"emissions\": ["))
+        .map(|(at, _)| at)
+        .collect();
+    let mut late = late.to_vec();
+    // From the last chip back, so an edit moves no start still to edit.
+    late.sort_unstable_by(|a, b| b.cmp(a));
+    for chip in late {
+        let key = "\"cycle\": ";
+        let at = starts[chip] + doc[starts[chip]..].find(key).expect("the chip emits") + key.len();
+        let end = at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let cycle: u64 = doc[at..end].parse().unwrap();
+        doc.replace_range(at..end, &(cycle + 1).to_string());
+    }
+    CompiledPlan::from_json(&doc).expect("a late emission loads")
+}
+
 /// Chip-phase errors at every width. Every delivery is bound from the
 /// plan, so chips deeper than a failing one still run in a parallel
 /// execute; the merge must still report the serial error, the first in
@@ -208,30 +229,27 @@ fn fixed_workload_all_widths_identical() {
 #[test]
 fn chip_errors_are_identical_serially_and_at_every_width() {
     let (plan, payloads) = dragonfly_workload();
-    let emitting = |i: &usize| !plan.chips[*i].emissions.is_empty();
-    let shallow = plan.levels[0]
-        .iter()
-        .map(|&i| i as usize)
+    let chips = plan.chips();
+    let emitting = |i: &usize| !plan.emissions(&chips[*i]).is_empty();
+    let shallow = (0..chips.len())
+        .filter(|&i| chips[i].depth == 0)
         .find(emitting)
         .expect("a source chip emits");
-    let deep = (0..plan.chips.len())
+    let deep = (0..chips.len())
         .filter(emitting)
-        .max_by_key(|&i| plan.chips[i].depth)
+        .max_by_key(|&i| chips[i].depth)
         .expect("some chip emits");
     assert!(
-        plan.chips[deep].depth >= 2,
+        chips[deep].depth >= 2,
         "the deep chip sits levels below the shallow one"
     );
 
     for (corrupt, culprit) in [(vec![shallow, deep], shallow), (vec![deep], deep)] {
-        let mut bad = plan.clone();
-        for &i in &corrupt {
-            bad.chips[i].emissions[0].cycle += 1;
-        }
+        let bad = with_late_emissions(&plan, &corrupt);
         let (want, want_events) = traced_run_with_threads(&bad, &payloads, Some(1), None);
         match &want {
             Err(CosimError::EmissionMismatch { tsp, .. }) => {
-                assert_eq!(*tsp, plan.chips[culprit].tsp, "serial names the culprit")
+                assert_eq!(*tsp, chips[culprit].tsp, "serial names the culprit")
             }
             other => panic!("expected an emission mismatch, got {other:?}"),
         }
@@ -329,24 +347,24 @@ fn plans_either_side_of_the_grain_match_serial_at_every_width() {
             other => panic!("expected a lost delivery, got {other:?}"),
         }
 
-        let emitting: Vec<usize> = (0..plan.chips.len())
-            .filter(|&i| !plan.chips[i].emissions.is_empty())
+        let chips = plan.chips();
+        let emitting: Vec<usize> = (0..chips.len())
+            .filter(|&i| !plan.emissions(&chips[i]).is_empty())
             .collect();
         for width in 1..=5u32 {
             let in_shard = |shard: u32| {
-                let mut chips = emitting
+                let mut emitters = emitting
                     .iter()
                     .copied()
-                    .filter(|&i| plan.chips[i].shard % width == shard);
-                chips.next().expect("every shard holds an emitting chip")
+                    .filter(|&i| chips[i].shard() % width == shard);
+                emitters.next().expect("every shard holds an emitting chip")
             };
             for culprit in [in_shard(0), in_shard(width - 1)] {
-                let mut bad = plan.clone();
-                bad.chips[culprit].emissions[0].cycle += 1;
+                let bad = with_late_emissions(&plan, &[culprit]);
                 let (want, want_events) = traced_run_with_threads(&bad, &payloads, Some(1), None);
                 match &want {
                     Err(CosimError::EmissionMismatch { tsp, .. }) => {
-                        assert_eq!(*tsp, plan.chips[culprit].tsp)
+                        assert_eq!(*tsp, chips[culprit].tsp)
                     }
                     other => panic!("expected an emission mismatch, got {other:?}"),
                 }

@@ -38,8 +38,8 @@ use tsm_trace::telemetry::TelemetryConfig;
 use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
 
 /// Uncertified pins per fabric: (report without incidents, launch trace).
-const CLEAN: (u64, u64) = (15541281865574586008, 11349179071343632474);
-const MARGINAL: (u64, u64) = (17728532744050193851, 12054163327429677918);
+const CLEAN: (u64, u64) = (8882527054275902751, 11349179071343632474);
+const MARGINAL: (u64, u64) = (14071082878864910210, 12054163327429677918);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

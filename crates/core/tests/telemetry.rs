@@ -31,7 +31,7 @@ use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::telemetry::{series, Telemetry, TelemetryConfig};
 use tsm_trace::{
-    chrome_trace_json_telemetry, names, EventKind, RingSink, TraceEvent, SERVING_LANE,
+    chrome_trace_json, names, ChromeExtras, EventKind, RingSink, TraceEvent, SERVING_LANE,
 };
 
 /// Window small enough that a single launch spans several windows.
@@ -482,7 +482,11 @@ fn hostile_tenant_names_round_trip_through_both_exports() {
     assert!(round.get(series::SERVE_THROUGHPUT, hostile).is_some());
 
     // The Perfetto export escapes it; the raw control byte never appears.
-    let doc = chrome_trace_json_telemetry(&sink.sorted_events(), 0, &t);
+    let extras = ChromeExtras {
+        telemetry: Some(&t),
+        ..ChromeExtras::default()
+    };
+    let doc = chrome_trace_json(&sink.sorted_events(), extras);
     assert!(doc.contains(r#"serve.throughput[ten\"ant\\zero\n\u0001[end]]"#));
     assert!(!doc.contains('\u{1}'));
 }

@@ -12,7 +12,7 @@ use tsm_core::runtime::{Runtime, SparePolicy};
 use tsm_core::system::System;
 use tsm_isa::Vector;
 use tsm_topology::{LinkId, NodeId, Topology, TspId};
-use tsm_trace::{chrome_trace_json, EventKind, RingSink, RUNTIME_LANE};
+use tsm_trace::{chrome_trace_json, ChromeExtras, EventKind, RingSink, RUNTIME_LANE};
 
 /// A logical pipeline spanning the first two logical nodes.
 fn logical_pipeline() -> Graph {
@@ -137,7 +137,7 @@ fn faulty_launch_traces_one_blame_one_failover_and_every_epoch() {
     }
 
     // The whole thing exports as a non-trivial Chrome trace.
-    let json = chrome_trace_json(&events);
+    let json = chrome_trace_json(&events, ChromeExtras::default());
     assert!(json.contains("\"runtime.failover\""));
     assert!(json.contains("\"runtime.replay_epoch\""));
 }
@@ -205,10 +205,8 @@ fn targeted_flips_trace_the_struck_link() {
     let payloads = vec![(0..4u32)
         .map(|v| Arc::new(Vector::from_fn(|b| (b as u8) ^ v as u8)))
         .collect::<Vec<_>>()];
-    let (transfer, vector, link) = plan
-        .chips
-        .iter()
-        .flat_map(|c| c.deliveries.iter())
+    let (transfer, vector, link) = (plan.chips().iter())
+        .flat_map(|c| plan.deliveries(c))
         .map(|d| (d.vec.transfer, d.vec.vector, d.link))
         .next()
         .expect("the route has at least one hop");

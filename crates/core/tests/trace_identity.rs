@@ -167,7 +167,7 @@ fn fixed_workload_serial_parallel_trace_identity() {
         .map(|e| e.lane)
         .collect();
     exec_lanes.sort_unstable();
-    let mut chip_lanes: Vec<u32> = plan.chips.iter().map(|c| c.tsp.0).collect();
+    let mut chip_lanes: Vec<u32> = plan.chips().iter().map(|c| c.tsp.0).collect();
     chip_lanes.sort_unstable();
     assert_eq!(exec_lanes, chip_lanes);
 

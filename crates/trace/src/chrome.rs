@@ -101,89 +101,61 @@ fn push_counter(out: &mut String, track: &str, ts: u64, value: u64) {
     ));
 }
 
-fn push_thread_name(out: &mut String, pid: u32, tid: u32, name: &str) {
+/// Pushes metadata event `meta` (`process_name` or `thread_name`) naming
+/// `(pid, tid)`.
+fn push_meta(out: &mut String, meta: &str, pid: u32, tid: u32, name: &str) {
     out.push_str(&format!(
-        ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+        ",\n{{\"name\":\"{meta}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
          \"args\":{{\"name\":\"{}\"}}}}",
         crate::json::escape_json(name),
     ));
 }
 
-/// Renders `events` as a complete Chrome-trace JSON document.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    render(events, 0, None, None, &[])
+/// What a Chrome-trace export lays over its events. Each part adds
+/// nothing to the document when it is absent, zero or empty, so the
+/// default is the plain export of the events alone.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChromeExtras<'a> {
+    /// Events the ring dropped: above zero, a warning banner heads the
+    /// timeline, since a lossy ring's timeline must never be read as
+    /// complete.
+    pub dropped: u64,
+    /// The plan-vs-actual overlay: a `"links"` process with two tracks per
+    /// link — the planned wire windows above the observed
+    /// [`EventKind::Delivery`] instants — so skew is visible as vertical
+    /// misalignment in Perfetto.
+    pub planned: Option<&'a PlannedTimeline>,
+    /// Perfetto counter tracks (`ph:"C"`) under a dedicated `"telemetry"`
+    /// process: one track per recorded time series (named
+    /// `series[label]`), sampled at each window boundary in simulated
+    /// cycles. Counter tracks are dropped back to zero after a gap so
+    /// per-window deltas read as pulses, not plateaus; gauge tracks hold
+    /// their level.
+    pub telemetry: Option<&'a Telemetry>,
+    /// Per-request attribution span tracks under a dedicated
+    /// `"requests"` process — one thread row per request, its stage spans
+    /// laid out in stitched-timeline order from arrival to completion
+    /// (each span exactly as wide as the stage's component, so the row
+    /// ends at the request's completion cycle).
+    pub requests: &'a [LatencyBreakdown],
 }
 
-/// [`chrome_trace_json`] plus a warning banner when `dropped > 0`: a lossy
-/// ring's timeline must never be read as complete.
-pub fn chrome_trace_json_with(events: &[TraceEvent], dropped: u64) -> String {
-    render(events, dropped, None, None, &[])
-}
-
-/// [`chrome_trace_json_with`] plus the plan-vs-actual overlay: a `"links"`
-/// process with two tracks per link — the planned wire windows of
-/// `planned` above the observed [`EventKind::Delivery`] instants — so
-/// skew is visible as vertical misalignment in Perfetto.
-pub fn chrome_trace_json_overlay(
-    events: &[TraceEvent],
-    planned: &PlannedTimeline,
-    dropped: u64,
-) -> String {
-    render(events, dropped, Some(planned), None, &[])
-}
-
-/// [`chrome_trace_json_with`] plus Perfetto counter tracks (`ph:"C"`)
-/// under a dedicated `"telemetry"` process: one track per recorded time
-/// series (named `series[label]`), sampled at each window boundary in
-/// simulated cycles. Counter tracks are dropped back to zero after a gap
-/// so per-window deltas read as pulses, not plateaus; gauge tracks hold
-/// their level.
-pub fn chrome_trace_json_telemetry(
-    events: &[TraceEvent],
-    dropped: u64,
-    telemetry: &Telemetry,
-) -> String {
-    render(events, dropped, None, Some(telemetry), &[])
-}
-
-/// The combined observability export: [`chrome_trace_json_with`] plus the
-/// optional telemetry counter tracks plus per-request attribution span
-/// tracks under a dedicated `"requests"` process — one thread row per
-/// request, its stage spans laid out in stitched-timeline order from
-/// arrival to completion (each span exactly as wide as the stage's
-/// component, so the row ends at the request's completion cycle). An
-/// empty `requests` slice adds nothing: the document is byte-identical to
-/// the plain export, which is what keeps attribution-off runs comparable.
-pub fn chrome_trace_json_attribution(
-    events: &[TraceEvent],
-    dropped: u64,
-    telemetry: Option<&Telemetry>,
-    requests: &[LatencyBreakdown],
-) -> String {
-    render(events, dropped, None, telemetry, requests)
-}
-
-fn render(
-    events: &[TraceEvent],
-    dropped: u64,
-    planned: Option<&PlannedTimeline>,
-    telemetry: Option<&Telemetry>,
-    requests: &[LatencyBreakdown],
-) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"runtime\"}},\n",
+/// Renders `events`, with whatever `extras` lays over them, as a complete
+/// Chrome-trace JSON document.
+pub fn chrome_trace_json(events: &[TraceEvent], extras: ChromeExtras<'_>) -> String {
+    let ChromeExtras {
+        dropped,
+        planned,
+        telemetry,
+        requests,
+    } = extras;
+    let mut out = String::from(
+        "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+         \"args\":{\"name\":\"runtime\"}}",
     );
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"chips\"}}",
-    );
+    push_meta(&mut out, "process_name", PID_CHIPS, 0, "chips");
     if events.iter().any(|e| e.lane == SERVING_LANE) {
-        out.push_str(
-            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,\
-             \"args\":{\"name\":\"serving\"}}",
-        );
+        push_meta(&mut out, "process_name", PID_SERVING, 0, "serving");
     }
     if dropped > 0 {
         push_instant(
@@ -213,26 +185,15 @@ fn render(
         }
     }
     if let Some(planned) = planned {
-        out.push_str(
-            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"links\"}}",
-        );
+        push_meta(&mut out, "process_name", PID_LINKS, 0, "links");
         let mut links: Vec<u32> = planned.hops.iter().map(|h| h.link).collect();
         links.sort_unstable();
         links.dedup();
         for &link in &links {
-            push_thread_name(
-                &mut out,
-                PID_LINKS,
-                link * 2,
-                &format!("link {link} planned"),
-            );
-            push_thread_name(
-                &mut out,
-                PID_LINKS,
-                link * 2 + 1,
-                &format!("link {link} observed"),
-            );
+            for (tid, track) in [(link * 2, "planned"), (link * 2 + 1, "observed")] {
+                let name = format!("link {link} {track}");
+                push_meta(&mut out, "thread_name", PID_LINKS, tid, &name);
+            }
         }
         for h in &planned.hops {
             push_span(
@@ -268,10 +229,7 @@ fn render(
     }
     if let Some(t) = telemetry {
         if !t.series.is_empty() {
-            out.push_str(&format!(
-                ",\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_TELEMETRY},\"tid\":0,\
-                 \"args\":{{\"name\":\"telemetry\"}}}}"
-            ));
+            push_meta(&mut out, "process_name", PID_TELEMETRY, 0, "telemetry");
             for s in &t.series {
                 let track = if s.label.is_empty() {
                     s.name.clone()
@@ -296,17 +254,10 @@ fn render(
         }
     }
     if !requests.is_empty() {
-        out.push_str(&format!(
-            ",\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID_REQUESTS},\"tid\":0,\
-             \"args\":{{\"name\":\"requests\"}}}}"
-        ));
+        push_meta(&mut out, "process_name", PID_REQUESTS, 0, "requests");
         for b in requests {
-            push_thread_name(
-                &mut out,
-                PID_REQUESTS,
-                b.request,
-                &format!("req {} (tenant {})", b.request, b.tenant),
-            );
+            let name = format!("req {} (tenant {})", b.request, b.tenant);
+            push_meta(&mut out, "thread_name", PID_REQUESTS, b.request, &name);
             // Stage spans tile [arrival, completion] exactly — the sum
             // identity LatencyBreakdown::verify pins is what makes this
             // rendering gap-free.
@@ -371,7 +322,7 @@ mod tests {
 
     #[test]
     fn renders_spans_instants_and_metadata() {
-        let json = chrome_trace_json(&sample());
+        let json = chrome_trace_json(&sample(), ChromeExtras::default());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"name\":\"chip.exec\",\"ph\":\"X\""));
@@ -380,23 +331,31 @@ mod tests {
         assert!(json.contains("\"graph_fp\":\"000000000000abcd\""));
     }
 
+    /// `extras` with `dropped` events dropped.
+    fn lossy(dropped: u64) -> ChromeExtras<'static> {
+        ChromeExtras {
+            dropped,
+            ..ChromeExtras::default()
+        }
+    }
+
     #[test]
     fn runtime_lane_maps_to_pid_zero_chips_to_pid_one() {
-        let json = chrome_trace_json(&sample());
+        let json = chrome_trace_json(&sample(), ChromeExtras::default());
         assert!(json.contains("\"name\":\"launch.begin\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0"));
         assert!(json.contains("\"pid\":1,\"tid\":2"));
     }
 
     #[test]
     fn empty_event_list_is_still_valid() {
-        let json = chrome_trace_json(&[]);
+        let json = chrome_trace_json(&[], ChromeExtras::default());
         assert!(json.contains("traceEvents"));
         assert!(json.trim_end().ends_with("]}"));
     }
 
     #[test]
     fn serving_lane_gets_its_own_process() {
-        let without = chrome_trace_json(&sample());
+        let without = chrome_trace_json(&sample(), ChromeExtras::default());
         assert!(!without.contains("\"name\":\"serving\""));
         let mut events = sample();
         events.push(TraceEvent {
@@ -410,7 +369,7 @@ mod tests {
                 latency: 1234,
             },
         });
-        let json = chrome_trace_json(&events);
+        let json = chrome_trace_json(&events, ChromeExtras::default());
         assert!(json.contains("\"args\":{\"name\":\"serving\"}"));
         assert!(json
             .contains("\"name\":\"serve.complete\",\"ph\":\"i\",\"s\":\"t\",\"pid\":3,\"tid\":0"));
@@ -419,11 +378,11 @@ mod tests {
 
     #[test]
     fn dropped_events_render_a_warning_banner() {
-        let clean = chrome_trace_json_with(&sample(), 0);
+        let clean = chrome_trace_json(&sample(), lossy(0));
         assert!(!clean.contains("WARNING"));
-        let lossy = chrome_trace_json_with(&sample(), 17);
-        assert!(lossy.contains("WARNING: trace truncated — 17 event(s) dropped"));
-        assert!(lossy.contains("\"dropped\":17"));
+        let truncated = chrome_trace_json(&sample(), lossy(17));
+        assert!(truncated.contains("WARNING: trace truncated — 17 event(s) dropped"));
+        assert!(truncated.contains("\"dropped\":17"));
     }
 
     #[test]
@@ -436,7 +395,11 @@ mod tests {
         t.count("serve.throughput", "tenant0", 5, 3);
         t.count("serve.throughput", "tenant0", 310, 1);
         t.level("serve.queue_depth", "", 150, 7);
-        let json = chrome_trace_json_telemetry(&sample(), 0, &t);
+        let extras = ChromeExtras {
+            telemetry: Some(&t),
+            ..ChromeExtras::default()
+        };
+        let json = chrome_trace_json(&sample(), extras);
         assert!(json.contains("\"args\":{\"name\":\"telemetry\"}"));
         // Counter pulse at window 0 with a zero-return before the gap.
         assert!(json.contains(
@@ -459,11 +422,15 @@ mod tests {
     fn telemetry_off_exports_stay_byte_identical() {
         use crate::telemetry::{Telemetry, TelemetryConfig};
         let events = sample();
-        let base = chrome_trace_json_with(&events, 2);
-        let with_empty =
-            chrome_trace_json_telemetry(&events, 2, &Telemetry::empty(TelemetryConfig::default()));
+        let base = chrome_trace_json(&events, lossy(2));
+        let empty = Telemetry::empty(TelemetryConfig::default());
+        let with_empty = ChromeExtras {
+            telemetry: Some(&empty),
+            ..lossy(2)
+        };
         assert_eq!(
-            base, with_empty,
+            base,
+            chrome_trace_json(&events, with_empty),
             "an empty telemetry record adds nothing to the document"
         );
     }
@@ -476,7 +443,11 @@ mod tests {
             slo_permille: 990,
         });
         t.count("serve.throughput", "ten\"ant\\zero\n", 0, 1);
-        let json = chrome_trace_json_telemetry(&[], 0, &t);
+        let extras = ChromeExtras {
+            telemetry: Some(&t),
+            ..ChromeExtras::default()
+        };
+        let json = chrome_trace_json(&[], extras);
         assert!(
             json.contains(r#"serve.throughput[ten\"ant\\zero\n]"#),
             "quote, backslash, and newline all escape: {json}"
@@ -509,7 +480,12 @@ mod tests {
 
     #[test]
     fn attribution_spans_render_under_their_own_process() {
-        let json = chrome_trace_json_attribution(&sample(), 0, None, &[breakdown(5, 1)]);
+        let requests = [breakdown(5, 1)];
+        let extras = ChromeExtras {
+            requests: &requests,
+            ..ChromeExtras::default()
+        };
+        let json = chrome_trace_json(&sample(), extras);
         assert!(json.contains("\"args\":{\"name\":\"requests\"}"));
         assert!(json.contains("req 5 (tenant 1)"));
         // The stage spans tile the request's lifetime on tid 5: window
@@ -529,22 +505,31 @@ mod tests {
         assert!(!json.contains("attr.replay"));
     }
 
+    /// Request tracks only add to a document: without requests, with
+    /// telemetry or without, the export is byte for byte the one with
+    /// them up to where their process begins.
     #[test]
     fn attribution_absent_is_byte_identical() {
-        let events = sample();
-        assert_eq!(
-            chrome_trace_json_attribution(&events, 3, None, &[]),
-            chrome_trace_json_with(&events, 3),
-            "no requests, no telemetry: plain export bytes"
-        );
         use crate::telemetry::{Telemetry, TelemetryConfig};
+        let events = sample();
         let mut t = Telemetry::empty(TelemetryConfig::default());
         t.count("serve.throughput", "t0", 5, 1);
-        assert_eq!(
-            chrome_trace_json_attribution(&events, 0, Some(&t), &[]),
-            chrome_trace_json_telemetry(&events, 0, &t),
-            "no requests: telemetry export bytes"
-        );
+        let requests = [breakdown(5, 1)];
+        for telemetry in [None, Some(&t)] {
+            let absent = ChromeExtras {
+                telemetry,
+                ..lossy(3)
+            };
+            let present = ChromeExtras {
+                requests: &requests,
+                ..absent
+            };
+            let absent = chrome_trace_json(&events, absent);
+            let present = chrome_trace_json(&events, present);
+            let body = absent.strip_suffix("\n]}\n").unwrap();
+            assert!(present.starts_with(body) && present.len() > absent.len());
+            assert!(present[body.len()..].starts_with(",\n{\"name\":\"process_name\""));
+        }
     }
 
     #[test]
@@ -566,7 +551,13 @@ mod tests {
             slo_permille: 990,
         });
         t.count("serve.throughput", "ten\"ant\\zero\n", 5, 3);
-        let render = || chrome_trace_json_attribution(&events, 0, Some(&t), &[breakdown(5, 0)]);
+        let requests = [breakdown(5, 0)];
+        let extras = ChromeExtras {
+            telemetry: Some(&t),
+            requests: &requests,
+            ..ChromeExtras::default()
+        };
+        let render = || chrome_trace_json(&events, extras);
         let json = render();
         // All three observability surfaces share one document.
         assert!(json.contains("\"args\":{\"name\":\"serving\"}"));
@@ -610,7 +601,11 @@ mod tests {
                 vector: 0,
             },
         }];
-        let json = chrome_trace_json_overlay(&observed, &planned, 0);
+        let extras = ChromeExtras {
+            planned: Some(&planned),
+            ..ChromeExtras::default()
+        };
+        let json = chrome_trace_json(&observed, extras);
         assert!(json.contains("\"args\":{\"name\":\"links\"}"));
         assert!(json.contains("link 3 planned"));
         assert!(json.contains("link 3 observed"));

@@ -488,15 +488,11 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Builder form of [`Tracer::set_offset`].
+    /// The tracer with `offset` added to the cycle of every event it
+    /// emits.
     pub fn with_offset(mut self, offset: u64) -> Self {
         self.offset = offset;
         self
-    }
-
-    /// All subsequently emitted events have `offset` added to their cycle.
-    pub fn set_offset(&mut self, offset: u64) {
-        self.offset = offset;
     }
 
     /// True when events are actually being recorded.

@@ -19,7 +19,7 @@
 //!   windows as mergeable time series (per-tenant SLO attainment, and
 //!   per-link/per-chip occupancy heatmaps that a [`TelemetrySink`] folds
 //!   out of the trace) that export as
-//!   Perfetto counter tracks ([`chrome_trace_json_telemetry`]) and a
+//!   Perfetto counter tracks ([`ChromeExtras::telemetry`]) and a
 //!   deterministic JSON block.
 //! - **Causal latency attribution** ([`attribution`]) — joins each served
 //!   request's lifetime into a [`LatencyBreakdown`] whose stage components
@@ -27,7 +27,7 @@
 //!   *exactly* to its end-to-end latency — a typed [`AttributionError`] on
 //!   any gap or overlap — aggregated into per-tenant/per-stage
 //!   [`RunMetrics`] by [`AttributionReport`] and rendered as per-request
-//!   span tracks by [`chrome_trace_json_attribution`].
+//!   span tracks ([`ChromeExtras::requests`]).
 //! - **Plan-vs-actual profiling** ([`profile::profile`]) — joins a
 //!   compiled plan's predicted per-hop schedule ([`PlannedTimeline`])
 //!   with the observed event stream into a [`LaunchProfile`]: link
@@ -57,10 +57,7 @@ pub mod sink;
 pub mod telemetry;
 
 pub use attribution::{AttributionError, AttributionReport, LatencyBreakdown, Stage};
-pub use chrome::{
-    chrome_trace_json, chrome_trace_json_attribution, chrome_trace_json_overlay,
-    chrome_trace_json_telemetry, chrome_trace_json_with,
-};
+pub use chrome::{chrome_trace_json, ChromeExtras};
 pub use event::{EventKind, ShedReason, TraceEvent, Tracer, RUNTIME_LANE, SERVING_LANE};
 pub use json::{escape_json, unescape_json, Cursor, JsonWriter};
 pub use metrics::{names, CounterEntry, CycleHistogram, GaugeEntry, Metrics, RunMetrics};

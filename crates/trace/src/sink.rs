@@ -106,7 +106,11 @@ impl RingSink {
     /// [`crate::chrome_trace_json`]). A lossy buffer gets a warning banner
     /// at the head of the timeline so truncation is visible in the viewer.
     pub fn chrome_trace(&self) -> String {
-        crate::chrome::chrome_trace_json_with(&self.events(), RingSink::dropped(self))
+        let extras = crate::ChromeExtras {
+            dropped: RingSink::dropped(self),
+            ..crate::ChromeExtras::default()
+        };
+        crate::chrome_trace_json(&self.events(), extras)
     }
 }
 

@@ -5,7 +5,7 @@
 //! string escaping plus brace/bracket balance — enough to guarantee the
 //! documents parse in any real JSON reader (Perfetto included).
 
-use tsm_trace::{chrome_trace_json, EventKind, Metrics, TraceEvent, RUNTIME_LANE};
+use tsm_trace::{chrome_trace_json, ChromeExtras, EventKind, Metrics, TraceEvent, RUNTIME_LANE};
 
 /// Returns `Err` with a position if `s` is not structurally valid JSON
 /// (balanced `{}`/`[]` outside strings, properly terminated strings, no
@@ -115,7 +115,7 @@ fn validator_accepts_known_good_and_rejects_known_bad() {
 
 #[test]
 fn chrome_trace_of_every_event_kind_is_valid_json() {
-    let json = chrome_trace_json(&every_kind());
+    let json = chrome_trace_json(&every_kind(), ChromeExtras::default());
     check_json_shape(&json).unwrap_or_else(|e| panic!("invalid chrome trace: {e}\n{json}"));
     // Every kind must appear with its own name.
     for name in [
@@ -204,11 +204,13 @@ fn escape_round_trip_recovers_hostile_labels() {
 /// The lossy-trace banner and the plan overlay are valid JSON too.
 #[test]
 fn banner_and_overlay_documents_are_valid_json() {
-    use tsm_trace::{
-        chrome_trace_json_overlay, chrome_trace_json_with, PlannedHop, PlannedTimeline,
-    };
+    use tsm_trace::{PlannedHop, PlannedTimeline};
     let events = every_kind();
-    let lossy = chrome_trace_json_with(&events, 123);
+    let extras = ChromeExtras {
+        dropped: 123,
+        ..ChromeExtras::default()
+    };
+    let lossy = chrome_trace_json(&events, extras);
     check_json_shape(&lossy).unwrap_or_else(|e| panic!("invalid lossy trace: {e}\n{lossy}"));
     assert!(lossy.contains("WARNING"));
     let planned = PlannedTimeline {
@@ -225,7 +227,11 @@ fn banner_and_overlay_documents_are_valid_json() {
         span: 50,
         arrivals: vec![40],
     };
-    let overlay = chrome_trace_json_overlay(&events, &planned, 0);
+    let extras = ChromeExtras {
+        planned: Some(&planned),
+        ..ChromeExtras::default()
+    };
+    let overlay = chrome_trace_json(&events, extras);
     check_json_shape(&overlay).unwrap_or_else(|e| panic!("invalid overlay: {e}\n{overlay}"));
     assert!(overlay.contains("link 1 planned"));
     assert!(overlay.contains("link 1 observed"));

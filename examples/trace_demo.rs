@@ -15,7 +15,7 @@ use tsm::core::{ExecMode, Runtime, SparePolicy};
 use tsm::prelude::*;
 use tsm::topology::LinkId;
 use tsm::trace::profile::profile;
-use tsm::trace::{chrome_trace_json, RingSink};
+use tsm::trace::{chrome_trace_json, ChromeExtras, RingSink};
 
 fn logical_pipeline() -> Graph {
     let mut g = Graph::new();
@@ -87,7 +87,7 @@ fn main() {
     let (seed, sink, out, rt) = best.expect("some seed launches successfully");
 
     let events = sink.sorted_events();
-    let json = chrome_trace_json(&events);
+    let json = chrome_trace_json(&events, ChromeExtras::default());
     let path = "trace_demo.trace.json";
     std::fs::write(path, &json).expect("write trace file");
 
