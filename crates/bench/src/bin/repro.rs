@@ -50,7 +50,7 @@ fn serving() -> ServingBenchResult {
 }
 
 /// 3 BERT models round-robin under warm, thrash, and single-entry plan
-/// budgets, plus the warm-start tier round trip.
+/// budgets.
 fn residency() -> ResidencyBenchResult {
     let result = residency_bench::measure_residency(3, 8, 11);
     assert!(
@@ -280,7 +280,7 @@ fn main() {
         ),
         (
             "residency",
-            "Residency — multi-model plan-cache thrash + warm-start tier",
+            "Residency — multi-model plan-cache thrash",
             Box::new(|| residency_bench::lines_for(&residency())),
         ),
     ];

@@ -12,11 +12,7 @@
 //! - **single** — budget = 0: the pre-residency single-entry cache,
 //!   same pathology.
 //!
-//! A second scenario round-trips the warm-start tier: the warm run's
-//! resident plans are exported, imported into a fresh runtime, and
-//! served again — every model must warm-start and the launch records
-//! must be bit-identical to a cold runtime's. The `"residency"` block of
-//! `BENCH_cosim.json` records all of it.
+//! The `"residency"` block of `BENCH_cosim.json` records all three.
 
 use tsm::core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm::core::serving::{Request, ServeConfig, ServeReport, Server};
@@ -61,13 +57,6 @@ pub struct ResidencyBenchResult {
     pub thrash: ResidencyVariant,
     /// Budget = 0: the pre-residency single-entry cache.
     pub single: ResidencyVariant,
-    /// Warm-start tier: plans imported into a fresh runtime that
-    /// short-circuited a compile (`residency.warm_starts` delta; must
-    /// equal K).
-    pub warm_starts: u64,
-    /// Whether the warm-started run's launch records are bit-identical
-    /// to a cold runtime's (outcomes, batches, latency, makespan).
-    pub warm_tier_identical: bool,
     /// Whether rerunning the warm variant reproduced its report bit for
     /// bit.
     pub reproducible: bool,
@@ -131,7 +120,7 @@ fn round_robin(models: usize, rounds: u64) -> Vec<Request> {
 
 /// Serves `offered` under `budget_bytes` and folds the run's residency
 /// counters into a [`ResidencyVariant`]. Also returns the report and the
-/// finished runtime (for warm-tier export).
+/// finished runtime (whose resident set sizes the budgets).
 fn run_variant(
     name: &'static str,
     budget_bytes: u64,
@@ -158,19 +147,8 @@ fn run_variant(
     (variant, report, server.into_runtime())
 }
 
-/// The launch-record fields of two reports, compared without the
-/// run-metrics (which legitimately differ between a cold run and a
-/// warm-started one: only the latter counts `residency.warm_starts`).
-fn launches_identical(a: &ServeReport, b: &ServeReport) -> bool {
-    a.outcomes == b.outcomes
-        && a.batches == b.batches
-        && a.latency == b.latency
-        && a.makespan == b.makespan
-}
-
 /// Measures the full residency record: the three budget variants over
-/// the same round-robin timeline, the warm-start tier round trip, and
-/// the reproducibility check.
+/// the same round-robin timeline and the reproducibility check.
 pub fn measure_residency(models: usize, rounds: u64, seed: u64) -> ResidencyBenchResult {
     let requests = rounds * models as u64;
     let offered = round_robin(models, rounds);
@@ -192,30 +170,9 @@ pub fn measure_residency(models: usize, rounds: u64, seed: u64) -> ResidencyBenc
     );
     let warm_budget: u64 = model_bytes.iter().sum();
 
-    let (warm, warm_report, warm_rt) = run_variant("warm", warm_budget, models, &offered, seed);
+    let (warm, warm_report, _) = run_variant("warm", warm_budget, models, &offered, seed);
     let (thrash, _, _) = run_variant("thrash", warm_budget - 1, models, &offered, seed);
     let (single, _, _) = run_variant("single", 0, models, &offered, seed);
-
-    // Warm-start tier: export the warm run's resident plans, import them
-    // into a fresh runtime, and serve one request per model. Every model
-    // must warm-start, and the launch records must be bit-identical to a
-    // cold runtime's (the plans really are the same plans).
-    let exported = warm_rt.residency().export_warm();
-    let mut warm_tier_rt = runtime(warm_budget);
-    let imported = warm_tier_rt
-        .residency_mut()
-        .import_warm(&exported)
-        .expect("warm tier round-trips");
-    assert_eq!(imported, models, "one exported plan per model");
-    let one_each = round_robin(models, 1);
-    let warm_tier_report = server(warm_tier_rt, models, seed)
-        .serve(&one_each)
-        .expect("warm-started serve run");
-    let warm_starts = warm_tier_report.metrics.counter(names::RES_WARM_STARTS);
-    let cold_report = server(runtime(warm_budget), models, seed)
-        .serve(&one_each)
-        .expect("cold serve run");
-    let warm_tier_identical = launches_identical(&warm_tier_report, &cold_report);
 
     // Bit-reproducibility: the warm variant, rerun from scratch, must
     // reproduce its entire report.
@@ -231,8 +188,6 @@ pub fn measure_residency(models: usize, rounds: u64, seed: u64) -> ResidencyBenc
         warm,
         thrash,
         single,
-        warm_starts,
-        warm_tier_identical,
         reproducible,
     }
 }
@@ -267,10 +222,6 @@ impl ResidencyBenchResult {
         variant_fields(w, &self.warm);
         variant_fields(w, &self.thrash);
         variant_fields(w, &self.single);
-        w.key("warm_tier").begin_object();
-        w.field_u64("warm_starts", self.warm_starts);
-        w.key("identical_to_cold").bool(self.warm_tier_identical);
-        w.end_object();
         w.key("reproducible").bool(self.reproducible);
         w.end_object();
     }
@@ -295,10 +246,6 @@ pub fn lines_for(r: &ResidencyBenchResult) -> Vec<String> {
         ));
     }
     out.push(format!(
-        "warm-start tier: {} of {} launches warm-started, bit-identical to cold: {}",
-        r.warm_starts, r.models, r.warm_tier_identical
-    ));
-    out.push(format!(
         "warm variant bit-reproducible from seed: {}",
         r.reproducible
     ));
@@ -311,8 +258,7 @@ mod tests {
 
     /// Tiny end-to-end measure: 2 shallow models, 3 rounds. Asserts the
     /// acceptance shape — warm hit rate is exactly (N-K)/N, both starved
-    /// budgets thrash to zero hits, the warm tier warm-starts every
-    /// model bit-identically, and the warm variant reproduces.
+    /// budgets thrash to zero hits, and the warm variant reproduces.
     #[test]
     fn tiny_measure_hits_warm_and_thrashes_starved() {
         let r = measure_residency(2, 3, 11);
@@ -330,13 +276,10 @@ mod tests {
         assert_eq!(r.thrash.hits, 0, "LRU always evicts the next model");
         assert!(r.thrash.evictions > 0);
         assert_eq!(r.single.hits, 0, "single-entry cache can't alternate");
-        assert_eq!(r.warm_starts, 2, "every model warm-starts");
-        assert!(r.warm_tier_identical, "warm-started launches == cold");
         assert!(r.reproducible, "warm variant must reproduce bit-for-bit");
         let json = crate::render(|w| r.write_json(w));
         assert!(json.contains("\"warm\""));
         assert!(json.contains("\"thrash\""));
-        assert!(json.contains("\"warm_starts\": 2"));
         assert!(json.contains("\"reproducible\": true"));
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::graph::{Graph, OpKind};
 use crate::schedule::CompiledProgram;
+use tsm_trace::JsonWriter;
 
 /// One scheduled operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,48 +94,40 @@ impl ScheduleDump {
         }
     }
 
-    /// Serializes to pretty JSON.
-    ///
-    /// Hand-rolled emitter (the workspace has no JSON library): the
-    /// output is deterministic — field order fixed, strings escaped via
+    /// Serializes to pretty JSON through [`tsm_trace::JsonWriter`], the
+    /// writer every document of the workspace uses: the output is
+    /// deterministic — field order fixed, strings escaped via
     /// [`tsm_trace::escape_json`] — so snapshots diff cleanly across
     /// processes.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"span_cycles\": {},\n", self.span_cycles));
-        s.push_str("  \"ops\": [");
-        for (i, op) in self.ops.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"op\": {}, \"device\": {}, \"kind\": \"{}\", \"start\": {}, \"end\": {}}}",
-                op.op,
-                op.device,
-                tsm_trace::escape_json(&op.kind),
-                op.start,
-                op.end
-            ));
+        let mut w = JsonWriter::pretty();
+        w.begin_object();
+        w.field_u64("span_cycles", self.span_cycles);
+        w.key("ops").begin_array();
+        for op in &self.ops {
+            w.begin_object();
+            w.field_u64("op", op.op.into())
+                .field_u64("device", op.device.into())
+                .field_str("kind", &op.kind)
+                .field_u64("start", op.start)
+                .field_u64("end", op.end)
+                .end_object();
         }
-        s.push_str(if self.ops.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        s.push_str("  \"reservations\": [");
-        for (i, r) in self.reservations.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!(
-                "    {{\"link\": {}, \"from\": {}, \"start\": {}, \"vectors\": {}, \
-                 \"transfer\": {}, \"hop\": {}}}",
-                r.link, r.from, r.start, r.vectors, r.transfer, r.hop
-            ));
+        w.end_array();
+        w.key("reservations").begin_array();
+        for r in &self.reservations {
+            w.begin_object();
+            w.field_u64("link", r.link.into())
+                .field_u64("from", r.from.into())
+                .field_u64("start", r.start)
+                .field_u64("vectors", r.vectors)
+                .field_u64("transfer", r.transfer.into())
+                .field_u64("hop", r.hop.into())
+                .end_object();
         }
-        s.push_str(if self.reservations.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        s.push('}');
-        s
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// Parses a JSON snapshot previously produced by

@@ -281,9 +281,10 @@ struct ChipRun<'a> {
 }
 
 impl ChipRun<'_> {
-    /// Runs the chip's whole job. This is the entire per-chip body, the
-    /// same on the calling thread and on every scoped one; the widths
-    /// differ only in which thread calls it. Every fault draw is keyed by
+    /// Runs the chip's whole job: its retire cycle, or the first error it
+    /// met. This is the entire per-chip body, the same on the calling
+    /// thread and on every scoped one; the widths differ only in which
+    /// thread calls it. Every fault draw is keyed by
     /// `(seed, link, transfer, vector)`, so no job depends on another's
     /// order, and nothing here is observable until the merge reads it.
     fn run(
@@ -292,21 +293,20 @@ impl ChipRun<'_> {
         plan: &CompiledPlan,
         payloads: &[Vec<Payload>],
         faults: Option<&LinkFaultModel>,
-    ) {
+    ) -> Result<u64, CosimError> {
         let chip = self.chip;
-        let payload = |r: &VecRef| &payloads[r.transfer as usize][r.vector as usize];
         // Reset-not-rebuild: the simulator keeps its allocations, and the
         // payloads bind by `Arc` clone. Nothing of the worker's previous
         // chip survives the reset.
         sim.reset();
         for p in plan.preloads(chip) {
-            sim.preload(p.slice, p.offset, Arc::clone(payload(&p.vec)));
+            sim.preload(p.slice, p.offset, Arc::clone(payload(payloads, &p.vec)?));
         }
         // The channel of the link the current run of deliveries crosses:
         // a port's deliveries all cross one link.
         let mut channel: Option<(LinkId, Channel)> = None;
         for (k, d) in plan.deliveries(chip).iter().enumerate() {
-            let original = payload(&d.vec);
+            let original = payload(payloads, &d.vec)?;
             let bound = match faults {
                 None => Arc::clone(original),
                 Some(fm) => {
@@ -334,22 +334,48 @@ impl ChipRun<'_> {
             // queue is fed in order.
             sim.deliver_in_order(d.port, d.cycle, bound);
         }
-        let result = sim
+        let retire = sim
             .run_sorted(plan.program(chip))
             .map_err(|error| CosimError::Chip {
                 tsp: chip.tsp,
                 error,
-            })
-            .and_then(|retire| {
-                verify_emissions(chip.tsp, sim, plan.emissions(chip), payloads)?;
-                Ok(retire)
-            });
-        self.result = Some(result);
+            })?;
+        verify_emissions(chip.tsp, sim, plan.emissions(chip), payloads)?;
         for (digest, &t) in self.digests.iter_mut().zip(plan.dests(chip)) {
             let t = t as usize;
-            *digest = check_destination(&plan.shapes[t], &payloads[t], sim);
+            // The payloads were checked against `shapes` as they are now,
+            // which compile's destination lists may index past.
+            let (Some(shape), Some(data)) = (plan.shapes.get(t), payloads.get(t)) else {
+                return Err(CosimError::PayloadCount {
+                    expected: t + 1,
+                    got: payloads.len(),
+                });
+            };
+            *digest = check_destination(shape, data, sim);
         }
+        Ok(retire)
     }
+}
+
+/// The payload `r` names. `execute_with` checks the payloads against the
+/// plan's public `shapes`, which a caller may have shortened since compile,
+/// so a record naming a transfer or vector the payloads lack is the typed
+/// payload error, never an index out of bounds.
+pub(super) fn payload<'p>(
+    payloads: &'p [Vec<Payload>],
+    r: &VecRef,
+) -> Result<&'p Payload, CosimError> {
+    let t = r.transfer as usize;
+    let data = payloads.get(t).ok_or_else(|| CosimError::PayloadCount {
+        expected: t + 1,
+        got: payloads.len(),
+    })?;
+    data.get(r.vector as usize)
+        .ok_or_else(|| CosimError::PayloadShape {
+            transfer: t,
+            expected: r.vector as usize + 1,
+            got: data.len(),
+        })
 }
 
 /// The bind as the merge replays it, chip by chip in plan order: per-link
@@ -572,7 +598,10 @@ impl PlanExecutor {
     /// after it, in the order of a serial execute.
     ///
     /// `payloads[t][v]` is vector `v` of transfer `t` and must match the
-    /// plan's [`TransferShape`]s exactly. A fault model is checked before
+    /// plan's [`TransferShape`]s exactly. Its records are compile's, so
+    /// if `shapes` was edited since, a record naming a payload the sets
+    /// lack is that chip's [`CosimError::PayloadCount`] or
+    /// [`CosimError::PayloadShape`]. A fault model is checked before
     /// anything is bound or traced: an out-of-range rate on a link the
     /// plan crosses, or a targeted flip past the payload's bits, is an
     /// error, never a panic.
@@ -636,7 +665,7 @@ impl PlanExecutor {
             });
         }
         run_jobs(&mut runs, &mut self.sims[..threads], |run, sim| {
-            run.run(sim, plan, payloads, faults)
+            run.result = Some(run.run(sim, plan, payloads, faults));
         });
 
         // The merge, on the calling thread. Every emission point sits here,

@@ -165,19 +165,25 @@ pub enum CosimError {
         transfer: usize,
     },
     /// The number of payload sets bound at execution time does not match
-    /// the number of transfers the plan was compiled for.
+    /// the number of transfers the plan was compiled for. Checked against
+    /// the plan's `shapes` before anything runs, and again by each record
+    /// that names a transfer, since `shapes` may have been shortened after
+    /// compile.
     PayloadCount {
-        /// Transfers in the plan.
+        /// Transfers in the plan's shapes, or, found by a record, one past
+        /// the transfer it names.
         expected: usize,
         /// Payload sets supplied.
         got: usize,
     },
     /// A bound payload set has a different vector count than the shape
-    /// its transfer was compiled with.
+    /// its transfer was compiled with. Checked against the plan's `shapes`
+    /// before anything runs, and again by each record that names a vector.
     PayloadShape {
         /// The offending transfer (index into the plan's shapes).
         transfer: usize,
-        /// Vector count the plan was compiled for.
+        /// Vector count of the transfer's shape, or, found by a record,
+        /// one past the vector it names.
         expected: usize,
         /// Vector count supplied.
         got: usize,
@@ -743,6 +749,68 @@ mod tests {
         );
         // and a matching set still executes cleanly afterwards
         assert!(executor.execute(&plan, &[tr.payload()]).is_ok());
+    }
+
+    /// `shapes` is a public field, and the payload checks read it, but the
+    /// plan's records index payloads as compile laid them out. A plan
+    /// whose shapes were shortened, or whose shape lost vectors, after
+    /// compile executes to the payload error of its first chip in merge
+    /// order at every width, as does one whose destination lists name a
+    /// transfer past its shortened shapes; none indexes out of bounds.
+    #[test]
+    fn edited_shapes_are_payload_errors_at_every_width() {
+        let shape = |to: u32, src_offset: u16| TransferShape {
+            from: TspId(0),
+            to: TspId(to),
+            src_slice: 0,
+            src_offset,
+            dst_slice: 1,
+            dst_offset: 0,
+            vectors: 4,
+        };
+        let shapes = [shape(1, 0), shape(5, 4)];
+        let plan = compile_plan(&Topology::single_node(), &shapes).unwrap();
+        let bind = |plan: &CompiledPlan| -> Vec<Vec<Payload>> {
+            (plan.shapes.iter())
+                .map(|s| (0..s.vectors).map(|_| Arc::new(Vector::zeroed())).collect())
+                .collect()
+        };
+        let mut truncated = plan.clone();
+        truncated.shapes.truncate(1);
+        let mut lowered = plan.clone();
+        lowered.shapes[1].vectors = 2;
+        // Transfer 1 re-aimed at chip 1 on load: chip 1 checks it, but
+        // only chip 0's records name it.
+        let mut aimed = plan.clone();
+        aimed.shapes[1].to = TspId(1);
+        let mut aimed = CompiledPlan::from_json(&aimed.to_json()).unwrap();
+        aimed.shapes.truncate(1);
+        let count = CosimError::PayloadCount {
+            expected: 2,
+            got: 1,
+        };
+        let shape_err = CosimError::PayloadShape {
+            transfer: 1,
+            expected: 3,
+            got: 2,
+        };
+        let mut executor = PlanExecutor::new();
+        for (edited, want) in [
+            (truncated, count.clone()),
+            (lowered, shape_err),
+            (aimed, count),
+        ] {
+            for threads in 1..=3 {
+                let args = ExecArgs {
+                    threads: Some(threads),
+                    ..ExecArgs::default()
+                };
+                let got = executor.execute_with(&edited, &bind(&edited), args);
+                assert_eq!(got, Err(want.clone()), "width {threads}");
+            }
+        }
+        // The executor is unharmed: the unedited plan still runs clean.
+        assert!(executor.execute(&plan, &bind(&plan)).is_ok());
     }
 
     /// A forged delivery that disagrees with the payload the schedule

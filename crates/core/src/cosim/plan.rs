@@ -139,10 +139,13 @@ pub struct ChipPlan {
 /// The reusable compile artifact: per-chip windows into one contiguous
 /// instruction slab and three manifest slabs, the merge order, and
 /// scheduled arrivals. Payload-independent — compile once, execute with as
-/// many different payload sets as you like — and JSON-serializable, so a
-/// plan can be built offline and shipped to the runtime like the paper's
-/// machine-code binaries: [`CompiledPlan::to_json`] writes each chip's
-/// program as the binary [`tsm_isa::encode::assemble`] emits.
+/// many different payload sets as you like. A runtime gets its plans only
+/// from [`compile_plan`]: a plan is a pure function of (topology, shapes),
+/// so recompiling is the check on it. [`CompiledPlan::to_json`] writes a
+/// plan out, each chip's program as the binary
+/// [`tsm_isa::encode::assemble`] emits, like the paper's machine-code
+/// binaries, and [`CompiledPlan::from_json`] reads one back for tools and
+/// tests.
 ///
 /// What compile decided (the shapes, the arrivals and each chip's depth,
 /// program and manifests) is all a document stores. The merge order, the
@@ -336,17 +339,10 @@ impl CompiledPlan {
             + size_of_val(&self.arrivals[..])
     }
 
-    /// Whether every TSP and link the plan names exists in `topo`. A
-    /// parsed plan is checked only against itself, so a runtime asks this
-    /// before it adopts one.
-    pub fn fits(&self, topo: &Topology) -> bool {
-        self.chips.iter().all(|c| c.tsp.index() < topo.num_tsps())
-            && (self.deliveries.iter()).all(|d| d.link.index() < topo.links().len())
-    }
-
-    /// Serializes the plan as pretty-printed JSON (same conventions as
-    /// `tsm-compiler::dump`: hand-rolled emitter, fixed field order,
-    /// strings escaped through [`tsm_trace::escape_json`]). It writes what
+    /// Serializes the plan as pretty-printed JSON through
+    /// [`tsm_trace::JsonWriter`], the writer every document of the
+    /// workspace uses (fixed field order, strings escaped through
+    /// [`tsm_trace::escape_json`]). It writes what
     /// compile decided: the shapes, the arrivals and, per chip, its TSP,
     /// depth, manifests and program, the program as one hex string of
     /// [`tsm_isa::encode::assemble`]'s 16-byte records (issue cycle, then
@@ -2627,9 +2623,10 @@ mod tests {
     /// A parsed plan may index only inside itself: each hostile edit of a
     /// real plan is refused by `from_json` with an error naming what is
     /// wrong, where executing it would have indexed out of bounds or, for
-    /// a too-wide stream id, silently run a different stream. A depth at or
-    /// past the chip count, which no path reaches, is refused before
-    /// anything is derived from it, however deep.
+    /// a too-wide stream id or preload offset, silently run a different
+    /// stream or load a different address. A depth at or past the chip
+    /// count, which no path reaches, is refused before anything is
+    /// derived from it, however deep.
     #[test]
     fn from_json_refuses_plans_that_index_outside_themselves() {
         let shape = TransferShape {
@@ -2691,6 +2688,10 @@ mod tests {
         let wide = edit_program(&json, |p| set_word_byte(p, 0, 2, "ff"));
         let err = CompiledPlan::from_json(&wide).unwrap_err();
         assert!(err.contains("stream id 255 out of range"), "{err}");
+        let wide = json.replacen("\"offset\": 0", "\"offset\": 70000", 1);
+        assert_ne!(wide, json);
+        let err = CompiledPlan::from_json(&wide).unwrap_err();
+        assert!(err.contains("preload offset 70000 out of range"), "{err}");
 
         // Two vectors stored at offsets 65535 and 0, passed off as one
         // region from 65535: compile refuses that region, and so must the

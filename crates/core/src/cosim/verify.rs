@@ -12,6 +12,7 @@
 use tsm_chip::exec::{ChipSim, Emission, Payload};
 use tsm_topology::TspId;
 
+use super::exec::payload;
 use super::plan::{PlannedEmission, TransferShape};
 use super::CosimError;
 
@@ -64,7 +65,7 @@ fn check_emissions<'a>(
                 // A correct chip pass forwards the very handle that was
                 // bound in, so pointer equality usually settles the
                 // payload check without touching the bytes.
-                let wv = &payloads[want.vec.transfer as usize][want.vec.vector as usize];
+                let wv = payload(payloads, &want.vec)?;
                 let payload_ok = Payload::ptr_eq(wv, &g.vector) || wv.as_ref() == g.vector.as_ref();
                 if want.cycle != g.cycle || want.port != g.port || !payload_ok {
                     return Err(CosimError::EmissionMismatch {

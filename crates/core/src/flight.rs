@@ -251,7 +251,6 @@ impl IncidentReport {
         w.field_u64("misses", self.residency.misses);
         w.field_u64("evictions", self.residency.evictions);
         w.field_u64("stale_drops", self.residency.stale_drops);
-        w.field_u64("warm_starts", self.residency.warm_starts);
         w.field_u64("resident_bytes", self.residency.resident_bytes);
         w.field_u64("resident_plans", self.residency.resident_plans);
         w.end_object();
@@ -340,7 +339,6 @@ impl IncidentReport {
                     "misses" => residency.misses = v,
                     "evictions" => residency.evictions = v,
                     "stale_drops" => residency.stale_drops = v,
-                    "warm_starts" => residency.warm_starts = v,
                     "resident_bytes" => residency.resident_bytes = v,
                     "resident_plans" => residency.resident_plans = v,
                     other => return Err(format!("unknown residency key {other:?}")),

@@ -246,7 +246,8 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
     /// resident model — not just the last one launched — hits, so
     /// multi-model streams stop thrashing. Compiles only when no entry is
     /// resident (or the resident entry lacks the datapath artifacts this
-    /// mode needs), possibly adopting a plan from the warm-start tier.
+    /// mode needs); a datapath plan then comes from `compile_plan`, the
+    /// only source of plans.
     pub fn compile_or_reuse(
         &mut self,
         tracer: &mut Tracer<'_>,
@@ -273,7 +274,7 @@ impl<'rt, 'g> LaunchEngine<'rt, 'g> {
                 .map_err(|e| RuntimeError::Compile(e.to_string()))?;
             let datapath = match rt.mode {
                 ExecMode::Statistical => None,
-                ExecMode::Datapath => Some(rt.compile_datapath(self.graph_fp, &physical)?),
+                ExecMode::Datapath => Some(rt.compile_datapath(&physical)?),
             };
             self.metrics.inc(names::RT_COMPILES, 1);
             tracer.instant(

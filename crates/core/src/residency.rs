@@ -18,29 +18,24 @@
 //! of `HashMap` iteration order, thread scheduling, and host speed.
 //! Serial ≡ parallel bit-identity and seed-reproducibility survive.
 //!
-//! # Warm-start tier
+//! # Plans come only from compile
 //!
-//! Datapath [`CompiledPlan`]s serialize through the same hand-rolled
-//! JSON as the plan dumper, so a fleet can persist its
-//! plans at shutdown ([`ResidencyManager::export_warm`]) and reload them
-//! into a fresh [`Runtime`](crate::runtime::Runtime)
-//! ([`ResidencyManager::import_warm`]). A warm-started launch adopts the
-//! stored plan instead of re-lowering transfers; because plan lowering is
-//! deterministic, the adopted plan is bit-identical to what a cold
-//! compile would have produced, and the launch outcome is too. The warm
-//! tier models a disk artifact store: its bytes do not count against the
-//! residency budget, and an adopted plan moves out of the tier into
-//! residency.
+//! Every datapath plan an entry holds was built by
+//! [`compile_plan`](crate::cosim::compile_plan) for a launch on this
+//! runtime. A plan is a pure function of (topology, transfer shapes), so
+//! recompiling it is both the cheapest way to get it and the check on it;
+//! no plan is taken in from outside. [`ResidencyManager::export_warm`]
+//! writes the resident datapath plans out as JSON, and nothing reads that
+//! document back into a runtime.
 
-use crate::cosim::{CompiledPlan, TransferShape};
 use crate::runtime::CompiledCache;
 use std::collections::HashMap;
-use tsm_topology::Topology;
 use tsm_trace::{names, JsonWriter, Metrics, RunMetrics};
 
-/// Version of the warm-tier document. Version 2 stores each chip's
-/// program as the ISA's binary and no value compile derives.
-const WARM_VERSION: u64 = 2;
+/// Version of the [`ResidencyManager::export_warm`] document. Version 2
+/// stores each chip's program as the ISA's binary and no value compile
+/// derives.
+const EXPORT_VERSION: u64 = 2;
 
 /// A resident compiled artifact plus its residency bookkeeping.
 #[derive(Debug)]
@@ -50,14 +45,6 @@ struct Resident {
     bytes: u64,
     /// Launch sequence number of the last touch (monotone, unique).
     last_used: u64,
-}
-
-/// A plan persisted by the warm-start tier, keyed like a resident entry.
-#[derive(Debug)]
-struct WarmEntry {
-    graph_fp: u64,
-    epoch: u64,
-    plan: CompiledPlan,
 }
 
 /// Lifetime counters of one manager. Monotone — deltas between two
@@ -72,8 +59,6 @@ pub struct ResidencyStats {
     pub evictions: u64,
     /// Entries dropped because their mapping epoch went stale.
     pub stale_drops: u64,
-    /// Datapath plans adopted from the warm-start tier.
-    pub warm_starts: u64,
     /// Estimated bytes currently resident. The payload part is nominal:
     /// each entry is charged 320 B per payload vector it binds, although
     /// entries share those vectors through the runtime's payload pool.
@@ -102,7 +87,6 @@ pub struct ResidentInfo {
 #[derive(Debug)]
 pub struct ResidencyManager {
     entries: HashMap<(u64, u64), Resident>,
-    warm: Vec<WarmEntry>,
     /// Key of the most recently touched/inserted entry — the plan the
     /// in-flight (or just-finished) launch executes from.
     current: Option<(u64, u64)>,
@@ -114,7 +98,6 @@ pub struct ResidencyManager {
     misses: u64,
     evictions: u64,
     stale_drops: u64,
-    warm_starts: u64,
 }
 
 impl ResidencyManager {
@@ -122,7 +105,6 @@ impl ResidencyManager {
     pub(crate) fn new() -> Self {
         ResidencyManager {
             entries: HashMap::new(),
-            warm: Vec::new(),
             current: None,
             seq: 0,
             budget_bytes: u64::MAX,
@@ -131,7 +113,6 @@ impl ResidencyManager {
             misses: 0,
             evictions: 0,
             stale_drops: 0,
-            warm_starts: 0,
         }
     }
 
@@ -143,7 +124,7 @@ impl ResidencyManager {
     /// Sets the byte budget and immediately evicts down to it. A budget
     /// of `0` keeps only the most recently used plan — exactly the
     /// pre-residency single-entry cache behavior.
-    pub fn set_budget_bytes(&mut self, budget: u64) {
+    pub(crate) fn set_budget_bytes(&mut self, budget: u64) {
         self.budget_bytes = budget;
         self.evict_to_budget();
     }
@@ -155,7 +136,6 @@ impl ResidencyManager {
             misses: self.misses,
             evictions: self.evictions,
             stale_drops: self.stale_drops,
-            warm_starts: self.warm_starts,
             resident_bytes: self.resident_bytes,
             resident_plans: self.entries.len() as u64,
         }
@@ -177,11 +157,6 @@ impl ResidencyManager {
             .collect();
         v.sort_by_key(|i| (i.graph_fp, i.epoch));
         v
-    }
-
-    /// Plans waiting in the warm-start tier.
-    pub fn warm_len(&self) -> usize {
-        self.warm.len()
     }
 
     /// The entry the in-flight launch executes from.
@@ -281,34 +256,14 @@ impl ResidencyManager {
         }
     }
 
-    /// Takes a plan out of the warm-start tier if one matches the key
-    /// *and* the freshly lowered transfer shapes (a shape mismatch means
-    /// the stored plan belongs to a different lowering and must not be
-    /// adopted) and names no TSP or link outside `topo` (a document is
-    /// checked at import only against itself). The plan moves into the
-    /// launch's new resident entry, so it leaves the tier on use.
-    pub(crate) fn take_warm(
-        &mut self,
-        graph_fp: u64,
-        epoch: u64,
-        shapes: &[TransferShape],
-        topo: &Topology,
-    ) -> Option<CompiledPlan> {
-        let at = self.warm.iter().position(|w| {
-            w.graph_fp == graph_fp
-                && w.epoch == epoch
-                && w.plan.shapes == shapes
-                && w.plan.fits(topo)
-        })?;
-        let entry = self.warm.swap_remove(at);
-        self.warm_starts += 1;
-        Some(entry.plan)
-    }
-
-    /// Serializes every resident *datapath* plan (the warm tier persists
-    /// plans, not programs) as pretty-printed JSON, sorted by
-    /// `(graph_fp, epoch)` so the export is a deterministic function of
-    /// the resident set.
+    /// Writes every resident *datapath* plan (statistical entries hold
+    /// none) as pretty-printed JSON, each as
+    /// [`CompiledPlan::to_json`](crate::cosim::CompiledPlan::to_json)
+    /// writes it under its `(graph_fp, epoch)` key, sorted by that key so
+    /// the document is a deterministic function of the resident set. It
+    /// is a dump for inspection: the benchmark's traced serve pass reads
+    /// the resident plans through it and checks that each recompiles to
+    /// itself. No runtime reads it back.
     pub fn export_warm(&self) -> String {
         let mut keys: Vec<(u64, u64)> = self
             .entries
@@ -319,7 +274,7 @@ impl ResidencyManager {
         keys.sort_unstable();
         let mut w = JsonWriter::pretty();
         w.begin_object();
-        w.field_u64("version", WARM_VERSION);
+        w.field_u64("version", EXPORT_VERSION);
         w.key("plans").begin_array();
         for key in keys {
             let r = &self.entries[&key];
@@ -335,54 +290,6 @@ impl ResidencyManager {
         w.finish()
     }
 
-    /// Loads plans serialized by [`ResidencyManager::export_warm`] into
-    /// the warm tier, returning how many were loaded. Malformed input is
-    /// rejected with a descriptive error and leaves the tier unchanged.
-    pub fn import_warm(&mut self, s: &str) -> Result<usize, String> {
-        let mut loaded: Vec<WarmEntry> = Vec::new();
-        let mut cur = tsm_trace::Cursor::new(s);
-        cur.object(|cur, key| match key {
-            "version" => {
-                let v = cur.u64()?;
-                if v != WARM_VERSION {
-                    return Err(format!("unsupported warm-tier version {v}"));
-                }
-                Ok(())
-            }
-            "plans" => cur.array(|cur| {
-                let mut graph_fp = None;
-                let mut epoch = None;
-                let mut plan = None;
-                cur.object(|cur, key| match key {
-                    "graph_fp" => {
-                        graph_fp = Some(cur.u64()?);
-                        Ok(())
-                    }
-                    "epoch" => {
-                        epoch = Some(cur.u64()?);
-                        Ok(())
-                    }
-                    "plan" => {
-                        plan = Some(CompiledPlan::from_json(cur.raw_value()?)?);
-                        Ok(())
-                    }
-                    other => Err(format!("unknown warm-plan key {other:?}")),
-                })?;
-                loaded.push(WarmEntry {
-                    graph_fp: graph_fp.ok_or("warm plan missing graph_fp")?,
-                    epoch: epoch.ok_or("warm plan missing epoch")?,
-                    plan: plan.ok_or("warm plan missing plan")?,
-                });
-                Ok(())
-            }),
-            other => Err(format!("unknown warm-tier key {other:?}")),
-        })?;
-        cur.expect_end()?;
-        let n = loaded.len();
-        self.warm.extend(loaded);
-        Ok(n)
-    }
-
     /// Folds the delta between two [`ResidencyStats`] snapshots (plus the
     /// current gauges) into a metrics registry — how `Server::serve`
     /// reports per-run residency behavior without perturbing per-launch
@@ -395,10 +302,6 @@ impl ResidencyManager {
         metrics.inc(
             names::RES_STALE_DROPS,
             after.stale_drops - before.stale_drops,
-        );
-        metrics.inc(
-            names::RES_WARM_STARTS,
-            after.warm_starts - before.warm_starts,
         );
         metrics.set_gauge(names::RES_RESIDENT_BYTES, after.resident_bytes);
         metrics.set_gauge(names::RES_RESIDENT_PLANS, after.resident_plans);
@@ -415,10 +318,10 @@ impl ResidencyManager {
 
 /// Estimated heap footprint of one compiled artifact: the program's
 /// per-op timing vectors and link reservations, the datapath plan's
-/// records ([`CompiledPlan`]'s own estimate), and the synthetic payload
-/// vectors. An
-/// estimate, not an exact allocator tally — what matters is that it is
-/// deterministic and proportional, so budget arithmetic is reproducible.
+/// records (`CompiledPlan`'s own estimate), and the synthetic payload
+/// vectors. An estimate, not an exact allocator tally — what matters is
+/// that it is deterministic and proportional, so budget arithmetic is
+/// reproducible.
 ///
 /// The payload charge is nominal: each entry is charged 320 B for every
 /// vector it binds, as if it held a private copy, although the vectors
@@ -602,17 +505,5 @@ mod tests {
         assert_eq!(resident.len(), 1);
         assert_eq!((resident[0].graph_fp, resident[0].epoch), (2, 1));
         assert_eq!(mgr.stats().stale_drops, 1);
-    }
-
-    #[test]
-    fn import_rejects_malformed_and_wrong_version() {
-        let mut mgr = ResidencyManager::new();
-        assert!(mgr.import_warm("not json").is_err());
-        for v in [1, 3] {
-            let err = mgr.import_warm(&format!("{{\"version\": {v}, \"plans\": []}}"));
-            assert_eq!(err, Err(format!("unsupported warm-tier version {v}")));
-        }
-        assert_eq!(mgr.warm_len(), 0);
-        assert_eq!(mgr.import_warm("{\"version\": 2, \"plans\": []}"), Ok(0));
     }
 }

@@ -416,23 +416,19 @@ impl Runtime {
     }
 
     /// Caps the estimated bytes the residency layer may keep across
-    /// compiled plans (builder style). `u64::MAX` (the default) is
-    /// unbounded; `0` keeps only the most recently used plan — the
-    /// pre-residency single-entry behavior.
+    /// compiled plans (builder style), the one way to set the budget.
+    /// `u64::MAX` (the default) is unbounded; `0` keeps only the most
+    /// recently used plan — the pre-residency single-entry behavior.
     pub fn with_plan_budget(mut self, budget_bytes: u64) -> Self {
         self.residency.set_budget_bytes(budget_bytes);
         self
     }
 
-    /// The residency layer (inspection: resident set, counters, warm
-    /// tier export).
+    /// The residency layer, read-only: the resident set, the counters
+    /// and the export of the resident datapath plans. Only launches
+    /// change it.
     pub fn residency(&self) -> &ResidencyManager {
         &self.residency
-    }
-
-    /// The residency layer, mutably (warm-tier import, budget changes).
-    pub fn residency_mut(&mut self) -> &mut ResidencyManager {
-        &mut self.residency
     }
 
     /// The per-hop delivery schedule of the current launch's datapath
@@ -504,11 +500,9 @@ impl Runtime {
         g
     }
 
-    /// Lowers the physical graph's transfers into a [`CompiledPlan`] plus
-    /// the synthetic payloads every attempt binds to it, adopting a plan
-    /// from the residency layer's warm-start tier when one matches the
-    /// lowered shapes (plan compilation is deterministic, so the adopted
-    /// plan is bit-identical to what a fresh compile would produce).
+    /// Lowers the physical graph's transfers into a [`CompiledPlan`], by
+    /// [`compile_plan`] and no other way, plus the synthetic payloads
+    /// every attempt binds to it.
     ///
     /// Source vectors live on slice [`DATAPATH_SRC_SLICE`], delivered ones
     /// on [`DATAPATH_DST_SLICE`]; offsets are bump-allocated per chip so
@@ -521,20 +515,11 @@ impl Runtime {
     /// [`PayloadPool`].
     pub(crate) fn compile_datapath(
         &mut self,
-        graph_fp: u64,
         physical: &Graph,
     ) -> Result<DatapathArtifact, RuntimeError> {
         let shapes = datapath_shapes(physical)?;
-        let topo = self.system.topology();
-        let warm = self
-            .residency
-            .take_warm(graph_fp, self.mapping_epoch, &shapes, topo);
-        let plan = match warm {
-            Some(plan) => plan,
-            None => {
-                compile_plan(topo, &shapes).map_err(|e| RuntimeError::Execution(e.to_string()))?
-            }
-        };
+        let plan = compile_plan(self.system.topology(), &shapes)
+            .map_err(|e| RuntimeError::Execution(e.to_string()))?;
         let payloads = shapes
             .iter()
             .enumerate()

@@ -1,20 +1,21 @@
 //! The plan-residency layer, exercised through the public `Runtime`
 //! API: multi-model alternation reuses instead of recompiling, budgets
-//! evict deterministically (proptest vs a reference model), the warm
-//! tier round-trips plans across runtimes bit-for-bit and refuses plans
-//! that index outside themselves, failovers drop stale epochs, entries
-//! sharing pooled payloads launch exactly like private ones, and — the
-//! regression the bugfix must not cause — single-model launch sequences
-//! remain bit- and trace-identical to the pre-residency runtime.
+//! evict deterministically (proptest vs a reference model), failovers
+//! drop stale epochs, entries sharing pooled payloads launch exactly
+//! like private ones, the export lists each resident datapath plan once
+//! as the plan compile gives, and — the regression the bugfix must not
+//! cause — single-model launch sequences remain bit- and trace-identical
+//! to the pre-residency runtime.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
+use tsm_core::cosim::{compile_plan, CompiledPlan};
 use tsm_core::graph_fingerprint;
 use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
-use tsm_trace::{EventKind, RingSink, RUNTIME_LANE};
+use tsm_trace::{Cursor, EventKind, RingSink, RUNTIME_LANE};
 use tsm_workloads::BertConfig;
 
 /// A compute-only model; distinct `cycles` gives distinct fingerprints.
@@ -205,47 +206,6 @@ fn failover_drops_stale_epochs_from_residency() {
     }
 }
 
-/// Warm tier round trip: export from one runtime, import into a fresh
-/// one, and the warm-started launch is bit-identical to a cold compile —
-/// plan adoption changes only *when* the plan was built, not what runs.
-#[test]
-fn warm_tier_round_trips_plans_across_runtimes() {
-    let g = pipeline(32_000);
-
-    let mut rt1 = runtime(ExecMode::Datapath);
-    let cold = rt1.launch(&g, 7).unwrap();
-    let exported = rt1.residency().export_warm();
-
-    let mut rt2 = runtime(ExecMode::Datapath);
-    assert_eq!(rt2.residency_mut().import_warm(&exported), Ok(1));
-    assert_eq!(rt2.residency().warm_len(), 1);
-    let warmed = rt2.launch(&g, 7).unwrap();
-
-    // Still a compile (the program is rebuilt) but the datapath plan was
-    // adopted from the tier, and the launch is bit-identical.
-    assert_eq!((warmed.compiles(), warmed.reuses()), (1, 0));
-    assert_eq!(rt2.residency().stats().warm_starts, 1);
-    assert_eq!(
-        rt2.residency().warm_len(),
-        0,
-        "adopted plans leave the tier"
-    );
-    assert_eq!(warmed, cold, "warm start must not perturb the launch");
-    assert_eq!(warmed.dst_digests, cold.dst_digests);
-
-    // The resident plan survived the JSON round trip exactly: exporting
-    // again reproduces the same document.
-    assert_eq!(rt2.residency().export_warm(), exported);
-
-    // A fingerprint mismatch never adopts: a different model compiles
-    // fresh and leaves the tier alone.
-    let mut rt3 = runtime(ExecMode::Datapath);
-    rt3.residency_mut().import_warm(&exported).unwrap();
-    rt3.launch(&pipeline(64_000), 7).unwrap();
-    assert_eq!(rt3.residency().stats().warm_starts, 0);
-    assert_eq!(rt3.residency().warm_len(), 1);
-}
-
 /// Entries whose payloads come from one shared pool launch exactly like
 /// entries with private payloads: one runtime warmed at several batch
 /// sizes gives the same outcome, destination digests included, and
@@ -276,83 +236,61 @@ fn shared_payloads_launch_like_private_ones() {
     assert_eq!(shared_bytes, private_bytes);
 }
 
-/// `doc` with the value of the first `key` after the first `list` array
-/// replaced by `value`.
-fn edit_first(doc: &str, list: &str, key: &str, value: u64) -> String {
-    let list = doc
-        .find(&format!("\"{list}\": ["))
-        .expect("the list is there");
-    let at = list + doc[list..].find(&format!("\"{key}\": ")).unwrap() + key.len() + 4;
-    let end = at + doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-    format!("{}{value}{}", &doc[..at], &doc[end..])
-}
-
-/// Warm-tier documents are trusted only as far as their own shapes: an
-/// offset too wide for its field, or a preload naming a vector its
-/// transfer does not have, is refused at import with an error naming the
-/// field. The tier keeps only what it held before, and the next launch
-/// adopts that plan instead of indexing out of bounds.
+/// The export of the resident set: a runtime holding two datapath plans
+/// and one statistical entry lists each datapath plan once, ascending by
+/// `(graph_fp, epoch)`, as its own `to_json` wrote it, so the value
+/// parses to a plan that writes the same document, and that plan is what
+/// `compile_plan` gives for its topology and shapes.
 #[test]
-fn warm_tier_refuses_plans_that_index_outside_themselves() {
-    let g = pipeline(3_200);
-    let mut rt1 = runtime(ExecMode::Datapath);
-    let cold = rt1.launch(&g, 7).unwrap();
-    let exported = rt1.residency().export_warm();
-    for (key, value, says) in [
-        ("offset", 70_000, "offset 70000"),
-        ("vector", 99, "vector 99"),
-    ] {
-        let hostile = edit_first(&exported, "preloads", key, value);
-        let mut rt = runtime(ExecMode::Datapath);
-        assert_eq!(rt.residency_mut().import_warm(&exported), Ok(1));
-        let err = rt.residency_mut().import_warm(&hostile).unwrap_err();
-        assert!(err.contains(says), "{key}: {err}");
-        assert_eq!(rt.residency().warm_len(), 1, "{key}: the tier is unchanged");
-        assert_eq!(rt.launch(&g, 7).unwrap(), cold, "{key}");
-        assert_eq!(rt.residency().stats().warm_starts, 1, "{key}");
-    }
-}
-
-/// A warm-tier plan is adopted only if every TSP and link it names is in
-/// the runtime's topology. A delivery naming link 999999 parses, since a
-/// document is checked only against itself, but the launch compiles cold:
-/// it equals a cold launch, counts no warm start and plans the cold
-/// plan's timeline, where the adopted plan's timeline would look the link
-/// up out of bounds. On a lossy fabric with no replays, where recovery
-/// blames the links of lost vectors, it fails over as the cold runtime
-/// does.
-#[test]
-fn warm_tier_refuses_plans_that_name_links_outside_the_topology() {
-    let g = pipeline(3_200);
-    let mut rt1 = runtime(ExecMode::Datapath);
-    let cold = rt1.launch(&g, 7).unwrap();
-    let cold_timeline = rt1.planned_timeline().expect("a datapath plan is resident");
-    let hostile = edit_first(
-        &rt1.residency().export_warm(),
-        "deliveries",
-        "link",
-        999_999,
-    );
-
+fn export_lists_each_resident_datapath_plan_once_as_compiled() {
     let mut rt = runtime(ExecMode::Datapath);
-    assert_eq!(rt.residency_mut().import_warm(&hostile), Ok(1));
-    let launched = rt.launch(&g, 7).unwrap();
-    assert_eq!(rt.planned_timeline(), Some(cold_timeline));
-    assert_eq!(launched, cold);
-    assert_eq!(rt.residency().stats().warm_starts, 0);
+    rt.launch(&pipeline(64_000), 1).unwrap();
+    rt.launch(&pipeline(32_000), 2).unwrap();
+    let mut rt = rt.with_exec_mode(ExecMode::Statistical);
+    rt.launch(&compute_model(5_000), 3).unwrap();
+    let resident = rt.residency().resident();
+    assert_eq!(resident.len(), 3);
+    let want: Vec<(u64, u64)> = (resident.iter())
+        .filter(|i| i.has_datapath)
+        .map(|i| (i.graph_fp, i.epoch))
+        .collect();
+    assert_eq!(want.len(), 2, "the statistical entry holds no plan");
 
-    let lossy = |warm: Option<&str>| {
-        let mut rt = runtime(ExecMode::Datapath);
-        if let Some(doc) = warm {
-            assert_eq!(rt.residency_mut().import_warm(doc), Ok(1));
+    let doc = rt.residency().export_warm();
+    let mut listed = Vec::new();
+    let mut cur = Cursor::new(&doc);
+    cur.object(|cur, key| match key {
+        "version" => {
+            assert_eq!(cur.u64()?, 2);
+            Ok(())
         }
-        rt.set_ber(1e-2, 1e-2);
-        rt.set_max_replays(0);
-        let out = rt.launch(&g, 7);
-        (out, rt.residency().stats().warm_starts)
-    };
-    let (want, _) = lossy(None);
-    assert_eq!(lossy(Some(&hostile)), (want, 0));
+        "plans" => cur.array(|cur| {
+            let (mut graph_fp, mut epoch, mut plan) = (None, None, None);
+            cur.object(|cur, key| {
+                match key {
+                    "graph_fp" => graph_fp = Some(cur.u64()?),
+                    "epoch" => epoch = Some(cur.u64()?),
+                    "plan" => plan = Some(cur.raw_value()?),
+                    other => return Err(format!("unknown key {other:?}")),
+                }
+                Ok(())
+            })?;
+            listed.push((graph_fp.unwrap(), epoch.unwrap(), plan.unwrap()));
+            Ok(())
+        }),
+        other => Err(format!("unknown key {other:?}")),
+    })
+    .unwrap();
+    cur.expect_end().unwrap();
+
+    let keys: Vec<(u64, u64)> = listed.iter().map(|&(fp, e, _)| (fp, e)).collect();
+    assert_eq!(keys, want, "each datapath plan once, ascending by key");
+    let topo = rt.system().topology();
+    for (_, _, text) in listed {
+        let plan = CompiledPlan::from_json(text).unwrap();
+        assert_eq!(plan.to_json(), text, "the resident plan's own document");
+        assert_eq!(compile_plan(topo, &plan.shapes), Ok(plan));
+    }
 }
 
 /// Reference model for the through-the-runtime proptest: entry-count

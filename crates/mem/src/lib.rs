@@ -11,8 +11,11 @@
 //! ```
 //!
 //! [`GlobalAddress`] provides the tensor addressing with validation and a
-//! dense linearization; [`alloc`] provides the per-device and distributed
-//! tensor allocators the compiler uses to place operands.
+//! dense linearization; [`alloc`] provides per-device and distributed
+//! tensor allocators over that address space. The compiler does not place
+//! operands with them: the `tsm` facade re-exports this crate as
+//! `tsm::mem`, and `tests/scale.rs` checks the addressing and capacity
+//! across the full machine.
 
 #![forbid(unsafe_code)]
 

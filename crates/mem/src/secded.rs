@@ -10,10 +10,6 @@
 //! bit. The overall parity bit distinguishes odd (correctable) from even
 //! (detect-only) flip counts.
 
-/// Number of Hamming check bits.
-#[allow(dead_code)] // documents the construction; asserted by tests
-const CHECK_BITS: u32 = 7;
-
 /// Codeword length excluding the overall parity bit.
 const CODE_LEN: u8 = 71;
 
@@ -183,6 +179,9 @@ pub fn overhead_fraction() -> f64 {
 mod tests {
     use super::*;
 
+    /// Number of Hamming check bits.
+    const CHECK_BITS: usize = 7;
+
     #[test]
     fn positions_are_bijective() {
         let mut seen = std::collections::HashSet::new();
@@ -193,7 +192,9 @@ mod tests {
             assert!(seen.insert(pos));
             assert_eq!(data_index(pos), Some(i));
         }
-        assert_eq!(CHECK_BITS, 7);
+        let check = (1..=CODE_LEN).filter(|p| p.is_power_of_two()).count();
+        assert_eq!(check, CHECK_BITS, "the check bits sit at powers of two");
+        assert_eq!(64 + CHECK_BITS, usize::from(CODE_LEN));
     }
 
     #[test]

@@ -89,9 +89,6 @@ pub mod names {
     /// Resident plans dropped because their mapping epoch went stale
     /// after a spare failover.
     pub const RES_STALE_DROPS: &str = "residency.stale_drops";
-    /// Datapath plans adopted from the warm-start tier instead of being
-    /// recompiled.
-    pub const RES_WARM_STARTS: &str = "residency.warm_starts";
     /// Estimated bytes held by resident plans (gauge).
     pub const RES_RESIDENT_BYTES: &str = "residency.resident_bytes";
     /// Number of resident plans (gauge).

@@ -67,10 +67,10 @@ cargo build --workspace --release
 #   for it.
 # - tsm-core `residency`: the plan-residency layer: multi-model reuse,
 #   budget-0 single-entry equivalence, pre-residency trace-shape pinning,
-#   failover epoch drops, the warm-start tier round trip and its refusal
-#   of hostile plans (at import; at adoption, a plan naming a link outside
-#   the topology, which the launch then compiles cold), shared-vs-private
-#   payload identity, and the LRU-vs-reference proptest.
+#   failover epoch drops, shared-vs-private payload identity, the export
+#   of the resident set (each datapath plan once, ascending by key, as its
+#   own to_json wrote it and as compile_plan gives it), and the
+#   LRU-vs-reference proptest.
 # - tsm-core `telemetry`: the windowed telemetry layer: launch/serve
 #   off-identity (sampling off is bit-identical to pre-feature behaviour),
 #   heatmaps that are a fold of the executor's trace (equal, window by
@@ -139,10 +139,15 @@ cargo build --workspace --release
 #   (from_json_refuses_hostile_programs); a chip depth at or past the chip
 #   count, and plan JSON that indexes outside itself, lists its chips out
 #   of TSP order, names a destination with no chip, lists its program or
-#   manifest out of order, or names an SRAM region that wraps past offset
-#   65535, each before anything is derived from it
+#   manifest out of order, names an SRAM region that wraps past offset
+#   65535, or a preload offset too wide for its field, each before
+#   anything is derived from it
 #   (from_json_refuses_plans_that_index_outside_themselves). Then a plan
 #   document that sends on port 40 executing to a chip error.
+# - tsm-core's `cosim` unit tests: among them, a plan whose public shapes
+#   were shortened, or lost vectors, after compile executes to a typed
+#   payload error at widths 1-3, never an index panic
+#   (edited_shapes_are_payload_errors_at_every_width).
 # - tsm-core's `runtime` unit tests: the payload pool synthesizes each
 #   (transfer, vector) once per runtime and every residency entry binds
 #   the same handles.
@@ -175,10 +180,10 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload cosim-10440 --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-churn --seconds 0
-# One traced serve-steady pass: the only run that exports the warm tier,
-# parses every resident plan back and requires compile_plan(shapes) to
-# equal it, i.e. that a plan document derives on load what compile
-# derived. It exits 1 on any failed check.
+# One traced serve-steady pass: the only run that reads the resident
+# plans through the residency export, parses each back and requires
+# compile_plan(shapes) to equal it, i.e. that a plan document derives on
+# load what compile derived. It exits 1 on any failed check.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload serve-steady --seconds 0 --trace 1
 # BENCH_cosim.json is a golden record: every field is simulated (host time
 # is measured by benchmark/ alone), so the file is a pure function of the
