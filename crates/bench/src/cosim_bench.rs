@@ -378,7 +378,7 @@ pub fn measure() -> CosimBenchResult {
         .execute_with(&plan, &payloads, profiled)
         .expect("profiled execute");
     let prof = profile(
-        &plan.planned_timeline(&topo),
+        &plan.planned_timeline(&topo).expect("compiled on topo"),
         &sink.sorted_events(),
         sink.dropped(),
     )

@@ -129,86 +129,6 @@ impl ScheduleDump {
         w.end_object();
         w.finish()
     }
-
-    /// Parses a JSON snapshot previously produced by
-    /// [`ScheduleDump::to_json`]. Field order is not significant; unknown
-    /// keys are rejected with a descriptive error.
-    pub fn from_json(s: &str) -> Result<ScheduleDump, String> {
-        parse::schedule_dump(s)
-    }
-}
-
-/// A minimal recursive-descent parser for the dump's fixed schema,
-/// built on the workspace-shared [`tsm_trace::Cursor`] combinators (the
-/// workspace has no JSON library, so the round trip is hand-rolled
-/// against the same escaping rules the emitter uses).
-mod parse {
-    use super::{OpDump, ReservationDump, ScheduleDump};
-    use tsm_trace::Cursor;
-
-    pub(super) fn schedule_dump(s: &str) -> Result<ScheduleDump, String> {
-        let mut c = Cursor::new(s);
-        let mut dump = ScheduleDump {
-            span_cycles: 0,
-            ops: Vec::new(),
-            reservations: Vec::new(),
-        };
-        c.object(|c, key| match key {
-            "span_cycles" => {
-                dump.span_cycles = c.u64()?;
-                Ok(())
-            }
-            "ops" => c.array(|c| {
-                let mut op = OpDump {
-                    op: 0,
-                    device: 0,
-                    kind: String::new(),
-                    start: 0,
-                    end: 0,
-                };
-                c.object(|c, key| {
-                    match key {
-                        "op" => op.op = c.narrow("op")?,
-                        "device" => op.device = c.narrow("op device")?,
-                        "kind" => op.kind = c.string()?,
-                        "start" => op.start = c.u64()?,
-                        "end" => op.end = c.u64()?,
-                        other => return Err(format!("unknown op field {other:?}")),
-                    }
-                    Ok(())
-                })?;
-                dump.ops.push(op);
-                Ok(())
-            }),
-            "reservations" => c.array(|c| {
-                let mut r = ReservationDump {
-                    link: 0,
-                    from: 0,
-                    start: 0,
-                    vectors: 0,
-                    transfer: 0,
-                    hop: 0,
-                };
-                c.object(|c, key| {
-                    match key {
-                        "link" => r.link = c.narrow("reservation link")?,
-                        "from" => r.from = c.narrow("reservation from")?,
-                        "start" => r.start = c.u64()?,
-                        "vectors" => r.vectors = c.u64()?,
-                        "transfer" => r.transfer = c.narrow("reservation transfer")?,
-                        "hop" => r.hop = c.narrow("reservation hop")?,
-                        other => return Err(format!("unknown reservation field {other:?}")),
-                    }
-                    Ok(())
-                })?;
-                dump.reservations.push(r);
-                Ok(())
-            }),
-            other => Err(format!("unknown field {other:?}")),
-        })?;
-        c.expect_end()?;
-        Ok(dump)
-    }
 }
 
 #[cfg(test)]
@@ -238,15 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_roundtrips_through_json() {
-        let (g, p) = program();
-        let dump = ScheduleDump::capture(&g, &p);
-        let json = dump.to_json();
-        let back = ScheduleDump::from_json(&json).unwrap();
-        assert_eq!(dump, back);
-    }
-
-    #[test]
     fn dump_matches_program_timing() {
         let (g, p) = program();
         let dump = ScheduleDump::capture(&g, &p);
@@ -258,10 +169,10 @@ mod tests {
         assert!(!dump.reservations.is_empty());
     }
 
-    /// The hand-rolled emitter/parser pair survives a kind string
-    /// carrying every structurally dangerous JSON character.
+    /// A kind string carrying every structurally dangerous JSON
+    /// character leaves the document well formed, holding it escaped.
     #[test]
-    fn dump_roundtrips_hostile_strings() {
+    fn dump_json_escapes_hostile_strings() {
         let dump = ScheduleDump {
             span_cycles: 7,
             ops: vec![OpDump {
@@ -273,28 +184,13 @@ mod tests {
             }],
             reservations: vec![],
         };
-        let back = ScheduleDump::from_json(&dump.to_json()).unwrap();
-        assert_eq!(dump, back);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_documents() {
-        assert!(ScheduleDump::from_json("").is_err());
-        assert!(ScheduleDump::from_json("{\"span_cycles\": 1").is_err());
-        assert!(ScheduleDump::from_json("{\"bogus\": 1}").is_err());
-        assert!(ScheduleDump::from_json("{\"span_cycles\": 1} trailing").is_err());
-    }
-
-    /// A value too wide for its field is refused, not truncated: hop 300
-    /// would read back as hop 44.
-    #[test]
-    fn from_json_refuses_out_of_range_fields() {
-        let (g, p) = program();
-        let json = ScheduleDump::capture(&g, &p).to_json();
-        let wide = json.replacen("\"hop\": 0", "\"hop\": 300", 1);
-        assert_ne!(wide, json);
-        let err = ScheduleDump::from_json(&wide).unwrap_err();
-        assert!(err.contains("reservation hop 300 out of range"), "{err}");
+        let json = dump.to_json();
+        let mut c = tsm_trace::Cursor::new(&json);
+        c.raw_value().and_then(|_| c.expect_end()).expect(&json);
+        assert!(
+            json.contains(r#""kind": "ev\"il\\kind\nwith\tnasties\u0001""#),
+            "{json}"
+        );
     }
 
     #[test]

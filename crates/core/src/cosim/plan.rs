@@ -373,7 +373,13 @@ impl CompiledPlan {
     ///
     /// This is the compile-time half of the plan-vs-actual join — the
     /// run-time half is the `Delivery` event stream the executor emits.
-    pub fn planned_timeline(&self, topo: &Topology) -> tsm_trace::profile::PlannedTimeline {
+    /// A delivery over a link `topo` does not have, which a plan read by
+    /// [`CompiledPlan::from_json`] may name, is
+    /// [`CosimError::UnknownLink`].
+    pub fn planned_timeline(
+        &self,
+        topo: &Topology,
+    ) -> Result<tsm_trace::profile::PlannedTimeline, CosimError> {
         use tsm_trace::profile::{PlannedChip, PlannedHop, PlannedTimeline};
         let slot = vector_slot_cycles();
         let mut hops = Vec::new();
@@ -381,6 +387,9 @@ impl CompiledPlan {
         let mut span = self.arrivals.iter().copied().max().unwrap_or(0);
         for chip in &self.chips {
             for d in self.deliveries(chip) {
+                if d.link.index() >= topo.links().len() {
+                    return Err(CosimError::UnknownLink { link: d.link });
+                }
                 let latency = scheduled_link_latency(topo, d.link);
                 let wire_end = d.cycle.saturating_sub(latency);
                 hops.push(PlannedHop {
@@ -405,12 +414,12 @@ impl CompiledPlan {
             });
         }
         hops.sort_by_key(|h| (h.link, h.wire_start, h.transfer, h.vector));
-        PlannedTimeline {
+        Ok(PlannedTimeline {
             hops,
             chips,
             span,
             arrivals: self.arrivals.clone(),
-        }
+        })
     }
 }
 
@@ -1588,12 +1597,13 @@ mod json {
     /// it, so an edited or corrupted document fails to load instead of
     /// sending the derivation or the executor out of bounds or past its
     /// order checks: every depth lies below the chip count; chips ascend
-    /// by TSP and include each transfer's destination; every payload
-    /// reference lies in the shapes; each chip's program ascends by
-    /// `(cycle, unit)`, the issue order the executor runs it in, its
-    /// deliveries by `(port, cycle)` and its emissions by `(cycle, port)`;
-    /// each transfer's source and destination regions end by offset
-    /// 65,535, as compile requires, so no region wraps onto offset 0.
+    /// by TSP; every payload reference lies in the shapes; each chip's
+    /// program ascends by `(cycle, unit)`, the issue order the executor
+    /// runs it in, its deliveries by `(port, cycle)` and its emissions by
+    /// `(cycle, port)`; each transfer's source and destination regions end
+    /// by offset 65,535, as compile requires, so no region wraps onto
+    /// offset 0; and each transfer's destination chip receives each of its
+    /// vectors once, since that chip's job checks the transfer's region.
     fn check_indices(plan: &CompiledPlan) -> Result<(), String> {
         let ends = plan.slab_ends();
         if ends.into_iter().any(|len| len > u32::MAX as usize) {
@@ -1617,12 +1627,6 @@ mod json {
             ));
         }
         for (t, s) in plan.shapes.iter().enumerate() {
-            if s.vectors > 0 && plan.chips.binary_search_by_key(&s.to, |c| c.tsp).is_err() {
-                return Err(format!(
-                    "transfer {t} delivers to TSP {} with no chip plan",
-                    s.to.0
-                ));
-            }
             let wraps = |offset: u16| u64::from(offset) + u64::from(s.vectors) > SRAM_OFFSETS;
             if let Some((end, offset)) = [("source", s.src_offset), ("destination", s.dst_offset)]
                 .into_iter()
@@ -1664,6 +1668,34 @@ mod json {
                     ));
                 }
             }
+        }
+        let mut landed = vec![0u64; plan.shapes.len()];
+        let mut received = Vec::new();
+        for chip in &plan.chips {
+            received.clear();
+            received.extend(
+                (plan.deliveries(chip).iter())
+                    .map(|d| (d.vec.transfer, d.vec.vector))
+                    .filter(|&(t, _)| plan.shapes[t as usize].to == chip.tsp),
+            );
+            received.sort_unstable();
+            if let Some(w) = received.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!(
+                    "chip {} receives vector {} of transfer {} twice",
+                    chip.tsp.0, w[0].1, w[0].0
+                ));
+            }
+            for &(t, _) in &received {
+                landed[t as usize] += 1;
+            }
+        }
+        let unreceived =
+            (plan.shapes.iter().enumerate()).find(|&(t, s)| landed[t] != u64::from(s.vectors));
+        if let Some((t, s)) = unreceived {
+            return Err(format!(
+                "transfer {t} lands {} of its {} vectors on its destination, TSP {}",
+                landed[t], s.vectors, s.to.0
+            ));
         }
         Ok(())
     }
@@ -2725,27 +2757,48 @@ mod tests {
         assert!(err.contains("transfer 0 source region"), "{err}");
     }
 
-    /// A document whose transfer ends at a TSP with no chip plan is
-    /// refused by name before the destination lists are derived, which
-    /// would find no chip to check it.
+    /// A transfer's destination chip checks the transfer's region, which
+    /// only the deliveries of its vectors write, so it must receive each
+    /// of them once. A document whose transfer ends at a chip that
+    /// receives none of its vectors (transfer 1 re-aimed at transfer 0's
+    /// destination), at a TSP with no chip plan, or at a chip that
+    /// receives one of its vectors twice is refused by name before the
+    /// destination lists are derived.
     #[test]
-    fn from_json_refuses_a_transfer_that_ends_at_no_chip() {
-        let shape = TransferShape {
+    fn from_json_refuses_a_transfer_its_destination_does_not_receive() {
+        let shape = |to: u32, src_offset: u16| TransferShape {
             from: TspId(0),
-            to: TspId(5),
+            to: TspId(to),
             src_slice: 0,
-            src_offset: 0,
+            src_offset,
             dst_slice: 1,
             dst_offset: 0,
             vectors: 4,
         };
-        let mut plan = compile_plan(&Topology::single_node(), &[shape]).unwrap();
-        plan.shapes[0].to = TspId(6);
-        let err = CompiledPlan::from_json(&plan.to_json()).unwrap_err();
-        assert!(
-            err.contains("transfer 0 delivers to TSP 6 with no chip plan"),
-            "{err}"
-        );
+        let plan = compile_plan(&Topology::single_node(), &[shape(1, 0), shape(5, 4)]).unwrap();
+        assert_eq!(plan.chips[1].tsp, TspId(1));
+        let refused = |edit: fn(&mut CompiledPlan)| {
+            let mut bad = plan.clone();
+            edit(&mut bad);
+            CompiledPlan::from_json(&bad.to_json()).unwrap_err()
+        };
+        let cases = [
+            (
+                refused(|p| p.shapes[1].to = TspId(1)),
+                "transfer 1 lands 0 of its 4 vectors on its destination, TSP 1",
+            ),
+            (
+                refused(|p| p.shapes[0].to = TspId(6)),
+                "transfer 0 lands 0 of its 4 vectors on its destination, TSP 6",
+            ),
+            (
+                refused(|p| p.deliveries[at(&p.chips[1].deliveries)][1].vec.vector = 0),
+                "chip 1 receives vector 0 of transfer 0 twice",
+            ),
+        ];
+        for (err, says) in cases {
+            assert!(err.contains(says), "want {says:?}, got {err:?}");
+        }
     }
 
     /// A plan document may name any port its field holds. One whose source
@@ -2789,5 +2842,107 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// Hostile input over the one document the workspace reads back: a
+    /// two-node plan's document, truncated or with up to three bytes
+    /// replaced, 4,000 times from a fixed seed, after a fixed case whose
+    /// first delivery names link 999999. Each document parses to a plan
+    /// or an error; a plan's timeline on the topology is a timeline or
+    /// the typed [`CosimError::UnknownLink`], and it executes at widths 1
+    /// and 2 to a report or a typed error. Nothing panics: a case that
+    /// does fails the test naming its edit, a reproducer as it stands.
+    #[test]
+    fn hostile_plan_documents_are_typed_errors() {
+        let topo = Topology::fully_connected_nodes(2).unwrap();
+        let shape = |from: u32, to: u32, dst_slice: u8| TransferShape {
+            from: TspId(from),
+            to: TspId(to),
+            src_slice: 0,
+            src_offset: 0,
+            dst_slice,
+            dst_offset: 0,
+            vectors: 2,
+        };
+        let shapes = [shape(0, 9, 1), shape(3, 12, 2)];
+        let json = compile_plan(&topo, &shapes).unwrap().to_json();
+        let link = json.find("\"link\": ").unwrap() + "\"link\": ".len();
+        let digits = json[link..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let mut edits = vec![vec![(link..link + digits, "999999")]];
+        // The bytes an edit writes, digits first.
+        const BYTES: [&str; 14] = [
+            "0", "1", "7", "9", "a", "\"", "\\", ",", ":", "{", "}", "[", "]", " ",
+        ];
+        const DIGITS: usize = 4;
+        // The digits of the document's numbers, outside its strings: half
+        // the replaced bytes are one of them set to a digit, which keeps
+        // the document parsing and edits what the plan says.
+        let mut in_string = false;
+        let numbers: Vec<usize> = (json.bytes().enumerate())
+            .filter(|&(_, b)| {
+                in_string ^= b == b'"';
+                !in_string && b.is_ascii_digit()
+            })
+            .map(|(at, _)| at)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(32);
+        for _ in 0..4_000 {
+            let edit = if rng.gen_bool(0.2) {
+                vec![(rng.gen_range(0..json.len())..json.len(), "")]
+            } else {
+                let byte = |rng: &mut StdRng| {
+                    if rng.gen_bool(0.5) {
+                        let at = numbers[rng.gen_range(0..numbers.len())];
+                        (at..at + 1, BYTES[rng.gen_range(0..DIGITS)])
+                    } else {
+                        let at = rng.gen_range(0..json.len());
+                        (at..at + 1, BYTES[rng.gen_range(0..BYTES.len())])
+                    }
+                };
+                (0..rng.gen_range(1..=3usize))
+                    .map(|_| byte(&mut rng))
+                    .collect()
+            };
+            edits.push(edit);
+        }
+        let mut executor = crate::cosim::PlanExecutor::new();
+        let mut loaded = 0;
+        for (i, edit) in edits.iter().enumerate() {
+            let mut doc = json.clone();
+            for (at, with) in edit {
+                doc.replace_range(at.clone(), with);
+            }
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let Ok(plan) = CompiledPlan::from_json(&doc) else {
+                    return;
+                };
+                loaded += 1;
+                let timeline = plan.planned_timeline(&topo);
+                if i == 0 {
+                    let link = LinkId(999_999);
+                    assert_eq!(timeline.unwrap_err(), CosimError::UnknownLink { link });
+                }
+                let payloads: Vec<Vec<_>> = (plan.shapes.iter())
+                    .map(|s| {
+                        (0..s.vectors)
+                            .map(|v| std::sync::Arc::new(Vector::splat(v as u8)))
+                            .collect()
+                    })
+                    .collect();
+                for threads in [1, 2] {
+                    let args = crate::cosim::ExecArgs {
+                        threads: Some(threads),
+                        ..Default::default()
+                    };
+                    _ = executor.execute_with(&plan, &payloads, args);
+                }
+            }));
+            assert!(run.is_ok(), "case {i} panicked; its edit: {edit:?}");
+        }
+        assert!(
+            loaded > 400,
+            "only {loaded} of {} documents load",
+            edits.len()
+        );
     }
 }

@@ -438,12 +438,14 @@ impl Runtime {
     ///
     /// `None` until a datapath launch has compiled (statistical mode
     /// carries no delivery manifest). Reflects the *current* topology, so
-    /// call it after the launch whose trace you intend to profile.
+    /// call it after the launch whose trace you intend to profile. The
+    /// plan was compiled on this runtime's topology, so every link it
+    /// names is in it.
     pub fn planned_timeline(&self) -> Option<tsm_trace::profile::PlannedTimeline> {
         self.residency
             .current()
             .and_then(|c| c.datapath.as_ref())
-            .map(|a| a.plan.planned_timeline(self.system.topology()))
+            .and_then(|a| a.plan.planned_timeline(self.system.topology()).ok())
     }
 
     /// Launches a logical-device program: align, compile against the

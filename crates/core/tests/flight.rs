@@ -10,7 +10,7 @@
 //! - **Bounded capture**: the trace tail keeps the last K serving-lane
 //!   events and `max_incidents` caps recording, visible as `seq` gaps.
 //! - **Reproducibility**: a fault-injected serve run produces incidents
-//!   byte-reproducible from its seed, lossless through JSON.
+//!   byte-reproducible from its seed.
 //! - **Telemetry bracketing**: each incident carries exactly the
 //!   telemetry windows `[w-1, w+1]` around its trigger cycle.
 //! - **Cycle order**: the serving lane is emitted in cycle order, so a
@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use tsm_compiler::graph::{Graph, OpKind};
-use tsm_core::flight::{FlightConfig, IncidentReport, IncidentTrigger};
+use tsm_core::flight::{FlightConfig, IncidentTrigger};
 use tsm_core::runtime::{ExecMode, Runtime, SparePolicy};
 use tsm_core::serving::{Request, ServeConfig, ServeReport, Server};
 use tsm_core::system::System;
@@ -244,8 +244,6 @@ fn faulty_serve_incidents_are_byte_reproducible_from_seed() {
             y.to_json(),
             "byte-reproducible incident from seed"
         );
-        let round = IncidentReport::from_json(&x.to_json()).unwrap();
-        assert_eq!(round, *x, "JSON round trip is lossless");
     }
 }
 

@@ -58,7 +58,7 @@ fn compiled(topo: &Topology, transfers: &[CosimTransfer]) -> (CompiledPlan, Vec<
 fn fault_free_runs_certify_with_zero_skew_serial_and_parallel() {
     let (topo, transfers) = workload();
     let (plan, payloads) = compiled(&topo, &transfers);
-    let planned = plan.planned_timeline(&topo);
+    let planned = plan.planned_timeline(&topo).unwrap();
     assert!(!planned.hops.is_empty(), "workload crosses links");
 
     for parallel in [false, true] {
@@ -237,7 +237,7 @@ fn replayed_launch_itemizes_one_epoch_window_of_skew() {
 fn lossy_traces_are_refused_and_surfaced_in_metrics() {
     let (topo, transfers) = workload();
     let (plan, payloads) = compiled(&topo, &transfers);
-    let planned = plan.planned_timeline(&topo);
+    let planned = plan.planned_timeline(&topo).unwrap();
 
     let sink = RingSink::new(4); // far too small for this run
     let args = ExecArgs {

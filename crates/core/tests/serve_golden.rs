@@ -35,7 +35,7 @@ use tsm_core::serving::{Request, RequestOutcome, ServeConfig, ServeReport, Serve
 use tsm_core::system::System;
 use tsm_topology::{LinkId, NodeId, TspId};
 use tsm_trace::telemetry::TelemetryConfig;
-use tsm_trace::{RingSink, TraceEvent, SERVING_LANE};
+use tsm_trace::{LatencyBreakdown, RingSink, TraceEvent, SERVING_LANE};
 
 /// Uncertified pins per fabric: (report without incidents, launch trace).
 const CLEAN: (u64, u64) = (8882527054275902751, 11349179071343632474);
@@ -191,6 +191,32 @@ fn serve(certify: bool, marginal: bool) -> (ServeReport, Vec<TraceEvent>) {
     (report, sink.events())
 }
 
+/// Appends `b` as the compact JSON object the report pins were taken
+/// over: its fields in declaration order, then its critical stage.
+fn write_breakdown(s: &mut String, b: &LatencyBreakdown) {
+    write!(
+        s,
+        "{{\"request\":{},\"tenant\":{},\"batch\":{},\"arrival\":{},\"completion\":{},\
+         \"window_wait\":{},\"queue_wait\":{},\"alignment\":{},\"replay\":{},\
+         \"execute\":{},\"drain\":{},\"compiles\":{},\"reuses\":{},\"critical\":\"{}\"}}",
+        b.request,
+        b.tenant,
+        b.batch,
+        b.arrival,
+        b.completion,
+        b.window_wait,
+        b.queue_wait,
+        b.alignment,
+        b.replay,
+        b.execute,
+        b.drain,
+        b.compiles,
+        b.reuses,
+        b.critical_stage()
+    )
+    .unwrap();
+}
+
 /// Digest of everything in the report except `incidents`.
 fn report_digest(r: &ServeReport) -> u64 {
     let attribution = r.attribution.as_ref().expect("attribution is on");
@@ -198,7 +224,7 @@ fn report_digest(r: &ServeReport) -> u64 {
     s += &r.telemetry.as_ref().expect("telemetry is on").to_json();
     s += &attribution.metrics.to_json();
     for b in &attribution.breakdowns {
-        s += &b.to_json();
+        write_breakdown(&mut s, b);
     }
     write!(
         s,

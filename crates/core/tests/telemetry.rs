@@ -16,8 +16,8 @@
 //!   gauge, the sink's counter, and the exporter's warning banner agree —
 //!   and the heatmaps lose nothing (the fold sees every event before the
 //!   user's sink does).
-//! - **Escaping**: hostile tenant names survive the JSON and Perfetto
-//!   exports via the in-repo escapers.
+//! - **Escaping**: hostile tenant names are escaped in the JSON and
+//!   Perfetto exports by the in-repo escapers.
 //! - **No leaks between calls**: samples live and die with their launch,
 //!   so neither a serve's nor a failed launch's heatmaps reach a later
 //!   call on the same runtime.
@@ -319,8 +319,6 @@ fn serve_telemetry_is_bit_reproducible_through_json() {
     let ta = a.telemetry.unwrap();
     let tb = b.telemetry.unwrap();
     assert_eq!(ta.to_json(), tb.to_json(), "byte-identical telemetry JSON");
-    let round = tsm_trace::Telemetry::from_json(&ta.to_json()).unwrap();
-    assert_eq!(round, ta, "JSON round trip is lossless");
 }
 
 #[test]
@@ -445,10 +443,10 @@ fn trace_dropped_gauge_and_banner_agree_under_telemetry_sampling() {
     assert_eq!(t, full.telemetry.unwrap(), "loss-independent telemetry");
 }
 
-/// Hostile tenant names round-trip through the telemetry JSON
-/// and the Perfetto counter-track export via the in-repo escapers.
+/// Hostile tenant names are escaped in the telemetry JSON and the
+/// Perfetto counter-track export by the in-repo escapers.
 #[test]
-fn hostile_tenant_names_round_trip_through_both_exports() {
+fn hostile_tenant_names_are_escaped_in_both_exports() {
     let hostile = "ten\"ant\\zero\n\u{1}[end]";
     let sink = Arc::new(RingSink::new(1 << 16));
     let mut rt = runtime();
@@ -476,10 +474,12 @@ fn hostile_tenant_names_round_trip_through_both_exports() {
     let t = report.telemetry.unwrap();
     assert!(t.get(series::SERVE_THROUGHPUT, hostile).is_some());
 
-    // JSON round trip preserves the name exactly.
-    let round = tsm_trace::Telemetry::from_json(&t.to_json()).unwrap();
-    assert_eq!(round, t);
-    assert!(round.get(series::SERVE_THROUGHPUT, hostile).is_some());
+    // The telemetry JSON is one well-formed value holding the name
+    // escaped.
+    let json = t.to_json();
+    let mut c = tsm_trace::Cursor::new(&json);
+    c.raw_value().and_then(|_| c.expect_end()).expect(&json);
+    assert!(json.contains(r#""label": "ten\"ant\\zero\n\u0001[end]""#));
 
     // The Perfetto export escapes it; the raw control byte never appears.
     let extras = ChromeExtras {

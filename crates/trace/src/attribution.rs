@@ -24,12 +24,11 @@
 //!
 //! Everything here is virtual-cycle arithmetic over values the serving
 //! loop already computed, so attribution is observation-only and fully
-//! deterministic: the same serve run produces byte-identical
-//! [`LatencyBreakdown::to_json`] output every time.
+//! deterministic: the same serve run produces equal breakdowns every
+//! time.
 
 use std::fmt;
 
-use crate::json::{Cursor, JsonWriter};
 use crate::metrics::{Metrics, RunMetrics};
 
 /// One causal stage of a request's latency, in stitched-timeline order
@@ -113,10 +112,6 @@ impl Stage {
             Stage::Execute => "attr.critical.execute",
             Stage::Drain => "attr.critical.drain",
         }
-    }
-
-    fn from_str(s: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|st| st.as_str() == s)
     }
 }
 
@@ -375,91 +370,6 @@ impl LatencyBreakdown {
         }
         best
     }
-
-    /// Compact, byte-deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::compact();
-        w.begin_object()
-            .field_u64("request", u64::from(self.request))
-            .field_u64("tenant", u64::from(self.tenant))
-            .field_u64("batch", u64::from(self.batch))
-            .field_u64("arrival", self.arrival)
-            .field_u64("completion", self.completion)
-            .field_u64("window_wait", self.window_wait)
-            .field_u64("queue_wait", self.queue_wait)
-            .field_u64("alignment", self.alignment)
-            .field_u64("replay", self.replay)
-            .field_u64("execute", self.execute)
-            .field_u64("drain", self.drain)
-            .field_u64("compiles", u64::from(self.compiles))
-            .field_u64("reuses", u64::from(self.reuses))
-            .field_str("critical", self.critical_stage().as_str());
-        w.end_object();
-        w.finish()
-    }
-
-    /// Parses what [`LatencyBreakdown::to_json`] emits (the `critical`
-    /// field is derived and merely validated against the components).
-    pub fn from_json(s: &str) -> Result<LatencyBreakdown, String> {
-        let mut c = Cursor::new(s);
-        let b = Self::parse(&mut c)?;
-        c.expect_end()?;
-        Ok(b)
-    }
-
-    /// Parses one breakdown object at the cursor (for embedding in larger
-    /// documents).
-    pub fn parse(c: &mut Cursor<'_>) -> Result<LatencyBreakdown, String> {
-        let mut b = LatencyBreakdown {
-            request: 0,
-            tenant: 0,
-            batch: 0,
-            arrival: 0,
-            completion: 0,
-            window_wait: 0,
-            queue_wait: 0,
-            alignment: 0,
-            replay: 0,
-            execute: 0,
-            drain: 0,
-            compiles: 0,
-            reuses: 0,
-        };
-        let mut critical = None;
-        c.object(|c, key| {
-            match key {
-                "request" => b.request = c.narrow("request")?,
-                "tenant" => b.tenant = c.narrow("tenant")?,
-                "batch" => b.batch = c.narrow("batch")?,
-                "arrival" => b.arrival = c.u64()?,
-                "completion" => b.completion = c.u64()?,
-                "window_wait" => b.window_wait = c.u64()?,
-                "queue_wait" => b.queue_wait = c.u64()?,
-                "alignment" => b.alignment = c.u64()?,
-                "replay" => b.replay = c.u64()?,
-                "execute" => b.execute = c.u64()?,
-                "drain" => b.drain = c.u64()?,
-                "compiles" => b.compiles = c.narrow("compiles")?,
-                "reuses" => b.reuses = c.narrow("reuses")?,
-                "critical" => {
-                    let s = c.string()?;
-                    critical = Some(Stage::from_str(&s).ok_or(format!("unknown stage {s:?}"))?);
-                }
-                other => return Err(format!("unknown breakdown key {other:?}")),
-            }
-            Ok(())
-        })?;
-        b.verify().map_err(|e| e.to_string())?;
-        if let Some(cs) = critical {
-            if cs != b.critical_stage() {
-                return Err(format!(
-                    "critical verdict {cs} disagrees with components ({})",
-                    b.critical_stage()
-                ));
-            }
-        }
-        Ok(b)
-    }
 }
 
 /// The aggregated attribution record of one serve run: every served
@@ -640,34 +550,6 @@ mod tests {
         b.completion = b.arrival + b.total();
         b.verify().unwrap();
         assert_eq!(b.critical_stage(), Stage::QueueWait);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let b = clean(11);
-        let json = b.to_json();
-        let back = LatencyBreakdown::from_json(&json).unwrap();
-        assert_eq!(back, b);
-        assert_eq!(back.to_json(), json, "re-serialization is byte-identical");
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_documents() {
-        let mut b = clean(0);
-        b.drain += 1; // break the sum identity
-        let mut w = JsonWriter::compact();
-        w.begin_object()
-            .field_u64("arrival", b.arrival)
-            .field_u64("completion", b.completion)
-            .field_u64("window_wait", b.window_wait)
-            .field_u64("queue_wait", b.queue_wait)
-            .field_u64("alignment", b.alignment)
-            .field_u64("replay", b.replay)
-            .field_u64("execute", b.execute)
-            .field_u64("drain", b.drain);
-        w.end_object();
-        assert!(LatencyBreakdown::from_json(&w.finish()).is_err());
-        assert!(LatencyBreakdown::from_json("{\"bogus\":1}").is_err());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Structured trace events and the [`Tracer`] emission helper.
 
-use crate::json::{Cursor, JsonWriter};
+use crate::json::JsonWriter;
 use crate::sink::TraceSink;
-use std::collections::BTreeMap;
 
 /// Lane carrying runtime-level orchestration events (compile, blame,
 /// failover, replay epochs). Chip lanes use the chip's `TspId` value, which
@@ -306,130 +305,6 @@ impl TraceEvent {
         w.end_object();
         w.finish()
     }
-
-    /// Parses what [`TraceEvent::to_json`] emits — the exact inverse,
-    /// field-order independent.
-    pub fn from_json(s: &str) -> Result<TraceEvent, String> {
-        let mut c = Cursor::new(s);
-        let e = Self::parse(&mut c)?;
-        c.expect_end()?;
-        Ok(e)
-    }
-
-    /// Parses one event object at the cursor (for embedding in larger
-    /// documents).
-    pub fn parse(c: &mut Cursor<'_>) -> Result<TraceEvent, String> {
-        let mut nums: BTreeMap<String, u64> = BTreeMap::new();
-        let mut kind_name = None;
-        let mut reason = None;
-        c.object(|c, key| {
-            match key {
-                "kind" => kind_name = Some(c.string()?),
-                "reason" => reason = Some(c.string()?),
-                other => {
-                    nums.insert(other.to_string(), c.u64()?);
-                }
-            }
-            Ok(())
-        })?;
-        let num = |k: &str| -> Result<u64, String> {
-            nums.get(k).copied().ok_or(format!("missing field {k:?}"))
-        };
-        let num32 = |k: &str| -> Result<u32, String> {
-            u32::try_from(num(k)?).map_err(|_| format!("field {k:?} out of range"))
-        };
-        let kind_name = kind_name.ok_or("missing event kind")?;
-        let kind = match kind_name.as_str() {
-            "chip.exec" => EventKind::ChipExec {
-                depth: num32("depth")?,
-                instructions: num32("instructions")?,
-            },
-            "chip.deliveries" => EventKind::Deliveries {
-                count: num32("count")?,
-            },
-            "chip.emissions" => EventKind::Emissions {
-                count: num32("count")?,
-            },
-            "link.delivery" => EventKind::Delivery {
-                link: num32("link")?,
-                transfer: num32("transfer")?,
-                vector: num32("vector")?,
-            },
-            "link.corrected" => EventKind::LinkCorrected {
-                link: num32("link")?,
-                bit: num32("bit")?,
-            },
-            "link.uncorrectable" => EventKind::LinkUncorrectable {
-                link: num32("link")?,
-            },
-            "link.demoted" => EventKind::LinkDemoted {
-                link: num32("link")?,
-            },
-            "launch.begin" => EventKind::LaunchBegin {
-                graph_fp: num("graph_fp")?,
-            },
-            "launch.align" => EventKind::Align,
-            "runtime.compile" => EventKind::Compile {
-                epoch: num("epoch")?,
-            },
-            "runtime.reuse" => EventKind::Reuse {
-                epoch: num("epoch")?,
-            },
-            "runtime.replay_epoch" => EventKind::ReplayEpoch {
-                attempt: num32("attempt")?,
-            },
-            "runtime.blame_vote" => EventKind::BlameVote {
-                node: num32("node")?,
-                votes: num32("votes")?,
-            },
-            "runtime.failover" => EventKind::Failover {
-                node: num32("node")?,
-                epoch: num("epoch")?,
-            },
-            "launch.end" => EventKind::LaunchEnd {
-                attempts: num32("attempts")?,
-            },
-            "serve.enqueue" => EventKind::RequestEnqueue {
-                tenant: num32("tenant")?,
-                request: num32("request")?,
-            },
-            "serve.shed" => EventKind::RequestShed {
-                tenant: num32("tenant")?,
-                request: num32("request")?,
-                reason: match reason.as_deref() {
-                    Some("queue_full") => ShedReason::QueueFull,
-                    Some("tenant_over_quota") => ShedReason::TenantOverQuota,
-                    other => return Err(format!("bad shed reason {other:?}")),
-                },
-            },
-            "serve.expired" => EventKind::RequestExpired {
-                tenant: num32("tenant")?,
-                request: num32("request")?,
-                late: num("late")?,
-            },
-            "serve.complete" => EventKind::RequestComplete {
-                tenant: num32("tenant")?,
-                request: num32("request")?,
-                latency: num("latency")?,
-            },
-            "serve.batch" => EventKind::BatchBegin {
-                batch: num32("batch")?,
-                size: num32("size")?,
-            },
-            "serve.batch_end" => EventKind::BatchEnd {
-                batch: num32("batch")?,
-                attempts: num32("attempts")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(TraceEvent {
-            cycle: num("cycle")?,
-            lane: num32("lane")?,
-            seq: num32("seq")?,
-            dur: num("dur")?,
-            kind,
-        })
-    }
 }
 
 impl EventKind {
@@ -543,105 +418,6 @@ mod tests {
         let mut t = Tracer::new(Some(&null));
         assert!(!t.enabled());
         t.instant(5, 0, EventKind::Align);
-    }
-
-    #[test]
-    fn event_json_round_trips_every_kind() {
-        let kinds = [
-            EventKind::ChipExec {
-                depth: 2,
-                instructions: 9,
-            },
-            EventKind::Deliveries { count: 4 },
-            EventKind::Emissions { count: 5 },
-            EventKind::Delivery {
-                link: 1,
-                transfer: 2,
-                vector: 3,
-            },
-            EventKind::LinkCorrected { link: 6, bit: 61 },
-            EventKind::LinkUncorrectable { link: 7 },
-            EventKind::LinkDemoted { link: 8 },
-            EventKind::LaunchBegin {
-                graph_fp: u64::MAX - 1,
-            },
-            EventKind::Align,
-            EventKind::Compile { epoch: 3 },
-            EventKind::Reuse { epoch: 4 },
-            EventKind::ReplayEpoch { attempt: 2 },
-            EventKind::BlameVote { node: 5, votes: 3 },
-            EventKind::Failover { node: 5, epoch: 6 },
-            EventKind::LaunchEnd { attempts: 3 },
-            EventKind::RequestEnqueue {
-                tenant: 1,
-                request: 2,
-            },
-            EventKind::RequestShed {
-                tenant: 1,
-                request: 2,
-                reason: ShedReason::QueueFull,
-            },
-            EventKind::RequestShed {
-                tenant: 1,
-                request: 2,
-                reason: ShedReason::TenantOverQuota,
-            },
-            EventKind::RequestExpired {
-                tenant: 1,
-                request: 2,
-                late: 99,
-            },
-            EventKind::RequestComplete {
-                tenant: 1,
-                request: 2,
-                latency: 1234,
-            },
-            EventKind::BatchBegin { batch: 7, size: 3 },
-            EventKind::BatchEnd {
-                batch: 7,
-                attempts: 1,
-            },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let e = TraceEvent {
-                cycle: i as u64 * 1_000,
-                lane: if i % 2 == 0 { i as u32 } else { SERVING_LANE },
-                seq: i as u32,
-                dur: (i % 3) as u64,
-                kind,
-            };
-            let json = e.to_json();
-            let back = TraceEvent::from_json(&json).expect(&json);
-            assert_eq!(back, e, "{json}");
-            assert_eq!(back.to_json(), json, "re-serialization is byte-identical");
-        }
-    }
-
-    #[test]
-    fn event_from_json_rejects_malformed_documents() {
-        assert!(TraceEvent::from_json("{}").is_err(), "missing kind");
-        assert!(
-            TraceEvent::from_json(
-                "{\"cycle\":0,\"lane\":0,\"seq\":0,\"dur\":0,\"kind\":\"no.such\"}"
-            )
-            .is_err(),
-            "unknown kind"
-        );
-        assert!(
-            TraceEvent::from_json(
-                "{\"cycle\":0,\"lane\":0,\"seq\":0,\"dur\":0,\"kind\":\"launch.end\"}"
-            )
-            .is_err(),
-            "missing payload field"
-        );
-        assert!(
-            TraceEvent::from_json(
-                "{\"cycle\":0,\"lane\":0,\"seq\":0,\"dur\":0,\"kind\":\"serve.shed\",\
-                 \"tenant\":0,\"request\":0,\"reason\":\"because\"}"
-            )
-            .is_err(),
-            "bad shed reason"
-        );
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! a label containing `"` or `\` corrupts the whole document. Every
 //! emitter (chrome traces, metrics snapshots, schedule dumps, bench
 //! reports) routes its strings through [`escape_json`]; [`unescape_json`]
-//! is the exact inverse, used by the hand-rolled parsers and by the
-//! round-trip tests that pin the pair together.
+//! is the exact inverse, which [`Cursor`] decodes strings with. The
+//! documents are records to compare, not state to load: the one document
+//! read back is a compiled plan's (`CompiledPlan::from_json` in
+//! `tsm-core`).
 
 /// Escapes `s` for placement between double quotes in a JSON document.
 ///
@@ -244,8 +246,9 @@ impl JsonWriter {
     }
 }
 
-/// Recursive-descent cursor over the workspace's fixed JSON schemas,
-/// shared by every hand-rolled parser (schedule dumps, compiled plans).
+/// Recursive-descent cursor over the workspace's fixed JSON schemas:
+/// the compiled-plan parser reads its documents with it, and the
+/// residency export's readers pick its plans out with it.
 ///
 /// Field order is not significant in the `object` combinator; strings
 /// decode through [`unescape_json`], the exact inverse of the emitters'
@@ -263,14 +266,14 @@ impl<'a> Cursor<'a> {
     }
 
     /// Skips JSON whitespace.
-    pub fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         while self.s[self.i..].starts_with([' ', '\n', '\r', '\t']) {
             self.i += 1;
         }
     }
 
     /// Consumes `c` (after whitespace) or errors.
-    pub fn eat(&mut self, c: char) -> Result<(), String> {
+    fn eat(&mut self, c: char) -> Result<(), String> {
         self.skip_ws();
         if self.s[self.i..].starts_with(c) {
             self.i += c.len_utf8();
@@ -281,7 +284,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next non-whitespace character, if any.
-    pub fn peek(&mut self) -> Option<char> {
+    fn peek(&mut self) -> Option<char> {
         self.skip_ws();
         self.s[self.i..].chars().next()
     }
@@ -326,20 +329,6 @@ impl<'a> Cursor<'a> {
     pub fn narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, String> {
         let v = self.u64()?;
         T::try_from(v).map_err(|_| format!("{field} {v} out of range"))
-    }
-
-    /// Parses `true` or `false`.
-    pub fn bool(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        if self.s[self.i..].starts_with("true") {
-            self.i += 4;
-            Ok(true)
-        } else if self.s[self.i..].starts_with("false") {
-            self.i += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected boolean at byte {}", self.i))
-        }
     }
 
     /// Parses `{"k": v, ...}`, handing each key to `field`.
@@ -531,22 +520,22 @@ mod tests {
         w.begin_object();
         w.field_str("label", "h\u{0001}i\\there");
         w.field_u64("n", 42);
-        w.key("flags").begin_array();
-        w.bool(true);
+        w.key("ns").begin_array();
+        w.u64(7);
         w.end_array();
         w.end_object();
         let doc = w.finish();
 
         let mut label = String::new();
         let mut n = 0u64;
-        let mut flags = Vec::new();
+        let mut ns = Vec::new();
         let mut c = Cursor::new(&doc);
         c.object(|c, key| {
             match key {
                 "label" => label = c.string()?,
                 "n" => n = c.u64()?,
-                "flags" => c.array(|c| {
-                    flags.push(c.bool()?);
+                "ns" => c.array(|c| {
+                    ns.push(c.u64()?);
                     Ok(())
                 })?,
                 other => return Err(format!("unknown key {other:?}")),
@@ -557,7 +546,7 @@ mod tests {
         c.expect_end().unwrap();
         assert_eq!(label, "h\u{0001}i\\there");
         assert_eq!(n, 42);
-        assert_eq!(flags, [true]);
+        assert_eq!(ns, [7]);
     }
 
     #[test]

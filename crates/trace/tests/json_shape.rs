@@ -5,7 +5,9 @@
 //! string escaping plus brace/bracket balance — enough to guarantee the
 //! documents parse in any real JSON reader (Perfetto included).
 
-use tsm_trace::{chrome_trace_json, ChromeExtras, EventKind, Metrics, TraceEvent, RUNTIME_LANE};
+use tsm_trace::{
+    chrome_trace_json, ChromeExtras, EventKind, Metrics, ShedReason, TraceEvent, RUNTIME_LANE,
+};
 
 /// Returns `Err` with a position if `s` is not structurally valid JSON
 /// (balanced `{}`/`[]` outside strings, properly terminated strings, no
@@ -91,6 +93,35 @@ fn every_kind() -> Vec<TraceEvent> {
         EventKind::BlameVote { node: 1, votes: 2 },
         EventKind::Failover { node: 1, epoch: 2 },
         EventKind::LaunchEnd { attempts: 4 },
+        EventKind::RequestEnqueue {
+            tenant: 1,
+            request: 2,
+        },
+        EventKind::RequestShed {
+            tenant: 1,
+            request: 3,
+            reason: ShedReason::QueueFull,
+        },
+        EventKind::RequestShed {
+            tenant: 2,
+            request: 4,
+            reason: ShedReason::TenantOverQuota,
+        },
+        EventKind::RequestExpired {
+            tenant: 1,
+            request: 5,
+            late: 99,
+        },
+        EventKind::RequestComplete {
+            tenant: 1,
+            request: 2,
+            latency: 1234,
+        },
+        EventKind::BatchBegin { batch: 7, size: 3 },
+        EventKind::BatchEnd {
+            batch: 7,
+            attempts: 1,
+        },
     ];
     kinds
         .into_iter()
@@ -134,6 +165,12 @@ fn chrome_trace_of_every_event_kind_is_valid_json() {
         "runtime.blame_vote",
         "runtime.failover",
         "launch.end",
+        "serve.enqueue",
+        "serve.shed",
+        "serve.expired",
+        "serve.complete",
+        "serve.batch",
+        "serve.batch_end",
     ] {
         assert!(json.contains(name), "missing event name {name}");
     }
@@ -235,4 +272,41 @@ fn banner_and_overlay_documents_are_valid_json() {
     check_json_shape(&overlay).unwrap_or_else(|e| panic!("invalid overlay: {e}\n{overlay}"));
     assert!(overlay.contains("link 1 planned"));
     assert!(overlay.contains("link 1 observed"));
+}
+
+/// The flight recorder embeds events in its incidents' trace tails
+/// through `TraceEvent::to_json`, so its bytes are pinned for every kind,
+/// both shed reasons included: the compact writer's field order, names
+/// and number formatting cannot drift unnoticed.
+#[test]
+fn event_json_is_pinned_for_every_kind() {
+    let pinned = [
+        r#"{"cycle":0,"lane":4294967295,"seq":0,"dur":5,"kind":"chip.exec","depth":2,"instructions":9}"#,
+        r#"{"cycle":10,"lane":1,"seq":1,"dur":0,"kind":"chip.deliveries","count":4}"#,
+        r#"{"cycle":20,"lane":2,"seq":2,"dur":5,"kind":"chip.emissions","count":4}"#,
+        r#"{"cycle":30,"lane":4294967295,"seq":3,"dur":0,"kind":"link.delivery","link":1,"transfer":0,"vector":3}"#,
+        r#"{"cycle":40,"lane":4,"seq":4,"dur":5,"kind":"link.corrected","link":1,"bit":2047}"#,
+        r#"{"cycle":50,"lane":5,"seq":5,"dur":0,"kind":"link.uncorrectable","link":1}"#,
+        r#"{"cycle":60,"lane":4294967295,"seq":6,"dur":5,"kind":"link.demoted","link":1}"#,
+        r#"{"cycle":70,"lane":7,"seq":7,"dur":0,"kind":"launch.begin","graph_fp":18446744073709551615}"#,
+        r#"{"cycle":80,"lane":8,"seq":8,"dur":5,"kind":"launch.align"}"#,
+        r#"{"cycle":90,"lane":4294967295,"seq":9,"dur":0,"kind":"runtime.compile","epoch":0}"#,
+        r#"{"cycle":100,"lane":10,"seq":10,"dur":5,"kind":"runtime.reuse","epoch":1}"#,
+        r#"{"cycle":110,"lane":11,"seq":11,"dur":0,"kind":"runtime.replay_epoch","attempt":3}"#,
+        r#"{"cycle":120,"lane":4294967295,"seq":12,"dur":5,"kind":"runtime.blame_vote","node":1,"votes":2}"#,
+        r#"{"cycle":130,"lane":13,"seq":13,"dur":0,"kind":"runtime.failover","node":1,"epoch":2}"#,
+        r#"{"cycle":140,"lane":14,"seq":14,"dur":5,"kind":"launch.end","attempts":4}"#,
+        r#"{"cycle":150,"lane":4294967295,"seq":15,"dur":0,"kind":"serve.enqueue","tenant":1,"request":2}"#,
+        r#"{"cycle":160,"lane":16,"seq":16,"dur":5,"kind":"serve.shed","tenant":1,"request":3,"reason":"queue_full"}"#,
+        r#"{"cycle":170,"lane":17,"seq":17,"dur":0,"kind":"serve.shed","tenant":2,"request":4,"reason":"tenant_over_quota"}"#,
+        r#"{"cycle":180,"lane":4294967295,"seq":18,"dur":5,"kind":"serve.expired","tenant":1,"request":5,"late":99}"#,
+        r#"{"cycle":190,"lane":19,"seq":19,"dur":0,"kind":"serve.complete","tenant":1,"request":2,"latency":1234}"#,
+        r#"{"cycle":200,"lane":20,"seq":20,"dur":5,"kind":"serve.batch","batch":7,"size":3}"#,
+        r#"{"cycle":210,"lane":4294967295,"seq":21,"dur":0,"kind":"serve.batch_end","batch":7,"attempts":1}"#,
+    ];
+    let events = every_kind();
+    assert_eq!(events.len(), pinned.len());
+    for (e, want) in events.iter().zip(pinned) {
+        assert_eq!(e.to_json(), want);
+    }
 }

@@ -43,7 +43,8 @@ cargo build --workspace --release
 #   out_of_range_targeted_flips_are_typed_errors,
 #   out_of_range_runtime_rates_are_refused_at_admission).
 # - tsm-trace, and tsm-core `trace_identity` and `trace_fault`: the trace
-#   crate itself, the serial≡parallel trace-identity contract, and the
+#   crate itself (every event kind's JSON bytes are pinned in
+#   `json_shape`), the serial≡parallel trace-identity contract, and the
 #   fault-path timeline assertions.
 # - tsm-core `profile_conformance`: the plan-vs-actual conformance
 #   invariant: fault-free runs certify with zero skew (executor and full
@@ -83,11 +84,14 @@ cargo build --workspace --release
 # - tsm-core `attribution`: the causal attribution layer: every served
 #   request's stage breakdown sums exactly to its latency (clean,
 #   replaying, and certified paths), aggregation is the exact fold of the
-#   breakdowns, off-identity holds, and the JSON round trip is
-#   byte-stable.
+#   breakdowns, off-identity holds, and a rerun from the seed reproduces
+#   the report, every breakdown included.
 # - tsm-core `flight`: the incident flight recorder: trigger coverage
 #   (shed/expiry/SLO-miss/fault), bounded capture, off-identity,
-#   byte-reproducible incidents, and telemetry-window bracketing.
+#   byte-reproducible incidents, and telemetry-window bracketing. Nothing
+#   reads an incident back; its unit tests check that each document is
+#   one well-formed value that embeds its trace tail and telemetry
+#   verbatim.
 # - tsm-core `alloc_gate`: a counting global allocator, alone in its
 #   binary: dropping the 288- and the 1,152-chip half-stride plans frees
 #   the same number of heap blocks, and a warm serial execute of each
@@ -138,12 +142,19 @@ cargo build --workspace --release
 #   their own bytes (a Read direction byte of 2, a nonzero unused byte)
 #   (from_json_refuses_hostile_programs); a chip depth at or past the chip
 #   count, and plan JSON that indexes outside itself, lists its chips out
-#   of TSP order, names a destination with no chip, lists its program or
-#   manifest out of order, names an SRAM region that wraps past offset
-#   65535, or a preload offset too wide for its field, each before
-#   anything is derived from it
-#   (from_json_refuses_plans_that_index_outside_themselves). Then a plan
-#   document that sends on port 40 executing to a chip error.
+#   of TSP order, lists its program or manifest out of order, names an
+#   SRAM region that wraps past offset 65535, or a preload offset too wide
+#   for its field, each before anything is derived from it
+#   (from_json_refuses_plans_that_index_outside_themselves); a transfer
+#   whose destination chip does not receive each of its vectors once, a
+#   destination with no chip included
+#   (from_json_refuses_a_transfer_its_destination_does_not_receive). Then
+#   a plan document that sends on port 40 executing to a chip error, and
+#   4,000 seeded truncations and byte edits of a two-node plan's
+#   document, after one whose delivery names link 999999: each parses to
+#   a plan or an error, and a plan's planned_timeline is a timeline or
+#   CosimError::UnknownLink and its executes at widths 1 and 2 a report
+#   or an error, never a panic (hostile_plan_documents_are_typed_errors).
 # - tsm-core's `cosim` unit tests: among them, a plan whose public shapes
 #   were shortened, or lost vectors, after compile executes to a typed
 #   payload error at widths 1-3, never an index panic
